@@ -142,11 +142,11 @@ func BenchmarkSimulationRate(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }
 
-// benchEngine times one execution engine on the paper's divergence
+// benchEngine times one execution regime on the paper's divergence
 // microbenchmark scaled to 256 warps: a scheduler-bound workload with
 // no RT-core functional work, so what is measured is instruction
-// dispatch and scheduling — exactly what the compiled engine and
-// basic-block fast-forward accelerate. Kernel assembly happens with
+// dispatch and scheduling — exactly what basic-block fast-forward
+// accelerates. Kernel assembly happens with
 // the timer stopped; program lowering (Program.Compiled) is left
 // inside the timed region because a real run pays it too.
 func benchEngine(b *testing.B, compiled bool) {
@@ -172,14 +172,16 @@ func benchEngine(b *testing.B, compiled bool) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }
 
-// BenchmarkGPURunCompiled times the pre-decoded engine with basic-block
-// fast-forward (the Config.Compiled default).
+// BenchmarkGPURunCompiled times the fast-forward regime (the
+// Config.Compiled default).
 func BenchmarkGPURunCompiled(b *testing.B) { benchEngine(b, true) }
 
-// BenchmarkGPURunInterpreted times the per-cycle decoding interpreter
-// (the -compile=off escape hatch) on the same workload; both engines
-// retire identical cycle counts, so the sim-cycles/op metrics match and
-// only wall time differs.
+// BenchmarkGPURunInterpreted times the stepped regime (-compile=off:
+// the same executor with fast-forward off) on the same workload; both
+// regimes retire identical cycle counts, so the sim-cycles/op metrics
+// match and only wall time differs. The name predates the removal of
+// the decode-at-issue interpreter and is kept so BENCH_sim.json
+// trajectories line up.
 func BenchmarkGPURunInterpreted(b *testing.B) { benchEngine(b, false) }
 
 // benchGenerator times one synthetic workload family end to end at its

@@ -29,7 +29,7 @@ func main() {
 	outPath := flag.String("o", "", "also write the combined report to this file")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
-	compile := flag.String("compile", "on", "execution engine: on (compiled, default) or off (per-cycle interpreter)")
+	compile := flag.String("compile", "on", "basic-block fast-forward: on (default), or off (the stepped reference regime)")
 	policyFlag := flag.String("policy", "", "warp scheduler policy override: lrr (default), gto, wasp; the matrix experiment narrows its policy axis to this")
 	workloadFlag := flag.String("workload", "",
 		"comma-separated workload families for the matrix experiment ("+strings.Join(subwarpsim.WorkloadNames(), ", ")+"); empty means all")

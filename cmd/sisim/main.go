@@ -64,7 +64,7 @@ func main() {
 	warpSlots := flag.Int("warpslots", 8, "warp slots per processing block (2, 4, 8)")
 	maxSubwarps := flag.Int("maxsubwarps", 0, "TST entries / subwarps per warp (0 = unlimited)")
 	order := flag.String("order", "taken", "divergent path order: taken, fallthrough, largest, random")
-	compile := flag.String("compile", "on", "execution engine: on (pre-decoded stream + fast-forward) or off (per-cycle interpreter); results are bit-identical")
+	compile := flag.String("compile", "on", "basic-block fast-forward: on, or off (the stepped reference regime); results are bit-identical")
 	jobs := flag.Int("j", 0, "concurrent SM simulation goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	listApps := flag.Bool("listapps", false, "list application traces and exit")
 	verbose := flag.Bool("v", false, "print the full counter set")

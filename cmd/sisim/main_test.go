@@ -198,8 +198,8 @@ func TestCLIBaselineStillRuns(t *testing.T) {
 	}
 }
 
-// TestCLICompileModesAgree: -compile=off must run the interpreter and
-// report exactly the cycle count of the default compiled engine.
+// TestCLICompileModesAgree: -compile=off must run the stepped regime
+// and report exactly the cycle count of the fast-forward default.
 func TestCLICompileModesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI binary")
@@ -278,7 +278,7 @@ func TestCLISubmitSandbox(t *testing.T) {
 	}
 
 	// The kill point is part of the deterministic contract: both
-	// execution engines report the identical message.
+	// execution regimes report the identical message.
 	_, interp, code := runCLI(t, bin,
 		"-submit", filepath.Join(hostile, "infinite_loop.asm"), "-max-cycles", "10000", "-compile", "off")
 	if code != 1 {

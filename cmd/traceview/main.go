@@ -32,7 +32,6 @@ func main() {
 	si := flag.Bool("si", false, "enable Subwarp Interleaving for -replay")
 	yield := flag.Bool("yield", false, "enable subwarp-yield for -replay")
 	width := flag.Int("width", 100, "timeline columns for -replay")
-	compile := flag.String("compile", "on", "execution engine for -replay: on (compiled) or off (interpreter)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -80,29 +79,16 @@ func main() {
 		fmt.Print(prog.Disassemble())
 	}
 
-	var compiled bool
-	switch strings.ToLower(*compile) {
-	case "on":
-		compiled = true
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "bad -compile %q (on, off)\n", *compile)
-		os.Exit(2)
-	}
-
 	if *replay {
-		replayTimeline(kernel, *si, *yield, compiled, *warps, *width)
+		replayTimeline(kernel, *si, *yield, *warps, *width)
 	}
 }
 
 // replayTimeline runs the kernel with the event recorder attached and
 // prints the reconstructed subwarp-state chart and stall attribution.
-// Tracing already disables fast-forward; compiled=false additionally
-// drops the pre-decoded stream and replays on the raw interpreter —
-// the rendered timeline is identical either way.
-func replayTimeline(kernel *subwarpsim.Kernel, si, yield, compiled bool, warps, width int) {
+// The attached recorder puts the run in the stepped regime.
+func replayTimeline(kernel *subwarpsim.Kernel, si, yield bool, warps, width int) {
 	cfg := subwarpsim.DefaultConfig()
-	cfg.Compiled = compiled
 	if si {
 		cfg = cfg.WithSI(yield, subwarpsim.TriggerHalfStalled)
 	}

@@ -66,9 +66,9 @@ func (t SelectTrigger) Satisfied(stalled, live int) bool {
 // greedy on the last-issued warp (it keeps issuing while it can) and
 // deterministic over the block's frozen warp statuses; policies differ
 // only in which warp they fall back to when the greedy warp stalls.
-// That stickiness is load-bearing: the compiled engine's basic-block
-// fast-forward assumes a re-pick of the same warp over unchanged
-// statuses (see internal/sm/compiled.go and DESIGN §15).
+// That stickiness is load-bearing: basic-block fast-forward assumes a
+// re-pick of the same warp over unchanged statuses (see
+// internal/sm/fastforward.go and DESIGN §15).
 type SchedPolicy int
 
 const (
@@ -215,15 +215,17 @@ type Config struct {
 	// when it differs from LRR, so existing cache entries stay valid.
 	SchedPolicy SchedPolicy
 
-	// Compiled selects the execution engine, not the architecture:
-	// when true (the default) each program is lowered once into a
-	// pre-decoded operation stream and eligible straight-line
+	// Compiled selects the execution regime, not the architecture, and
+	// nothing else: when true (the default) eligible straight-line
 	// convergent regions are retired in bulk (basic-block
-	// fast-forward). Results — counters, derived metrics, memory
-	// fingerprints, trace streams — are bit-identical to the
-	// interpreter (cfg.Compiled = false), which the differential and
-	// fuzz suites enforce, so like Trace and Faults it is excluded
-	// from the result-cache canonicalization.
+	// fast-forward); when false the same executor — there is one,
+	// running each program's pre-decoded operation stream — steps every
+	// cycle, which is also what an attached Trace recorder forces.
+	// Results — counters, derived metrics, memory fingerprints — are
+	// bit-identical across the two regimes, which the differential and
+	// fuzz suites enforce with the stepped side as their reference, so
+	// like Trace and Faults it is excluded from the result-cache
+	// canonicalization.
 	Compiled bool
 
 	// Subwarp Interleaving.

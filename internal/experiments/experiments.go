@@ -33,11 +33,11 @@ type Options struct {
 	// in-flight runs return promptly and the experiment reports the
 	// context error. Nil means context.Background().
 	Context context.Context
-	// Interpret disables the compiled execution engine (pre-decoded
-	// streams + basic-block fast-forward) and runs every simulation on
-	// the per-cycle interpreter. Results are bit-identical either way —
-	// the golden corpus is checked in both modes — so this is a
-	// verification and debugging knob, not a result knob.
+	// Interpret turns basic-block fast-forward off (cfg.Compiled =
+	// false) so every simulation runs in the stepped reference regime.
+	// Results are bit-identical either way — the golden corpus is
+	// checked in both regimes — so this is a verification and debugging
+	// knob, not a result knob.
 	Interpret bool
 	// SchedPolicy overrides the warp-scheduler policy for every
 	// simulation when set to a non-LRR value (the -policy flag). The

@@ -4,17 +4,21 @@ import (
 	"testing"
 
 	"subwarpsim/internal/config"
-	"subwarpsim/internal/sm"
-	"subwarpsim/internal/trace"
 	"subwarpsim/internal/workload"
 )
 
-// The two-mode differential layer: the compiled engine (pre-decoded
-// operation stream + basic-block fast-forward) must be bit-identical
-// to the per-cycle interpreter on every workload, configuration, and
-// observable — counters, derived metrics, final memory images, and
-// trace streams. These tests are the proof obligation behind
-// Config.Compiled being excluded from the result-cache key.
+// The two-regime differential layer: there is one executor, and
+// Config.Compiled only decides whether it fast-forwards basic blocks.
+// The fast-forward regime must be bit-identical to the stepped regime
+// (Compiled=false, the reference these tests call "interpreted") on
+// every workload, configuration, and observable — counters, derived
+// metrics, final memory images — so what is under test is the
+// soundness of ffStable/ffHorizon/ffCommit. These tests are the proof
+// obligation behind Config.Compiled being excluded from the
+// result-cache key. Trace streams need no regime comparison: attaching
+// a recorder forces the stepped regime whatever Compiled says (they
+// stay pinned by TestParallelTraceMatchesSequential and
+// internal/sm/trace_test.go).
 
 // engineConfigs are the policy points the two-mode comparison quantifies
 // over: the baseline, both SI modes (yield exercises the FFLen vs
@@ -33,8 +37,8 @@ func engineConfigs() map[string]config.Config {
 	}
 }
 
-// interpreted returns the configuration with the compiled engine
-// disabled (the -compile=off escape hatch).
+// interpreted returns the configuration with fast-forward off: the
+// stepped reference regime (-compile=off).
 func interpreted(cfg config.Config) config.Config {
 	cfg.Compiled = false
 	return cfg
@@ -96,58 +100,6 @@ func TestCompiledMatchesInterpretedProperty(t *testing.T) {
 	}
 }
 
-// TestCompiledTraceMatchesInterpreted asserts the exported trace
-// stream — event sequence, drop count, histogram set — is identical in
-// both modes. With a recorder attached the compiled engine disables
-// fast-forward and steps cycle by cycle, so every KindIssue/KindStall
-// event is emitted at exactly the interpreter's cycle.
-func TestCompiledTraceMatchesInterpreted(t *testing.T) {
-	mk := func() (*sm.Kernel, error) { return workload.Microbench(workload.DefaultMicrobench(4)) }
-	traced := func(compiled bool) *trace.Recorder {
-		rec := trace.NewRecorder()
-		cfg := config.Default().WithSI(true, config.TriggerHalfStalled)
-		cfg.Compiled = compiled
-		cfg.Trace = rec
-		k, err := mk()
-		if err != nil {
-			t.Fatalf("build kernel: %v", err)
-		}
-		if _, err := RunWorkers(cfg, k, 0); err != nil {
-			t.Fatalf("RunWorkers(compiled=%v): %v", compiled, err)
-		}
-		return rec
-	}
-	comp := traced(true)
-	interp := traced(false)
-
-	if comp.Len() == 0 {
-		t.Fatal("compiled run recorded no events; trace comparison is vacuous")
-	}
-	if comp.Len() != interp.Len() {
-		t.Fatalf("event counts diverge: compiled %d, interpreted %d", comp.Len(), interp.Len())
-	}
-	if comp.Dropped() != interp.Dropped() {
-		t.Errorf("dropped counts diverge: compiled %d, interpreted %d",
-			comp.Dropped(), interp.Dropped())
-	}
-	ce, ie := comp.Events(), interp.Events()
-	for i := range ce {
-		if ce[i] != ie[i] {
-			t.Fatalf("event %d diverges:\n  compiled    %s\n  interpreted %s", i, ce[i], ie[i])
-		}
-	}
-	ch, ih := comp.Histograms(), interp.Histograms()
-	if len(ch) != len(ih) {
-		t.Fatalf("histogram counts diverge: compiled %d, interpreted %d", len(ch), len(ih))
-	}
-	for i := range ch {
-		if ch[i].String() != ih[i].String() {
-			t.Errorf("histogram %d diverges:\n  compiled:\n%s\n  interpreted:\n%s",
-				i, ch[i], ih[i])
-		}
-	}
-}
-
 // TestCompiledOncePerRun asserts the compile pass is cached at the
 // Program: a whole-device run across multiple SMs (each SM constructs
 // its own execution state from the same kernel) lowers the program
@@ -157,7 +109,7 @@ func TestCompiledOncePerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Default() // 2 SMs, compiled by default
+	cfg := config.Default() // 2 SMs
 	if got := k.Program.CompileCount(); got != 0 {
 		t.Fatalf("program pre-compiled: CompileCount = %d before the run", got)
 	}

@@ -213,8 +213,8 @@ func fuzzMemory() *mem.Memory {
 // checks the properties no input may break: the simulator never
 // panics; a parallel run is bit-identical to a sequential run of the
 // same kernel (counters, final memory image, and error outcome); and
-// the interpreter (Compiled=false) is bit-identical to the compiled
-// engine — all with SI off and on. Run errors themselves (e.g. the
+// the stepped regime (Compiled=false) is bit-identical to the
+// fast-forward regime — all with SI off and on. Run errors themselves (e.g. the
 // tightened cycle budget) are tolerated as long as every variant
 // agrees.
 func FuzzRun(f *testing.F) {

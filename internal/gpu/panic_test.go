@@ -1,12 +1,15 @@
 package gpu
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"subwarpsim/internal/config"
 	"subwarpsim/internal/faults"
+	"subwarpsim/internal/isa"
+	"subwarpsim/internal/mem"
 	"subwarpsim/internal/sm"
 	"subwarpsim/internal/workload"
 )
@@ -84,5 +87,34 @@ func TestSMLatencyInjectionIsResultTransparent(t *testing.T) {
 	if len(cfg.Faults.Events()) != cfg.NumSMs {
 		t.Errorf("latency fired %d times, want once per SM (%d)",
 			len(cfg.Faults.Events()), cfg.NumSMs)
+	}
+}
+
+// TestFallOffEndDiagnostic: isa.Program.Validate accepts a predicated
+// BRA as the last instruction, so not-taken lanes can run off the end
+// of the program (the shape internal/admission rejects statically).
+// Both regimes must die at the SM's single fetch point with the named
+// diagnostic — program, PC, length — wrapped in a *PanicError, never
+// with a bare index-out-of-range from whichever table was read first.
+func TestFallOffEndDiagnostic(t *testing.T) {
+	const want = `isa: PC 2 out of range for "falloff" (2 instrs)`
+	for _, compiled := range []bool{true, false} {
+		b := isa.NewBuilder("falloff").SetRegsPerThread(8)
+		b.Label("top").Movi(1, 0).BraP(0, false, "top") // P0 is false: nobody branches
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := config.Default()
+		cfg.Compiled = compiled
+		k := &sm.Kernel{Program: prog, NumWarps: 2, WarpsPerCTA: 1, Memory: mem.NewMemory()}
+		_, err = RunContext(context.Background(), cfg, k, 1)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("compiled=%v: err = %v, want *PanicError", compiled, err)
+		}
+		if msg, _ := pe.Value.(string); msg != want {
+			t.Errorf("compiled=%v: panic value = %v, want %q", compiled, pe.Value, want)
+		}
 	}
 }

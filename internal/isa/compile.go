@@ -1,77 +1,19 @@
 package isa
 
-// The compile pass lowers a Program once into a pre-decoded operation
-// stream the simulator can replay without per-cycle decoding: opcodes
-// are resolved to dense ExecClass indices (the SM keeps a function
-// table indexed by ExecClass), operands are widened to the exact types
-// the execution arms consume (zero-extended address immediates,
-// masked shift amounts), and a basic-block map records the static
-// structure fast-forward relies on. The pass is pure analysis: it
-// never changes architectural semantics, and the simulator's compiled
-// mode is required (and tested) to be bit-identical to the
-// interpreter.
-
-// ExecClass indexes the SM's compiled-dispatch function table. Every
-// opcode maps to exactly one class; the three texture/global load
-// flavors share ExecLOAD because the SM's load path dispatches on the
-// original opcode it keeps in COp.Op.
-type ExecClass uint8
-
-const (
-	ExecNOP ExecClass = iota
-	ExecMOVI
-	ExecMOV
-	ExecS2R
-	ExecIADD
-	ExecIADDI
-	ExecIMUL
-	ExecIMULI
-	ExecIAND
-	ExecIOR
-	ExecIXOR
-	ExecSHL
-	ExecSHR
-	ExecISETP
-	ExecISETPI
-	ExecFADD
-	ExecFMUL
-	ExecFFMA
-	ExecMUFU
-	ExecLOAD // LDG, TLD, TEX
-	ExecSTG
-	ExecTRACE
-	ExecBRA
-	ExecBRX
-	ExecBSSY
-	ExecBSYNC
-	ExecYIELD
-	ExecEXIT
-
-	NumExecClasses // sentinel
-)
-
-var execClassOf = [numOpcodes]ExecClass{
-	NOP: ExecNOP, MOVI: ExecMOVI, MOV: ExecMOV, S2R: ExecS2R,
-	IADD: ExecIADD, IADDI: ExecIADDI, IMUL: ExecIMUL, IMULI: ExecIMULI,
-	IAND: ExecIAND, IOR: ExecIOR, IXOR: ExecIXOR, SHL: ExecSHL, SHR: ExecSHR,
-	ISETP: ExecISETP, ISETPI: ExecISETPI,
-	FADD: ExecFADD, FMUL: ExecFMUL, FFMA: ExecFFMA, MUFU: ExecMUFU,
-	LDG: ExecLOAD, TLD: ExecLOAD, TEX: ExecLOAD,
-	STG: ExecSTG, TRACE: ExecTRACE,
-	BRA: ExecBRA, BRX: ExecBRX, BSSY: ExecBSSY, BSYNC: ExecBSYNC,
-	YIELD: ExecYIELD, EXIT: ExecEXIT,
-}
-
-// ExecClassOf returns the dispatch class for an opcode.
-func ExecClassOf(op Opcode) ExecClass { return execClassOf[op] }
+// The compile pass lowers a Program once into the pre-decoded operation
+// stream the simulator executes — the SM has no other instruction
+// format: operands are widened to the exact types the execution arms
+// consume (zero-extended address immediates, masked shift amounts), so
+// the per-issue path does no decoding or conversion. Alongside the
+// stream it records the per-PC fast-forward run lengths and a
+// basic-block map (admission's CFG walk). The pass is pure analysis: it
+// never changes architectural semantics.
 
 // COp is one pre-decoded operation. It carries everything the
 // execution arms read, already widened/masked so the per-cycle path
-// does no conversions, plus the original opcode for trace emission and
-// the load path.
+// does no conversions; Op is what the SM dispatches on.
 type COp struct {
-	Exec ExecClass
-	Op   Opcode // original opcode (trace events, LDG/TLD/TEX flavor)
+	Op Opcode
 
 	Dst     uint8
 	SrcA    uint8
@@ -100,21 +42,6 @@ type COp struct {
 // valid from any entry point.
 type BasicBlock struct {
 	Start, End int
-
-	// Convergent: no interior instruction (everything before End-1) can
-	// splinter, block, yield, or retire the active subwarp — the region
-	// is free of BRA/BRX/BSYNC/EXIT/YIELD until its terminator.
-	Convergent bool
-	// NoMemory: the block contains no LDG/STG/TLD/TEX/TRACE anywhere,
-	// so executing it cannot schedule writebacks or touch memory.
-	NoMemory bool
-	// NoScoreboard: no instruction in the block writes (&wr) or waits
-	// on (&req) a scoreboard, so issue can never stall mid-block.
-	NoScoreboard bool
-	// NoBranchUntilEnd: interior instructions are free of BRA/BRX/
-	// BSYNC/EXIT (YIELD permitted), so the PC advances linearly until
-	// the terminator.
-	NoBranchUntilEnd bool
 }
 
 // Compiled is the pre-decoded form of a Program.
@@ -157,17 +84,6 @@ func ffSimple(in Instr, yieldInert bool) bool {
 	return false
 }
 
-// interiorBranch reports whether the op transfers or terminates
-// control flow, which a block's interior must be free of for both the
-// NoBranchUntilEnd flag and (together with YIELD) the Convergent flag.
-func interiorBranch(op Opcode) bool {
-	switch op {
-	case BRA, BRX, BSYNC, EXIT:
-		return true
-	}
-	return false
-}
-
 func compile(p *Program) *Compiled {
 	n := len(p.Code)
 	c := &Compiled{
@@ -179,7 +95,6 @@ func compile(p *Program) *Compiled {
 
 	for pc, in := range p.Code {
 		c.Ops[pc] = COp{
-			Exec:    execClassOf[in.Op],
 			Op:      in.Op,
 			Dst:     in.Dst,
 			SrcA:    in.SrcA,
@@ -241,34 +156,8 @@ func compile(p *Program) *Compiled {
 		for end < n && !leader[end] {
 			end++
 		}
-		bb := BasicBlock{
-			Start:            start,
-			End:              end,
-			Convergent:       true,
-			NoMemory:         true,
-			NoScoreboard:     true,
-			NoBranchUntilEnd: true,
-		}
-		for pc := start; pc < end; pc++ {
-			in := p.Code[pc]
-			interior := pc < end-1
-			if interior && interiorBranch(in.Op) {
-				bb.NoBranchUntilEnd = false
-				bb.Convergent = false
-			}
-			if interior && in.Op == YIELD {
-				bb.Convergent = false
-			}
-			switch in.Op {
-			case LDG, STG, TLD, TEX, TRACE:
-				bb.NoMemory = false
-			}
-			if in.WrScbd != NoScoreboard || in.ReqScbd != NoScoreboard {
-				bb.NoScoreboard = false
-			}
-		}
 		idx := int32(len(c.Blocks))
-		c.Blocks = append(c.Blocks, bb)
+		c.Blocks = append(c.Blocks, BasicBlock{Start: start, End: end})
 		for pc := start; pc < end; pc++ {
 			c.BlockOf[pc] = idx
 		}

@@ -41,10 +41,7 @@ func TestCompileOpsMirrorInstrs(t *testing.T) {
 	}
 	for pc, in := range p.Code {
 		op := c.Ops[pc]
-		if op.Op != in.Op || op.Exec != ExecClassOf(in.Op) {
-			t.Errorf("pc %d: op/exec mismatch: %+v vs %s", pc, op, in)
-		}
-		if op.Dst != in.Dst || op.SrcA != in.SrcA || op.SrcB != in.SrcB ||
+		if op.Op != in.Op || op.Dst != in.Dst || op.SrcA != in.SrcA || op.SrcB != in.SrcB ||
 			op.SrcC != in.SrcC || op.Pred != in.Pred || op.PredNeg != in.PredNeg ||
 			op.Barrier != in.Barrier || op.Cmp != in.Cmp ||
 			op.WrScbd != in.WrScbd || op.ReqScbd != in.ReqScbd ||
@@ -98,24 +95,6 @@ func TestCompileBasicBlocks(t *testing.T) {
 		if pc < bb.Start || pc >= bb.End {
 			t.Errorf("BlockOf[%d] = %d covers [%d,%d)", pc, c.BlockOf[pc], bb.Start, bb.End)
 		}
-	}
-
-	// Block 0 = [0,5): ends with the BRA; interior has no branch, no
-	// memory, no scoreboards.
-	b0 := c.Blocks[0]
-	if !b0.Convergent || !b0.NoMemory || !b0.NoScoreboard || !b0.NoBranchUntilEnd {
-		t.Errorf("block 0 flags = %+v, want all set", b0)
-	}
-	// Block 1 = [5,7): IMULI; BSYNC terminator is not interior.
-	b1 := c.Blocks[1]
-	if !b1.Convergent || !b1.NoMemory || !b1.NoScoreboard || !b1.NoBranchUntilEnd {
-		t.Errorf("block 1 flags = %+v, want all set", b1)
-	}
-	// Block 2 = [7,11): LDG (memory + scoreboard write), Req'd IADD,
-	// interior YIELD (kills Convergent, not NoBranchUntilEnd).
-	b2 := c.Blocks[2]
-	if b2.Convergent || b2.NoMemory || b2.NoScoreboard || !b2.NoBranchUntilEnd {
-		t.Errorf("block 2 flags = %+v, want only NoBranchUntilEnd", b2)
 	}
 }
 

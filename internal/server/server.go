@@ -65,11 +65,6 @@ type Options struct {
 	// with a discard logger — the serving layer is always observable,
 	// logging is opt-in.
 	Obs *obs.Observer
-	// Interpret runs jobs on the per-cycle interpreter instead of the
-	// compiled engine when their spec leaves the compile field empty;
-	// a spec's explicit "on"/"off" always wins. Engine choice never
-	// changes results (the two are bit-identical) or cache keys.
-	Interpret bool
 
 	// TenantRate and TenantBurst configure the per-tenant token-bucket
 	// submission limiter: each tenant accrues TenantRate tokens per
@@ -524,9 +519,6 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobResult, error) {
 	// cache key deliberately ignores it (like Trace, it is not an
 	// architecture parameter).
 	cfg.Faults = s.opts.Faults
-	if spec.Compile == "" && s.opts.Interpret {
-		cfg.Compiled = false
-	}
 	kernel, err := spec.BuildKernel()
 	if err != nil {
 		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}

@@ -509,8 +509,6 @@ func TestSpecValidation(t *testing.T) {
 		{Microbench: 32, SI: true, Yield: true, Trigger: "all", Order: "largest"},
 		{App: "BFV1", DWS: true},
 		{Microbench: 1, SI: true, MaxSubwarps: 2, LatencyCycles: 300, WarpSlots: 16},
-		{Microbench: 4, Compile: "off"},
-		{Microbench: 4, Compile: "ON"},
 		{Workload: "gemm"},
 		{Workload: "bfs", SI: true, Yield: true},
 		{Workload: "texture", Policy: "wasp"},
@@ -532,7 +530,6 @@ func TestSpecValidation(t *testing.T) {
 		{Microbench: 4, Trigger: "sometimes"},
 		{Microbench: 4, WarpSlots: -2},
 		{App: "NotAnApp"},
-		{Microbench: 4, Compile: "maybe"},
 		{Workload: "nosuch"},
 		{Workload: "gemm", App: "BFV1"},
 		{Workload: "gemm", Microbench: 4},
@@ -576,16 +573,6 @@ func TestSpecConfigKnobs(t *testing.T) {
 	}
 	if got := (JobSpec{Microbench: 8}).WorkloadID(); got != "micro/8" {
 		t.Errorf("WorkloadID = %q", got)
-	}
-
-	for compile, want := range map[string]bool{"": true, "on": true, "off": false} {
-		cfg, err := JobSpec{Microbench: 4, Compile: compile}.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.Compiled != want {
-			t.Errorf("Compile=%q → Compiled=%v, want %v", compile, cfg.Compiled, want)
-		}
 	}
 
 	for policy, want := range map[string]config.SchedPolicy{
@@ -654,45 +641,47 @@ func TestServiceWorkloadPolicyJobs(t *testing.T) {
 	}
 }
 
-// TestCompileEngineChoice pins the serving contract of the execution
-// engine knob: engine choice is not an architecture parameter, so a
-// compiled job and its interpreted twin share one cache key (the
-// interpreted re-POST is a hit) and report bit-identical counters —
-// including on a server whose default engine is the interpreter
-// (Options.Interpret, sisimd -compile off).
+// TestCompileEngineChoice pins what is left of the retired per-job
+// engine knob: the serving layer no longer selects an execution regime,
+// but request decoding ignores unknown fields, so a client still
+// sending "compile":"off" is served — a fresh simulation with the same
+// key and bit-identical counters as the plain spec, which then hits the
+// entry the legacy body stored.
 func TestCompileEngineChoice(t *testing.T) {
-	for _, srvOpts := range []struct {
-		name string
-		opts Options
-	}{
-		{"compiled-default", Options{Workers: 2}},
-		{"interpret-default", Options{Workers: 2, Interpret: true}},
-	} {
-		t.Run(srvOpts.name, func(t *testing.T) {
-			s := newTestServer(t, srvOpts.opts)
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-
-			first, code := postJob(t, ts, JobSpec{Microbench: 4, SI: true, Compile: "on"})
-			if code != http.StatusOK {
-				t.Fatalf("compiled POST = %d", code)
-			}
-			if first.Cached || first.Counters.Cycles == 0 {
-				t.Fatalf("compiled run: cached=%v counters=%+v", first.Cached, first.Counters)
-			}
-			for _, compile := range []string{"off", ""} {
-				res, code := postJob(t, ts, JobSpec{Microbench: 4, SI: true, Compile: compile})
-				if code != http.StatusOK {
-					t.Fatalf("compile=%q POST = %d", compile, code)
-				}
-				if !res.Cached {
-					t.Errorf("compile=%q must share the compiled run's cache key", compile)
-				}
-				if res.Counters != first.Counters {
-					t.Errorf("compile=%q counters differ:\n  compiled %+v\n  got      %+v",
-						compile, first.Counters, res.Counters)
-				}
-			}
-		})
+	post := func(ts *httptest.Server, body string) JobResult {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d", body, resp.StatusCode)
+		}
+		var res JobResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serve := func() *httptest.Server {
+		ts := httptest.NewServer(newTestServer(t, Options{Workers: 2}).Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	plain := post(serve(), `{"microbench":4,"si":true}`)
+	ts := serve()
+	legacy := post(ts, `{"microbench":4,"si":true,"compile":"off"}`)
+	if plain.Cached || legacy.Cached || plain.Counters.Cycles == 0 {
+		t.Fatalf("expected two fresh simulations: plain cached=%v legacy cached=%v counters=%+v",
+			plain.Cached, legacy.Cached, plain.Counters)
+	}
+	if legacy.Key != plain.Key || legacy.Counters != plain.Counters {
+		t.Errorf("\"compile\":\"off\" changed the answer:\n  plain  %s %+v\n  legacy %s %+v",
+			plain.Key, plain.Counters, legacy.Key, legacy.Counters)
+	}
+	if again := post(ts, `{"microbench":4,"si":true}`); !again.Cached || again.Counters != legacy.Counters {
+		t.Errorf("plain re-POST after the legacy body: cached=%v counters=%+v, want a hit on %+v",
+			again.Cached, again.Counters, legacy.Counters)
 	}
 }

@@ -47,12 +47,6 @@ type JobSpec struct {
 	// Policy is the warp-scheduler arbitration rule: "lrr" (default),
 	// "gto", or "wasp".
 	Policy string `json:"policy,omitempty"`
-	// Compile selects the execution engine: "on" (pre-decoded streams
-	// with basic-block fast-forward), "off" (the per-cycle
-	// interpreter), or "" for the server's default. The engines are
-	// bit-identical, so this is a debugging knob, not a result knob;
-	// the cache key ignores it.
-	Compile string `json:"compile,omitempty"`
 
 	// TimeoutMS bounds this job's simulation wall time; 0 uses the
 	// server default. The server clamps it to its configured maximum.
@@ -86,19 +80,6 @@ func ParseTrigger(name string) (config.SelectTrigger, error) {
 		return config.TriggerAllStalled, nil
 	default:
 		return 0, fmt.Errorf("unknown trigger %q (any, half, all)", name)
-	}
-}
-
-// ParseCompile maps a CLI/API engine name onto the config.Compiled
-// bit. The empty string means "default" and parses as compiled.
-func ParseCompile(name string) (bool, error) {
-	switch strings.ToLower(name) {
-	case "", "on":
-		return true, nil
-	case "off":
-		return false, nil
-	default:
-		return false, fmt.Errorf("unknown compile mode %q (on, off)", name)
 	}
 }
 
@@ -163,9 +144,6 @@ func (j JobSpec) Validate() error {
 	if _, err := ParseOrder(j.Order); err != nil {
 		return err
 	}
-	if _, err := ParseCompile(j.Compile); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -186,8 +164,6 @@ func (j JobSpec) Config() (config.Config, error) {
 	cfg.Order = order
 	policy, _ := ParsePolicy(j.Policy)
 	cfg.SchedPolicy = policy
-	compiled, _ := ParseCompile(j.Compile)
-	cfg.Compiled = compiled
 	if j.DWS {
 		cfg = cfg.WithDWS()
 	} else if j.SI {

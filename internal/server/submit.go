@@ -59,7 +59,6 @@ type SubmitSpec struct {
 	Trigger   string `json:"trigger,omitempty"`
 	Order     string `json:"order,omitempty"`
 	Policy    string `json:"policy,omitempty"`
-	Compile   string `json:"compile,omitempty"`
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 }
 
@@ -119,9 +118,6 @@ func (sp SubmitSpec) Validate() error {
 	if _, err := ParseOrder(sp.Order); err != nil {
 		return err
 	}
-	if _, err := ParseCompile(sp.Compile); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -136,8 +132,6 @@ func (sp SubmitSpec) Config() (config.Config, error) {
 	cfg.Order = order
 	policy, _ := ParsePolicy(sp.Policy)
 	cfg.SchedPolicy = policy
-	compiled, _ := ParseCompile(sp.Compile)
-	cfg.Compiled = compiled
 	if sp.DWS {
 		cfg = cfg.WithDWS()
 	} else if sp.SI {
@@ -191,9 +185,6 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}
 	}
 	cfg.Faults = s.opts.Faults
-	if sp.Compile == "" && s.opts.Interpret {
-		cfg.Compiled = false
-	}
 	budget := s.submitBudget(sp)
 	lim := s.opts.SubmitLimits
 	lim.MemFootprintBytes = budget.MaxMemBytes

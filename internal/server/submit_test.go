@@ -217,29 +217,40 @@ func sumMetric(t *testing.T, text, name string) float64 {
 }
 
 // TestSubmitBudgetKillDeterministicAcrossEngines: the same submission
-// dies at the same point via HTTP regardless of the execution engine,
-// and the budget participates in content addressing — a tiny-budget
+// dies at the same point on every fresh server — including when the
+// body still carries the retired "compile" field, which is ignored (the
+// regime-level kill identity is pinned by gpu.TestBudgetKillBitIdentical)
+// — and the budget participates in content addressing: a tiny-budget
 // kill and a big-budget success of the same program never alias.
 func TestSubmitBudgetKillDeterministicAcrossEngines(t *testing.T) {
-	kill := func(interpret bool) map[string]any {
-		s := newTestServer(t, Options{Workers: 1, Interpret: interpret})
+	kill := func(body map[string]any) map[string]any {
+		s := newTestServer(t, Options{Workers: 1})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		code, body := postSubmit(t, ts, "", SubmitSpec{Assembly: spinAsm, MaxCycles: 3000})
-		if code != http.StatusUnprocessableEntity {
-			t.Fatalf("interpret=%v: status %d, want 422: %v", interpret, code, body)
+		raw, _ := json.Marshal(body)
+		resp, err := ts.Client().Post(ts.URL+"/v1/submit", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return body
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("body %s: status %d, want 422: %v", raw, resp.StatusCode, m)
+		}
+		return m
 	}
-	compiled, interpreted := kill(false), kill(true)
+	plain := kill(map[string]any{"assembly": spinAsm, "max_cycles": 3000})
+	legacy := kill(map[string]any{"assembly": spinAsm, "max_cycles": 3000, "compile": "off"})
 	for _, k := range []string{"budget_exhausted", "limit", "used", "cycle"} {
-		if compiled[k] != interpreted[k] {
-			t.Errorf("engines disagree on %s: compiled=%v interpreted=%v",
-				k, compiled[k], interpreted[k])
+		if plain[k] != legacy[k] {
+			t.Errorf("runs disagree on %s: plain=%v legacy-compile-off=%v", k, plain[k], legacy[k])
 		}
 	}
-	if compiled["budget_exhausted"] != "cycles" {
-		t.Errorf("exhausted resource = %v, want cycles", compiled["budget_exhausted"])
+	if plain["budget_exhausted"] != "cycles" {
+		t.Errorf("exhausted resource = %v, want cycles", plain["budget_exhausted"])
 	}
 
 	// Same program, generous budget: distinct key, successful run; the

@@ -115,16 +115,17 @@ func TestWritebackDrainZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCompiledSteadyStateZeroAlloc pins the compiled engine's
+// TestCompiledSteadyStateZeroAlloc pins the fast-forward regime's
 // steady-state loop exactly as RunContext drives it — scheduler step,
 // fast-forward horizon computation, bulk commit — at zero heap
-// allocations per iteration, and pins the interpreted engine
-// (Compiled=false) separately so neither escape hatch regresses.
+// allocations per iteration, and pins the stepped regime
+// (Compiled=false: same executor, fast-forward off) separately so the
+// reference path does not regress.
 func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("compiled-ff", func(t *testing.T) {
 		cfg := testConfig()
 		if !cfg.Compiled {
-			t.Fatal("default config no longer selects the compiled engine")
+			t.Fatal("default config no longer selects fast-forward")
 		}
 		s := allocSM(t, cfg, straightLine(100000), 4)
 		if s.ffLen == nil {
@@ -165,8 +166,8 @@ func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 		cfg := testConfig()
 		cfg.Compiled = false
 		s := allocSM(t, cfg, straightLine(20000), 4)
-		if s.cops != nil || s.ffLen != nil {
-			t.Fatal("interpreted config unexpectedly installed compiled state")
+		if s.ffLen != nil {
+			t.Fatal("Compiled=false installed fast-forward tables")
 		}
 		blk := s.blocks[0]
 		now := int64(0)
@@ -178,7 +179,7 @@ func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 			now++
 		})
 		if avg != 0 {
-			t.Fatalf("interpreted steady-state Block.step allocates %.1f times per cycle, want 0", avg)
+			t.Fatalf("stepped steady-state Block.step allocates %.1f times per cycle, want 0", avg)
 		}
 		if blk.done {
 			t.Fatal("kernel finished inside the measured window; enlarge the program")
@@ -262,13 +263,12 @@ func BenchmarkExecuteLoad(b *testing.B) {
 	for lane := 0; lane < bits.WarpSize; lane++ {
 		w.regs[lane][1] = uint32(lane * 128)
 	}
-	in := isa.MakeInstr(isa.LDG)
-	in.Dst, in.SrcA, in.WrScbd = 2, 1, 0
+	op := &isa.COp{Op: isa.LDG, Dst: 2, SrcA: 1, WrScbd: 0, ReqScbd: isa.NoScoreboard}
 	now := int64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk.execute(w, in, now)
+		blk.executeLoad(w, op, now)
 		blk.drainEvents(now + 1_000_000)
 		now += 4
 	}

@@ -84,12 +84,12 @@ type Block struct {
 	counters   stats.Counters
 	done       bool
 
-	// Compiled-mode state, shared with (and owned by) the SM: cops is
-	// the pre-decoded operation stream (nil in interpreted mode) and
-	// ffLen the per-PC fast-forward run lengths (nil when fast-forward
-	// is off — interpreted mode or an attached trace recorder).
-	// lastPick records which warp issued in the most recent step (-1
-	// when none), which is what SM.ffHorizon consults.
+	// Shared with (and owned by) the SM: cops is the program's
+	// pre-decoded operation stream, read only through fetch, and ffLen
+	// the per-PC fast-forward run lengths (nil in the stepped regime —
+	// cfg.Compiled off or a trace recorder attached). lastPick records
+	// which warp issued in the most recent step (-1 when none), which is
+	// what SM.ffHorizon consults.
 	cops     []isa.COp
 	ffLen    []int32
 	lastPick int
@@ -407,7 +407,7 @@ func (b *Block) status(w *Warp, now int64) issueClass {
 
 	// Load-to-use scoreboard wait. The baseline observes the warp-wide
 	// aliased view; SI reads the active subwarp's replicated counters.
-	if req := b.reqScbd(w.activePC); req != isa.NoScoreboard {
+	if req := b.fetch(w.activePC).ReqScbd; req != isa.NoScoreboard {
 		mask := w.active
 		if !b.cfg.SI.Enabled {
 			mask = w.tab.Live()
@@ -419,13 +419,17 @@ func (b *Block) status(w *Warp, now int64) issueClass {
 	return classCanIssue
 }
 
-// reqScbd returns the &req scoreboard annotation of the instruction at
-// pc, reading the pre-decoded stream when one is attached.
-func (b *Block) reqScbd(pc int) int8 {
-	if b.cops != nil {
-		return b.cops[pc].ReqScbd
+// fetch returns the pre-decoded operation at pc. It is the single
+// fetch point — status, demote, and execute all read the stream through
+// it — so control flow that escapes the program (isa.Program.Validate
+// accepts a predicated BRA as the last instruction, whose not-taken
+// lanes fall off the end) dies with one named diagnostic in either
+// regime.
+func (b *Block) fetch(pc int) *isa.COp {
+	if uint(pc) >= uint(len(b.cops)) {
+		b.sm.prog.At(pc) // out of range: panics naming program, PC, and length
 	}
-	return b.sm.prog.At(pc).ReqScbd
+	return &b.cops[pc]
 }
 
 // demote performs subwarp-stall: the active subwarp records its
@@ -448,7 +452,7 @@ func (b *Block) demote(w *Warp, now int64) bool {
 		b.counters.TSTOverflow++
 		return false
 	}
-	sbid := int(b.reqScbd(w.activePC))
+	sbid := int(b.fetch(w.activePC).ReqScbd)
 	ok := w.tab.Stall(w.active, sbid, func(lane int) int {
 		return w.sb.LaneCount(lane, sbid)
 	})
@@ -514,11 +518,7 @@ func (b *Block) issue(now int64) bool {
 	b.lastIssued = pick
 	b.lastPick = pick
 	w := b.warps[pick]
-	if b.cops != nil {
-		b.executeCompiled(w, now)
-	} else {
-		b.execute(w, b.sm.prog.At(w.activePC), now)
-	}
+	b.execute(w, now)
 	// Executing changed the warp's own state (PC, masks, scoreboards);
 	// re-classify it next cycle. No other warp's class can change from
 	// this issue alone.

@@ -39,7 +39,7 @@ func (b *Budget) Enabled() bool {
 // BudgetError reports a deterministic gas kill: which SM, which
 // resource ran out, and the exact usage at the kill point. The same
 // (config, program, workload, budget) always kills at the same point
-// with the same counters, in both execution engines and for every
+// with the same counters, in both execution regimes and for every
 // worker count — the differential tests in internal/gpu pin this.
 type BudgetError struct {
 	SM       int
@@ -88,22 +88,22 @@ func (s *SM) retired() int64 {
 //
 // Determinism argument, per resource:
 //
-//   - cycles: the interpreter visits every cycle; the compiled engine
-//     additionally jumps via fast-forward windows and idle skips. Idle
-//     skips are taken identically by both engines (they are part of the
+//   - cycles: the stepped regime visits every non-idle cycle; the
+//     fast-forward regime additionally jumps over simple runs. Idle
+//     skips are taken identically by both regimes (they are part of the
 //     shared run loop), and clampBudgetHorizon caps fast-forward
-//     windows at MaxCycles+1, so both engines observe the same first
+//     windows at MaxCycles+1, so both regimes observe the same first
 //     now > MaxCycles.
 //   - instructions: instruction counts only change at stepped cycles
 //     and inside fast-forward commits. clampBudgetHorizon sizes windows
 //     so a commit can never push the total past MaxInstrs (each issuing
 //     block retires exactly one instruction per window cycle), so the
 //     first over-budget total always appears at a stepped cycle — the
-//     same cycle in both engines, by the engines' bit-identity.
+//     same cycle in both regimes, by the regimes' bit-identity.
 //   - memory: stores execute only at stepped cycles (STG is never
 //     fast-forward-simple), and clampBudgetHorizon refuses to open a
 //     window while the footprint is over budget, so the kill is
-//     observed at now = storeCycle+1 in both engines.
+//     observed at now = storeCycle+1 in both regimes.
 func (s *SM) budgetExceeded(now int64) *BudgetError {
 	b := s.budget
 	if b.MaxCycles > 0 && now > b.MaxCycles {
@@ -127,7 +127,7 @@ func (s *SM) budgetExceeded(now int64) *BudgetError {
 
 // clampBudgetHorizon caps a fast-forward window [now+1, h) so that no
 // budget limit can be crossed inside it: crossings then happen only at
-// stepped cycles, which both engines execute identically. Shortening a
+// stepped cycles, which both regimes execute identically. Shortening a
 // window is always semantically safe (any prefix of a valid inert
 // window is a valid inert window); returning now+1 degrades to plain
 // single-cycle advance.

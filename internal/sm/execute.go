@@ -11,10 +11,13 @@ import (
 	"subwarpsim/internal/tst"
 )
 
-// execute runs one instruction for the warp's active subwarp at cycle
-// now, updating architectural state, scheduling writebacks, and
-// applying divergence semantics.
-func (b *Block) execute(w *Warp, in isa.Instr, now int64) {
+// execute issues the pre-decoded operation at the warp's active PC for
+// its active subwarp at cycle now: issue accounting, then the one
+// dispatch in the simulator. Operations with scheduling side effects —
+// memory, the RT core, control flow, barriers, exit — have their own
+// arms; everything else is fast-forward-simple and goes through
+// Warp.applySimple, the same lane loops Block.ffCommit retires in bulk.
+func (b *Block) execute(w *Warp, now int64) {
 	mask := w.active
 	if mask.Empty() {
 		panic("sm: execute with empty active mask")
@@ -22,107 +25,33 @@ func (b *Block) execute(w *Warp, in isa.Instr, now int64) {
 	b.counters.IssuedInstrs++
 	b.counters.ActiveThreads += int64(mask.Count())
 	pc := w.activePC
+	op := b.fetch(pc)
 	if b.rec != nil {
-		b.emit(now, w, pc, mask, trace.KindIssue, int(in.Op))
+		b.emit(now, w, pc, mask, trace.KindIssue, int(op.Op))
 	}
 
-	switch in.Op {
-	case isa.NOP:
-		w.setActivePCs(pc + 1)
-
-	case isa.MOVI:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			w.regs[it.Lowest()][in.Dst] = uint32(in.Imm)
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.MOV:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			w.regs[l][in.Dst] = w.regs[l][in.SrcA]
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.S2R:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			w.regs[l][in.Dst] = w.special(int(in.SrcA), l)
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.IADD, isa.IMUL, isa.IAND, isa.IOR, isa.IXOR,
-		isa.FADD, isa.FMUL:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			w.regs[l][in.Dst] = alu2(in.Op, w.regs[l][in.SrcA], w.regs[l][in.SrcB])
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.IADDI, isa.IMULI, isa.SHL, isa.SHR:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			w.regs[l][in.Dst] = aluImm(in.Op, w.regs[l][in.SrcA], in.Imm)
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.FFMA:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			a := math.Float32frombits(w.regs[l][in.SrcA])
-			x := math.Float32frombits(w.regs[l][in.SrcB])
-			c := math.Float32frombits(w.regs[l][in.SrcC])
-			w.regs[l][in.Dst] = math.Float32bits(a*x + c)
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.MUFU:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			x := math.Float32frombits(w.regs[l][in.SrcA])
-			w.regs[l][in.Dst] = math.Float32bits(float32(1 / math.Sqrt(math.Abs(float64(x))+1)))
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.ISETP:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			w.preds[l][in.Dst] = in.Cmp.Eval(int32(w.regs[l][in.SrcA]), int32(w.regs[l][in.SrcB]))
-		}
-		w.setActivePCs(pc + 1)
-
-	case isa.ISETPI:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			w.preds[l][in.Dst] = in.Cmp.Eval(int32(w.regs[l][in.SrcA]), in.Imm)
-		}
-		w.setActivePCs(pc + 1)
-
+	switch op.Op {
 	case isa.LDG, isa.TLD, isa.TEX:
-		b.executeLoad(w, in, now)
+		b.executeLoad(w, op, now)
 
 	case isa.STG:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			addr := uint64(w.regs[l][in.SrcA]) + uint64(uint32(in.Imm))
-			b.sm.mem.Store(addr, w.regs[l][in.SrcB])
+			b.sm.mem.Store(uint64(w.regs[l][op.SrcA])+op.UImm, w.regs[l][op.SrcB])
 		}
 		w.setActivePCs(pc + 1)
 
 	case isa.TRACE:
-		b.executeTrace(w, in, now)
+		b.executeTrace(w, op, now)
 
 	case isa.BRA:
-		b.executeBranch(w, in, now)
+		b.executeBranch(w, op, now)
 
 	case isa.BRX:
-		b.executeBrx(w, in, now)
-
-	case isa.BSSY:
-		w.barriers[in.Barrier] = w.barriers[in.Barrier].Union(mask)
-		w.setActivePCs(pc + 1)
+		b.executeBrx(w, op, now)
 
 	case isa.BSYNC:
-		b.executeBsync(w, in, now)
+		b.executeBsync(w, op, now)
 
 	case isa.YIELD:
 		w.setActivePCs(pc + 1)
@@ -142,43 +71,123 @@ func (b *Block) execute(w *Warp, in isa.Instr, now int64) {
 		}
 
 	default:
-		panic(fmt.Sprintf("sm: cannot execute %v", in.Op))
+		w.applySimple(mask, op)
+		w.setActivePCs(pc + 1)
 	}
 }
 
-func alu2(op isa.Opcode, a, b uint32) uint32 {
-	switch op {
+// applySimple applies one fast-forward-simple operation (isa.Compiled's
+// FFLen classification) to the lanes in mask: it writes only those
+// lanes' registers and predicates or the warp's convergence-barrier
+// masks, and leaves PCs to the caller — a single issue advances them by
+// one, ffCommit once per window. This switch is the only definition of
+// the ALU, compare, and move semantics.
+func (w *Warp) applySimple(mask bits.Mask, op *isa.COp) {
+	switch op.Op {
+	case isa.NOP, isa.YIELD:
+		// YIELD arrives here only from a fast-forward run, which admits it
+		// only where the hint is architecturally inert (FFLenYieldInert).
+	case isa.MOVI:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			w.regs[it.Lowest()][op.Dst] = uint32(op.Imm)
+		}
+	case isa.MOV:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA]
+		}
+	case isa.S2R:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.special(int(op.SrcA), l)
+		}
 	case isa.IADD:
-		return a + b
-	case isa.IMUL:
-		return a * b
-	case isa.IAND:
-		return a & b
-	case isa.IOR:
-		return a | b
-	case isa.IXOR:
-		return a ^ b
-	case isa.FADD:
-		return math.Float32bits(math.Float32frombits(a) + math.Float32frombits(b))
-	case isa.FMUL:
-		return math.Float32bits(math.Float32frombits(a) * math.Float32frombits(b))
-	default:
-		panic("sm: not an alu2 op")
-	}
-}
-
-func aluImm(op isa.Opcode, a uint32, imm int32) uint32 {
-	switch op {
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] + w.regs[l][op.SrcB]
+		}
 	case isa.IADDI:
-		return a + uint32(imm)
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] + uint32(op.Imm)
+		}
+	case isa.IMUL:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] * w.regs[l][op.SrcB]
+		}
 	case isa.IMULI:
-		return a * uint32(imm)
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] * uint32(op.Imm)
+		}
+	case isa.IAND:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] & w.regs[l][op.SrcB]
+		}
+	case isa.IOR:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] | w.regs[l][op.SrcB]
+		}
+	case isa.IXOR:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] ^ w.regs[l][op.SrcB]
+		}
 	case isa.SHL:
-		return a << (uint32(imm) & 31)
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] << op.Sh
+		}
 	case isa.SHR:
-		return a >> (uint32(imm) & 31)
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.regs[l][op.Dst] = w.regs[l][op.SrcA] >> op.Sh
+		}
+	case isa.ISETP:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), int32(w.regs[l][op.SrcB]))
+		}
+	case isa.ISETPI:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), op.Imm)
+		}
+	case isa.FADD:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			a := math.Float32frombits(w.regs[l][op.SrcA])
+			x := math.Float32frombits(w.regs[l][op.SrcB])
+			w.regs[l][op.Dst] = math.Float32bits(a + x)
+		}
+	case isa.FMUL:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			a := math.Float32frombits(w.regs[l][op.SrcA])
+			x := math.Float32frombits(w.regs[l][op.SrcB])
+			w.regs[l][op.Dst] = math.Float32bits(a * x)
+		}
+	case isa.FFMA:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			a := math.Float32frombits(w.regs[l][op.SrcA])
+			x := math.Float32frombits(w.regs[l][op.SrcB])
+			c := math.Float32frombits(w.regs[l][op.SrcC])
+			w.regs[l][op.Dst] = math.Float32bits(a*x + c)
+		}
+	case isa.MUFU:
+		for it := mask; !it.Empty(); it = it.DropLowest() {
+			l := it.Lowest()
+			x := math.Float32frombits(w.regs[l][op.SrcA])
+			w.regs[l][op.Dst] = math.Float32bits(float32(1 / math.Sqrt(math.Abs(float64(x))+1)))
+		}
+	case isa.BSSY:
+		w.barriers[op.Barrier] = w.barriers[op.Barrier].Union(mask)
 	default:
-		panic("sm: not an aluImm op")
+		panic(fmt.Sprintf("sm: %v is not a simple operation", op.Op))
 	}
 }
 
@@ -186,15 +195,15 @@ func aluImm(op isa.Opcode, a uint32, imm int32) uint32 {
 // coalesced into cache lines, each line probes the L1D backed by the
 // fixed-latency stub, scoreboards increment per thread, and per-thread
 // writeback events are scheduled for when each thread's line arrives.
-func (b *Block) executeLoad(w *Warp, in isa.Instr, now int64) {
+func (b *Block) executeLoad(w *Warp, op *isa.COp, now int64) {
 	mask := w.active
-	sbid := int(in.WrScbd)
+	sbid := int(op.WrScbd)
 	w.sb.Inc(mask, sbid)
 	if b.rec != nil {
 		b.emit(now, w, w.activePC, mask, trace.KindScbdSet, sbid)
 	}
 
-	isTex := in.Op.IsTexPath()
+	isTex := op.Op.IsTexPath()
 	kind := wbLoad
 	extra := int64(0)
 	if isTex {
@@ -209,9 +218,9 @@ func (b *Block) executeLoad(w *Warp, in isa.Instr, now int64) {
 	lines := b.scratchLines[:0]
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
-		addr := uint64(w.regs[l][in.SrcA]) + uint64(uint32(in.Imm))
-		if in.Op == isa.TEX {
-			addr += uint64(w.regs[l][in.SrcB])
+		addr := uint64(w.regs[l][op.SrcA]) + op.UImm
+		if op.Op == isa.TEX {
+			addr += uint64(w.regs[l][op.SrcB])
 		}
 		line := addr / lineBytes * lineBytes
 		ready, seen := int64(0), false
@@ -238,7 +247,7 @@ func (b *Block) executeLoad(w *Warp, in isa.Instr, now int64) {
 		}
 		b.events.push(wbEvent{
 			at: ready + extra, warp: w, lane: l,
-			reg: in.Dst, sbid: in.WrScbd, kind: kind, addr: addr,
+			reg: op.Dst, sbid: op.WrScbd, kind: kind, addr: addr,
 		})
 	}
 	b.scratchLines = lines
@@ -257,19 +266,19 @@ type lineFill struct {
 
 // executeTrace offloads a TraceRay per thread to the RT core; each
 // thread's result returns after the core's modeled traversal latency.
-func (b *Block) executeTrace(w *Warp, in isa.Instr, now int64) {
+func (b *Block) executeTrace(w *Warp, op *isa.COp, now int64) {
 	if b.sm.rt == nil {
 		panic(fmt.Sprintf("sm: kernel %q uses TRACE but provides no BVH/RayGen", b.sm.prog.Name))
 	}
 	mask := w.active
-	w.sb.Inc(mask, int(in.WrScbd))
+	w.sb.Inc(mask, int(op.WrScbd))
 	if b.rec != nil {
-		b.emit(now, w, w.activePC, mask, trace.KindScbdSet, int(in.WrScbd))
+		b.emit(now, w, w.activePC, mask, trace.KindScbdSet, int(op.WrScbd))
 	}
 	maxLat := int64(0)
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
-		rayID := w.regs[l][in.SrcA]
+		rayID := w.regs[l][op.SrcA]
 		hit, lat := b.sm.rt.Trace(rayID)
 		b.counters.RTTraces++
 		b.counters.RTTraversalSteps += int64(hit.Steps)
@@ -282,7 +291,7 @@ func (b *Block) executeTrace(w *Warp, in isa.Instr, now int64) {
 		}
 		b.events.push(wbEvent{
 			at: now + lat, warp: w, lane: l,
-			reg: in.Dst, sbid: in.WrScbd, kind: wbTrace, val: val,
+			reg: op.Dst, sbid: op.WrScbd, kind: wbTrace, val: val,
 		})
 	}
 	if b.rec != nil {
@@ -327,16 +336,17 @@ type subgroup struct {
 }
 
 // executeBranch implements BRA with predicate-driven divergence.
-func (b *Block) executeBranch(w *Warp, in isa.Instr, now int64) {
+func (b *Block) executeBranch(w *Warp, op *isa.COp, now int64) {
+	target := int(op.Target)
 	mask := w.active
 	var taken bits.Mask
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
 		p := true
-		if in.Pred != isa.PT {
-			p = w.preds[l][in.Pred]
+		if op.Pred != isa.PT {
+			p = w.preds[l][op.Pred]
 		}
-		if in.PredNeg {
+		if op.PredNeg {
 			p = !p
 		}
 		if p {
@@ -347,12 +357,12 @@ func (b *Block) executeBranch(w *Warp, in isa.Instr, now int64) {
 
 	switch {
 	case notTaken.Empty():
-		w.setActivePCs(in.Target)
+		w.setActivePCs(target)
 	case taken.Empty():
 		w.setActivePCs(w.activePC + 1)
 	default:
 		b.scratchGroups = append(b.scratchGroups[:0],
-			subgroup{mask: taken, pc: in.Target},
+			subgroup{mask: taken, pc: target},
 			subgroup{mask: notTaken, pc: w.activePC + 1},
 		)
 		b.splinter(w, b.scratchGroups, true, now)
@@ -361,7 +371,7 @@ func (b *Block) executeBranch(w *Warp, in isa.Instr, now int64) {
 
 // executeBrx implements the indirect branch that dispatches shader
 // subroutines: active threads group by their per-thread target PC.
-func (b *Block) executeBrx(w *Warp, in isa.Instr, now int64) {
+func (b *Block) executeBrx(w *Warp, op *isa.COp, now int64) {
 	// Group lanes by target in ascending lane order via a linear scan
 	// over the groups found so far (a warp produces at most 32 groups,
 	// where a map would allocate per call), then insertion-sort by
@@ -373,8 +383,8 @@ func (b *Block) executeBrx(w *Warp, in isa.Instr, now int64) {
 	groups := b.scratchGroups[:0]
 	for it := w.active; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
-		t := int(w.regs[l][in.SrcA])
-		if t < 0 || t >= b.sm.prog.Len() {
+		t := int(w.regs[l][op.SrcA])
+		if t < 0 || t >= len(b.cops) {
 			panic(fmt.Sprintf("sm: BRX target %d out of range in %q (warp %d lane %d)",
 				t, b.sm.prog.Name, w.ID, l))
 		}
@@ -491,8 +501,8 @@ func (b *Block) switchAfterBlock(w *Warp, now int64) {
 // subwarp reconverges with the barrier's participants if everyone else
 // is already blocked here or exited; otherwise it blocks and the
 // divergence unit switches to a READY subwarp.
-func (b *Block) executeBsync(w *Warp, in isa.Instr, now int64) {
-	bar := int(in.Barrier)
+func (b *Block) executeBsync(w *Warp, op *isa.COp, now int64) {
+	bar := int(op.Barrier)
 	parts := w.barriers[bar]
 	arrived := w.active
 	if !parts.Contains(arrived) {

@@ -9,15 +9,15 @@ import "subwarpsim/internal/config"
 // Every implementation must satisfy two contracts:
 //
 //   - Greedy stickiness: if the last-issued slot can issue, Pick
-//     returns it. The compiled engine's basic-block fast-forward
-//     (SM.ffHorizon) retires straight-line runs under the assumption
-//     that the scheduler would re-pick the same warp while its status
-//     stays classCanIssue; a non-sticky policy would make compiled and
-//     interpreted runs diverge.
+//     returns it. Basic-block fast-forward (SM.ffHorizon) retires
+//     straight-line runs under the assumption that the scheduler would
+//     re-pick the same warp while its status stays classCanIssue; a
+//     non-sticky policy would make fast-forwarded and stepped runs
+//     diverge.
 //   - Determinism and time-independence: Pick is a pure function of
 //     the block's slot statuses, warp IDs, and lastIssued — never of
 //     the cycle number, wall clock, or any random source — so results
-//     are bit-identical across worker counts and engines.
+//     are bit-identical across worker counts and regimes.
 //
 // Implementations are stateless singletons (all scheduling state lives
 // on the Block), keeping the hot loop allocation-free.

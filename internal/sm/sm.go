@@ -67,11 +67,6 @@ func (k *Kernel) Validate() error {
 	if usesTrace && (k.BVH == nil || k.RayGen == nil) {
 		return fmt.Errorf("sm: kernel %q uses TRACE but has no BVH/RayGen", k.Program.Name)
 	}
-	if maxSB := k.Program.MaxScoreboard(); maxSB >= 0 {
-		// Scoreboard IDs must fit the per-warp file; checked at launch
-		// against the configured NSB.
-		_ = maxSB
-	}
 	return nil
 }
 
@@ -88,13 +83,11 @@ type SM struct {
 	rt     *rtcore.Core
 	blocks []*Block
 
-	// cops is the program's pre-decoded operation stream when
-	// cfg.Compiled is set (nil in interpreted mode); blocks dispatch
-	// through it instead of decoding each cycle. ffLen enables
-	// basic-block fast-forward: per-PC simple-run lengths, nil when
-	// fast-forward is off (interpreted mode, or a trace recorder is
-	// attached — compiled dispatch then still runs cycle by cycle so
-	// the event stream is produced exactly).
+	// cops is the program's pre-decoded operation stream, the only
+	// instruction format the blocks execute. ffLen enables basic-block
+	// fast-forward: per-PC simple-run lengths, nil in the stepped regime
+	// (cfg.Compiled off, or a trace recorder attached so the event
+	// stream is produced cycle by cycle).
 	cops  []isa.COp
 	ffLen []int32
 
@@ -141,17 +134,15 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 		s.rt = rtcore.NewCore(kernel.BVH, kernel.RayGen,
 			int64(cfg.RTBaseLatency), int64(cfg.RTStepLatency))
 	}
-	if cfg.Compiled {
-		cp := kernel.Program.Compiled()
-		s.cops = cp.Ops
-		if cfg.Trace == nil {
-			if cfg.SI.Enabled && cfg.SI.Yield {
-				s.ffLen = cp.FFLen
-			} else {
-				// YIELD is architecturally inert in this configuration, so
-				// it may sit inside fast-forward runs.
-				s.ffLen = cp.FFLenYieldInert
-			}
+	cp := kernel.Program.Compiled()
+	s.cops = cp.Ops
+	if cfg.Compiled && cfg.Trace == nil {
+		if cfg.SI.Enabled && cfg.SI.Yield {
+			s.ffLen = cp.FFLen
+		} else {
+			// YIELD is architecturally inert in this configuration, so
+			// it may sit inside fast-forward runs.
+			s.ffLen = cp.FFLenYieldInert
 		}
 	}
 	for b := 0; b < cfg.BlocksPerSM; b++ {
@@ -245,7 +236,7 @@ func (s *SM) RunContext(ctx context.Context, maxCycles int64) (stats.Counters, e
 		if s.budget != nil {
 			// Gas metering: checked before stepping so the kill point
 			// depends only on committed simulation state, which is
-			// bit-identical across engines and worker counts.
+			// bit-identical across regimes and worker counts.
 			if be := s.budgetExceeded(now); be != nil {
 				return s.merge(), be
 			}
@@ -275,14 +266,14 @@ func (s *SM) RunContext(ctx context.Context, maxCycles int64) (stats.Counters, e
 			if s.budget != nil && h > now+1 {
 				// Shrink the window so no budget limit can be crossed
 				// inside it; crossings then surface at stepped cycles,
-				// identically in both engines (see clampBudgetHorizon).
+				// identically in both regimes (see clampBudgetHorizon).
 				h = s.clampBudgetHorizon(now, h)
 			}
 			if h > now+1 {
 				// Basic-block fast-forward: every issuing block retires its
 				// warp's straight-line simple run in bulk and every idle
 				// block accounts the same window as idle cycles; nothing
-				// observable can occur before h (see compiled.go).
+				// observable can occur before h (see fastforward.go).
 				gap := h - now - 1
 				for _, blk := range s.blocks {
 					if blk.done {

@@ -152,18 +152,3 @@ func (w *Warp) checkExit() {
 		w.dropActive()
 	}
 }
-
-// assertConsistent validates internal invariants; simulation bugs
-// should fail loudly rather than corrupt results.
-func (w *Warp) assertConsistent() {
-	if w.active != w.tab.Mask(tst.Active) {
-		panic(fmt.Sprintf("sm: warp %d active cache %v != table %v",
-			w.ID, w.active, w.tab.Mask(tst.Active)))
-	}
-	w.active.ForEach(func(lane int) {
-		if w.pcs[lane] != w.activePC {
-			panic(fmt.Sprintf("sm: warp %d lane %d pc %d != active pc %d",
-				w.ID, lane, w.pcs[lane], w.activePC))
-		}
-	})
-}

@@ -5,6 +5,21 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# gate runs one `go test -run ...` gate and additionally fails when any
+# listed package matched no test at all, so a renamed or deleted test
+# can never turn a gate into a silent pass.
+gate() {
+    if ! out=$(go test "$@" 2>&1); then
+        echo "$out"
+        exit 1
+    fi
+    echo "$out"
+    if echo "$out" | grep -q 'no tests to run'; then
+        echo "gate matched no tests in a listed package: go test $*" >&2
+        exit 1
+    fi
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -35,29 +50,32 @@ echo "== determinism smoke =="
 # The parallel-vs-sequential differential tests, twice, under the race
 # detector: bit-identical results must not depend on goroutine
 # interleaving.
-go test -race -count=2 -run 'TestParallelMatchesSequential|TestParallelTraceMatchesSequential' ./internal/gpu
+gate -race -count=2 -run 'TestParallelMatchesSequential|TestParallelTraceMatchesSequential' ./internal/gpu
 
-echo "== compiled-mode gate =="
-# The two-mode differential layer under the race detector: the compiled
-# engine (pre-decoded streams + basic-block fast-forward) must be
-# bit-identical to the per-cycle interpreter — counters, derived
-# metrics, memory fingerprints, trace streams — over the golden corpus
-# (both modes), the workload/policy matrix, randomized divergent
-# kernels, and the fuzz seed corpus. The alloc pin covers the compiled
-# steady-state loop itself; the compile-pass tests pin the lowering and
-# its one-compile-per-program cache.
-go test -race -count=1 -run 'TestCompiled|TestGolden' ./internal/gpu ./internal/experiments
-go test -race -count=1 -run 'FuzzRun' ./internal/gpu
+echo "== fast-forward gate =="
+# The two-regime differential layer under the race detector. There is
+# one executor; what is gated is basic-block fast-forward, which must
+# be bit-identical to the stepped regime (Compiled=false) — counters,
+# derived metrics, memory fingerprints — over the golden corpus (both
+# regimes), randomized divergent kernels, and the fuzz seed corpus, and
+# must die with the same named fetch diagnostic when control flow
+# escapes the program. The single definition of the ALU/compare/move
+# semantics both regimes share is checked against the independent
+# per-op reference; the alloc pin covers both regimes' steady-state
+# loops; the compile-pass tests pin the lowering and its
+# one-compile-per-program cache.
+gate -race -count=1 -run 'TestCompiled|TestGolden|TestFallOffEndDiagnostic' ./internal/gpu ./internal/experiments
+gate -race -count=1 -run 'FuzzRun' ./internal/gpu
+gate -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestOpsMatchReference|TestReferenceCoversSimpleOps|TestAddressImmediatesZeroExtend' ./internal/isa ./internal/sm
 
 echo "== matrix gate =="
 # The cross-matrix differential layer under the race detector: every
 # workload-family x scheduler-policy x SI cell must be bit-identical
-# across worker counts and across the compiled and interpreted engines,
+# across worker counts and across the fast-forward and stepped regimes,
 # and the per-family invariants (SI transparency on divergence-free
 # GEMM, idle-bucket conservation, schedule-independent work and memory
 # images) must hold in every cell.
-go test -race -count=1 -run 'TestMatrixDifferential|TestPropertyGEMMSITransparency|TestPropertyGeneratorInvariants' ./internal/gpu
-go test -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc' ./internal/isa ./internal/sm
+gate -race -count=1 -run 'TestMatrixDifferential|TestPropertyGEMMSITransparency|TestPropertyGeneratorInvariants' ./internal/gpu
 
 echo "== service smoke =="
 # Drive the real sisimd binary end to end: start it on an ephemeral
@@ -68,19 +86,19 @@ echo "== service smoke =="
 # Prometheus rendering must pass the grammar lint with every required
 # series present (queue depth, cache hits/misses, per-stage latency,
 # SI counters, build info).
-go test -count=1 -run 'TestDaemonSmoke|TestDaemonMetricsExposition|TestDaemonVersionFlag' ./cmd/sisimd
+gate -count=1 -run 'TestDaemonSmoke|TestDaemonMetricsExposition|TestDaemonVersionFlag' ./cmd/sisimd
 
 echo "== observability gate =="
 # The in-process plane: exposition lints, required series pinned,
 # trace IDs propagate client header -> spans -> logs -> debug ring,
 # and the serving config keeps Block.step allocation-free.
-go test -count=1 -run 'TestMetricsContentNegotiation|TestTraceIDPropagationEndToEnd|TestDebugEvents|TestBreakerTransitionEvents' ./internal/server
-go test -count=1 -run 'TestServingConfigZeroAlloc|TestBlockStepSteadyStateZeroAlloc' ./internal/sm
+gate -count=1 -run 'TestMetricsContentNegotiation|TestTraceIDPropagationEndToEnd|TestDebugEvents|TestBreakerTransitionEvents' ./internal/server
+gate -count=1 -run 'TestServingConfigZeroAlloc|TestBlockStepSteadyStateZeroAlloc' ./internal/sm
 
 echo "== sandbox gate =="
 # The untrusted-kernel pipeline end to end. First the static and
 # dynamic layers in isolation: the admission fuzzer's seed corpus, the
-# budget-kill bit-identity differentials (engines and worker counts),
+# budget-kill bit-identity differentials (regimes and worker counts),
 # and the budget-aware cache keys. Then the live gauntlet: a
 # race-enabled sisimd is fed the entire hostile corpus over
 # POST /v1/submit — every program must be rejected with a structured
@@ -89,11 +107,11 @@ echo "== sandbox gate =="
 # examples/submissions must run through sisim -submit, which applies
 # the identical admission checks and budgets locally.
 go test -race -count=1 ./internal/admission
-go test -race -count=1 -run 'TestBudget|TestKeyBudget' \
+gate -race -count=1 -run 'TestBudget|TestKeyBudget' \
     ./internal/gpu ./internal/simcache
-go test -count=1 -run 'TestBudgetedSteadyStateZeroAlloc' ./internal/sm
-go test -count=1 -run 'TestDaemonSubmitSandbox' -timeout 10m ./cmd/sisimd
-go test -count=1 -run 'TestCLISubmitSamples|TestCLISubmitSandbox' ./cmd/sisim
+gate -count=1 -run 'TestBudgetedSteadyStateZeroAlloc' ./internal/sm
+gate -count=1 -run 'TestDaemonSubmitSandbox' -timeout 10m ./cmd/sisimd
+gate -count=1 -run 'TestCLISubmitSamples|TestCLISubmitSandbox' ./cmd/sisim
 
 echo "== chaos gate =="
 # The fault-injection suites, twice each under the race detector, with
@@ -102,10 +120,12 @@ echo "== chaos gate =="
 # and the chaos tests' goroutine-leak checks must stay quiet.
 for seed in 1 7; do
     echo "-- SISIM_CHAOS_SEED=$seed --"
-    SISIM_CHAOS_SEED=$seed go test -race -count=2 -run 'Chaos|Faults' \
+    export SISIM_CHAOS_SEED=$seed
+    gate -race -count=2 -run 'Chaos|Faults' \
         ./internal/server ./internal/simcache
 done
 SISIM_CHAOS_SEED=1 go test -race -count=1 ./internal/faults
+unset SISIM_CHAOS_SEED
 
 echo "== cluster gate =="
 # The cache-affine cluster layer, race-enabled. The in-process suite
@@ -119,7 +139,7 @@ echo "== cluster gate =="
 # coordinator, SIGKILL one worker, identical answers after — and the
 # SIGTERM teardown requires a clean drain.
 go test -race -count=1 ./internal/cluster
-go test -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
+gate -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
 
 echo "== coverage floor =="
 # Gate total statement coverage just below the current level so test
