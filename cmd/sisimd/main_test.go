@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"subwarpsim/internal/obs"
+	"subwarpsim/internal/server"
 )
 
 // buildDaemon compiles the sisimd binary into a test temp dir.
@@ -430,6 +431,13 @@ func TestDaemonSubmitSandbox(t *testing.T) {
 	}
 	if rejected == 0 || killed == 0 {
 		t.Fatalf("gate is vacuous: %d rejects, %d kills", rejected, killed)
+	}
+
+	// A body past the front's bound is refused at the read — a
+	// structured 413 — before any of it is buffered or assembled.
+	code, body := submit("attacker", "huge", strings.Repeat("A", server.MaxBodyBytes))
+	if code != http.StatusRequestEntityTooLarge || body["error"] == nil || body["max_body_bytes"] == nil {
+		t.Errorf("oversized submission = %d %v, want a structured 413", code, body)
 	}
 
 	// The daemon shrugged it all off: health, then a real kernel.

@@ -1,16 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,9 +26,11 @@ type Options struct {
 	Self string
 	// Peers are the worker daemons' base URLs (http://host:port).
 	Peers []string
-	// Local is the in-process server used for single-node fallback when
-	// every peer is down, and whose Handler serves the non-routed
-	// endpoints (/metrics, /healthz, /debug/*, /v1/apps).
+	// Local is the in-process server: the last rung of the routing
+	// ladder when every peer is down, the source of the canonical error
+	// for specs that do not hash, and the owner of everything the HTTP
+	// front needs that is not routing (tenancy, the batch limit, and the
+	// /metrics, /healthz, /debug/*, /v1/apps endpoints).
 	Local *server.Server
 	// Obs is the observability plane. Share the Local server's Observer
 	// so /metrics and /debug/traces unify coordinator and local series;
@@ -45,9 +46,6 @@ type Options struct {
 	// Window is the per-peer in-flight window for batch scatter-gather
 	// (concurrent shards per peer). 0 means 4.
 	Window int
-	// MaxBatch bounds jobs per batch request (0 means 256), mirroring
-	// the single-node limit.
-	MaxBatch int
 	// HedgeAfter, when positive, fires a duplicate of a routed request
 	// to the next ring node if the first answers no sooner. Safe because
 	// results are bit-identical; the first usable answer wins.
@@ -56,12 +54,6 @@ type Options struct {
 	// (simcache.Breaker defaults apply when 0).
 	TripAfter int
 	Cooldown  time.Duration
-	// Client overrides the peer HTTP client (tests inject
-	// httptest servers' clients); nil uses a 2-minute-timeout default.
-	Client *http.Client
-	// MaxAttempts bounds how many distinct peers one request tries
-	// before falling back; 0 means every peer.
-	MaxAttempts int
 }
 
 func (o Options) withDefaults() Options {
@@ -77,14 +69,8 @@ func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 4
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
 	if o.Obs == nil {
 		o.Obs = obs.New(server.MetricsNamespace, 256, 64, nil)
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 2 * time.Minute}
 	}
 	return o
 }
@@ -96,7 +82,6 @@ type Coordinator struct {
 	ring  *Ring
 	peers map[string]*peer
 	obs   *obs.Observer
-	local http.Handler
 
 	// keyMemo caches JobSpec -> ring hash: computing a content key
 	// builds the kernel, far too expensive per request. JobSpec is
@@ -114,6 +99,13 @@ type Coordinator struct {
 
 const keyMemoMax = 4096
 
+// The ring is built from the same seam the node implements: one hop
+// and the whole ladder are both "run this request".
+var (
+	_ server.Runner = (*peer)(nil)
+	_ server.Runner = (*Coordinator)(nil)
+)
+
 // New builds a Coordinator over opts.Peers. opts.Local must be set.
 func New(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
@@ -124,9 +116,11 @@ func New(opts Options) (*Coordinator, error) {
 		opts:    opts,
 		peers:   make(map[string]*peer, len(opts.Peers)),
 		obs:     opts.Obs,
-		local:   opts.Local.Handler(),
 		keyMemo: make(map[server.JobSpec]uint64),
 	}
+	// One client for every peer hop; its timeout is the backstop behind
+	// the request contexts.
+	client := &http.Client{Timeout: 2 * time.Minute}
 	names := make([]string, 0, len(opts.Peers))
 	for _, raw := range opts.Peers {
 		name := peerName(raw)
@@ -134,10 +128,11 @@ func New(opts Options) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate peer %q", name)
 		}
 		p := &peer{
-			name: name,
-			url:  trimSlash(raw),
-			br:   &simcache.Breaker{TripAfter: opts.TripAfter, Cooldown: opts.Cooldown},
-			reqs: make(map[string]*obs.Counter, len(outcomes)),
+			name:   name,
+			url:    strings.TrimRight(raw, "/"), // so url+path is well-formed
+			client: client,
+			br:     &simcache.Breaker{TripAfter: opts.TripAfter, Cooldown: opts.Cooldown},
+			reqs:   make(map[string]*obs.Counter, len(outcomes)),
 		}
 		c.wirePeer(p)
 		c.peers[name] = p
@@ -146,14 +141,6 @@ func New(opts Options) (*Coordinator, error) {
 	c.ring = NewRing(names, opts.VNodes)
 	c.registerMetrics()
 	return c, nil
-}
-
-// trimSlash trims trailing slashes so p.url+path is well-formed.
-func trimSlash(u string) string {
-	for len(u) > 0 && u[len(u)-1] == '/' {
-		u = u[:len(u)-1]
-	}
-	return u
 }
 
 // wirePeer hooks one peer's breaker transitions into the debug-event
@@ -227,11 +214,13 @@ func (c *Coordinator) jobHash(spec server.JobSpec) (uint64, bool) {
 }
 
 // submitHash positions an untrusted-kernel submission on the ring by
-// hashing its raw payload. Unlike jobHash this is not the content key
-// (computing it would mean assembling the program twice), so equal
-// submissions with different JSON field order may route to different
-// nodes — that only costs cache temperature, never correctness.
-func submitHash(payload []byte) uint64 {
+// hashing its canonical re-marshal. Unlike jobHash this is not the
+// content key (computing it would mean assembling the program twice),
+// so equal programs submitted under different names or budgets may
+// route to different nodes — that only costs cache temperature, never
+// correctness.
+func submitHash(sp *server.SubmitSpec) uint64 {
+	payload, _ := json.Marshal(sp) // a flat struct of strings, ints and bools cannot fail
 	h := fnv.New64a()
 	h.Write(payload)
 	return h.Sum64()
@@ -290,62 +279,78 @@ func (c *Coordinator) candidates(h uint64, prefer string) []*peer {
 	return cands
 }
 
-// routeSpec routes one JSON payload (a job or submission) around the
-// ring: try candidates in order, feeding breakers and rerouting on
-// peer failure, spilling past 429s, optionally hedging the first
-// attempt, and degrading to the local server when no peer can answer.
-// Returns the HTTP status and body to relay.
-func (c *Coordinator) routeSpec(ctx context.Context, tr *obs.Trace, path string,
-	payload []byte, h uint64, prefer, tenant, traceID string) (int, []byte) {
-	cands := c.candidates(h, prefer)
-	if n := c.opts.MaxAttempts; n > 0 && len(cands) > n {
-		cands = cands[:n]
+// Run implements server.Runner over the ring: hash the request to its
+// ring position and route it. A job spec that does not hash is invalid,
+// so the local server answers it with the canonical structured error
+// without a network hop.
+func (c *Coordinator) Run(ctx context.Context, req server.Request) (server.JobResult, error) {
+	switch {
+	case req.Kernel != nil:
+		return c.route(ctx, req, submitHash(req.Kernel), "")
+	case req.Job != nil:
+		if h, ok := c.jobHash(*req.Job); ok {
+			return c.route(ctx, req, h, "")
+		}
 	}
+	return c.opts.Local.Run(ctx, req)
+}
+
+// route runs one request around the ring: try candidates in order,
+// feeding breakers and rerouting on peer failure, spilling past 429s,
+// optionally hedging the first attempt, and degrading to the local
+// server when no peer can answer. The error is an answer too: a
+// deterministic failure from the first peer that gave one, or the last
+// 429 when every reachable peer is saturated.
+func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, prefer string) (server.JobResult, error) {
+	cands := c.candidates(h, prefer)
+	tr := obs.TraceFrom(ctx)
 
 	var mu sync.Mutex
 	attempted := make(map[string]bool, len(cands))
-	var last429 []byte
+	var last429 *server.Error
 
-	// try performs one peer attempt. done=true means the response is
-	// final (success or a deterministic error to relay verbatim);
+	// try performs one peer attempt. done=true means res/err are final
+	// (success, or a deterministic error every node would repeat);
 	// done=false means move on (peer dead, probing denied, or 429).
-	try := func(p *peer) (status int, body []byte, done bool) {
+	try := func(p *peer) (res server.JobResult, err error, done bool) {
 		// Breaker admission: closed always passes, half-open grants one
 		// probe, open denies (open peers were already filtered, but the
 		// state may have moved since).
 		if !p.br.Allow() {
-			return 0, nil, false
+			return res, nil, false
 		}
 		mu.Lock()
 		attempted[p.name] = true
 		mu.Unlock()
 		p.inflight.Add(1)
 		start := time.Now()
-		status, body, err := p.do(ctx, c.opts.Client, path, payload, tenant, traceID)
+		res, err = p.Run(ctx, req)
 		p.inflight.Add(-1)
-		tr.AddSpan("peer "+p.name+" POST "+path, start, time.Now())
-		if err != nil || retryableStatus(status) {
+		tr.AddSpan("peer "+p.name+" POST "+req.Path(), start, time.Now())
+		// answer is the peer's own verdict, when it produced one; an err
+		// without it means the peer was never usefully reached.
+		var answer *server.Error
+		errors.As(err, &answer)
+		switch {
+		case err != nil && (answer == nil || retryableStatus(answer.Status)):
 			p.br.Failed()
 			p.reqs[outcomeRerouted].Inc()
 			c.reroutes.Inc()
-			detail := "status " + strconv.Itoa(status)
-			if err != nil {
-				detail = err.Error()
-			}
 			c.obs.Logger().Warn("peer attempt failed, rerouting",
-				"peer", p.name, "path", path, "detail", detail, "trace_id", traceID)
-			return 0, nil, false
-		}
-		p.br.Succeeded()
-		if status == http.StatusTooManyRequests {
+				"peer", p.name, "path", req.Path(), "detail", err.Error(),
+				"trace_id", obs.TraceIDFrom(ctx))
+			return res, nil, false
+		case answer != nil && answer.Status == http.StatusTooManyRequests:
+			p.br.Succeeded()
 			p.reqs[outcomeThrottled].Inc()
 			mu.Lock()
-			last429 = body
+			last429 = answer
 			mu.Unlock()
-			return 0, nil, false
+			return res, nil, false
 		}
+		p.br.Succeeded()
 		p.reqs[outcomeOK].Inc()
-		return status, body, true
+		return res, err, true
 	}
 
 	// Hedged first attempt: fire the primary, and if it has not
@@ -355,15 +360,15 @@ func (c *Coordinator) routeSpec(ctx context.Context, tr *obs.Trace, path string,
 	// (breakers and counters are concurrency-safe).
 	if c.opts.HedgeAfter > 0 && len(cands) >= 2 {
 		type outcome struct {
-			status int
-			body   []byte
-			done   bool
+			res  server.JobResult
+			err  error
+			done bool
 		}
 		ch := make(chan outcome, 2)
 		launch := func(p *peer) {
 			go func() {
-				s, b, done := try(p)
-				ch <- outcome{s, b, done}
+				res, err, done := try(p)
+				ch <- outcome{res, err, done}
 			}()
 		}
 		launch(cands[0])
@@ -373,7 +378,7 @@ func (c *Coordinator) routeSpec(ctx context.Context, tr *obs.Trace, path string,
 		case r := <-ch:
 			timer.Stop()
 			if r.done {
-				return r.status, r.body
+				return r.res, r.err
 			}
 		case <-timer.C:
 			c.hedges.Inc()
@@ -381,7 +386,7 @@ func (c *Coordinator) routeSpec(ctx context.Context, tr *obs.Trace, path string,
 			launched = 2
 			for i := 0; i < launched; i++ {
 				if r := <-ch; r.done {
-					return r.status, r.body
+					return r.res, r.err
 				}
 			}
 		}
@@ -399,8 +404,8 @@ func (c *Coordinator) routeSpec(ctx context.Context, tr *obs.Trace, path string,
 		if ctx.Err() != nil {
 			break
 		}
-		if status, body, done := try(p); done {
-			return status, body
+		if res, err, done := try(p); done {
+			return res, err
 		}
 	}
 
@@ -408,177 +413,29 @@ func (c *Coordinator) routeSpec(ctx context.Context, tr *obs.Trace, path string,
 	throttled := last429
 	mu.Unlock()
 	if throttled != nil {
-		// Every reachable peer is saturated: relay the aggregate 429 with
-		// the same structured body a single node emits (queue depths,
+		// Every reachable peer is saturated: answer with the last 429,
+		// the same structured error a single node emits (queue depths,
 		// queue_wait_p95_ms, retry_after_sec), so clients back off
 		// identically against either topology.
-		return http.StatusTooManyRequests, throttled
+		return server.JobResult{}, throttled
 	}
 
 	// Every peer is dead: single-node fallback, the ladder's last rung.
 	c.fallbacks.Inc()
 	c.obs.Event(ctx, obs.EventBreaker, "cluster.fallback", "all peers unavailable, serving locally")
-	return c.localDo(ctx, path, payload, tenant, traceID)
+	return c.opts.Local.Run(ctx, req)
 }
 
-// memWriter captures an in-process handler response (the local
-// pseudo-peer) without a network round trip.
-type memWriter struct {
-	code int
-	hdr  http.Header
-	buf  bytes.Buffer
-}
-
-func (m *memWriter) Header() http.Header {
-	if m.hdr == nil {
-		m.hdr = make(http.Header)
-	}
-	return m.hdr
-}
-
-func (m *memWriter) WriteHeader(code int) {
-	if m.code == 0 {
-		m.code = code
-	}
-}
-
-func (m *memWriter) Write(b []byte) (int, error) {
-	if m.code == 0 {
-		m.code = http.StatusOK
-	}
-	return m.buf.Write(b)
-}
-
-// localDo serves a routed payload against the local server's own
-// handler stack (trace middleware included, so the hop appears under
-// the same trace ID in /debug/traces).
-func (c *Coordinator) localDo(ctx context.Context, path string, payload []byte, tenant, traceID string) (int, []byte) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, path, bytes.NewReader(payload))
-	if err != nil {
-		return http.StatusInternalServerError, []byte(`{"error":"local fallback request failed"}`)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
-	}
-	if traceID != "" {
-		req.Header.Set("X-Trace-ID", traceID)
-	}
-	w := &memWriter{}
-	c.local.ServeHTTP(w, req)
-	code := w.code
-	if code == 0 {
-		code = http.StatusOK
-	}
-	return code, w.buf.Bytes()
-}
-
-// Handler returns the coordinator's HTTP API: the three submission
-// endpoints are routed across the ring, GET /cluster reports ring and
-// peer state, and everything else (metrics, health, debug, catalogue)
-// is served by the local node, whose Observer the coordinator shares.
+// Handler returns the coordinator's HTTP API: the single node's front
+// (server.NewHandler) mounted over the coordinator — the submission
+// endpoints route across the ring, batches scatter — plus GET /cluster
+// for ring and peer state. Everything else (metrics, health, debug,
+// catalogue) is the local node's, whose Observer the coordinator
+// shares, so /debug/traces/{id} shows the routing and per-peer hop
+// spans on the timeline clients correlate peer-side.
 func (c *Coordinator) Handler() http.Handler {
-	routed := http.NewServeMux()
-	routed.HandleFunc("POST /v1/jobs", c.handleJob)
-	routed.HandleFunc("POST /v1/batch", c.handleBatch)
-	routed.HandleFunc("POST /v1/submit", c.handleSubmit)
-	routed.HandleFunc("GET /cluster", c.handleCluster)
-	traced := c.traceMiddleware(routed)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && (r.URL.Path == "/v1/jobs" ||
-			r.URL.Path == "/v1/batch" || r.URL.Path == "/v1/submit"):
-			traced.ServeHTTP(w, r)
-		case r.Method == http.MethodGet && r.URL.Path == "/cluster":
-			traced.ServeHTTP(w, r)
-		default:
-			c.local.ServeHTTP(w, r)
-		}
-	})
-}
-
-// traceMiddleware mirrors the single node's: adopt or mint X-Trace-ID,
-// echo it, and retain the finished trace — in the shared store, so
-// /debug/traces/{id} shows the coordinator's routing spans and
-// per-peer hop spans on the same timeline clients correlate peer-side.
-func (c *Coordinator) traceMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(obs.SanitizeID(r.Header.Get("X-Trace-ID")))
-		w.Header().Set("X-Trace-ID", tr.ID)
-		ctx := obs.WithTrace(r.Context(), tr)
-		end := tr.StartSpan("coordinator " + r.Method + " " + r.URL.Path)
-		next.ServeHTTP(w, r.WithContext(ctx))
-		end()
-		c.obs.Traces.Add(tr)
-	})
-}
-
-// relay writes a routed response through unchanged, reconstructing the
-// Retry-After header for 429s from the structured body.
-func relay(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusTooManyRequests {
-		ra := 1
-		var m map[string]any
-		if json.Unmarshal(body, &m) == nil {
-			if v, ok := m["retry_after_sec"].(float64); ok && v >= 1 {
-				ra = int(v)
-			}
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(ra))
-	}
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
-	writeJSONBody(w, status, map[string]any{"error": msg})
-}
-
-func writeJSONBody(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	payload, err := io.ReadAll(io.LimitReader(r.Body, maxPeerBody))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
-		return
-	}
-	var spec server.JobSpec
-	if err := json.Unmarshal(payload, &spec); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
-		return
-	}
-	ctx := r.Context()
-	tenant := r.Header.Get("X-Tenant")
-	traceID := obs.TraceIDFrom(ctx)
-	h, ok := c.jobHash(spec)
-	if !ok {
-		// Invalid spec: the local server produces the canonical
-		// structured 4xx without a network hop.
-		status, body := c.localDo(ctx, "/v1/jobs", payload, tenant, traceID)
-		relay(w, status, body)
-		return
-	}
-	status, body := c.routeSpec(ctx, obs.TraceFrom(ctx), "/v1/jobs", payload, h, "", tenant, traceID)
-	relay(w, status, body)
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	payload, err := io.ReadAll(io.LimitReader(r.Body, maxPeerBody))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad submission: "+err.Error())
-		return
-	}
-	ctx := r.Context()
-	status, body := c.routeSpec(ctx, obs.TraceFrom(ctx), "/v1/submit", payload,
-		submitHash(payload), "", r.Header.Get("X-Tenant"), obs.TraceIDFrom(ctx))
-	relay(w, status, body)
+	return server.NewHandler(c.opts.Local, "coordinator", c, c.scatter,
+		func(mux *http.ServeMux) { mux.HandleFunc("GET /cluster", c.handleCluster) })
 }
 
 // peerStatus is one row of the GET /cluster report.

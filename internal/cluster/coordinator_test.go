@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
 	"subwarpsim/internal/server"
 	"subwarpsim/internal/simcache"
@@ -294,11 +297,11 @@ func TestClusterAllPeersDeadLocalFallback(t *testing.T) {
 	}
 }
 
-// TestCluster429Relay: a saturated peer's structured backpressure body
-// is relayed verbatim — queue depths, queue_wait_p95_ms and
-// retry_after_sec included — and the Retry-After header is
-// reconstructed from it, so clients back off identically against
-// either topology.
+// TestCluster429Relay: a saturated peer's structured backpressure
+// crosses the hop intact — queue depths, queue_wait_p95_ms and
+// retry_after_sec included — and the Retry-After header follows from
+// it even when the peer sent none, so clients back off identically
+// against either topology.
 func TestCluster429Relay(t *testing.T) {
 	body429 := `{"error":"queue full","tenant":"acme","queue_depth":64,"queue_cap":64,` +
 		`"tenant_queue_depth":9,"queue_wait_p95_ms":12.5,"retry_after_sec":7}`
@@ -623,33 +626,291 @@ func TestClusterEndpointAndMetrics(t *testing.T) {
 	}
 }
 
-// TestClusterInvalidSpecMatchesSingleNode: the coordinator's error
-// body for an unroutable (invalid) spec is the local server's
-// canonical one, byte for byte.
-func TestClusterInvalidSpecMatchesSingleNode(t *testing.T) {
-	c := newTestCluster(t, 2, nil, nil, nil)
-	bad := server.JobSpec{Microbench: 4, App: "matmul"}
+// spinAsm never exits; only the gas meter stops it.
+const spinAsm = `
+.regs 8
+    S2R R0, SR3
+    SHL R0, R0, 8
+loop:
+    STG [R0+0], R0
+    IADD R0, R0, 4
+    BRA loop
+`
 
-	res, code, _ := postVia(t, c.front.URL, bad, nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("coordinator = %d, want 400", code)
-	}
+// addAsm is a minimal well-formed submission.
+const addAsm = `
+.regs 8
+    S2R R0, SR3
+    SHL R1, R0, 2
+    IADD R2, R0, R0
+    STG [R1+0], R2
+    EXIT
+`
 
-	localTS := httptest.NewServer(c.local.Handler())
-	defer localTS.Close()
-	localRes, localCode, _ := postVia(t, localTS.URL, bad, nil)
-	if localCode != code {
-		t.Fatalf("status mismatch: coordinator %d, single node %d", code, localCode)
+// postRaw posts body to base+path and returns status, headers and the
+// decoded JSON object.
+func postRaw(t testing.TB, base, path string, body []byte) (int, http.Header, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var a, b map[string]any
-	if err := json.Unmarshal([]byte(res.Error), &a); err != nil {
-		t.Fatalf("coordinator error not JSON: %s", res.Error)
+	defer resp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatalf("POST %s: undecodable body (status %d): %v", path, resp.StatusCode, err)
 	}
-	if err := json.Unmarshal([]byte(localRes.Error), &b); err != nil {
-		t.Fatalf("single-node error not JSON: %s", localRes.Error)
+	return resp.StatusCode, resp.Header, m
+}
+
+// TestClusterErrorParity: every class of failure reads the same through
+// the coordinator as from the node it came from — status, Retry-After
+// and the decoded body with all its extra fields — and, where the
+// failing request can be a /v1/batch entry, the entry carries the same
+// error, error_status and error_extra on both topologies. The typed
+// server.Error crossing the hop is what guarantees it; this table is
+// what notices if a class ever stops crossing it intact.
+func TestClusterErrorParity(t *testing.T) {
+	job := func(spec server.JobSpec) []byte { b, _ := json.Marshal(spec); return b }
+	sub := func(sp server.SubmitSpec) []byte { b, _ := json.Marshal(sp); return b }
+
+	for _, tc := range []struct {
+		name   string
+		worker server.Options
+		faults string // fault spec armed on the worker, "" for none
+		// prime puts the worker into the failing state, returning what
+		// undoes it (nil when nothing needs undoing).
+		prime  func(t *testing.T, in *faults.Injector, worker *server.Server, url string) func()
+		path   string
+		body   []byte
+		status int
+		extra  []string // fields the body must carry besides "error"
+		batch  bool     // body is a JobSpec: also compare it as a batch entry
+	}{
+		{
+			name: "invalid spec", path: "/v1/jobs",
+			body:   job(server.JobSpec{Microbench: 4, App: "matmul"}),
+			status: http.StatusBadRequest, batch: true,
+		},
+		{
+			name: "admission reject", path: "/v1/submit",
+			body:   sub(server.SubmitSpec{Assembly: ".regs 8\n    IADD R0, R0, 1\n"}),
+			status: http.StatusBadRequest, extra: []string{"reason", "pc"},
+		},
+		{
+			name: "budget kill", path: "/v1/submit",
+			body:   sub(server.SubmitSpec{Assembly: spinAsm, MaxCycles: 3000}),
+			status: http.StatusUnprocessableEntity,
+			extra:  []string{"budget_exhausted", "limit", "used", "cycle"},
+		},
+		{
+			name:   "quarantine",
+			faults: faults.SiteServerExec + "=panic(n=1)",
+			prime: func(t *testing.T, _ *faults.Injector, _ *server.Server, url string) func() {
+				// The first run panics and quarantines the key.
+				if code, _, body := postRaw(t, url, "/v1/jobs", job(server.JobSpec{Microbench: 2})); code != http.StatusInternalServerError {
+					t.Fatalf("priming panic = %d %v, want 500", code, body)
+				}
+				return nil
+			},
+			path: "/v1/jobs", body: job(server.JobSpec{Microbench: 2}),
+			status: http.StatusUnprocessableEntity, extra: []string{"quarantined", "key"}, batch: true,
+		},
+		{
+			name:   "queue full",
+			worker: server.Options{Workers: 1, QueueDepth: 1},
+			faults: faults.SiteServerExec + "=latency(d=1h,n=2)",
+			prime: func(t *testing.T, in *faults.Injector, worker *server.Server, url string) func() {
+				// The injected latency becomes a gate: one job holds the
+				// worker, one the queue slot, until the case is over.
+				release := make(chan struct{})
+				in.SleepFn = func(time.Duration) { <-release }
+				var held sync.WaitGroup
+				for _, size := range []int{8, 16} {
+					held.Add(1)
+					go func(size int) {
+						defer held.Done()
+						// Not postRaw: t.Fatal is not for this goroutine.
+						resp, err := http.Post(url+"/v1/jobs", "application/json",
+							bytes.NewReader(job(server.JobSpec{Microbench: size})))
+						if err != nil {
+							t.Errorf("holder %d: %v", size, err)
+							return
+						}
+						resp.Body.Close()
+					}(size)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for m := worker.MetricsSnapshot(); m.JobsInFlight != 1 || m.QueueDepth != 1; m = worker.MetricsSnapshot() {
+					if time.Now().After(deadline) {
+						t.Fatalf("worker never saturated: %+v", m)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				return func() { close(release); held.Wait() }
+			},
+			path: "/v1/jobs", body: job(server.JobSpec{Microbench: 2}),
+			status: http.StatusTooManyRequests,
+			extra:  []string{"tenant", "queue_depth", "queue_cap", "queue_wait_p95_ms", "retry_after_sec"},
+			batch:  true,
+		},
+		{
+			name: "oversized body", path: "/v1/submit",
+			body:   sub(server.SubmitSpec{Assembly: strings.Repeat("A", server.MaxBodyBytes)}),
+			status: http.StatusRequestEntityTooLarge, extra: []string{"max_body_bytes"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := faults.Parse(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.worker.Faults = in
+			c := newTestCluster(t, 1, func(int) server.Options { return tc.worker }, nil, nil)
+			node := c.workerTS[0].URL
+			if tc.prime != nil {
+				if undo := tc.prime(t, in, c.workers[0], node); undo != nil {
+					defer undo()
+				}
+			}
+
+			wantCode, wantHdr, want := postRaw(t, node, tc.path, tc.body)
+			gotCode, gotHdr, got := postRaw(t, c.front.URL, tc.path, tc.body)
+			if wantCode != tc.status {
+				t.Fatalf("single node = %d %v, want %d", wantCode, want, tc.status)
+			}
+			for _, field := range append([]string{"error"}, tc.extra...) {
+				if _, ok := want[field]; !ok {
+					t.Errorf("single-node body missing %q: %v", field, want)
+				}
+			}
+			if gotCode != wantCode {
+				t.Errorf("status: coordinator %d, single node %d", gotCode, wantCode)
+			}
+			if g, w := gotHdr.Get("Retry-After"), wantHdr.Get("Retry-After"); g != w {
+				t.Errorf("Retry-After: coordinator %q, single node %q", g, w)
+			}
+			if tc.status == http.StatusTooManyRequests && wantHdr.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("bodies differ:\n  coordinator %v\n  single node %v", got, want)
+			}
+			if !tc.batch {
+				return
+			}
+
+			entry := func(base string) map[string]any {
+				code, _, m := postRaw(t, base, "/v1/batch", []byte(`{"jobs":[`+string(tc.body)+`]}`))
+				results, _ := m["results"].([]any)
+				if code != http.StatusOK || len(results) != 1 {
+					t.Fatalf("batch via %s = %d %v", base, code, m)
+				}
+				return results[0].(map[string]any)
+			}
+			wantEntry, gotEntry := entry(node), entry(c.front.URL)
+			if wantEntry["error_status"] != float64(tc.status) {
+				t.Errorf("single-node entry error_status = %v, want %d", wantEntry["error_status"], tc.status)
+			}
+			for _, field := range []string{"error", "error_status", "error_extra", "workload"} {
+				if !reflect.DeepEqual(gotEntry[field], wantEntry[field]) {
+					t.Errorf("batch entry %s: coordinator %v, single node %v", field, gotEntry[field], wantEntry[field])
+				}
+			}
+			if tc.extra != nil && !reflect.DeepEqual(wantEntry["error_extra"], stripError(want)) {
+				t.Errorf("entry error_extra %v != the single response's extra fields %v",
+					wantEntry["error_extra"], stripError(want))
+			}
+		})
 	}
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Errorf("error bodies differ:\n  coordinator %v\n  single node %v", a, b)
+}
+
+// stripError returns an error body's extra fields: everything but
+// "error" itself.
+func stripError(body map[string]any) map[string]any {
+	out := make(map[string]any, len(body))
+	for k, v := range body {
+		if k != "error" {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// TestRunnerConformance runs one contract against the three
+// implementations of server.Runner — the node, the peer client in front
+// of an HTTP worker, and the coordinator (here with its only peer dead,
+// so the whole ladder is walked down to the local rung): a valid job
+// and a valid submission produce the same key and counters everywhere,
+// and a deterministic failure is the same *server.Error everywhere.
+func TestRunnerConformance(t *testing.T) {
+	node := server.New(server.Options{Workers: 1})
+	worker := server.New(server.Options{Workers: 1})
+	workerTS := httptest.NewServer(worker.Handler())
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // connection refused from here on
+	local := server.New(server.Options{Workers: 1})
+	co, err := New(Options{Peers: []string{dead.URL}, Local: local, TripAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		workerTS.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for _, s := range []*server.Server{node, worker, local} {
+			s.Drain(ctx)
+		}
+	})
+
+	jobSpec := server.JobSpec{Microbench: 4, SI: true}
+	wantKey, err := jobSpec.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref struct{ job, kernel server.JobResult }
+	for i, impl := range []struct {
+		name string
+		run  server.Runner
+	}{
+		{"server", node},
+		{"peer", &peer{name: peerName(workerTS.URL), url: workerTS.URL, client: http.DefaultClient}},
+		{"coordinator", co},
+	} {
+		ctx := context.Background()
+		jobRes, err := impl.run.Run(ctx, server.Request{Job: &jobSpec})
+		if err != nil {
+			t.Fatalf("%s: valid job: %v", impl.name, err)
+		}
+		if jobRes.Key != wantKey.String() || jobRes.Counters.Cycles == 0 || jobRes.Workload != jobSpec.WorkloadID() {
+			t.Errorf("%s: valid job result %+v, want key %s with counters", impl.name, jobRes, wantKey)
+		}
+		kernelRes, err := impl.run.Run(ctx, server.Request{Kernel: &server.SubmitSpec{Name: "add", Assembly: addAsm}})
+		if err != nil {
+			t.Fatalf("%s: valid submission: %v", impl.name, err)
+		}
+		if kernelRes.Key == "" || kernelRes.Counters.Cycles == 0 {
+			t.Errorf("%s: valid submission result %+v", impl.name, kernelRes)
+		}
+		if i == 0 {
+			ref.job, ref.kernel = jobRes, kernelRes
+		} else if jobRes.Key != ref.job.Key || jobRes.Counters != ref.job.Counters ||
+			kernelRes.Key != ref.kernel.Key || kernelRes.Counters != ref.kernel.Counters {
+			t.Errorf("%s: results differ from the node's own", impl.name)
+		}
+
+		_, err = impl.run.Run(ctx, server.Request{Kernel: &server.SubmitSpec{Assembly: spinAsm, MaxCycles: 3000}})
+		var e *server.Error
+		if !errors.As(err, &e) {
+			t.Fatalf("%s: budget kill returned %T %v, want *server.Error", impl.name, err, err)
+		}
+		if e.Status != http.StatusUnprocessableEntity || e.Extra["budget_exhausted"] != "cycles" ||
+			!strings.HasPrefix(e.Msg, "budget exhausted") {
+			t.Errorf("%s: budget kill = %+v, want 422 budget_exhausted=cycles", impl.name, e)
+		}
+	}
+	if co.fallbacks.Value() == 0 {
+		t.Error("coordinator never reached its local rung; the dead-peer ladder was not exercised")
 	}
 }
 

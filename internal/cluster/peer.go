@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -10,13 +12,9 @@ import (
 	"sync/atomic"
 
 	"subwarpsim/internal/obs"
+	"subwarpsim/internal/server"
 	"subwarpsim/internal/simcache"
 )
-
-// maxPeerBody bounds how much of a peer response the coordinator will
-// buffer (a full batch response fits comfortably; a misbehaving peer
-// cannot exhaust coordinator memory).
-const maxPeerBody = 16 << 20
 
 // Request outcomes recorded per peer in
 // sisimd_peer_requests_total{peer,outcome}. The set is closed so every
@@ -34,8 +32,9 @@ var outcomes = []string{outcomeOK, outcomeRerouted, outcomeThrottled}
 // PR 4 degradation ladder, per peer), and its pre-registered outcome
 // counters.
 type peer struct {
-	name string // label value and ring node name (host:port)
-	url  string // base URL, no trailing slash
+	name   string // label value and ring node name (host:port)
+	url    string // base URL, no trailing slash
+	client *http.Client
 
 	br       *simcache.Breaker
 	inflight atomic.Int64
@@ -51,33 +50,45 @@ func peerName(raw string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(raw, "https://"), "http://")
 }
 
-// do POSTs one JSON payload to the peer, forwarding the tenant and
-// trace identities, and returns the status and (bounded) body. A
-// non-nil error means the peer never produced a usable response
-// (transport failure) — the caller feeds the breaker and reroutes.
-func (p *peer) do(ctx context.Context, client *http.Client, path string,
-	payload []byte, tenant, traceID string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+path, bytes.NewReader(payload))
+// Run implements server.Runner across one network hop: marshal the
+// spec, POST it to the endpoint that serves it with the tenant and
+// trace identities riding ctx forwarded as headers, and decode the
+// answer — a 200 into the JobResult, any other status into the
+// *server.Error the worker's front encoded. This is the only place a
+// response body is parsed back. Any other error means the peer never
+// produced a usable response (transport failure, unreadable or
+// undecodable body): the caller feeds the breaker and reroutes.
+func (p *peer) Run(ctx context.Context, req server.Request) (server.JobResult, error) {
+	var res server.JobResult
+	payload, err := json.Marshal(req.Spec())
 	if err != nil {
-		return 0, nil, err
+		return res, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
-	}
-	if traceID != "" {
-		req.Header.Set("X-Trace-ID", traceID)
-	}
-	resp, err := client.Do(req)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+req.Path(), bytes.NewReader(payload))
 	if err != nil {
-		return 0, nil, err
+		return res, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("X-Tenant", server.TenantFrom(ctx))
+	if id := obs.TraceIDFrom(ctx); id != "" {
+		hreq.Header.Set("X-Trace-ID", id)
+	}
+	resp, err := p.client.Do(hreq)
+	if err != nil {
+		return res, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxBodyBytes))
 	if err != nil {
-		return 0, nil, err
+		return res, err
 	}
-	return resp.StatusCode, body, nil
+	if resp.StatusCode != http.StatusOK {
+		return res, server.DecodeError(resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &res); err != nil {
+		return res, fmt.Errorf("undecodable response from peer %s: %w", p.name, err)
+	}
+	return res, nil
 }
 
 // retryableStatus reports peer responses that mean "this node cannot

@@ -2,49 +2,17 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"strconv"
 	"sync"
 
-	"subwarpsim/internal/obs"
 	"subwarpsim/internal/server"
 	"subwarpsim/internal/simcache"
 )
 
-// batchRequest / batchResponse mirror the single node's /v1/batch wire
-// format exactly — clients cannot tell which topology answered.
-type batchRequest struct {
-	Jobs []server.JobSpec `json:"jobs"`
-}
-
-type batchResponse struct {
-	Results []server.JobResult `json:"results"`
-}
-
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad batch: "+err.Error())
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeJSONError(w, http.StatusBadRequest, "batch has no jobs")
-		return
-	}
-	if len(req.Jobs) > c.opts.MaxBatch {
-		writeJSONError(w, http.StatusBadRequest,
-			"batch of "+strconv.Itoa(len(req.Jobs))+" exceeds limit "+strconv.Itoa(c.opts.MaxBatch))
-		return
-	}
-	ctx := r.Context()
-	results := c.scatter(ctx, obs.TraceFrom(ctx), req.Jobs,
-		r.Header.Get("X-Tenant"), obs.TraceIDFrom(ctx))
-	writeJSONBody(w, http.StatusOK, batchResponse{Results: results})
-}
-
-// scatter fans a batch across the ring and gathers results back in
-// request order.
+// scatter is the coordinator's batch scheduler (the single node's is
+// plain fan-out; the /v1/batch prologue in front of both is the
+// server's): it fans a batch across the ring and gathers results back
+// in request order.
 //
 // Sharding: each job is queued to its affinity owner (the first
 // live node in its ring preference). Each owner gets Window runner
@@ -60,20 +28,17 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 // idle peers" behavior the lagging-peer case needs. Stolen shards
 // stay bit-identical by the determinism contract.
 //
-// Failure: each shard execution is a full routeSpec, so a peer dying
+// Failure: each shard execution is a full route, so a peer dying
 // mid-sweep trips its breaker and the remaining shards reroute around
 // the ring; with every peer dead they run locally. The result slice
 // is indexed by original position throughout — no failure mode can
 // drop or reorder entries.
-func (c *Coordinator) scatter(ctx context.Context, tr *obs.Trace,
-	specs []server.JobSpec, tenant, traceID string) []server.JobResult {
+func (c *Coordinator) scatter(ctx context.Context, specs []server.JobSpec) []server.JobResult {
 	n := len(specs)
 	results := make([]server.JobResult, n)
-	payloads := make([][]byte, n)
 	hashes := make([]uint64, n)
 	routable := make([]bool, n)
 	for i, spec := range specs {
-		payloads[i], _ = json.Marshal(spec)
 		hashes[i], routable[i] = c.jobHash(spec)
 	}
 	c.batches.Add(int64(n))
@@ -135,16 +100,18 @@ func (c *Coordinator) scatter(ctx context.Context, tr *obs.Trace,
 	}
 
 	runOne := func(owner string, idx int) {
-		spec := specs[idx]
-		var status int
-		var body []byte
+		req := server.Request{Job: &specs[idx]}
+		var res server.JobResult
+		var err error
 		if routable[idx] {
-			status, body = c.routeSpec(ctx, tr, "/v1/jobs", payloads[idx],
-				hashes[idx], owner, tenant, traceID)
+			res, err = c.route(ctx, req, hashes[idx], owner)
 		} else {
-			status, body = c.localDo(ctx, "/v1/jobs", payloads[idx], tenant, traceID)
+			res, err = c.opts.Local.Run(ctx, req)
 		}
-		results[idx] = resultFromBody(spec, status, body)
+		if err != nil {
+			res = server.ErrorResult(specs[idx].WorkloadID(), err)
+		}
+		results[idx] = res
 	}
 
 	var wg sync.WaitGroup
@@ -208,43 +175,12 @@ func (c *Coordinator) scatter(ctx context.Context, tr *obs.Trace,
 	if ctx.Err() != nil {
 		for i := range results {
 			if results[i].Key == "" && results[i].Error == "" {
-				results[i] = server.JobResult{
-					Workload:    specs[i].WorkloadID(),
-					Error:       "batch abandoned: " + ctx.Err().Error(),
-					ErrorStatus: http.StatusRequestTimeout,
-				}
+				results[i] = server.ErrorResult(specs[i].WorkloadID(), &server.Error{
+					Status: http.StatusRequestTimeout,
+					Msg:    "batch abandoned: " + ctx.Err().Error(),
+				})
 			}
 		}
 	}
 	return results
-}
-
-// resultFromBody converts one routed response into the batch entry at
-// its index: a decoded JobResult for 200s, a structured error entry
-// (status + extra fields, exactly what the single node's batch path
-// produces) otherwise.
-func resultFromBody(spec server.JobSpec, status int, body []byte) server.JobResult {
-	if status == http.StatusOK {
-		var res server.JobResult
-		if err := json.Unmarshal(body, &res); err == nil {
-			return res
-		}
-		return server.JobResult{
-			Workload:    spec.WorkloadID(),
-			Error:       "undecodable peer response",
-			ErrorStatus: http.StatusBadGateway,
-		}
-	}
-	var m map[string]any
-	_ = json.Unmarshal(body, &m)
-	msg, _ := m["error"].(string)
-	if msg == "" {
-		msg = http.StatusText(status)
-	}
-	delete(m, "error")
-	res := server.JobResult{Workload: spec.WorkloadID(), Error: msg, ErrorStatus: status}
-	if len(m) > 0 {
-		res.ErrorExtra = m
-	}
-	return res
 }

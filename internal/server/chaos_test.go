@@ -375,7 +375,7 @@ func TestLeaderPanicFailsAllWaiters(t *testing.T) {
 	go func() { _, err := s.Submit(context.Background(), spec); errc <- err }()
 	<-entered // leader is running; a twin will coalesce
 	go func() { _, err := s.Submit(context.Background(), spec); errc <- err }()
-	waitFor(t, func() bool { return s.coalesced.Load() == 1 })
+	waitFor(t, func() bool { return s.coalesced.Value() == 1 })
 	close(release) // boom
 
 	for i := 0; i < 2; i++ {
@@ -401,6 +401,63 @@ func TestLeaderPanicFailsAllWaiters(t *testing.T) {
 	if m.Panics != 1 || m.QuarantineHits != 1 {
 		t.Errorf("metrics = panics %d, quarantine hits %d; want 1/1", m.Panics, m.QuarantineHits)
 	}
+}
+
+// TestRefusedLeaderReleasesJoiners is the stranded-waiter regression: a
+// flight's leader registers it, drops the lock, and only then learns
+// the queue is full. A twin that joined in that window must be released
+// with the leader's 429 — before the fix it waited on a flight nobody
+// would ever run, until its own deadline turned it into a 408. With the
+// worker and the one queue slot held, every submission of the stress
+// must end as a 429 and nothing else.
+func TestRefusedLeaderReleasesJoiners(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	s.runSim = fakeSim(started, release)
+	var holders sync.WaitGroup
+	for _, size := range []int{1, 2} { // distinct keys: one on the worker, one queued
+		holders.Add(1)
+		go func(size int) {
+			defer holders.Done()
+			if _, err := s.Submit(context.Background(), JobSpec{Microbench: size}); err != nil {
+				t.Errorf("holder %d: %v", size, err)
+			}
+		}(size)
+	}
+	<-started
+	waitFor(t, func() bool { return s.queue.Len() == 1 })
+
+	const rounds, twins = 200, 16
+	other := make(map[int]int) // status -> count, for anything but 429
+	var mu sync.Mutex
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < twins; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+				defer cancel()
+				status := http.StatusOK
+				if _, err := s.Submit(ctx, JobSpec{Microbench: 4}); err != nil {
+					status = errStatus(err)
+				}
+				if status != http.StatusTooManyRequests {
+					mu.Lock()
+					other[status]++
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if len(other) != 0 {
+		t.Errorf("%d submissions against a full queue: want every one refused with 429, also got (status -> count) %v",
+			rounds*twins, other)
+	}
+	close(release)
+	holders.Wait()
 }
 
 // TestDrainCompletesQueuedJobs: SIGTERM-style drain with a busy worker
@@ -446,7 +503,7 @@ func TestDrainCompletesQueuedJobs(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain with queued jobs: %v", err)
 	}
-	if got := s.jobsDone.Load(); got != 3 {
+	if got := s.jobsDone.Value(); got != 3 {
 		t.Errorf("jobsDone = %d, want 3", got)
 	}
 }
@@ -457,11 +514,9 @@ func TestDrainCompletesQueuedJobs(t *testing.T) {
 func TestRetryAfterDerivedFromLatency(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	// Seed the latency histogram: every job takes 2s at p95.
-	s.latMu.Lock()
 	for i := 0; i < 3; i++ {
 		s.latency.Observe(2_000_000)
 	}
-	s.latMu.Unlock()
 
 	started := make(chan struct{}, 2)
 	release := make(chan struct{})

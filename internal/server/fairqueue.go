@@ -208,27 +208,6 @@ func (fq *fairQueue) Len() int {
 // Cap returns the total queued bound (the old cap(chan)).
 func (fq *fairQueue) Cap() int { return fq.cap }
 
-// SetWeights swaps the per-tenant weight table mid-stream. The new
-// table applies from the next dequeue decision: the tenant currently
-// holding the round-robin grant finishes its visit under whichever
-// weight tryPopLocked reads next, so a shrink takes effect immediately
-// and a growth never owes retroactive dequeues. Unlisted (and
-// non-positive) tenants get weight 1, like the constructor.
-func (fq *fairQueue) SetWeights(weights map[string]int) {
-	w := make(map[string]int, len(weights))
-	for name, v := range weights {
-		w[name] = v
-	}
-	fq.mu.Lock()
-	fq.weightOf = func(name string) int {
-		if v := w[name]; v > 0 {
-			return v
-		}
-		return 1
-	}
-	fq.mu.Unlock()
-}
-
 // depthOf returns one tenant's queued depth, for the per-tenant
 // queue-depth gauges.
 func (fq *fairQueue) depthOf(tenant string) int {

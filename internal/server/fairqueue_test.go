@@ -6,66 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// TestFairQueueSetWeightsMidStream changes the weight table while
-// tasks are queued: the remaining dequeues must follow the new
-// weights, not the ones the tasks were pushed under. This is the
-// coordinator's rebalance path — weights change while peers are
-// forwarding work.
-func TestFairQueueSetWeightsMidStream(t *testing.T) {
-	fq := newFairQueue(64, 0, 0, nil)
-	for _, tenant := range []string{"a", "a", "a", "a", "b", "b"} {
-		if err := fq.push(tenant, task{tenant: tenant}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Equal weights: first round alternates a, b.
-	var got []string
-	popN := func(n int) {
-		for i := 0; i < n; i++ {
-			tk, ok := fq.pop()
-			if !ok {
-				t.Fatal("queue drained early")
-			}
-			got = append(got, tk.tenant)
-			fq.release(tk.tenant)
-		}
-	}
-	popN(2)
-	if strings.Join(got, ",") != "a,b" {
-		t.Fatalf("pre-change pops = %v, want [a b]", got)
-	}
-
-	// Mid-stream: a's weight becomes 2. The round-robin pointer is back
-	// at a, and its next visit grants two consecutive dequeues even
-	// though every queued task predates the change (under the old
-	// weights the order would have stayed a,b,a,a).
-	fq.SetWeights(map[string]int{"a": 2})
-	popN(4)
-	want := "a,a,b,a"
-	if joined := strings.Join(got[2:], ","); joined != want {
-		t.Errorf("post-change pops = %s, want %s", joined, want)
-	}
-
-	// Weights can also shrink (and unlisted tenants default to 1):
-	// swapping back mid-run is legal and takes effect immediately.
-	fq.SetWeights(nil)
-	for _, tenant := range []string{"a", "a", "b"} {
-		if err := fq.push(tenant, task{tenant: tenant}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got = got[:0]
-	popN(3)
-	if strings.Join(got, ",") != "a,b,a" {
-		t.Errorf("after weight reset pops = %v, want [a b a]", got)
-	}
-}
 
 // TestFairQueueOverflowTenantSharesQuota: tenants beyond the tracked
 // cap collapse into OverflowTenant and share one queued quota — the
@@ -259,7 +203,7 @@ func TestBatchQuarantinedEntryCarriesExtra(t *testing.T) {
 // tenant's own queued depth, and the queue-wait p95.
 func TestBackpressure429Body(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
-	body := s.BackpressureBody("team-x")
+	body := s.backpressureExtra("team-x", s.retryAfterSec())
 	for _, field := range []string{
 		"tenant", "queue_depth", "queue_cap",
 		"tenant_queue_depth", "queue_wait_p95_ms", "retry_after_sec",

@@ -38,10 +38,10 @@ type siMetrics struct {
 // per-run sum equals IdleCycles (Counters invariant).
 var idleBuckets = []string{"load", "fetch", "switch", "barrier", "nowarp"}
 
-// registerMetrics wires the server's existing atomics and caches into
-// the registry as read-at-scrape callbacks, and pre-registers the SI
-// roll-up instruments so every required series exists from the first
-// scrape (before any job has run).
+// registerMetrics registers the service counters, wires the server's
+// gauges and caches into the registry as read-at-scrape callbacks, and
+// pre-registers the SI roll-up instruments so every required series
+// exists from the first scrape (before any job has run).
 func (s *Server) registerMetrics() {
 	r := s.obs.Reg
 	ns := MetricsNamespace
@@ -60,22 +60,14 @@ func (s *Server) registerMetrics() {
 	r.GaugeFunc(ns+"_draining", "1 while the server is draining.",
 		func() float64 { return b2f(s.draining.Load()) })
 
-	r.CounterFunc(ns+"_jobs_total", "Accepted submissions (including cache hits and coalesced).",
-		func() float64 { return float64(s.jobsTotal.Load()) })
-	r.CounterFunc(ns+"_jobs_done_total", "Simulations completed successfully.",
-		func() float64 { return float64(s.jobsDone.Load()) })
-	r.CounterFunc(ns+"_jobs_failed_total", "Simulations that returned an error.",
-		func() float64 { return float64(s.jobsFailed.Load()) })
-	r.CounterFunc(ns+"_rejected_total", "Submissions rejected by queue backpressure (429).",
-		func() float64 { return float64(s.rejected.Load()) })
-	r.CounterFunc(ns+"_rate_limited_total", "Submissions rejected by the per-tenant token bucket (429).",
-		func() float64 { return float64(s.rateLimited.Load()) })
-	r.CounterFunc(ns+"_coalesced_total", "Submissions deduplicated onto an in-flight twin.",
-		func() float64 { return float64(s.coalesced.Load()) })
-	r.CounterFunc(ns+"_panics_total", "Simulations that panicked (recovered and quarantined).",
-		func() float64 { return float64(s.panics.Load()) })
-	r.CounterFunc(ns+"_quarantine_hits_total", "Submissions refused because their key is quarantined.",
-		func() float64 { return float64(s.quarHits.Load()) })
+	s.jobsTotal = r.Counter(ns+"_jobs_total", "Accepted submissions (including cache hits and coalesced).")
+	s.jobsDone = r.Counter(ns+"_jobs_done_total", "Simulations completed successfully.")
+	s.jobsFailed = r.Counter(ns+"_jobs_failed_total", "Simulations that returned an error.")
+	s.rejected = r.Counter(ns+"_rejected_total", "Submissions rejected by queue backpressure (429).")
+	s.rateLimited = r.Counter(ns+"_rate_limited_total", "Submissions rejected by the per-tenant token bucket (429).")
+	s.coalesced = r.Counter(ns+"_coalesced_total", "Submissions deduplicated onto an in-flight twin.")
+	s.panics = r.Counter(ns+"_panics_total", "Simulations that panicked (recovered and quarantined).")
+	s.quarHits = r.Counter(ns+"_quarantine_hits_total", "Submissions refused because their key is quarantined.")
 	r.GaugeFunc(ns+"_quarantined_keys", "Keys currently quarantined.",
 		func() float64 {
 			s.mu.Lock()
@@ -107,15 +99,14 @@ func (s *Server) registerMetrics() {
 			return 0
 		})
 
-	r.CounterFunc(ns+"_sim_cycles_total", "Simulated cycles across completed simulations.",
-		func() float64 { return float64(s.simCycles.Load()) })
+	s.simCycles = r.Counter(ns+"_sim_cycles_total", "Simulated cycles across completed simulations.")
 	r.GaugeFunc(ns+"_sim_cycles_per_second", "Simulation throughput (cycles per busy wall second).",
 		func() float64 {
 			busy := s.simBusyNS.Load()
 			if busy <= 0 {
 				return 0
 			}
-			return float64(s.simCycles.Load()) / (float64(busy) / 1e9)
+			return float64(s.simCycles.Value()) / (float64(busy) / 1e9)
 		})
 
 	// Sandbox instruments (ISSUE 9). Both label sets are closed —
@@ -248,29 +239,6 @@ func stageTimer(s *Server, tr *obs.Trace, stage string) func() {
 	}
 }
 
-// traceMiddleware gives every request a trace: adopt the client's
-// X-Trace-ID (or mint one), echo it on the response, thread it through
-// the context, and retain the finished trace for /debug/traces.
-func (s *Server) traceMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(sanitizeTraceID(r.Header.Get("X-Trace-ID")))
-		w.Header().Set("X-Trace-ID", tr.ID)
-		ctx := obs.WithTrace(r.Context(), tr)
-		// Tenant identity rides the context alongside the trace; the
-		// canonical form bounds both per-tenant state and label values.
-		ctx = withTenant(ctx, s.tenantNames.canon(sanitizeTenant(r.Header.Get("X-Tenant"))))
-		end := tr.StartSpan("request " + r.Method + " " + r.URL.Path)
-		next.ServeHTTP(w, r.WithContext(ctx))
-		end()
-		s.obs.Traces.Add(tr)
-	})
-}
-
-// sanitizeTraceID bounds client-supplied trace IDs. The rule lives in
-// obs.SanitizeID so the cluster coordinator applies the identical one
-// (split rules would split cross-node timelines).
-func sanitizeTraceID(id string) string { return obs.SanitizeID(id) }
-
 // wantsPrometheus reports whether the Accept header prefers the text
 // exposition over JSON.
 func wantsPrometheus(accept string) bool {
@@ -291,7 +259,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.obs.Traces.Get(r.PathValue("id"))
 	if tr == nil {
-		writeError(w, &apiError{status: http.StatusNotFound, msg: "no such trace"})
+		writeError(w, &Error{Status: http.StatusNotFound, Msg: "no such trace"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

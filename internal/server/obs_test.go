@@ -311,7 +311,10 @@ func TestBreakerTransitionEvents(t *testing.T) {
 	}
 }
 
-// TestSanitizeTraceID rejects IDs that would damage logs or labels.
+// TestSanitizeTraceID rejects IDs that would damage logs or labels: it
+// pins the rule the front applies to X-Trace-ID
+// (and, through sanitizeTenant and SubmitSpec.name, to X-Tenant and
+// submission names).
 func TestSanitizeTraceID(t *testing.T) {
 	for in, want := range map[string]string{
 		"abc-123":               "abc-123",
@@ -322,8 +325,8 @@ func TestSanitizeTraceID(t *testing.T) {
 		"ctrl\x01":              "",
 		strings.Repeat("x", 65): "",
 	} {
-		if got := sanitizeTraceID(in); got != want {
-			t.Errorf("sanitizeTraceID(%q) = %q, want %q", in, got, want)
+		if got := obs.SanitizeID(in); got != want {
+			t.Errorf("obs.SanitizeID(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -12,14 +12,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,18 +185,21 @@ type Server struct {
 	flights    map[simcache.Key]*flight
 	quarantine map[simcache.Key]string // keys whose simulation panicked -> reason
 
-	jobsTotal  atomic.Int64 // accepted submissions (incl. hits and coalesced)
-	jobsDone   atomic.Int64 // simulations completed successfully
-	jobsFailed atomic.Int64 // simulations that returned an error
-	rejected   atomic.Int64 // 429s from queue backpressure
-	coalesced  atomic.Int64 // submissions that joined an in-flight twin
-	inFlight   atomic.Int64 // simulations currently on a worker
-	panics     atomic.Int64 // simulations that panicked (recovered + quarantined)
-	quarHits   atomic.Int64 // submissions rejected because their key is quarantined
-	simCycles  atomic.Int64 // simulated cycles across completed simulations
-	simBusyNS  atomic.Int64 // wall time workers spent simulating successfully
+	// The monotone service counts are obs.Counters registered once
+	// (registerMetrics): /metrics renders them and MetricsSnapshot reads
+	// the same values back.
+	jobsTotal   *obs.Counter // accepted submissions (incl. hits and coalesced)
+	jobsDone    *obs.Counter // simulations completed successfully
+	jobsFailed  *obs.Counter // simulations that returned an error
+	rejected    *obs.Counter // 429s from queue backpressure
+	rateLimited *obs.Counter // 429s from the per-tenant token bucket
+	coalesced   *obs.Counter // submissions that joined an in-flight twin
+	panics      *obs.Counter // simulations that panicked (recovered + quarantined)
+	quarHits    *obs.Counter // submissions rejected because their key is quarantined
+	simCycles   *obs.Counter // simulated cycles across completed simulations
 
-	rateLimited atomic.Int64 // 429s from the per-tenant token bucket
+	inFlight  atomic.Int64 // simulations currently on a worker
+	simBusyNS atomic.Int64 // wall time workers spent simulating successfully
 
 	// admRejects and budgetKills are pre-registered labeled counters:
 	// admission rejects by structured reason, budget kills by
@@ -206,8 +207,7 @@ type Server struct {
 	admRejects  map[string]*obs.Counter
 	budgetKills map[string]*obs.Counter
 
-	latMu   sync.Mutex
-	latency stats.Histogram // microseconds per completed simulation
+	latency obs.Histogram // microseconds per completed simulation
 
 	// obs is the observability plane (never nil after New); si holds
 	// the pre-registered SI roll-up instruments.
@@ -237,7 +237,6 @@ func New(opts Options) *Server {
 		quarantine:  make(map[simcache.Key]string),
 		obs:         opts.Obs,
 	}
-	s.latency.Name = "job latency (us)"
 	s.runSim = func(ctx context.Context, cfg config.Config, k *sm.Kernel) (gpu.Result, error) {
 		return gpu.RunContext(ctx, cfg, k, opts.SimWorkers)
 	}
@@ -277,19 +276,17 @@ func (s *Server) worker() {
 				Counters: res.Counters,
 			}
 			s.cache.Put(t.key, entry)
-			s.jobsDone.Add(1)
+			s.jobsDone.Inc()
 			s.simCycles.Add(res.Counters.Cycles)
 			s.simBusyNS.Add(elapsed.Nanoseconds())
-			s.latMu.Lock()
 			s.latency.Observe(elapsed.Microseconds())
-			s.latMu.Unlock()
 			s.siRollup(t.workload, res.Counters)
 			s.obs.Logger().Info("simulation complete",
 				"trace_id", obs.TraceIDFrom(t.fl.ctx), "key", t.key.String(),
 				"workload", t.workload, "cycles", res.Counters.Cycles,
 				"elapsed_ms", float64(elapsed.Microseconds())/1e3)
 		} else {
-			s.jobsFailed.Add(1)
+			s.jobsFailed.Inc()
 			var be *sm.BudgetError
 			if errors.As(err, &be) {
 				// A budget kill is a deterministic, well-defined outcome
@@ -303,7 +300,7 @@ func (s *Server) worker() {
 				// for this exact (config, program, workload): quarantine the
 				// key so repeats are refused up front instead of burning a
 				// worker on a known-bad input again.
-				s.panics.Add(1)
+				s.panics.Inc()
 				s.mu.Lock()
 				s.quarantine[t.key] = msg
 				s.mu.Unlock()
@@ -403,41 +400,22 @@ func (s *Server) jobTimeout(timeoutMS int) time.Duration {
 // tenant token bucket.
 func (s *Server) preflight(ctx context.Context) error {
 	if s.draining.Load() {
-		return &apiError{status: http.StatusServiceUnavailable, msg: "server is draining"}
+		return &Error{Status: http.StatusServiceUnavailable, Msg: "server is draining"}
 	}
 	if err := s.opts.Faults.FireCtx(ctx, faults.SiteServerAdmit); err != nil {
-		return &apiError{status: http.StatusServiceUnavailable,
-			msg: "admission fault: " + err.Error()}
+		return &Error{Status: http.StatusServiceUnavailable,
+			Msg: "admission fault: " + err.Error()}
 	}
-	if tenant := tenantFrom(ctx); !s.limiter.allow(tenant) {
-		s.rateLimited.Add(1)
-		return &apiError{
-			status:     http.StatusTooManyRequests,
-			msg:        "tenant rate limit exceeded, retry later",
-			retryAfter: 1,
-			extra:      map[string]any{"tenant": tenant, "rate_limited": true},
+	if tenant := TenantFrom(ctx); !s.limiter.allow(tenant) {
+		s.rateLimited.Inc()
+		return &Error{
+			Status:     http.StatusTooManyRequests,
+			Msg:        "tenant rate limit exceeded, retry later",
+			RetryAfter: 1,
+			Extra:      map[string]any{"tenant": tenant, "rate_limited": true},
 		}
 	}
 	return nil
-}
-
-// apiError is a submission failure with its HTTP status, an optional
-// Retry-After hint (seconds), and optional extra JSON body fields.
-type apiError struct {
-	status     int
-	msg        string
-	retryAfter int
-	extra      map[string]any
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func errStatus(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.status
-	}
-	return http.StatusInternalServerError
 }
 
 // JobResult is the wire form of one completed job.
@@ -474,20 +452,6 @@ type JobResult struct {
 // Failed reports whether the result is a per-entry error.
 func (r JobResult) Failed() bool { return r.Error != "" }
 
-// errorResult builds the per-entry error form of a JobResult,
-// preserving the apiError's status and structured fields.
-func errorResult(workloadID string, err error) JobResult {
-	res := JobResult{Workload: workloadID, Error: err.Error(), ErrorStatus: errStatus(err)}
-	var ae *apiError
-	if errors.As(err, &ae) && len(ae.extra) > 0 {
-		res.ErrorExtra = make(map[string]any, len(ae.extra))
-		for k, v := range ae.extra {
-			res.ErrorExtra[k] = v
-		}
-	}
-	return res
-}
-
 func resultFrom(key simcache.Key, workloadID string, e simcache.Entry, cached, coalesced bool) JobResult {
 	return JobResult{
 		Key:       key.String(),
@@ -513,7 +477,7 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobResult, error) {
 	}
 	cfg, err := spec.Config()
 	if err != nil {
-		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}
+		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	// Thread the fault layer into the job so the per-SM site fires; the
 	// cache key deliberately ignores it (like Trace, it is not an
@@ -521,7 +485,7 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobResult, error) {
 	cfg.Faults = s.opts.Faults
 	kernel, err := spec.BuildKernel()
 	if err != nil {
-		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}
+		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	key := simcache.KeyOf(cfg, kernel, spec.WorkloadID())
 	return s.execute(ctx, tr, admitStart, key, cfg, kernel,
@@ -539,14 +503,14 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 	reason, quarantined := s.quarantine[key]
 	s.mu.Unlock()
 	if quarantined {
-		s.quarHits.Add(1)
-		return JobResult{}, &apiError{
-			status: http.StatusUnprocessableEntity,
-			msg:    "job is quarantined after a previous panic: " + reason,
-			extra:  map[string]any{"quarantined": true, "key": key.String()},
+		s.quarHits.Inc()
+		return JobResult{}, &Error{
+			Status: http.StatusUnprocessableEntity,
+			Msg:    "job is quarantined after a previous panic: " + reason,
+			Extra:  map[string]any{"quarantined": true, "key": key.String()},
 		}
 	}
-	s.jobsTotal.Add(1)
+	s.jobsTotal.Inc()
 	admitEnd := time.Now()
 	tr.AddSpan("admit", admitStart, admitEnd)
 	s.obs.ObserveStage("admit", admitEnd.Sub(admitStart).Microseconds())
@@ -571,7 +535,7 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 	if joined {
 		fl.waiters++
 		s.mu.Unlock()
-		s.coalesced.Add(1)
+		s.coalesced.Inc()
 		dedupEnd()
 	} else {
 		flCtx, cancel := context.WithTimeout(s.baseCtx, timeout)
@@ -581,30 +545,30 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 		s.mu.Unlock()
 		dedupEnd()
 
-		tenant := s.tenantNames.canon(tenantFrom(ctx))
+		tenant := s.tenantNames.canon(TenantFrom(ctx))
 		s.taskWG.Add(1)
 		if qerr := s.queue.push(tenant, task{fl: fl, key: key, cfg: cfg, kernel: kernel,
 			workload: workloadID, tenant: tenant, enqueued: time.Now()}); qerr != nil {
 			// Backpressure: the shared queue is full, or this tenant is
-			// over its queued quota. Retire the flight we just registered
-			// and tell the client to retry later.
+			// over its queued quota. Tell the client to retry later, and
+			// retire the flight through complete so a twin that joined
+			// between its registration and this refusal is released with
+			// the same 429 instead of waiting on a flight nobody runs.
 			s.taskWG.Done()
-			s.mu.Lock()
-			delete(s.flights, key)
-			s.mu.Unlock()
-			fl.cancel()
-			s.rejected.Add(1)
+			s.rejected.Inc()
 			ra := s.retryAfterSec()
 			msg := "job queue is full, retry later"
 			if errors.Is(qerr, errTenantFull) {
 				msg = "tenant queue quota exceeded, retry later"
 			}
-			return JobResult{}, &apiError{
-				status:     http.StatusTooManyRequests,
-				msg:        msg,
-				retryAfter: ra,
-				extra:      s.backpressureExtra(tenant, ra),
+			refusal := &Error{
+				Status:     http.StatusTooManyRequests,
+				Msg:        msg,
+				RetryAfter: ra,
+				Extra:      s.backpressureExtra(tenant, ra),
 			}
+			s.complete(key, fl, simcache.Entry{}, refusal)
+			return JobResult{}, refusal
 		}
 	}
 
@@ -612,18 +576,24 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 	case <-fl.done:
 	case <-ctx.Done():
 		s.dropWaiter(fl)
-		return JobResult{}, &apiError{status: http.StatusRequestTimeout,
-			msg: fmt.Sprintf("request abandoned: %v", ctx.Err())}
+		return JobResult{}, &Error{Status: http.StatusRequestTimeout,
+			Msg: fmt.Sprintf("request abandoned: %v", ctx.Err())}
 	}
 	if fl.err != nil {
+		var refusal *Error
+		if errors.As(fl.err, &refusal) {
+			// The flight's leader was refused at the queue: its joiners
+			// get the leader's 429 as is.
+			return JobResult{}, refusal
+		}
 		if _, panicked := panicMessage(fl.err); panicked {
 			// First occurrence of a panicking key: every coalesced waiter
 			// gets the structured 500; the worker has already quarantined
 			// the key, so re-submissions get 422 instead.
-			return JobResult{}, &apiError{
-				status: http.StatusInternalServerError,
-				msg:    fmt.Sprintf("simulation panicked, key quarantined: %v", fl.err),
-				extra:  map[string]any{"quarantined": true, "key": key.String()},
+			return JobResult{}, &Error{
+				Status: http.StatusInternalServerError,
+				Msg:    fmt.Sprintf("simulation panicked, key quarantined: %v", fl.err),
+				Extra:  map[string]any{"quarantined": true, "key": key.String()},
 			}
 		}
 		var de *sm.DeadlockError
@@ -632,10 +602,10 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 			// fault (admission admits statically-sound shapes that can
 			// still deadlock dynamically, e.g. twin BSYNCs on divergent
 			// paths), so it maps to 422 like a budget kill.
-			return JobResult{}, &apiError{
-				status: http.StatusUnprocessableEntity,
-				msg:    fmt.Sprintf("kernel deadlocked: sm %d at cycle %d", de.SM, de.Cycle),
-				extra:  map[string]any{"deadlock": true, "cycle": de.Cycle},
+			return JobResult{}, &Error{
+				Status: http.StatusUnprocessableEntity,
+				Msg:    fmt.Sprintf("kernel deadlocked: sm %d at cycle %d", de.SM, de.Cycle),
+				Extra:  map[string]any{"deadlock": true, "cycle": de.Cycle},
 			}
 		}
 		var be *sm.BudgetError
@@ -644,10 +614,10 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 			// its resource budget, and re-running it will die at exactly
 			// the same point. 422 (like quarantine) rather than 5xx: the
 			// problem is the submission, not the service.
-			return JobResult{}, &apiError{
-				status: http.StatusUnprocessableEntity,
-				msg:    "budget exhausted: " + fl.err.Error(),
-				extra: map[string]any{
+			return JobResult{}, &Error{
+				Status: http.StatusUnprocessableEntity,
+				Msg:    "budget exhausted: " + fl.err.Error(),
+				Extra: map[string]any{
 					"budget_exhausted": be.Resource,
 					"limit":            be.Limit,
 					"used":             be.Used,
@@ -657,13 +627,13 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 		}
 		switch {
 		case errors.Is(fl.err, context.DeadlineExceeded):
-			return JobResult{}, &apiError{status: http.StatusGatewayTimeout,
-				msg: fmt.Sprintf("job timed out: %v", fl.err)}
+			return JobResult{}, &Error{Status: http.StatusGatewayTimeout,
+				Msg: fmt.Sprintf("job timed out: %v", fl.err)}
 		case errors.Is(fl.err, context.Canceled):
-			return JobResult{}, &apiError{status: http.StatusServiceUnavailable,
-				msg: fmt.Sprintf("job cancelled: %v", fl.err)}
+			return JobResult{}, &Error{Status: http.StatusServiceUnavailable,
+				Msg: fmt.Sprintf("job cancelled: %v", fl.err)}
 		default:
-			return JobResult{}, &apiError{status: http.StatusInternalServerError, msg: fl.err.Error()}
+			return JobResult{}, &Error{Status: http.StatusInternalServerError, Msg: fl.err.Error()}
 		}
 	}
 	res := resultFrom(key, workloadID, fl.entry, false, joined)
@@ -671,19 +641,11 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 	return res, nil
 }
 
-// SetTenantWeights swaps the weighted-fair dequeue shares at runtime
-// (operators rebalance tenants without a restart; the cluster gate
-// exercises a mid-stream change). Takes effect from the next dequeue.
-func (s *Server) SetTenantWeights(weights map[string]int) {
-	s.queue.SetWeights(weights)
-}
-
 // backpressureExtra is the structured body of every queue-pressure 429
 // this server emits — shared queue depth/cap, the rejected tenant's own
 // queued depth, and the recent queue-wait p95 — so clients can back off
-// proportionally. The cluster coordinator reuses it verbatim when it
-// aggregates per-peer 429s, so clients back off identically against
-// either topology.
+// proportionally. It crosses a coordinator hop unchanged (DecodeError),
+// so clients back off identically against either topology.
 func (s *Server) backpressureExtra(tenant string, retryAfterSec int) map[string]any {
 	return map[string]any{
 		"tenant":             tenant,
@@ -695,24 +657,15 @@ func (s *Server) backpressureExtra(tenant string, retryAfterSec int) map[string]
 	}
 }
 
-// BackpressureBody exposes backpressureExtra for the cluster
-// coordinator's local-fallback and aggregate-429 paths.
-func (s *Server) BackpressureBody(tenant string) map[string]any {
-	return s.backpressureExtra(s.tenantNames.canon(sanitizeTenant(tenant)), s.retryAfterSec())
-}
-
 // retryAfterSec estimates when queue capacity should free up: the p95
 // job latency times the jobs ahead of a new arrival, spread across the
 // worker pool. With no completed jobs yet there is nothing to model,
 // so the hint is the minimum.
 func (s *Server) retryAfterSec() int {
-	s.latMu.Lock()
-	n := s.latency.Count()
-	p95us := s.latency.Quantile(0.95)
-	s.latMu.Unlock()
-	if n == 0 {
+	if s.latency.Count() == 0 {
 		return 1
 	}
+	p95us := s.latency.Quantile(0.95)
 	ahead := int64(s.queue.Len()) + s.inFlight.Load() + 1
 	sec := math.Ceil(float64(p95us) / 1e6 * float64(ahead) / float64(s.opts.Workers))
 	switch {
@@ -797,18 +750,12 @@ type Metrics struct {
 // MetricsSnapshot gathers the server's current metrics.
 func (s *Server) MetricsSnapshot() Metrics {
 	cs := s.cache.Stats()
-	s.latMu.Lock()
-	p50 := s.latency.Quantile(0.50)
-	p95 := s.latency.Quantile(0.95)
-	p99 := s.latency.Quantile(0.99)
-	max := s.latency.Max()
-	s.latMu.Unlock()
 	qw := s.obs.StageHistogram("queue")
 	ex := s.obs.StageHistogram("exec")
 	s.mu.Lock()
 	quarantined := len(s.quarantine)
 	s.mu.Unlock()
-	cycles := s.simCycles.Load()
+	cycles := s.simCycles.Value()
 	perSec := 0.0
 	if busy := s.simBusyNS.Load(); busy > 0 {
 		perSec = float64(cycles) / (float64(busy) / 1e9)
@@ -820,24 +767,24 @@ func (s *Server) MetricsSnapshot() Metrics {
 		QueueDepth:       s.queue.Len(),
 		QueueCap:         s.queue.Cap(),
 		JobsInFlight:     s.inFlight.Load(),
-		JobsTotal:        s.jobsTotal.Load(),
-		JobsDone:         s.jobsDone.Load(),
-		JobsFailed:       s.jobsFailed.Load(),
-		Rejected:         s.rejected.Load(),
-		RateLimited:      s.rateLimited.Load(),
-		Coalesced:        s.coalesced.Load(),
-		Panics:           s.panics.Load(),
+		JobsTotal:        s.jobsTotal.Value(),
+		JobsDone:         s.jobsDone.Value(),
+		JobsFailed:       s.jobsFailed.Value(),
+		Rejected:         s.rejected.Value(),
+		RateLimited:      s.rateLimited.Value(),
+		Coalesced:        s.coalesced.Value(),
+		Panics:           s.panics.Value(),
 		QuarantinedKeys:  quarantined,
-		QuarantineHits:   s.quarHits.Load(),
+		QuarantineHits:   s.quarHits.Value(),
 		Degraded:         s.degraded(),
 		CorruptEvictions: cs.Corrupt,
 		Cache:            cs,
 		CacheHitRate:     cs.HitRate(),
 		CacheEntries:     s.cache.Len(),
-		LatencyP50MS:     float64(p50) / 1e3,
-		LatencyP95MS:     float64(p95) / 1e3,
-		LatencyP99MS:     float64(p99) / 1e3,
-		LatencyMaxMS:     float64(max) / 1e3,
+		LatencyP50MS:     float64(s.latency.Quantile(0.50)) / 1e3,
+		LatencyP95MS:     float64(s.latency.Quantile(0.95)) / 1e3,
+		LatencyP99MS:     float64(s.latency.Quantile(0.99)) / 1e3,
+		LatencyMaxMS:     float64(s.latency.Max()) / 1e3,
 		QueueWaitP50MS:   float64(qw.Quantile(0.50)) / 1e3,
 		QueueWaitP95MS:   float64(qw.Quantile(0.95)) / 1e3,
 		QueueWaitP99MS:   float64(qw.Quantile(0.99)) / 1e3,
@@ -848,65 +795,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		SimCyclesTotal:     cycles,
 		SimCyclesPerSecond: perSec,
 	}
-}
-
-// Handler returns the service's HTTP API:
-//
-//	GET  /healthz        liveness (503 while draining) + build info
-//	GET  /metrics        metrics: Prometheus text exposition when the
-//	                     Accept header asks for text/plain, the
-//	                     backward-compatible JSON snapshot otherwise
-//	GET  /debug/events   bounded ring of operational incidents
-//	GET  /debug/traces   recent request trace IDs
-//	GET  /debug/traces/{id}  one trace as Perfetto/Chrome trace JSON
-//	GET  /v1/apps        application trace catalogue
-//	POST /v1/jobs        run one JobSpec
-//	POST /v1/batch       run {"jobs": [JobSpec...]}, coalescing duplicates
-//	POST /v1/submit      validate and run one untrusted SubmitSpec kernel
-//
-// Every request is traced: a client-provided X-Trace-ID header is
-// adopted (else one is generated), echoed on the response, propagated
-// through the job path via context, and retained in /debug/traces.
-// Every request also carries a tenant identity (the X-Tenant header,
-// DefaultTenant when absent) that keys the rate limiter, the queue
-// quotas, and weighted-fair dequeue.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/events", s.handleDebugEvents)
-	mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
-	mux.HandleFunc("GET /debug/traces/{id}", s.handleDebugTrace)
-	mux.HandleFunc("GET /v1/apps", s.handleApps)
-	mux.HandleFunc("POST /v1/jobs", s.handleJob)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
-	return s.traceMiddleware(mux)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	status := errStatus(err)
-	body := map[string]any{"error": err.Error()}
-	var ae *apiError
-	if errors.As(err, &ae) {
-		if ae.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
-		} else if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		for k, v := range ae.extra {
-			body[k] = v
-		}
-	}
-	writeJSON(w, status, body)
 }
 
 // degraded reports whether the result cache has fallen back to
@@ -956,87 +844,34 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, workload.Apps())
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, &apiError{status: http.StatusBadRequest, msg: "bad job spec: " + err.Error()})
-		return
-	}
-	ctx := r.Context()
-	res, err := s.Submit(ctx, spec)
-	if err != nil {
-		s.obs.Logger().Warn("job rejected",
-			"trace_id", obs.TraceIDFrom(ctx), "workload", spec.WorkloadID(),
-			"status", errStatus(err), "error", err)
-		writeError(w, err)
-		return
-	}
-	s.obs.Logger().Info("job complete",
-		"trace_id", obs.TraceIDFrom(ctx), "key", res.Key,
-		"workload", res.Workload, "cached", res.Cached, "coalesced", res.Coalesced)
-	respondEnd := stageTimer(s, obs.TraceFrom(ctx), "respond")
-	writeJSON(w, http.StatusOK, res)
-	respondEnd()
-}
-
-// batchRequest is the /v1/batch payload.
-type batchRequest struct {
-	Jobs []JobSpec `json:"jobs"`
-}
-
-// batchResponse preserves request order; failed items carry Error and
-// empty result fields.
-type batchResponse struct {
-	Results []JobResult `json:"results"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &apiError{status: http.StatusBadRequest, msg: "bad batch: " + err.Error()})
-		return
-	}
-	if err := s.opts.Faults.FireCtx(r.Context(), faults.SiteServerBatch); err != nil {
-		writeError(w, &apiError{status: http.StatusServiceUnavailable,
-			msg: "batch fault: " + err.Error()})
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeError(w, &apiError{status: http.StatusBadRequest, msg: "batch has no jobs"})
-		return
-	}
-	if len(req.Jobs) > s.opts.MaxBatch {
-		writeError(w, &apiError{status: http.StatusBadRequest,
-			msg: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Jobs), s.opts.MaxBatch)})
-		return
-	}
-	// Every item goes through Submit concurrently: identical specs
-	// coalesce onto one simulation, distinct ones use the worker pool.
-	// Results land at the entry's own index, and each goroutine carries
-	// its own recover guard, so one failed — or panicking — sub-job can
-	// neither drop nor reorder sibling results: Results[i] always
-	// answers Jobs[i].
-	resp := batchResponse{Results: make([]JobResult, len(req.Jobs))}
+// fanOut is the node's batch scheduler: every item goes through Submit
+// concurrently, so identical specs coalesce onto one simulation and
+// distinct ones use the worker pool. Results land at the entry's own
+// index, and each goroutine carries its own recover guard, so one
+// failed — or panicking — sub-job can neither drop nor reorder sibling
+// results.
+func (s *Server) fanOut(ctx context.Context, specs []JobSpec) []JobResult {
+	results := make([]JobResult, len(specs))
 	var wg sync.WaitGroup
-	for i, spec := range req.Jobs {
+	for i, spec := range specs {
 		wg.Add(1)
 		go func(i int, spec JobSpec) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					resp.Results[i] = errorResult(spec.WorkloadID(), &apiError{
-						status: http.StatusInternalServerError,
-						msg:    fmt.Sprintf("batch entry panicked: %v", p),
+					results[i] = ErrorResult(spec.WorkloadID(), &Error{
+						Status: http.StatusInternalServerError,
+						Msg:    fmt.Sprintf("batch entry panicked: %v", p),
 					})
 				}
 			}()
-			res, err := s.Submit(r.Context(), spec)
+			res, err := s.Submit(ctx, spec)
 			if err != nil {
-				res = errorResult(spec.WorkloadID(), err)
+				res = ErrorResult(spec.WorkloadID(), err)
 			}
-			resp.Results[i] = res
+			results[i] = res
 		}(i, spec)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, resp)
+	return results
 }

@@ -447,6 +447,7 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	oversized := `{"assembly":"` + strings.Repeat("A", MaxBodyBytes) + `"}`
 	for name, tc := range map[string]struct {
 		path, body string
 		want       int
@@ -460,8 +461,14 @@ func TestBadRequests(t *testing.T) {
 		"negative timeout": {"/v1/jobs", `{"microbench":4,"timeout_ms":-1}`, http.StatusBadRequest},
 		"empty batch":      {"/v1/batch", `{"jobs":[]}`, http.StatusBadRequest},
 		"oversized batch":  {"/v1/batch", `{"jobs":[{"microbench":1},{"microbench":2},{"microbench":4}]}`, http.StatusBadRequest},
-		"get on job route": {"/v1/jobs", "", http.StatusMethodNotAllowed},
-		"unknown route":    {"/v1/nope", `{}`, http.StatusNotFound},
+		// One bounded read in front of every decode: a body past
+		// MaxBodyBytes is a structured 413 on each endpoint, not a
+		// buffered-then-assembled 400 or a truncated-JSON syntax error.
+		"oversized job":        {"/v1/jobs", oversized, http.StatusRequestEntityTooLarge},
+		"oversized batch body": {"/v1/batch", oversized, http.StatusRequestEntityTooLarge},
+		"oversized submit":     {"/v1/submit", oversized, http.StatusRequestEntityTooLarge},
+		"get on job route":     {"/v1/jobs", "", http.StatusMethodNotAllowed},
+		"unknown route":        {"/v1/nope", `{}`, http.StatusNotFound},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var resp *http.Response
@@ -476,7 +483,14 @@ func TestBadRequests(t *testing.T) {
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != tc.want {
-				t.Errorf("%s %q = %d, want %d", tc.path, tc.body, resp.StatusCode, tc.want)
+				t.Errorf("%s %.60q = %d, want %d", tc.path, tc.body, resp.StatusCode, tc.want)
+			}
+			if tc.want == http.StatusRequestEntityTooLarge {
+				var body map[string]any
+				if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body["error"] == nil ||
+					body["max_body_bytes"] != float64(MaxBodyBytes) {
+					t.Errorf("413 body = %v (%v), want error and max_body_bytes=%d", body, err, MaxBodyBytes)
+				}
 			}
 		})
 	}

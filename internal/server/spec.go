@@ -89,6 +89,41 @@ func ParsePolicy(name string) (config.SchedPolicy, error) {
 	return config.ParseSchedPolicy(name)
 }
 
+// policyKnobs is the SI/DWS/yield/trigger/order/policy subset JobSpec
+// and SubmitSpec both carry; the wire structs stay flat, this is the
+// one place the knobs are checked and mapped onto a config.
+type policyKnobs struct {
+	SI, DWS, Yield         bool
+	Trigger, Order, Policy string
+}
+
+// apply checks the knobs and returns cfg with them applied.
+func (k policyKnobs) apply(cfg config.Config) (config.Config, error) {
+	if k.SI && k.DWS {
+		return cfg, fmt.Errorf("spec sets both si and dws; pick one")
+	}
+	trigger, err := ParseTrigger(k.Trigger)
+	if err != nil {
+		return cfg, err
+	}
+	policy, err := ParsePolicy(k.Policy)
+	if err != nil {
+		return cfg, err
+	}
+	order, err := ParseOrder(k.Order)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Order = order
+	cfg.SchedPolicy = policy
+	if k.DWS {
+		cfg = cfg.WithDWS()
+	} else if k.SI {
+		cfg = cfg.WithSI(k.Yield, trigger)
+	}
+	return cfg, nil
+}
+
 // workloadCount counts how many of the three workload selectors the
 // spec sets; exactly one must be.
 func (j JobSpec) workloadCount() int {
@@ -114,8 +149,6 @@ func (j JobSpec) Validate() error {
 		return fmt.Errorf("spec sets more than one of app, microbench, and workload; pick one")
 	case j.Microbench < 0:
 		return fmt.Errorf("microbench subwarp size %d must be positive", j.Microbench)
-	case j.SI && j.DWS:
-		return fmt.Errorf("spec sets both si and dws; pick one")
 	case j.LatencyCycles < 0 || j.WarpSlots < 0 || j.MaxSubwarps < 0 || j.TimeoutMS < 0:
 		return fmt.Errorf("negative knob values are invalid")
 	}
@@ -135,16 +168,13 @@ func (j JobSpec) Validate() error {
 			return err
 		}
 	}
-	if _, err := ParseTrigger(j.Trigger); err != nil {
-		return err
-	}
-	if _, err := ParsePolicy(j.Policy); err != nil {
-		return err
-	}
-	if _, err := ParseOrder(j.Order); err != nil {
-		return err
-	}
-	return nil
+	_, err := j.knobs().apply(config.Default())
+	return err
+}
+
+func (j JobSpec) knobs() policyKnobs {
+	return policyKnobs{SI: j.SI, DWS: j.DWS, Yield: j.Yield,
+		Trigger: j.Trigger, Order: j.Order, Policy: j.Policy}
 }
 
 // Config builds the architecture configuration the spec describes,
@@ -160,15 +190,8 @@ func (j JobSpec) Config() (config.Config, error) {
 	if j.WarpSlots > 0 {
 		cfg.WarpSlotsPerBlock = j.WarpSlots
 	}
-	order, _ := ParseOrder(j.Order)
-	cfg.Order = order
-	policy, _ := ParsePolicy(j.Policy)
-	cfg.SchedPolicy = policy
-	if j.DWS {
-		cfg = cfg.WithDWS()
-	} else if j.SI {
-		trigger, _ := ParseTrigger(j.Trigger)
-		cfg = cfg.WithSI(j.Yield, trigger)
+	cfg, _ = j.knobs().apply(cfg)
+	if j.SI && !j.DWS {
 		cfg.SI.MaxSubwarps = j.MaxSubwarps
 	}
 	return cfg, cfg.Validate()

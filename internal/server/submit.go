@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -62,18 +61,13 @@ type SubmitSpec struct {
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 }
 
-// name returns the spec's display name, bounded the same way tenant
-// names are (it lands in logs and error strings).
+// name returns the spec's display name, bounded by the rule trace IDs
+// and tenant names share (it lands in logs and error strings).
 func (sp SubmitSpec) name() string {
-	if sp.Name == "" || len(sp.Name) > 64 {
-		return "submission"
+	if n := obs.SanitizeID(sp.Name); n != "" {
+		return n
 	}
-	for _, c := range sp.Name {
-		if c <= ' ' || c > '~' || c == '"' || c == '\\' {
-			return "submission"
-		}
-	}
-	return sp.Name
+	return "submission"
 }
 
 func (sp SubmitSpec) warps() (warps, perCTA int) {
@@ -104,21 +98,16 @@ func (sp SubmitSpec) Validate() error {
 		return fmt.Errorf("warps_per_cta %d outside [1, warps=%d]", perCTA, warps)
 	case sp.MaxCycles < 0 || sp.MaxInstrs < 0 || sp.MemFootprintBytes < 0:
 		return fmt.Errorf("negative budget values are invalid")
-	case sp.SI && sp.DWS:
-		return fmt.Errorf("spec sets both si and dws; pick one")
 	case sp.TimeoutMS < 0:
 		return fmt.Errorf("negative timeout_ms is invalid")
 	}
-	if _, err := ParseTrigger(sp.Trigger); err != nil {
-		return err
-	}
-	if _, err := ParsePolicy(sp.Policy); err != nil {
-		return err
-	}
-	if _, err := ParseOrder(sp.Order); err != nil {
-		return err
-	}
-	return nil
+	_, err := sp.knobs().apply(config.Default())
+	return err
+}
+
+func (sp SubmitSpec) knobs() policyKnobs {
+	return policyKnobs{SI: sp.SI, DWS: sp.DWS, Yield: sp.Yield,
+		Trigger: sp.Trigger, Order: sp.Order, Policy: sp.Policy}
 }
 
 // Config builds the architecture configuration for the submission,
@@ -128,16 +117,7 @@ func (sp SubmitSpec) Config() (config.Config, error) {
 	if err := sp.Validate(); err != nil {
 		return cfg, err
 	}
-	order, _ := ParseOrder(sp.Order)
-	cfg.Order = order
-	policy, _ := ParsePolicy(sp.Policy)
-	cfg.SchedPolicy = policy
-	if sp.DWS {
-		cfg = cfg.WithDWS()
-	} else if sp.SI {
-		trigger, _ := ParseTrigger(sp.Trigger)
-		cfg = cfg.WithSI(sp.Yield, trigger)
-	}
+	cfg, _ = sp.knobs().apply(cfg)
 	return cfg, cfg.Validate()
 }
 
@@ -182,7 +162,7 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 	}
 	cfg, err := sp.Config()
 	if err != nil {
-		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}
+		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	cfg.Faults = s.opts.Faults
 	budget := s.submitBudget(sp)
@@ -196,15 +176,15 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 				c.Inc()
 			}
 			s.obs.Logger().Warn("submission rejected",
-				"trace_id", obs.TraceIDFrom(ctx), "tenant", tenantFrom(ctx),
+				"trace_id", obs.TraceIDFrom(ctx), "tenant", TenantFrom(ctx),
 				"reason", aerr.Reason, "error", err)
-			return JobResult{}, &apiError{
-				status: http.StatusBadRequest,
-				msg:    err.Error(),
-				extra:  map[string]any{"reason": aerr.Reason, "pc": aerr.PC},
+			return JobResult{}, &Error{
+				Status: http.StatusBadRequest,
+				Msg:    err.Error(),
+				Extra:  map[string]any{"reason": aerr.Reason, "pc": aerr.PC},
 			}
 		}
-		return JobResult{}, &apiError{status: http.StatusBadRequest, msg: err.Error()}
+		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
 	warps, perCTA := sp.warps()
 	kernel := &sm.Kernel{
@@ -217,27 +197,4 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 	key := simcache.KeyOf(cfg, kernel, submitWorkloadID)
 	return s.execute(ctx, tr, admitStart, key, cfg, kernel,
 		submitWorkloadID, s.jobTimeout(sp.TimeoutMS))
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var sp SubmitSpec
-	if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
-		writeError(w, &apiError{status: http.StatusBadRequest, msg: "bad submission: " + err.Error()})
-		return
-	}
-	ctx := r.Context()
-	res, err := s.SubmitKernel(ctx, sp)
-	if err != nil {
-		s.obs.Logger().Warn("submission failed",
-			"trace_id", obs.TraceIDFrom(ctx), "tenant", tenantFrom(ctx),
-			"name", sp.name(), "status", errStatus(err), "error", err)
-		writeError(w, err)
-		return
-	}
-	s.obs.Logger().Info("submission complete",
-		"trace_id", obs.TraceIDFrom(ctx), "tenant", tenantFrom(ctx),
-		"key", res.Key, "cached", res.Cached, "coalesced", res.Coalesced)
-	respondEnd := stageTimer(s, obs.TraceFrom(ctx), "respond")
-	writeJSON(w, http.StatusOK, res)
-	respondEnd()
 }

@@ -302,7 +302,7 @@ func TestTenantRateLimit(t *testing.T) {
 	if code, _ := postSubmit(t, ts, "alice", sp); code != http.StatusOK {
 		t.Fatalf("post-refill submit = %d, want 200", code)
 	}
-	if s.rateLimited.Load() == 0 {
+	if s.rateLimited.Value() == 0 {
 		t.Error("rate-limited counter never moved")
 	}
 }

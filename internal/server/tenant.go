@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"subwarpsim/internal/obs"
 )
 
 // Tenancy: every request carries a tenant identity (the X-Tenant
@@ -30,36 +32,22 @@ func withTenant(ctx context.Context, tenant string) context.Context {
 	return context.WithValue(ctx, tenantCtxKey{}, tenant)
 }
 
-// ContextWithTenant sanitizes and canonicalizes a client-supplied
-// tenant header value (the X-Tenant header) and stores it in the
-// context, exactly as the HTTP middleware does. The cluster
-// coordinator uses it so a tenant forwarded over a coordinator→peer
-// hop lands in the same rate-limit bucket, queue quota, and fair-share
-// lane it would have hit arriving at the worker directly.
-func (s *Server) ContextWithTenant(ctx context.Context, header string) context.Context {
-	return withTenant(ctx, s.tenantNames.canon(sanitizeTenant(header)))
-}
-
-// tenantFrom returns the canonical tenant name, DefaultTenant when
-// the context has none (direct Submit calls from tests or embedders).
-func tenantFrom(ctx context.Context) string {
+// TenantFrom returns the canonical tenant name riding ctx, DefaultTenant
+// when it has none (direct Submit calls from tests or embedders). The
+// coordinator's peer client reads it to forward X-Tenant over a hop.
+func TenantFrom(ctx context.Context) string {
 	if t, ok := ctx.Value(tenantCtxKey{}).(string); ok && t != "" {
 		return t
 	}
 	return DefaultTenant
 }
 
-// sanitizeTenant bounds client-supplied tenant names the same way
-// trace IDs are bounded: printable ASCII, no whitespace or quotes,
-// capped length. Unusable names collapse to DefaultTenant.
+// sanitizeTenant bounds client-supplied tenant names by the rule trace
+// IDs are bounded by (obs.SanitizeID: printable ASCII, no whitespace or
+// quotes, capped length). Unusable names collapse to DefaultTenant.
 func sanitizeTenant(name string) string {
-	if len(name) == 0 || len(name) > 64 {
+	if name = obs.SanitizeID(name); name == "" {
 		return DefaultTenant
-	}
-	for _, c := range name {
-		if c <= ' ' || c > '~' || c == '"' || c == '\\' {
-			return DefaultTenant
-		}
 	}
 	return name
 }

@@ -188,12 +188,6 @@ func MeanSpeedup(speedups []float64) float64 {
 	return sum / float64(len(speedups))
 }
 
-// GeoMeanSpeedup is a misnamed alias of MeanSpeedup: despite the name
-// it has always computed the arithmetic mean.
-//
-// Deprecated: use MeanSpeedup.
-func GeoMeanSpeedup(speedups []float64) float64 { return MeanSpeedup(speedups) }
-
 // StallAttribution decomposes a run's idle cycles into the five
 // attribution buckets and renders a paper-style table. The bucket rows
 // sum to IdleCycles by construction; the "% time" column is relative to

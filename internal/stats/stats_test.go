@@ -113,10 +113,6 @@ func TestMeanSpeedup(t *testing.T) {
 	if math.Abs(got-0.04) > 1e-9 {
 		t.Errorf("mean = %v, want 0.04", got)
 	}
-	// Deprecated alias must keep returning the same value.
-	if GeoMeanSpeedup([]float64{0.02, 0.04, 0.06}) != got {
-		t.Error("GeoMeanSpeedup alias diverged from MeanSpeedup")
-	}
 }
 
 func TestPercent(t *testing.T) {

@@ -105,12 +105,15 @@ echo "== sandbox gate =="
 # reason or killed within its gas budget, the daemon must stay healthy
 # and keep serving well-formed work, and the sample kernels in
 # examples/submissions must run through sisim -submit, which applies
-# the identical admission checks and budgets locally.
+# the identical admission checks and budgets locally. The same gauntlet
+# posts a body past the front's 16 MiB bound and requires the
+# structured 413; TestBadRequests holds that for every POST endpoint.
 go test -race -count=1 ./internal/admission
 gate -race -count=1 -run 'TestBudget|TestKeyBudget' \
     ./internal/gpu ./internal/simcache
 gate -count=1 -run 'TestBudgetedSteadyStateZeroAlloc' ./internal/sm
 gate -count=1 -run 'TestDaemonSubmitSandbox' -timeout 10m ./cmd/sisimd
+gate -count=1 -run 'TestBadRequests' ./internal/server
 gate -count=1 -run 'TestCLISubmitSamples|TestCLISubmitSandbox' ./cmd/sisim
 
 echo "== chaos gate =="
@@ -126,6 +129,10 @@ for seed in 1 7; do
 done
 SISIM_CHAOS_SEED=1 go test -race -count=1 ./internal/faults
 unset SISIM_CHAOS_SEED
+# The stranded-waiter regression: a twin that joins a flight whose
+# leader is then refused by the full queue must get the leader's 429,
+# never hang. It is a race by nature, so it runs five times over.
+gate -race -count=5 -run 'TestRefusedLeaderReleasesJoiners' ./internal/server
 
 echo "== cluster gate =="
 # The cache-affine cluster layer, race-enabled. The in-process suite
@@ -134,11 +141,17 @@ echo "== cluster gate =="
 # LRU, a peer killed mid-sweep reroutes with aggregate batch results
 # bit-identical to a single node's, saturated peers relay structured
 # 429 backpressure, and with every peer dead the coordinator degrades
-# to local serving. The daemon test then drives a real coordinator +
-# 2-worker topology end to end — affinity hits through the
-# coordinator, SIGKILL one worker, identical answers after — and the
-# SIGTERM teardown requires a clean drain.
+# to local serving. The parity table and the Runner conformance test
+# are named so that renaming either fails the gate: every error class
+# must read the same through the coordinator as from a single node
+# (status, Retry-After, body, batch entry), and the node, the peer
+# client and the coordinator must honour one Run contract. The daemon
+# test then drives a real coordinator + 2-worker topology end to end —
+# affinity hits through the coordinator, SIGKILL one worker, identical
+# answers after — and the SIGTERM teardown requires a clean drain.
 go test -race -count=1 ./internal/cluster
+gate -race -count=1 -run 'TestClusterErrorParity' ./internal/cluster
+gate -race -count=1 -run 'TestRunnerConformance' ./internal/cluster
 gate -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
 
 echo "== coverage floor =="
