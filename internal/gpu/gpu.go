@@ -90,7 +90,8 @@ func RunWorkers(cfg config.Config, kernel *sm.Kernel, workers int) (Result, erro
 // view of the functional memory image (mem.View), and traces into a
 // private shard recorder (trace.Recorder.Child) when cfg.Trace is set.
 // After all SMs finish, views publish, counters merge, and trace shards
-// absorb in ascending SM order, so counters, derived metrics, the final
+// absorb (handing their event chunks to cfg.Trace, which consumes them)
+// in ascending SM order, so counters, derived metrics, the final
 // memory image, and exported trace streams are bit-identical for every
 // worker count and goroutine interleaving. A consequence of the
 // sharded image is that warps on different SMs never observe each

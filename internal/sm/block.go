@@ -249,7 +249,7 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 		b.addIdle(b.classify(), 1)
 	}
 
-	if b.rec != nil {
+	if b.rec.Sampling() {
 		occ, subs, fill := b.sampleState()
 		b.rec.Sample(now, occ, subs, fill, issued)
 	}
@@ -272,7 +272,7 @@ func (b *Block) skipIdle(gap int64, endCycle int64) {
 	}
 	b.addIdle(b.classify(), gap)
 	b.counters.Cycles = endCycle
-	if b.rec != nil {
+	if b.rec.Sampling() {
 		occ, subs, fill := b.sampleState()
 		b.rec.SampleGap(endCycle-gap, endCycle, occ, subs, fill)
 	}
@@ -280,6 +280,8 @@ func (b *Block) skipIdle(gap int64, endCycle int64) {
 
 // sampleState gathers the block's time-series sample: live resident
 // warps, live subwarps across them, and occupied TST (stalled) entries.
+// It walks every warp's TST, so step and skipIdle call it only when the
+// recorder has a series to feed (Recorder.Sampling, nil-safe).
 func (b *Block) sampleState() (occ, subs, fill int) {
 	for _, w := range b.warps {
 		if w.exited {

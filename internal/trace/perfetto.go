@@ -1,38 +1,235 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 )
 
-// chromeEvent is one entry of the Chrome trace_event JSON array, the
-// format ui.perfetto.dev and chrome://tracing load directly. Timestamps
-// are microseconds; we map one simulated cycle to 1us so Perfetto's
-// time axis reads as cycles.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+// eventWriter streams a Chrome trace_event document, the format
+// ui.perfetto.dev and chrome://tracing load. Each event is assembled in
+// one reused buffer and written straight out: open, the name, fields, any
+// args, done. Timestamps are microseconds; one cycle is exported as 1us.
+type eventWriter struct {
+	w   *bufio.Writer // its sticky write error surfaces in finish
+	buf []byte
+	n   int   // events written
+	err error // failures to render caller-supplied values
 }
 
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+func newEventWriter(w io.Writer) *eventWriter {
+	ew := &eventWriter{w: bufio.NewWriterSize(w, 64<<10), buf: make([]byte, 0, 256)}
+	ew.w.WriteString(`{"traceEvents":[`)
+	return ew
 }
 
-// openSlice is a duration event under construction.
-type openSlice struct {
-	name  string
-	start int64
-	args  map[string]any
+func (ew *eventWriter) open() []byte {
+	ew.n++
+	if ew.n == 1 {
+		return append(ew.buf[:0], `{"name":"`...)
+	}
+	return append(ew.buf[:0], `,{"name":"`...)
+}
+
+// fields ends the name and appends the fixed members. ph is 'X' (slice,
+// dur at least 1), 'i' (thread-scoped instant), 'M' (metadata) or 'C'.
+func fields(b []byte, ph byte, ts, dur int64, pid, tid int, cat string) []byte {
+	b = append(append(b, `","ph":"`...), ph)
+	b = strconv.AppendInt(append(b, `","ts":`...), ts, 10)
+	if ph == 'X' {
+		b = strconv.AppendInt(append(b, `,"dur":`...), max(dur, 1), 10)
+	}
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+	if ph == 'i' {
+		b = append(b, `,"s":"t"`...)
+	}
+	if cat != "" {
+		b = append(append(append(b, `,"cat":"`...), cat...), '"')
+	}
+	return b
+}
+
+// arg appends one integer member of args, which callers list in
+// alphabetical key order; first marks the one that opens the object.
+func arg(b []byte, first bool, key string, v int32) []byte {
+	open := `,"`
+	if first {
+		open = `,"args":{"`
+	}
+	return strconv.AppendInt(append(append(append(b, open...), key...), `":`...), int64(v), 10)
+}
+
+func (ew *eventWriter) done(b []byte, argsOpen bool) {
+	if argsOpen {
+		b = append(b, '}')
+	}
+	ew.buf = append(b, '}')
+	ew.w.Write(ew.buf)
+}
+
+// json appends v as encoding/json renders it (labels, float counters,
+// caller-supplied args); quoted drops v's quotes, b being inside a string.
+func (ew *eventWriter) json(b []byte, v any, quoted bool) []byte {
+	q, err := json.Marshal(v)
+	ew.err = errors.Join(ew.err, err)
+	if quoted && err == nil {
+		q = q[1 : len(q)-1]
+	}
+	return append(b, q...)
+}
+
+// labelled writes a track name ('M') or counter sample ('C'): one arg, v.
+func (ew *eventWriter) labelled(name string, ph byte, ts int64, pid, tid int, key string, v any) {
+	b := fields(append(ew.open(), name...), ph, ts, 0, pid, tid, "")
+	b = append(append(append(b, `,"args":{"`...), key...), `":`...)
+	ew.done(ew.json(b, v, false), true)
+}
+
+func (ew *eventWriter) finish() error {
+	ew.w.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
+	return errors.Join(ew.w.Flush(), ew.err)
+}
+
+// span is a duration slice under construction: a residency (pc,
+// lanes), a stall (pc, lanes, scoreboard n) or a select (latency n).
+type span struct {
+	open         bool
+	start        int64
+	pc, lanes, n int32
+}
+
+// warpTrack is one warp's thread track and its open slices.
+type warpTrack struct {
+	seen              bool
+	sm, block         uint8
+	active, selecting span
+}
+
+// instantNames names the instant markers; suffix appends Arg ('a') or PC ('p').
+var instantNames = [numKinds]struct {
+	name   string
+	suffix byte
+}{
+	KindStall:        {"subwarp-stall sb", 'a'},
+	KindWakeup:       {"subwarp-wakeup sb", 'a'},
+	KindSelect:       {"subwarp-select", 0},
+	KindYield:        {"subwarp-yield", 0},
+	KindDivergeReady: {"diverge pc=", 'p'},
+	KindBarrierBlock: {"barrier-block B", 'a'},
+	KindReconverge:   {"reconverge", 0},
+	KindScbdSet:      {"scbd-set sb", 'a'},
+	KindScbdRelease:  {"scbd-release sb", 'a'},
+	KindWriteback:    {"writeback sb", 'a'},
+	KindExit:         {"exit", 0},
+}
+
+// chromeExport is the state of one WriteChromeTrace walk.
+type chromeExport struct {
+	*eventWriter
+	tracks []warpTrack    // by global warp ID
+	stalls map[int64]span // warp<<32|pc -> open stall slice
+	last   int64          // highest cycle seen
+}
+
+func stallKey(warp, pc int32) int64 { return int64(warp)<<32 | int64(uint32(pc)) }
+
+// The close functions write a warp's open slice, if any, ending at end.
+func (x *chromeExport) closeActive(t *warpTrack, warp int32, end int64) {
+	if s := &t.active; s.open {
+		s.open = false
+		b := strconv.AppendInt(append(x.open(), "active pc="...), int64(s.pc), 10)
+		b = strconv.AppendInt(append(b, " lanes="...), int64(s.lanes), 10)
+		b = fields(b, 'X', s.start, end-s.start, int(t.sm), int(warp), "subwarp")
+		x.done(arg(arg(b, true, "lanes", s.lanes), false, "pc", s.pc), true)
+	}
+}
+
+func (x *chromeExport) closeSelect(t *warpTrack, warp int32, end int64) {
+	if s := &t.selecting; s.open {
+		s.open = false
+		b := append(x.open(), "select (switch latency)"...)
+		b = fields(b, 'X', s.start, end-s.start, int(t.sm), int(warp), "subwarp")
+		x.done(arg(b, true, "latency", s.n), true)
+	}
+}
+
+func (x *chromeExport) closeStall(key int64, end int64) {
+	if s, ok := x.stalls[key]; ok {
+		delete(x.stalls, key)
+		warp := int32(key >> 32)
+		b := strconv.AppendInt(append(x.open(), "stalled pc="...), int64(s.pc), 10)
+		b = strconv.AppendInt(append(b, " sb"...), int64(s.n), 10)
+		b = fields(b, 'X', s.start, end-s.start, int(x.tracks[warp].sm), int(warp), "subwarp")
+		x.done(arg(arg(arg(b, true, "lanes", s.lanes), false, "pc", s.pc), false, "scoreboard", s.n), true)
+	}
+}
+
+// event renders one recorded event as duration slices and instant markers.
+func (x *chromeExport) event(ev *Event) {
+	x.last = max(x.last, ev.Cycle)
+	t := at(&x.tracks, ev.Warp)
+	if !t.seen {
+		*t = warpTrack{seen: true, sm: ev.SM, block: ev.Block}
+	}
+	lanes := int32(ev.Mask.Count())
+	residency := span{open: true, start: ev.Cycle, pc: ev.PC, lanes: lanes}
+	switch ev.Kind {
+	case KindIssue:
+		// Lazily open a residency slice for warps that were active
+		// from launch (no explicit activate event).
+		if !t.active.open {
+			t.active = residency
+		}
+		return
+	case KindActivate, KindSelect:
+		x.closeActive(t, ev.Warp, ev.Cycle)
+		t.active = residency
+		if ev.Kind == KindSelect {
+			x.closeSelect(t, ev.Warp, ev.Cycle)
+			x.instant(ev, t)
+		}
+		// A select completion also ends any stall slice of the
+		// activated subwarp that never saw a wakeup event.
+		x.closeStall(stallKey(ev.Warp, ev.PC), ev.Cycle)
+		return
+	case KindSelectStart:
+		t.selecting = span{open: true, start: ev.Cycle, n: ev.Arg}
+		return
+	case KindStall:
+		x.closeActive(t, ev.Warp, ev.Cycle)
+		x.stalls[stallKey(ev.Warp, ev.PC)] = span{start: ev.Cycle, pc: ev.PC, lanes: lanes, n: ev.Arg}
+	case KindWakeup:
+		x.closeStall(stallKey(ev.Warp, ev.PC), ev.Cycle)
+	case KindYield, KindBarrierBlock, KindExit:
+		x.closeActive(t, ev.Warp, ev.Cycle)
+	case KindFetchMiss:
+		b := fields(append(x.open(), "fetch miss"...), 'X', ev.Cycle, int64(ev.Arg), int(ev.SM), int(ev.Warp), "fetch")
+		x.done(arg(b, true, "pc", ev.PC), true)
+		return
+	case KindRTStart:
+		b := fields(append(x.open(), "rt trace"...), 'X', ev.Cycle, int64(ev.Arg), int(ev.SM), int(ev.Warp), "rtcore")
+		x.done(arg(arg(b, true, "lanes", lanes), false, "pc", ev.PC), true)
+		return
+	}
+	x.instant(ev, t)
+}
+
+func (x *chromeExport) instant(ev *Event, t *warpTrack) {
+	in := &instantNames[ev.Kind]
+	b := append(x.open(), in.name...)
+	switch in.suffix {
+	case 'a':
+		b = strconv.AppendInt(b, int64(ev.Arg), 10)
+	case 'p':
+		b = strconv.AppendInt(b, int64(ev.PC), 10)
+	}
+	b = fields(b, 'i', ev.Cycle, 0, int(t.sm), int(ev.Warp), "event")
+	x.done(arg(arg(b, true, "lanes", int32(ev.Mask.Count())), false, "pc", ev.PC), true)
 }
 
 // WriteChromeTrace renders the recorded stream as Chrome trace_event
@@ -40,169 +237,53 @@ type openSlice struct {
 // for subwarp residency / stall periods / subwarp-select latency /
 // RT-core traversals / fetch misses, and instant markers for the
 // remaining events. Time-series windows (when sampling was enabled)
-// export as Perfetto counter tracks.
+// export as Perfetto counter tracks. One walk over the stream, in place;
+// the same recorder always exports the same bytes.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	out := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
-	emit := func(e chromeEvent) { out.TraceEvents = append(out.TraceEvents, e) }
+	x := chromeExport{eventWriter: newEventWriter(w), stalls: map[int64]span{}}
+	r.each(x.event)
 
-	type track struct{ sm, block int }
-	tracks := map[int32]track{}
-	active := map[int32]*openSlice{}    // warp -> open residency slice
-	selecting := map[int32]*openSlice{} // warp -> open select slice
-	stalls := map[int64]*openSlice{}    // warp<<32|pc -> open stall slice
-	lastCycle := int64(0)
-
-	closeSlice := func(warp int32, s *openSlice, end int64) {
-		if s == nil {
-			return
-		}
-		dur := end - s.start
-		if dur < 1 {
-			dur = 1
-		}
-		t := tracks[warp]
-		emit(chromeEvent{Name: s.name, Ph: "X", Ts: s.start, Dur: dur,
-			Pid: t.sm, Tid: int(warp), Cat: "subwarp", Args: s.args})
+	// Close whatever is still open at the end of the run: residency and
+	// select in ascending warp, then stalls in ascending (warp, pc).
+	end := x.last + 1
+	for warp := range x.tracks {
+		x.closeActive(&x.tracks[warp], int32(warp), end)
+		x.closeSelect(&x.tracks[warp], int32(warp), end)
+	}
+	keys := make([]int64, 0, len(x.stalls))
+	for key := range x.stalls {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		x.closeStall(key, end)
 	}
 
-	for _, ev := range r.events {
-		if ev.Cycle > lastCycle {
-			lastCycle = ev.Cycle
+	// Track naming metadata, in ascending warp.
+	var named [256]bool // SMs whose process is named
+	for warp, t := range x.tracks {
+		if !t.seen {
+			continue
 		}
-		if _, ok := tracks[ev.Warp]; !ok {
-			tracks[ev.Warp] = track{sm: int(ev.SM), block: int(ev.Block)}
+		if !named[t.sm] {
+			named[t.sm] = true
+			x.labelled("process_name", 'M', 0, int(t.sm), 0, "name", fmt.Sprintf("SM %d", t.sm))
 		}
-		switch ev.Kind {
-		case KindIssue:
-			// Lazily open a residency slice for warps that were active
-			// from launch (no explicit activate event).
-			if active[ev.Warp] == nil {
-				active[ev.Warp] = &openSlice{
-					name:  fmt.Sprintf("active pc=%d lanes=%d", ev.PC, ev.Mask.Count()),
-					start: ev.Cycle,
-					args:  map[string]any{"pc": ev.PC, "lanes": ev.Mask.Count()},
-				}
-			}
-		case KindActivate, KindSelect:
-			closeSlice(ev.Warp, active[ev.Warp], ev.Cycle)
-			active[ev.Warp] = &openSlice{
-				name:  fmt.Sprintf("active pc=%d lanes=%d", ev.PC, ev.Mask.Count()),
-				start: ev.Cycle,
-				args:  map[string]any{"pc": ev.PC, "lanes": ev.Mask.Count()},
-			}
-			if ev.Kind == KindSelect {
-				closeSlice(ev.Warp, selecting[ev.Warp], ev.Cycle)
-				delete(selecting, ev.Warp)
-				emit(r.instant(ev, "subwarp-select", tracks[ev.Warp].sm))
-			}
-			// A select completion also ends any stall slice of the
-			// activated subwarp that never saw a wakeup event.
-			key := int64(ev.Warp)<<32 | int64(uint32(ev.PC))
-			if s := stalls[key]; s != nil {
-				closeSlice(ev.Warp, s, ev.Cycle)
-				delete(stalls, key)
-			}
-		case KindSelectStart:
-			selecting[ev.Warp] = &openSlice{
-				name:  "select (switch latency)",
-				start: ev.Cycle,
-				args:  map[string]any{"latency": ev.Arg},
-			}
-		case KindStall:
-			closeSlice(ev.Warp, active[ev.Warp], ev.Cycle)
-			delete(active, ev.Warp)
-			stalls[int64(ev.Warp)<<32|int64(uint32(ev.PC))] = &openSlice{
-				name:  fmt.Sprintf("stalled pc=%d sb%d", ev.PC, ev.Arg),
-				start: ev.Cycle,
-				args:  map[string]any{"pc": ev.PC, "scoreboard": ev.Arg, "lanes": ev.Mask.Count()},
-			}
-			emit(r.instant(ev, fmt.Sprintf("subwarp-stall sb%d", ev.Arg), tracks[ev.Warp].sm))
-		case KindWakeup:
-			key := int64(ev.Warp)<<32 | int64(uint32(ev.PC))
-			if s := stalls[key]; s != nil {
-				closeSlice(ev.Warp, s, ev.Cycle)
-				delete(stalls, key)
-			}
-			emit(r.instant(ev, fmt.Sprintf("subwarp-wakeup sb%d", ev.Arg), tracks[ev.Warp].sm))
-		case KindYield:
-			closeSlice(ev.Warp, active[ev.Warp], ev.Cycle)
-			delete(active, ev.Warp)
-			emit(r.instant(ev, "subwarp-yield", tracks[ev.Warp].sm))
-		case KindBarrierBlock:
-			closeSlice(ev.Warp, active[ev.Warp], ev.Cycle)
-			delete(active, ev.Warp)
-			emit(r.instant(ev, fmt.Sprintf("barrier-block B%d", ev.Arg), tracks[ev.Warp].sm))
-		case KindExit:
-			closeSlice(ev.Warp, active[ev.Warp], ev.Cycle)
-			delete(active, ev.Warp)
-			emit(r.instant(ev, "exit", tracks[ev.Warp].sm))
-		case KindFetchMiss:
-			emit(chromeEvent{Name: "fetch miss", Ph: "X", Ts: ev.Cycle,
-				Dur: max64(int64(ev.Arg), 1), Pid: int(ev.SM), Tid: int(ev.Warp),
-				Cat: "fetch", Args: map[string]any{"pc": ev.PC}})
-		case KindRTStart:
-			emit(chromeEvent{Name: "rt trace", Ph: "X", Ts: ev.Cycle,
-				Dur: max64(int64(ev.Arg), 1), Pid: int(ev.SM), Tid: int(ev.Warp),
-				Cat: "rtcore", Args: map[string]any{"pc": ev.PC, "lanes": ev.Mask.Count()}})
-		case KindReconverge:
-			emit(r.instant(ev, "reconverge", tracks[ev.Warp].sm))
-		case KindDivergeReady:
-			emit(r.instant(ev, fmt.Sprintf("diverge pc=%d", ev.PC), tracks[ev.Warp].sm))
-		case KindScbdSet:
-			emit(r.instant(ev, fmt.Sprintf("scbd-set sb%d", ev.Arg), tracks[ev.Warp].sm))
-		case KindScbdRelease:
-			emit(r.instant(ev, fmt.Sprintf("scbd-release sb%d", ev.Arg), tracks[ev.Warp].sm))
-		case KindWriteback:
-			emit(r.instant(ev, fmt.Sprintf("writeback sb%d", ev.Arg), tracks[ev.Warp].sm))
-		}
-	}
-
-	// Close whatever is still open at the end of the run.
-	for warp, s := range active {
-		closeSlice(warp, s, lastCycle+1)
-	}
-	for warp, s := range selecting {
-		closeSlice(warp, s, lastCycle+1)
-	}
-	for key, s := range stalls {
-		closeSlice(int32(key>>32), s, lastCycle+1)
-	}
-
-	// Track naming metadata, in deterministic order.
-	warps := make([]int32, 0, len(tracks))
-	for w := range tracks {
-		warps = append(warps, w)
-	}
-	sort.Slice(warps, func(i, j int) bool { return warps[i] < warps[j] })
-	sms := map[int]bool{}
-	for _, warp := range warps {
-		t := tracks[warp]
-		if !sms[t.sm] {
-			sms[t.sm] = true
-			emit(chromeEvent{Name: "process_name", Ph: "M", Pid: t.sm,
-				Args: map[string]any{"name": fmt.Sprintf("SM %d", t.sm)}})
-		}
-		emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: t.sm, Tid: int(warp),
-			Args: map[string]any{"name": fmt.Sprintf("warp %d (block %d)", warp, t.block)}})
+		x.labelled("thread_name", 'M', 0, int(t.sm), warp, "name",
+			fmt.Sprintf("warp %d (block %d)", warp, t.block))
 	}
 
 	// Time-series counter tracks.
 	if r.Series != nil {
 		for i, win := range r.Series.Windows() {
 			ts := int64(i) * r.Series.Window
-			emit(chromeEvent{Name: "occupancy", Ph: "C", Ts: ts, Pid: 0,
-				Args: map[string]any{"warps": win.Occupancy()}})
-			emit(chromeEvent{Name: "live subwarps", Ph: "C", Ts: ts, Pid: 0,
-				Args: map[string]any{"subwarps": win.Subwarps()}})
-			emit(chromeEvent{Name: "ipc", Ph: "C", Ts: ts, Pid: 0,
-				Args: map[string]any{"ipc": win.IPC()}})
-			emit(chromeEvent{Name: "tst fill", Ph: "C", Ts: ts, Pid: 0,
-				Args: map[string]any{"entries": win.TSTFill()}})
+			x.labelled("occupancy", 'C', ts, 0, 0, "warps", win.Occupancy())
+			x.labelled("live subwarps", 'C', ts, 0, 0, "subwarps", win.Subwarps())
+			x.labelled("ipc", 'C', ts, 0, 0, "ipc", win.IPC())
+			x.labelled("tst fill", 'C', ts, 0, 0, "entries", win.TSTFill())
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return x.finish()
 }
 
 // Slice is one named duration for WriteChromeSlices: a generic slice
@@ -221,48 +302,24 @@ type Slice struct {
 // JSON under a single process named process, with one thread track per
 // distinct Slice.Track (in first-appearance order). The output loads
 // in ui.perfetto.dev exactly like WriteChromeTrace's.
-func WriteChromeSlices(w io.Writer, process string, slices []Slice) error {
-	out := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 0,
-		Args: map[string]any{"name": process},
-	})
-	tids := map[string]int{}
-	order := []string{}
-	for _, s := range slices {
-		tid, ok := tids[s.Track]
-		if !ok {
-			tid = len(order)
-			tids[s.Track] = tid
-			order = append(order, s.Track)
+func WriteChromeSlices(w io.Writer, process string, spans []Slice) error {
+	ew := newEventWriter(w)
+	ew.labelled("process_name", 'M', 0, 0, 0, "name", process)
+	var tracks []string // tid -> track; a request has a handful
+	for _, s := range spans {
+		tid := slices.Index(tracks, s.Track)
+		if tid < 0 {
+			tid = len(tracks)
+			tracks = append(tracks, s.Track)
 		}
-		dur := s.DurUS
-		if dur < 1 {
-			dur = 1
+		b := fields(ew.json(ew.open(), s.Name, true), 'X', s.StartUS, s.DurUS, 0, tid, "request")
+		if len(s.Args) > 0 {
+			b = ew.json(append(b, `,"args":`...), s.Args, false)
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: s.Name, Ph: "X", Ts: s.StartUS, Dur: dur,
-			Pid: 0, Tid: tid, Cat: "request", Args: s.Args,
-		})
+		ew.done(b, false)
 	}
-	for tid, track := range order {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: tid,
-			Args: map[string]any{"name": track},
-		})
+	for tid, track := range tracks {
+		ew.labelled("thread_name", 'M', 0, 0, tid, "name", track)
 	}
-	return json.NewEncoder(w).Encode(out)
-}
-
-func (r *Recorder) instant(ev Event, name string, sm int) chromeEvent {
-	return chromeEvent{Name: name, Ph: "i", Ts: ev.Cycle, Pid: sm,
-		Tid: int(ev.Warp), S: "t", Cat: "event",
-		Args: map[string]any{"pc": ev.PC, "lanes": ev.Mask.Count()}}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return ew.finish()
 }

@@ -68,10 +68,8 @@ func (r *Recorder) ASCIITimeline(opt TimelineOptions) string {
 			}
 		})
 	}
-	for _, ev := range r.events {
-		if ev.Cycle >= lastCycle {
-			lastCycle = ev.Cycle + 1
-		}
+	r.each(func(ev *Event) {
+		lastCycle = max(lastCycle, ev.Cycle+1)
 		switch ev.Kind {
 		case KindIssue, KindActivate, KindSelect, KindReconverge:
 			mark(ev.Warp, ev.Mask, ev.Cycle, glyphActive)
@@ -84,7 +82,7 @@ func (r *Recorder) ASCIITimeline(opt TimelineOptions) string {
 		case KindExit:
 			mark(ev.Warp, ev.Mask, ev.Cycle, glyphInactive)
 		}
-	}
+	})
 
 	warps := opt.Warps
 	if warps == nil {

@@ -124,7 +124,10 @@ type Recorder struct {
 	warps map[int32]bool // nil = record every warp
 	limit int
 
-	events  []Event
+	// The stream, in chunks of chunkEvents so that a stored event is never
+	// copied again: not as it grows, not by Absorb, which takes the chunks.
+	chunks  [][]Event
+	n       int // stored events, the sum of the chunk lengths
 	dropped int64
 
 	// Latency histograms, fed regardless of the kind/warp filters.
@@ -136,22 +139,36 @@ type Recorder struct {
 	// non-nil; see NewTimeSeries.
 	Series *stats.TimeSeries
 
-	// pairing state for the histograms
-	scbdSetAt map[int64]int64 // warp<<8 | sbid -> issue cycle
-	stallAt   map[int64]int64 // warp<<32 | pc  -> demotion cycle
-	activeAt  map[int32]int64 // warp -> activation cycle
+	pairing []warpPairing // histogram pairing state, by global warp ID
+}
+
+const chunkEvents = 4096 // the storage granule: 128 KiB of 32-byte events
+
+// warpPairing is one warp's open histogram intervals; cycles are stored
+// plus one, so that the zero value means none is open.
+type warpPairing struct {
+	activeAt  int64       // activation cycle of the open residency
+	scbdSetAt []int64     // by scoreboard ID: cycle of its last set
+	stalls    []openStall // demotions not yet woken, at most one per PC
+}
+
+type openStall struct {
+	pc int32
+	at int64
+}
+
+// at returns &(*s)[i], first growing *s with zero values to hold it.
+func at[T any](s *[]T, i int32) *T {
+	if grow := int(i) + 1 - len(*s); grow > 0 {
+		*s = append(*s, make([]T, grow)...)
+	}
+	return &(*s)[i]
 }
 
 // NewRecorder returns a recorder with every kind enabled, no warp
 // filter, and the default event limit.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		kinds:     AllKinds,
-		limit:     DefaultEventLimit,
-		scbdSetAt: make(map[int64]int64),
-		stallAt:   make(map[int64]int64),
-		activeAt:  make(map[int32]int64),
-	}
+	return &Recorder{kinds: AllKinds, limit: DefaultEventLimit}
 }
 
 // SetKinds restricts the stored stream to the given kinds. The
@@ -180,39 +197,36 @@ func (r *Recorder) FilterWarps(ids []int) {
 // filter, event limit, and time-series window. One run hands a child to
 // each concurrently simulated SM; Absorb folds the shards back into r.
 func (r *Recorder) Child() *Recorder {
-	c := NewRecorder()
-	c.kinds = r.kinds
-	c.limit = r.limit
-	if r.warps != nil {
-		c.warps = make(map[int32]bool, len(r.warps))
-		for id := range r.warps {
-			c.warps[id] = true
-		}
-	}
+	// The filter map is shared: nothing writes it once FilterWarps built it.
+	c := &Recorder{kinds: r.kinds, limit: r.limit, warps: r.warps}
 	if r.Series != nil {
 		c.Series = stats.NewTimeSeries(r.Series.Window)
 	}
 	return c
 }
 
-// Absorb merges shard recorders into r in the order given. Callers pass
-// shards in ascending SM order so the merged stream matches what a
-// sequential simulation emitting straight into r would have stored:
-// events append shard-by-shard up to r's limit (the rest count as
-// dropped), histogram and time-series samples accumulate, and shard
-// drop counts carry over.
+// Absorb merges shard recorders into r in the order given, consuming
+// them: r takes each shard's chunks (no event is copied) and leaves it
+// empty. Callers pass shards in ascending SM order so the merged stream
+// matches what a sequential simulation emitting straight into r would
+// have stored: events up to r's limit (the rest count as dropped),
+// histogram and time-series samples and shard drop counts accumulate.
 func (r *Recorder) Absorb(children ...*Recorder) {
 	for _, c := range children {
 		if c == nil {
 			continue
 		}
-		for _, e := range c.events {
-			if len(r.events) >= r.limit {
-				r.dropped++
-				continue
+		for _, chunk := range c.chunks {
+			if room := max(r.limit-r.n, 0); len(chunk) > room {
+				r.dropped += int64(len(chunk) - room)
+				chunk = chunk[:room]
 			}
-			r.events = append(r.events, e)
+			if len(chunk) > 0 {
+				r.chunks = append(r.chunks, chunk)
+				r.n += len(chunk)
+			}
 		}
+		c.chunks, c.n = nil, 0
 		r.dropped += c.dropped
 		r.LoadToUse.Merge(&c.LoadToUse)
 		r.StallDur.Merge(&c.StallDur)
@@ -231,11 +245,23 @@ func (r *Recorder) SetLimit(n int) {
 	r.limit = n
 }
 
-// Events returns the recorded stream in emission order.
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the recorded stream in emission order, as one new slice.
+func (r *Recorder) Events() []Event {
+	out := make([]Event, 0, r.n)
+	r.each(func(ev *Event) { out = append(out, *ev) })
+	return out
+}
+
+func (r *Recorder) each(f func(*Event)) {
+	for _, chunk := range r.chunks {
+		for i := range chunk {
+			f(&chunk[i])
+		}
+	}
+}
 
 // Len returns the number of stored events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.n }
 
 // Dropped returns how many events the limit discarded.
 func (r *Recorder) Dropped() int64 { return r.dropped }
@@ -250,47 +276,65 @@ func (r *Recorder) Emit(cycle int64, sm, block int, warp int32, pc int32, mask b
 	if r.warps != nil && !r.warps[warp] {
 		return
 	}
-	if len(r.events) >= r.limit {
+	if r.n >= r.limit {
 		r.dropped++
 		return
 	}
-	r.events = append(r.events, Event{
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+		r.chunks = append(r.chunks, make([]Event, 0, chunkEvents))
+		last++
+	}
+	r.chunks[last] = append(r.chunks[last], Event{
 		Cycle: cycle, Kind: kind, SM: uint8(sm), Block: uint8(block),
 		Warp: warp, PC: pc, Mask: mask, Arg: arg,
 	})
+	r.n++
 }
 
 // observe maintains the latency histograms from the event stream.
 func (r *Recorder) observe(cycle int64, warp int32, pc int32, kind Kind, arg int32) {
+	p := at(&r.pairing, warp)
 	switch kind {
 	case KindScbdSet:
-		r.scbdSetAt[int64(warp)<<8|int64(arg)] = cycle
+		*at(&p.scbdSetAt, arg) = cycle + 1
 	case KindStall:
-		if at, ok := r.scbdSetAt[int64(warp)<<8|int64(arg)]; ok {
-			r.LoadToUse.Observe(cycle - at)
+		if uint(arg) < uint(len(p.scbdSetAt)) && p.scbdSetAt[arg] != 0 {
+			r.LoadToUse.Observe(cycle + 1 - p.scbdSetAt[arg])
 		}
-		r.stallAt[int64(warp)<<32|int64(uint32(pc))] = cycle
-		r.closeResidency(cycle, warp)
+		r.closeResidency(cycle, p)
+		for i := range p.stalls {
+			if p.stalls[i].pc == pc {
+				p.stalls[i].at = cycle
+				return
+			}
+		}
+		p.stalls = append(p.stalls, openStall{pc, cycle})
 	case KindWakeup:
-		key := int64(warp)<<32 | int64(uint32(pc))
-		if at, ok := r.stallAt[key]; ok {
-			r.StallDur.Observe(cycle - at)
-			delete(r.stallAt, key)
+		for i, s := range p.stalls {
+			if s.pc == pc {
+				r.StallDur.Observe(cycle - s.at)
+				p.stalls = append(p.stalls[:i], p.stalls[i+1:]...)
+				return
+			}
 		}
 	case KindActivate, KindSelect:
-		r.closeResidency(cycle, warp)
-		r.activeAt[warp] = cycle
+		r.closeResidency(cycle, p)
+		p.activeAt = cycle + 1
 	case KindYield, KindBarrierBlock, KindExit:
-		r.closeResidency(cycle, warp)
+		r.closeResidency(cycle, p)
 	}
 }
 
-func (r *Recorder) closeResidency(cycle int64, warp int32) {
-	if at, ok := r.activeAt[warp]; ok {
-		r.Residency.Observe(cycle - at)
-		delete(r.activeAt, warp)
+func (r *Recorder) closeResidency(cycle int64, p *warpPairing) {
+	if p.activeAt != 0 {
+		r.Residency.Observe(cycle + 1 - p.activeAt)
+		p.activeAt = 0
 	}
 }
+
+// Sampling reports whether per-cycle samples have a series to go to; nil-safe.
+func (r *Recorder) Sampling() bool { return r != nil && r.Series != nil }
 
 // Sample feeds one stepped block-cycle into the time series (no-op
 // without one).

@@ -49,7 +49,10 @@ go test -race ./...
 echo "== determinism smoke =="
 # The parallel-vs-sequential differential tests, twice, under the race
 # detector: bit-identical results must not depend on goroutine
-# interleaving.
+# interleaving. TestParallelTraceMatchesSequential is also the proof
+# that the trace shards' chunk hand-over (Recorder.Absorb takes each
+# SM's chunks, in SM order, after the goroutines joined) is race-free
+# and shard-order-deterministic.
 gate -race -count=2 -run 'TestParallelMatchesSequential|TestParallelTraceMatchesSequential' ./internal/gpu
 
 echo "== fast-forward gate =="
@@ -94,6 +97,20 @@ echo "== observability gate =="
 # and the serving config keeps Block.step allocation-free.
 gate -count=1 -run 'TestMetricsContentNegotiation|TestTraceIDPropagationEndToEnd|TestDebugEvents|TestBreakerTransitionEvents' ./internal/server
 gate -count=1 -run 'TestServingConfigZeroAlloc|TestBlockStepSteadyStateZeroAlloc' ./internal/sm
+# The cycle-trace plane, one gate per test so that a rename fails the
+# gate: one recorder exports the same bytes every time and two
+# identical runs export identical bytes; the streaming exporter
+# reproduces the pinned digests of the documents the reflective
+# exporter wrote (internal/trace/testdata); export allocations do not
+# grow with the stream, Emit allocates nothing inside a chunk, and
+# Absorb moves chunks instead of copying events, also when the event
+# limit falls mid-chunk.
+for t in TestExportDeterministic TestExportMatchesPinnedDigests \
+    TestWriteChromeTraceAllocsIndependentOfLength TestEmitZeroAllocWithinChunk \
+    TestAbsorbTakesChunks TestAbsorbLimitFallsMidChunk \
+    TestChildInheritsFiltersAndAbsorbAppliesLimit; do
+    gate -count=1 -run "^$t\$" ./internal/trace
+done
 
 echo "== sandbox gate =="
 # The untrusted-kernel pipeline end to end. First the static and
@@ -169,8 +186,9 @@ echo "ok (${total}% >= ${floor}%)"
 
 echo "== benchmark smoke =="
 # One iteration of every benchmark (figure regeneration, throughput,
-# and the zero-alloc hot-loop microbenchmarks) proves the whole bench
-# harness still runs; timing is not asserted here.
-go test -run '^$' -bench . -benchmem -benchtime 1x . ./internal/sm
+# the zero-alloc hot-loop microbenchmarks, the recorded run and the
+# trace exporter) proves the whole bench harness still runs; timing is
+# not asserted here.
+go test -run '^$' -bench . -benchmem -benchtime 1x . ./internal/sm ./internal/gpu ./internal/trace
 
 echo "all checks passed"
