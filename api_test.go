@@ -185,14 +185,15 @@ func TestQuickSITransparencyOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("assembly failed: %v\n%s", err, src)
 		}
+		k := &Kernel{Program: prog, NumWarps: 4, WarpsPerCTA: 1, Memory: NewMemory()}
 		outputs := func(cfg Config) []uint32 {
-			k := &Kernel{Program: prog, NumWarps: 4, WarpsPerCTA: 1, Memory: NewMemory()}
-			if _, err := Run(cfg, k); err != nil {
+			res, err := Run(cfg, k)
+			if err != nil {
 				t.Fatal(err)
 			}
 			var out []uint32
 			for tid := 0; tid < 4*32; tid++ {
-				out = append(out, k.Memory.Load(uint64(0x330000+tid*4)))
+				out = append(out, res.Memory.Load(uint64(0x330000+tid*4)))
 			}
 			return out
 		}

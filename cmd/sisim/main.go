@@ -36,6 +36,7 @@ import (
 
 	"subwarpsim"
 	"subwarpsim/internal/admission"
+	"subwarpsim/internal/config"
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
 	"subwarpsim/internal/simcache"
@@ -115,32 +116,18 @@ func main() {
 	default:
 		fail("unknown -compile %q (want on or off)", *compile)
 	}
-	switch strings.ToLower(*order) {
-	case "taken":
-		cfg.Order = subwarpsim.OrderTakenFirst
-	case "fallthrough":
-		cfg.Order = subwarpsim.OrderFallthroughFirst
-	case "largest":
-		cfg.Order = subwarpsim.OrderLargestFirst
-	case "random":
-		cfg.Order = subwarpsim.OrderRandom
-	default:
-		fail("unknown -order %q", *order)
+	// Every knob is checked whether or not the chosen mode reads it,
+	// so a spec the daemon would refuse is refused here too.
+	if cfg.Order, err = config.ParseOrder(*order); err != nil {
+		fail("%v", err)
+	}
+	trig, err := config.ParseTrigger(*trigger)
+	if err != nil {
+		fail("%v", err)
 	}
 	if *dws {
 		cfg = cfg.WithDWS()
 	} else if *si {
-		var trig subwarpsim.SelectTrigger
-		switch strings.ToLower(*trigger) {
-		case "any":
-			trig = subwarpsim.TriggerAnyStalled
-		case "half":
-			trig = subwarpsim.TriggerHalfStalled
-		case "all":
-			trig = subwarpsim.TriggerAllStalled
-		default:
-			fail("unknown -trigger %q", *trigger)
-		}
 		cfg = cfg.WithSI(*yield, trig)
 		cfg.SI.MaxSubwarps = *maxSubwarps
 	}

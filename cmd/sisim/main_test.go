@@ -62,6 +62,11 @@ func TestCLIErrorPaths(t *testing.T) {
 		"stray argument":      {[]string{"-microbench", "4", "stray"}, "stray"},
 		"tiny timeout":        {[]string{"-microbench", "4", "-timeout", "1ns"}, "cancelled"},
 		"bad compile":         {[]string{"-microbench", "4", "-compile", "maybe"}, "maybe"},
+		// A knob the chosen mode never reads is still checked, as the
+		// daemon checks it, and the refusal lists the valid names.
+		"bad trigger, no si": {[]string{"-microbench", "4", "-trigger", "bogus"}, "any, half, all"},
+		"bad trigger, dws":   {[]string{"-microbench", "4", "-dws", "-trigger", "bogus"}, "bogus"},
+		"bad order lists":    {[]string{"-microbench", "4", "-order", "sideways"}, "taken, fallthrough, largest, random"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, bin, tc.args...)

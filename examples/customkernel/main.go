@@ -53,46 +53,42 @@ func main() {
 	}
 	fmt.Printf("assembled %q: %d instructions\n\n", prog.Name, prog.Len())
 
-	run := func(cfg subwarpsim.Config) (subwarpsim.Result, *subwarpsim.Memory) {
-		memory := subwarpsim.NewMemory()
-		// Seed the two input buffers with known values.
-		for tid := 0; tid < 8*32; tid++ {
-			memory.Store(uint64(0x100000+tid*128), uint32(10+tid))
-			memory.Store(uint64(0x200000+tid*128), uint32(20+tid))
-		}
-		kernel := &subwarpsim.Kernel{
-			Program:     prog,
-			NumWarps:    8,
-			WarpsPerCTA: 1,
-			Memory:      memory,
-		}
-		res, err := subwarpsim.Run(cfg, kernel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res, memory
+	memory := subwarpsim.NewMemory()
+	// Seed the two input buffers with known values.
+	for tid := 0; tid < 8*32; tid++ {
+		memory.Store(uint64(0x100000+tid*128), uint32(10+tid))
+		memory.Store(uint64(0x200000+tid*128), uint32(20+tid))
 	}
-
-	base, baseMem := run(subwarpsim.DefaultConfig())
-	fast, fastMem := run(subwarpsim.DefaultConfig().WithSI(true, subwarpsim.TriggerAllStalled))
+	kernel := &subwarpsim.Kernel{
+		Program:     prog,
+		NumWarps:    8,
+		WarpsPerCTA: 1,
+		Memory:      memory,
+	}
+	// Each run returns its own final image in Result.Memory; the
+	// kernel's seeded image is read, never written.
+	base, fast, speedup, err := subwarpsim.Compare(subwarpsim.DefaultConfig(),
+		subwarpsim.DefaultConfig().WithSI(true, subwarpsim.TriggerAllStalled), kernel)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The architectural results must match bit for bit.
 	mismatches := 0
 	for tid := 0; tid < 8*32; tid++ {
 		addr := uint64(0x300000 + tid*4)
-		if baseMem.Load(addr) != fastMem.Load(addr) {
+		if base.Memory.Load(addr) != fast.Memory.Load(addr) {
 			mismatches++
 		}
 	}
 	fmt.Printf("baseline: %5d cycles\n", base.Counters.Cycles)
 	fmt.Printf("with SI : %5d cycles (%.1f%% faster, %d subwarp switches)\n",
-		fast.Counters.Cycles,
-		subwarpsim.Speedup(base.Counters, fast.Counters)*100,
+		fast.Counters.Cycles, speedup*100,
 		fast.Counters.SubwarpSelects)
 	fmt.Printf("outputs : %d mismatches across %d threads\n", mismatches, 8*32)
 
 	// Spot-check one thread's result: lane 1 of warp 0 is odd, so it
 	// loaded buffer A (10+tid) and multiplied by 3.
-	got := fastMem.Load(0x300000 + 1*4)
+	got := fast.Memory.Load(0x300000 + 1*4)
 	fmt.Printf("thread 1: %d (want %d)\n", got, (10+1)*3)
 }

@@ -19,14 +19,12 @@ func main() {
 	fmt.Println("SUBWARP_SIZE  divergence  baseline-cycles  SI-cycles  speedup")
 	for _, subwarpSize := range []int{32, 16, 8, 4, 2, 1} {
 		params := subwarpsim.DefaultMicrobenchmark(subwarpSize)
+		kernel, err := subwarpsim.BuildMicrobenchmark(params)
+		if err != nil {
+			log.Fatal(err)
+		}
 
-		base, fast, speedup, err := subwarpsim.Compare(baseline, si, func() *subwarpsim.Kernel {
-			k, err := subwarpsim.BuildMicrobenchmark(params)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return k
-		})
+		base, fast, speedup, err := subwarpsim.Compare(baseline, si, kernel)
 		if err != nil {
 			log.Fatal(err)
 		}

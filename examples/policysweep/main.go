@@ -25,16 +25,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mk := func() *subwarpsim.Kernel {
-		k, err := subwarpsim.BuildMegakernel(app)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return k
+	// Built once: every configuration below runs this same kernel.
+	kernel, err := subwarpsim.BuildMegakernel(app)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	baseline := subwarpsim.DefaultConfig()
-	base, err := subwarpsim.Run(baseline, mk())
+	base, err := subwarpsim.Run(baseline, kernel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +52,7 @@ func main() {
 	for _, tr := range triggers {
 		for _, yield := range []bool{false, true} {
 			cfg := baseline.WithSI(yield, tr.trig)
-			res, err := subwarpsim.Run(cfg, mk())
+			res, err := subwarpsim.Run(cfg, kernel)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -74,7 +72,7 @@ func main() {
 	for _, entries := range []int{2, 4, 6, 0} {
 		cfg := baseline.WithSI(true, subwarpsim.TriggerHalfStalled)
 		cfg.SI.MaxSubwarps = entries
-		res, err := subwarpsim.Run(cfg, mk())
+		res, err := subwarpsim.Run(cfg, kernel)
 		if err != nil {
 			log.Fatal(err)
 		}

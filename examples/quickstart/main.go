@@ -28,14 +28,14 @@ func main() {
 	// the warps are stalled (N >= 0.5).
 	si := baseline.WithSI(true, subwarpsim.TriggerHalfStalled)
 
-	// Each Run consumes a fresh kernel (memory image, caches).
-	base, fast, speedup, err := subwarpsim.Compare(baseline, si, func() *subwarpsim.Kernel {
-		k, err := subwarpsim.BuildMegakernel(app)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return k
-	})
+	// One kernel (scene, BVH, program, memory image) serves both runs:
+	// a run returns its stores in the result and leaves the kernel as
+	// built.
+	kernel, err := subwarpsim.BuildMegakernel(app)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, fast, speedup, err := subwarpsim.Compare(baseline, si, kernel)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -166,12 +166,14 @@ func runAdmitted(t testing.TB, p *isa.Program, compiled bool) (uint64, error) {
 		Budget:      &budget,
 	}
 	res, err := gpu.Run(cfg, k)
-	_ = res
 	var perr *gpu.PanicError
 	if errors.As(err, &perr) {
 		t.Fatalf("admitted program panicked the SM (engine compiled=%v): %v\n%s", compiled, perr, perr.Stack)
 	}
-	return k.Memory.Fingerprint(), err
+	if res.Memory == nil {
+		t.Fatalf("admitted program was refused before it ran (engine compiled=%v): %v", compiled, err)
+	}
+	return res.Memory.Fingerprint(), err
 }
 
 // FuzzAdmission pins the sandbox contract: any source the validator

@@ -43,6 +43,21 @@ func (t SelectTrigger) String() string {
 	}
 }
 
+// ParseTrigger maps a CLI/API trigger name onto the config constant.
+// The empty string parses as the N>=0.5 default.
+func ParseTrigger(name string) (SelectTrigger, error) {
+	switch strings.ToLower(name) {
+	case "any":
+		return TriggerAnyStalled, nil
+	case "", "half":
+		return TriggerHalfStalled, nil
+	case "all":
+		return TriggerAllStalled, nil
+	default:
+		return 0, fmt.Errorf("unknown trigger %q (any, half, all)", name)
+	}
+}
+
 // Satisfied reports whether the trigger condition holds for the given
 // stalled and live warp counts.
 func (t SelectTrigger) Satisfied(stalled, live int) bool {
@@ -151,6 +166,23 @@ func (o SubwarpOrder) String() string {
 		return "random"
 	default:
 		return fmt.Sprintf("SubwarpOrder(%d)", int(o))
+	}
+}
+
+// ParseOrder maps a CLI/API order name onto the config constant. The
+// empty string parses as the taken-first default.
+func ParseOrder(name string) (SubwarpOrder, error) {
+	switch strings.ToLower(name) {
+	case "", "taken":
+		return OrderTakenFirst, nil
+	case "fallthrough":
+		return OrderFallthroughFirst, nil
+	case "largest":
+		return OrderLargestFirst, nil
+	case "random":
+		return OrderRandom, nil
+	default:
+		return 0, fmt.Errorf("unknown order %q (taken, fallthrough, largest, random)", name)
 	}
 }
 

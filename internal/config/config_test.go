@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultIsValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -166,6 +169,43 @@ func TestOrderString(t *testing.T) {
 	for _, o := range []SubwarpOrder{OrderTakenFirst, OrderFallthroughFirst, OrderLargestFirst, OrderRandom} {
 		if o.String() == "" {
 			t.Errorf("empty String for order %d", int(o))
+		}
+	}
+}
+
+// TestParseKnobNames pins the one definition of the CLI/API knob names
+// sisim and the daemon share: every name maps to its constant, the
+// empty string is the default, matching is case-insensitive, and an
+// unknown name is refused with the valid ones listed.
+func TestParseKnobNames(t *testing.T) {
+	for name, want := range map[string]SelectTrigger{
+		"": TriggerHalfStalled, "half": TriggerHalfStalled, "any": TriggerAnyStalled, "ALL": TriggerAllStalled,
+	} {
+		if got, err := ParseTrigger(name); err != nil || got != want {
+			t.Errorf("ParseTrigger(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]SubwarpOrder{
+		"": OrderTakenFirst, "taken": OrderTakenFirst, "fallthrough": OrderFallthroughFirst,
+		"Largest": OrderLargestFirst, "random": OrderRandom,
+	} {
+		if got, err := ParseOrder(name); err != nil || got != want {
+			t.Errorf("ParseOrder(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]SchedPolicy{"": SchedLRR, "lrr": SchedLRR, "GTO": SchedGTO, "wasp": SchedWaSP} {
+		if got, err := ParseSchedPolicy(name); err != nil || got != want {
+			t.Errorf("ParseSchedPolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for valid, parse := range map[string]func(string) error{
+		"any, half, all":                      func(s string) error { _, err := ParseTrigger(s); return err },
+		"taken, fallthrough, largest, random": func(s string) error { _, err := ParseOrder(s); return err },
+		"lrr, gto, wasp":                      func(s string) error { _, err := ParseSchedPolicy(s); return err },
+	} {
+		err := parse("bogus")
+		if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), valid) {
+			t.Errorf("parse(bogus) = %v; want an error naming it and listing %q", err, valid)
 		}
 	}
 }

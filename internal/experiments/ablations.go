@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subwarpsim/internal/config"
-	"subwarpsim/internal/sm"
 	"subwarpsim/internal/stats"
 	"subwarpsim/internal/workload"
 )
@@ -23,13 +22,18 @@ func Order(o Options) (*Report, error) {
 		config.OrderRandom,
 	}
 
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
+
 	tbl := stats.NewTable("Mean SI speedup (Both,N>=0.5) by divergent-path activation order",
 		"Order", "Mean speedup")
 	values := make(map[string]float64)
 	for _, ord := range orders {
 		cfg := config.Default()
 		cfg.Order = ord
-		per, err := appSweepBest(cfg, o)
+		per, err := appSweepBest(apps, cfg, o)
 		if err != nil {
 			return nil, err
 		}
@@ -56,6 +60,10 @@ func Order(o Options) (*Report, error) {
 // long-latency operations an active subwarp issues before eagerly
 // yielding (Section III-B describes the threshold as configurable).
 func Yield(o Options) (*Report, error) {
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
 	thresholds := []int{1, 2, 4, 8}
 	tbl := stats.NewTable("Mean SI speedup (Both,N>=0.5) by yield threshold",
 		"Threshold", "Mean speedup")
@@ -65,13 +73,10 @@ func Yield(o Options) (*Report, error) {
 		cfg := bestSingle(config.Default())
 		cfg.SI.YieldThreshold = th
 		var jobs []job
-		for _, app := range workload.Apps() {
-			p := quickProfile(app, o)
+		for _, a := range apps {
 			jobs = append(jobs,
-				job{key: p.Name + "/base", cfg: config.Default(),
-					mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-				job{key: p.Name + "/si", cfg: cfg,
-					mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
+				job{key: a.name + "/base", cfg: config.Default(), kernel: a.kernel},
+				job{key: a.name + "/si", cfg: cfg, kernel: a.kernel},
 			)
 		}
 		results, err := runJobs(o, jobs)

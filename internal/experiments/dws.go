@@ -18,17 +18,21 @@ import (
 // better than DWS, especially when there are few unused warp slots as
 // is likely to be the case with effective asynchronous compute use."
 func DWS(o Options) (*Report, error) {
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
+	// trio is the three-way comparison of one kernel under a key prefix.
+	trio := func(prefix string, k *sm.Kernel) []job {
+		return []job{
+			{key: prefix + "base", cfg: config.Default(), kernel: k},
+			{key: prefix + "si", cfg: bestSingle(config.Default()), kernel: k},
+			{key: prefix + "dws", cfg: config.Default().WithDWS(), kernel: k},
+		}
+	}
 	var jobs []job
-	for _, app := range workload.Apps() {
-		p := quickProfile(app, o)
-		jobs = append(jobs,
-			job{key: p.Name + "/base", cfg: config.Default(),
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-			job{key: p.Name + "/si", cfg: bestSingle(config.Default()),
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-			job{key: p.Name + "/dws", cfg: config.Default().WithDWS(),
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-		)
+	for _, a := range apps {
+		jobs = append(jobs, trio(a.name+"/", a.kernel)...)
 	}
 	results, err := runJobs(o, jobs)
 	if err != nil {
@@ -68,16 +72,11 @@ func DWS(o Options) (*Report, error) {
 	for _, regs := range []int{64, 88, 104, 136, 255} {
 		p := quickProfile(bfv, o)
 		p.RegsPerThread = regs
-		var sweep []job
-		sweep = append(sweep,
-			job{key: "base", cfg: config.Default(),
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-			job{key: "si", cfg: bestSingle(config.Default()),
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-			job{key: "dws", cfg: config.Default().WithDWS(),
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-		)
-		res, err := runJobs(o, sweep)
+		k, err := workload.Megakernel(p)
+		if err != nil {
+			return nil, err
+		}
+		res, err := runJobs(o, trio("", k))
 		if err != nil {
 			return nil, err
 		}

@@ -156,19 +156,20 @@ func max(a, b int) int {
 	return b
 }
 
-// job is one simulation to run.
+// job is one simulation to run. Jobs share kernels freely: a run never
+// changes its kernel.
 type job struct {
-	key string
-	cfg config.Config
-	mk  func() (*sm.Kernel, error)
+	key    string
+	cfg    config.Config
+	kernel *sm.Kernel
 }
 
-// runJobs executes simulations on a bounded worker pool (each job on
-// fresh kernel state) and returns results keyed by job key. Results and
-// the reported error are deterministic regardless of scheduling: every
-// job's outcome lands in a slot indexed by submission order, and the
-// error returned is the first failing job's in that order. The
-// options' context cancels every in-flight simulation.
+// runJobs executes simulations on a bounded worker pool and returns
+// results keyed by job key. Results and the reported error are
+// deterministic regardless of scheduling: every job's outcome lands in
+// a slot indexed by submission order, and the error returned is the
+// first failing job's in that order. The options' context cancels
+// every in-flight simulation.
 func runJobs(o Options, jobs []job) (map[string]gpu.Result, error) {
 	ctx := o.ctx()
 	slots := make([]gpu.Result, len(jobs))
@@ -188,11 +189,7 @@ func runJobs(o Options, jobs []job) (map[string]gpu.Result, error) {
 			if o.SchedPolicy != config.SchedLRR {
 				cfg.SchedPolicy = o.SchedPolicy
 			}
-			k, err := j.mk()
-			if err == nil {
-				slots[i], err = gpu.RunContext(ctx, cfg, k, 0)
-			}
-			errs[i] = err
+			slots[i], errs[i] = gpu.RunContext(ctx, cfg, j.kernel, 0)
 		}(i, j)
 	}
 	wg.Wait()
@@ -230,23 +227,40 @@ func bestSingle(cfg config.Config) config.Config {
 	return cfg.WithSI(true, config.TriggerHalfStalled)
 }
 
+// namedKernel is one workload as an experiment runs it: built once
+// (Quick-shrunk when asked) and shared by every configuration the
+// experiment sweeps.
+type namedKernel struct {
+	name   string
+	kernel *sm.Kernel
+}
+
+// buildApps builds the ten Table II traces, in paper order.
+func buildApps(o Options) ([]namedKernel, error) {
+	var apps []namedKernel
+	for _, a := range workload.Apps() {
+		p := quickProfile(a, o)
+		k, err := workload.Megakernel(p)
+		if err != nil {
+			return nil, err // names the profile
+		}
+		apps = append(apps, namedKernel{p.Name, k})
+	}
+	return apps, nil
+}
+
 // appSweep runs baseline plus all six SI policies for every application
 // at the given base configuration. Keys: "<app>/baseline",
 // "<app>/<policy>".
-func appSweep(base config.Config, o Options) (map[string]gpu.Result, error) {
+func appSweep(apps []namedKernel, base config.Config, o Options) (map[string]gpu.Result, error) {
 	var jobs []job
-	for _, app := range workload.Apps() {
-		p := quickProfile(app, o)
-		jobs = append(jobs, job{
-			key: p.Name + "/baseline",
-			cfg: base,
-			mk:  func() (*sm.Kernel, error) { return workload.Megakernel(p) },
-		})
+	for _, a := range apps {
+		jobs = append(jobs, job{key: a.name + "/baseline", cfg: base, kernel: a.kernel})
 		for _, pol := range policies() {
 			jobs = append(jobs, job{
-				key: p.Name + "/" + pol.label,
-				cfg: base.WithSI(pol.yield, pol.trigger),
-				mk:  func() (*sm.Kernel, error) { return workload.Megakernel(p) },
+				key:    a.name + "/" + pol.label,
+				cfg:    base.WithSI(pol.yield, pol.trigger),
+				kernel: a.kernel,
 			})
 		}
 	}

@@ -12,8 +12,6 @@ import (
 	"subwarpsim/internal/workload"
 )
 
-var errBoom = errors.New("boom")
-
 // full returns the full-size options used for shape assertions; the
 // calibrated speedups depend on warm caches and full occupancy, so
 // shape tests run the real workloads. They honor -short via skipLong.
@@ -253,28 +251,36 @@ func TestQuickProfileShrinks(t *testing.T) {
 	}
 }
 
+// TestRunJobsPropagatesErrors: a failing job's error names its key,
+// and it is the first failing job in submission order that is reported
+// whatever the pool's interleaving.
 func TestRunJobsPropagatesErrors(t *testing.T) {
-	_, err := runJobs(Options{Workers: 1}, []job{{
-		key: "bad",
-		mk:  func() (*sm.Kernel, error) { return nil, errBoom },
-	}})
+	good, err := workload.Microbench(workload.DefaultMicrobench(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runJobs(Options{}, []job{
+		{key: "fine", cfg: config.Default(), kernel: good},
+		{key: "bad", cfg: config.Default(), kernel: &sm.Kernel{}}, // no program: the run rejects it
+		{key: "worse", cfg: config.Default(), kernel: &sm.Kernel{}},
+	})
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if !strings.Contains(err.Error(), "bad") {
-		t.Errorf("error should name the job: %v", err)
+	if !strings.Contains(err.Error(), "bad") || strings.Contains(err.Error(), "worse") {
+		t.Errorf("error should name the first failing job: %v", err)
 	}
 }
 
 func TestRunJobsHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := runJobs(Options{Workers: 1, Context: ctx}, []job{{
-		key: "cancelled",
-		cfg: config.Default(),
-		mk: func() (*sm.Kernel, error) {
-			return workload.Microbench(workload.DefaultMicrobench(4))
-		},
+	k, err := workload.Microbench(workload.DefaultMicrobench(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runJobs(Options{Workers: 1, Context: ctx}, []job{{
+		key: "cancelled", cfg: config.Default(), kernel: k,
 	}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -19,7 +19,11 @@ var fig12aPaper = map[string]float64{
 // 600-cycle L1 miss latency: speedup of each of the six SI
 // configurations over baseline, plus the per-application BestOf.
 func Fig12a(o Options) (*Report, error) {
-	results, err := appSweep(config.Default(), o)
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
+	results, err := appSweep(apps, config.Default(), o)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +88,11 @@ func Fig12a(o Options) (*Report, error) {
 // single configuration (Both, N>=0.5), the reduction in total exposed
 // load-to-use stalls and in divergent-block exposed stalls vs baseline.
 func Fig12b(o Options) (*Report, error) {
-	results, err := appSweep(config.Default(), o)
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
+	results, err := appSweep(apps, config.Default(), o)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subwarpsim/internal/config"
-	"subwarpsim/internal/sm"
 	"subwarpsim/internal/stats"
 	"subwarpsim/internal/workload"
 )
@@ -13,15 +12,13 @@ import (
 // load-to-use stalls and exposed stalls in divergent code blocks, both
 // normalized to kernel runtime, per application trace.
 func Fig3(o Options) (*Report, error) {
-	base := config.Default()
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []job
-	for _, app := range workload.Apps() {
-		p := quickProfile(app, o)
-		jobs = append(jobs, job{
-			key: p.Name,
-			cfg: base,
-			mk:  func() (*sm.Kernel, error) { return workload.Megakernel(p) },
-		})
+	for _, a := range apps {
+		jobs = append(jobs, job{key: a.name, cfg: config.Default(), kernel: a.kernel})
 	}
 	results, err := runJobs(o, jobs)
 	if err != nil {

@@ -9,62 +9,56 @@ import (
 	"subwarpsim/internal/workload"
 )
 
-// matrixFamily is one workload-family axis entry: a named kernel
-// constructor, shrinkable for Quick runs.
-type matrixFamily struct {
-	name string
-	mk   func() (*sm.Kernel, error)
-}
-
-// matrixFamilies returns the workload axis, honoring the Options
-// workload filter and Quick shrinking. Quick parameters keep every
+// buildFamily builds one workload family. Quick parameters keep every
 // family's defining behaviour — GEMM divergence-free, BFS stalling in
 // diverged arms, texture mixing latency classes — at a fraction of
-// the default cycle counts.
-func matrixFamilies(o Options) ([]matrixFamily, error) {
-	builders := map[string]func() (*sm.Kernel, error){
-		"gemm": func() (*sm.Kernel, error) {
-			p := workload.DefaultGEMM()
-			if o.Quick {
-				// Quick shrinks trip counts, never occupancy: at two or
-				// fewer resident warps per processing block every sticky
-				// policy's fallback set has at most one candidate, and
-				// below full occupancy GTO and the WaSP-style policy
-				// often coincide — the policy axis needs 8 warps/block.
-				p.TilesK = 8
-			}
-			return workload.GEMM(p)
-		},
-		"bfs": func() (*sm.Kernel, error) {
-			p := workload.DefaultBFS()
-			if o.Quick {
-				p.Levels = 2
-			}
-			return workload.BFS(p)
-		},
-		"texture": func() (*sm.Kernel, error) {
-			p := workload.DefaultTexture()
-			if o.Quick {
-				p.Iterations = 4
-			}
-			return workload.Texture(p)
-		},
+// the default cycle counts; a registered family without a Quick shrink
+// runs its defaults.
+func buildFamily(name string, quick bool) (*sm.Kernel, error) {
+	switch name {
+	case "gemm":
+		p := workload.DefaultGEMM()
+		if quick {
+			// Quick shrinks trip counts, never occupancy: at two or
+			// fewer resident warps per processing block every sticky
+			// policy's fallback set has at most one candidate, and
+			// below full occupancy GTO and the WaSP-style policy
+			// often coincide — the policy axis needs 8 warps/block.
+			p.TilesK = 8
+		}
+		return workload.GEMM(p)
+	case "bfs":
+		p := workload.DefaultBFS()
+		if quick {
+			p.Levels = 2
+		}
+		return workload.BFS(p)
+	case "texture":
+		p := workload.DefaultTexture()
+		if quick {
+			p.Iterations = 4
+		}
+		return workload.Texture(p)
+	default:
+		return workload.BuildByName(name)
 	}
+}
+
+// matrixFamilies builds the workload axis, honoring the Options
+// workload filter and Quick shrinking: one kernel per family, shared
+// by every cell of its row.
+func matrixFamilies(o Options) ([]namedKernel, error) {
 	names := o.Workloads
 	if len(names) == 0 {
 		names = workload.GeneratorNames()
 	}
-	var fams []matrixFamily
+	var fams []namedKernel
 	for _, name := range names {
-		mk, ok := builders[name]
-		if !ok {
-			if _, err := workload.BuildByName(name); err != nil {
-				return nil, err
-			}
-			// Registered but without a Quick shrink: run the defaults.
-			mk = func() (*sm.Kernel, error) { return workload.BuildByName(name) }
+		k, err := buildFamily(name, o.Quick)
+		if err != nil {
+			return nil, err
 		}
-		fams = append(fams, matrixFamily{name: name, mk: mk})
+		fams = append(fams, namedKernel{name, k})
 	}
 	return fams, nil
 }
@@ -100,8 +94,8 @@ func Matrix(o Options) (*Report, error) {
 			cfg := config.Default()
 			cfg.SchedPolicy = pol
 			key := fam.name + "/" + pol.String()
-			jobs = append(jobs, job{key: key + "/baseline", cfg: cfg, mk: fam.mk})
-			jobs = append(jobs, job{key: key + "/si", cfg: bestSingle(cfg), mk: fam.mk})
+			jobs = append(jobs, job{key: key + "/baseline", cfg: cfg, kernel: fam.kernel})
+			jobs = append(jobs, job{key: key + "/si", cfg: bestSingle(cfg), kernel: fam.kernel})
 		}
 	}
 	results, err := runJobs(o, jobs)

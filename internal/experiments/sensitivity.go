@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subwarpsim/internal/config"
-	"subwarpsim/internal/sm"
 	"subwarpsim/internal/stats"
 	"subwarpsim/internal/workload"
 )
@@ -18,11 +17,15 @@ func Fig13(o Options) (*Report, error) {
 		append([]string{"Config"}, "lat300", "lat600", "lat900")...)
 	values := make(map[string]float64)
 
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
 	perLatency := make(map[int]map[string]float64) // lat -> policy -> mean
 	for _, lat := range latencies {
 		cfg := config.Default()
 		cfg.L1MissLatency = lat
-		results, err := appSweep(cfg, o)
+		results, err := appSweep(apps, cfg, o)
 		if err != nil {
 			return nil, err
 		}
@@ -80,11 +83,15 @@ func Fig14(o Options) (*Report, error) {
 		"Trace", "8 warps", "16 warps", "32 warps")
 	values := make(map[string]float64)
 
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
 	perSlot := make(map[int]map[string]float64)
 	for _, slots := range slotSettings {
 		cfg := config.Default()
 		cfg.WarpSlotsPerBlock = slots
-		results, err := appSweepBest(cfg, o)
+		results, err := appSweepBest(apps, cfg, o)
 		if err != nil {
 			return nil, err
 		}
@@ -124,15 +131,12 @@ func Fig14(o Options) (*Report, error) {
 
 // appSweepBest runs baseline and the best single policy (Both,N>=0.5)
 // per app under cfg, returning per-app speedups.
-func appSweepBest(cfg config.Config, o Options) (map[string]float64, error) {
+func appSweepBest(apps []namedKernel, cfg config.Config, o Options) (map[string]float64, error) {
 	var jobs []job
-	for _, app := range workload.Apps() {
-		p := quickProfile(app, o)
+	for _, a := range apps {
 		jobs = append(jobs,
-			job{key: p.Name + "/base", cfg: cfg,
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
-			job{key: p.Name + "/si", cfg: bestSingle(cfg),
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }},
+			job{key: a.name + "/base", cfg: cfg, kernel: a.kernel},
+			job{key: a.name + "/si", cfg: bestSingle(cfg), kernel: a.kernel},
 		)
 	}
 	results, err := runJobs(o, jobs)
@@ -154,16 +158,17 @@ func Fig15(o Options) (*Report, error) {
 		"Trace", "2 subwarps", "4 subwarps", "6 subwarps", "unlimited")
 	values := make(map[string]float64)
 
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []job
-	for _, app := range workload.Apps() {
-		p := quickProfile(app, o)
-		jobs = append(jobs, job{key: p.Name + "/base", cfg: config.Default(),
-			mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }})
+	for _, a := range apps {
+		jobs = append(jobs, job{key: a.name + "/base", cfg: config.Default(), kernel: a.kernel})
 		for _, n := range sizes {
 			cfg := bestSingle(config.Default())
 			cfg.SI.MaxSubwarps = n
-			jobs = append(jobs, job{key: fmt.Sprintf("%s/tst%d", p.Name, n), cfg: cfg,
-				mk: func() (*sm.Kernel, error) { return workload.Megakernel(p) }})
+			jobs = append(jobs, job{key: fmt.Sprintf("%s/tst%d", a.name, n), cfg: cfg, kernel: a.kernel})
 		}
 	}
 	results, err := runJobs(o, jobs)
@@ -218,15 +223,19 @@ func ICache(o Options) (*Report, error) {
 	small.L0InstrBytes = deflt.L0InstrBytes / 4
 	small.L1InstrBytes = deflt.L1InstrBytes / 4
 
+	apps, err := buildApps(o)
+	if err != nil {
+		return nil, err
+	}
 	tbl := stats.NewTable("SI speedup (Both,N>=0.5) vs instruction cache sizing",
 		"Trace", "16KB L0 / 64KB L1I", "4KB L0 / 16KB L1I")
 	values := make(map[string]float64)
 
-	big, err := appSweepBest(deflt, o)
+	big, err := appSweepBest(apps, deflt, o)
 	if err != nil {
 		return nil, err
 	}
-	sm4, err := appSweepBest(small, o)
+	sm4, err := appSweepBest(apps, small, o)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subwarpsim/internal/config"
-	"subwarpsim/internal/sm"
 	"subwarpsim/internal/stats"
 	"subwarpsim/internal/workload"
 )
@@ -29,11 +28,13 @@ func Table3(o Options) (*Report, error) {
 		if o.Quick {
 			p.Iterations = 3
 		}
+		k, err := workload.Microbench(p)
+		if err != nil {
+			return nil, err
+		}
 		jobs = append(jobs,
-			job{key: fmt.Sprintf("d%d/base", p.DivergenceFactor()), cfg: base,
-				mk: func() (*sm.Kernel, error) { return workload.Microbench(p) }},
-			job{key: fmt.Sprintf("d%d/si", p.DivergenceFactor()), cfg: si,
-				mk: func() (*sm.Kernel, error) { return workload.Microbench(p) }},
+			job{key: fmt.Sprintf("d%d/base", p.DivergenceFactor()), cfg: base, kernel: k},
+			job{key: fmt.Sprintf("d%d/si", p.DivergenceFactor()), cfg: si, kernel: k},
 		)
 	}
 	results, err := runJobs(o, jobs)

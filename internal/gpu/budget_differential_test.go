@@ -51,13 +51,12 @@ func budgetKernel(t *testing.T, p *isa.Program, b sm.Budget) *sm.Kernel {
 // with the memory fingerprint at the kill.
 func killPoint(t *testing.T, cfg config.Config, p *isa.Program, b sm.Budget, workers int) (sm.BudgetError, uint64) {
 	t.Helper()
-	k := budgetKernel(t, p, b)
-	_, err := RunWorkers(cfg, k, workers)
+	res, err := RunWorkers(cfg, budgetKernel(t, p, b), workers)
 	var be *sm.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("want BudgetError, got %v", err)
 	}
-	return *be, k.Memory.Fingerprint()
+	return *be, res.Memory.Fingerprint()
 }
 
 func TestBudgetKillBitIdentical(t *testing.T) {
@@ -132,7 +131,7 @@ func TestBudgetLargeEnoughIsInvisible(t *testing.T) {
 			t.Errorf("compiled=%v: counters differ with a generous budget:\nfree:   %+v\ncapped: %+v",
 				compiled, resFree.Counters, resCapped.Counters)
 		}
-		if a, b := free.Memory.Fingerprint(), capped.Memory.Fingerprint(); a != b {
+		if a, b := resFree.Memory.Fingerprint(), resCapped.Memory.Fingerprint(); a != b {
 			t.Errorf("compiled=%v: memory fingerprints differ: %x vs %x", compiled, a, b)
 		}
 	}

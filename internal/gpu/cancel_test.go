@@ -103,18 +103,12 @@ func TestCancelLeavesNoGoroutines(t *testing.T) {
 // TestContextlessRunUnaffected: the plain entry points still complete
 // and match a Background-context run bit for bit.
 func TestContextlessRunUnaffected(t *testing.T) {
-	mk := func() *sm.Kernel {
-		k, err := workload.Microbench(workload.DefaultMicrobench(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	plain, err := RunWorkers(config.Default(), mk(), 1)
+	k := microbench4(t).kernel
+	plain, err := RunWorkers(config.Default(), k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := RunContext(context.Background(), config.Default(), mk(), 1)
+	viaCtx, err := RunContext(context.Background(), config.Default(), k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,27 @@ import (
 // and (b) must retire the same work with SI on vs off. These tests are
 // the proof obligation behind RunWorkers' determinism contract.
 
-// diffWorkload is one named kernel factory; fresh state per call.
+// diffWorkload is one named kernel, built once and run by every cell
+// that compares it — sequentially and from parallel subtests.
 type diffWorkload struct {
-	name string
-	mk   func() (*sm.Kernel, error)
+	name   string
+	kernel *sm.Kernel
+}
+
+// built wraps a generator's result, failing the test on a build error.
+func built(t *testing.T, name string, k *sm.Kernel, err error) diffWorkload {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: build kernel: %v", name, err)
+	}
+	return diffWorkload{name: name, kernel: k}
+}
+
+// microbench4 is the 8-way divergence microbenchmark.
+func microbench4(t *testing.T) diffWorkload {
+	t.Helper()
+	k, err := workload.Microbench(workload.DefaultMicrobench(4))
+	return built(t, "microbench4", k, err)
 }
 
 // shrink trims an application profile the same way the experiments
@@ -48,31 +65,21 @@ func diffWorkloads(t *testing.T) []diffWorkload {
 	var ws []diffWorkload
 	for _, app := range workload.Apps() {
 		p := shrink(app)
-		ws = append(ws, diffWorkload{
-			name: p.Name,
-			mk:   func() (*sm.Kernel, error) { return workload.Megakernel(p) },
-		})
+		k, err := workload.Megakernel(p)
+		ws = append(ws, built(t, p.Name, k, err))
 	}
-	ws = append(ws, diffWorkload{
-		name: "microbench4",
-		mk:   func() (*sm.Kernel, error) { return workload.Microbench(workload.DefaultMicrobench(4)) },
-	})
-	return ws
+	return append(ws, microbench4(t))
 }
 
-// runWith simulates a fresh kernel and returns the result plus the
-// final functional memory fingerprint.
+// runWith simulates the workload's kernel and returns the result plus
+// the final functional memory fingerprint.
 func runWith(t *testing.T, w diffWorkload, cfg config.Config, workers int) (Result, uint64) {
 	t.Helper()
-	k, err := w.mk()
-	if err != nil {
-		t.Fatalf("%s: build kernel: %v", w.name, err)
-	}
-	res, err := RunWorkers(cfg, k, workers)
+	res, err := RunWorkers(cfg, w.kernel, workers)
 	if err != nil {
 		t.Fatalf("%s: RunWorkers(workers=%d): %v", w.name, workers, err)
 	}
-	return res, k.Memory.Fingerprint()
+	return res, res.Memory.Fingerprint()
 }
 
 // TestParallelMatchesSequential asserts that for every workload and
@@ -146,21 +153,12 @@ func TestSIPreservesArchitecturalState(t *testing.T) {
 // — the event sequence, drop count, and histogram set — is identical
 // whether SMs simulate sequentially or concurrently.
 func TestParallelTraceMatchesSequential(t *testing.T) {
-	w := diffWorkload{
-		name: "microbench4",
-		mk:   func() (*sm.Kernel, error) { return workload.Microbench(workload.DefaultMicrobench(4)) },
-	}
+	w := microbench4(t)
 	traced := func(workers int) *trace.Recorder {
 		rec := trace.NewRecorder()
 		cfg := config.Default().WithSI(true, config.TriggerHalfStalled)
 		cfg.Trace = rec
-		k, err := w.mk()
-		if err != nil {
-			t.Fatalf("build kernel: %v", err)
-		}
-		if _, err := RunWorkers(cfg, k, workers); err != nil {
-			t.Fatalf("RunWorkers(workers=%d): %v", workers, err)
-		}
+		runWith(t, w, cfg, workers)
 		return rec
 	}
 	seq := traced(1)

@@ -280,15 +280,14 @@ func FuzzRun(f *testing.F) {
 		warps := int(data[0])%12 + 1
 		wpc := int(data[0]>>4)%4 + 1
 
-		run := func(cfg config.Config, workers int) (Result, uint64, error) {
-			k := &sm.Kernel{
-				Program:     prog,
-				NumWarps:    warps,
-				WarpsPerCTA: wpc,
-				Memory:      fuzzMemory(),
-			}
-			res, err := RunWorkers(cfg, k, workers)
-			return res, k.Memory.Fingerprint(), err
+		k := &sm.Kernel{
+			Program:     prog,
+			NumWarps:    warps,
+			WarpsPerCTA: wpc,
+			Memory:      fuzzMemory(),
+		}
+		run := func(cfg config.Config, workers int) (Result, error) {
+			return RunWorkers(cfg, k, workers)
 		}
 		for _, cfg := range []config.Config{
 			config.Default(),
@@ -297,20 +296,21 @@ func FuzzRun(f *testing.F) {
 			gto,
 			waspSI,
 		} {
-			seqRes, seqFP, seqErr := run(cfg, 1)
-			parRes, parFP, parErr := run(cfg, 4)
+			seqRes, seqErr := run(cfg, 1)
+			parRes, parErr := run(cfg, 4)
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("error outcomes diverge: sequential %v, parallel %v", seqErr, parErr)
 			}
 			interp := cfg
 			interp.Compiled = false
-			intRes, intFP, intErr := run(interp, 1)
+			intRes, intErr := run(interp, 1)
 			if (seqErr == nil) != (intErr == nil) {
 				t.Fatalf("error outcomes diverge: compiled %v, interpreted %v", seqErr, intErr)
 			}
 			if seqErr != nil {
 				continue
 			}
+			seqFP, parFP, intFP := seqRes.Memory.Fingerprint(), parRes.Memory.Fingerprint(), intRes.Memory.Fingerprint()
 			if seqRes.Counters != parRes.Counters {
 				t.Fatalf("counters diverge:\n  sequential %+v\n  parallel   %+v",
 					seqRes.Counters, parRes.Counters)

@@ -12,6 +12,7 @@ import (
 
 	"subwarpsim/internal/config"
 	"subwarpsim/internal/faults"
+	"subwarpsim/internal/mem"
 	"subwarpsim/internal/obs"
 	"subwarpsim/internal/sm"
 	"subwarpsim/internal/stats"
@@ -51,6 +52,11 @@ type Result struct {
 	// Blocks is the total processing block count, the normalization
 	// denominator for per-cycle fractions.
 	Blocks int
+	// Memory is the final memory image: every store the launch made,
+	// over the kernel's untouched image. A failed run keeps the stores
+	// made up to the failure; it is nil only when the configuration or
+	// the kernel was rejected before anything ran.
+	Memory *mem.View
 }
 
 // Derived computes the normalized metrics for this result.
@@ -89,14 +95,18 @@ func RunWorkers(cfg config.Config, kernel *sm.Kernel, workers int) (Result, erro
 // every SM executes loads and stores against a private copy-on-write
 // view of the functional memory image (mem.View), and traces into a
 // private shard recorder (trace.Recorder.Child) when cfg.Trace is set.
-// After all SMs finish, views publish, counters merge, and trace shards
-// absorb (handing their event chunks to cfg.Trace, which consumes them)
-// in ascending SM order, so counters, derived metrics, the final
-// memory image, and exported trace streams are bit-identical for every
-// worker count and goroutine interleaving. A consequence of the
-// sharded image is that warps on different SMs never observe each
-// other's stores mid-run — like CUDA kernels without atomics, cross-SM
-// communication within a launch is undefined.
+// After all SMs finish, views fold into Result.Memory, counters merge,
+// and trace shards absorb (handing their event chunks to cfg.Trace,
+// which consumes them) in ascending SM order, so counters, derived
+// metrics, the final memory image, and exported trace streams are
+// bit-identical for every worker count and goroutine interleaving. A
+// consequence of the sharded image is that warps on different SMs
+// never observe each other's stores mid-run — like CUDA kernels
+// without atomics, cross-SM communication within a launch is undefined.
+//
+// The run is pure in its kernel: nothing reachable from kernel is
+// written, so one kernel serves every configuration it is compared
+// under, in sequence or concurrently.
 func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, workers int) (Result, error) {
 	res := Result{Config: cfg, Blocks: cfg.NumSMs * cfg.BlocksPerSM}
 	if err := cfg.Validate(); err != nil {
@@ -108,6 +118,7 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	res.Memory = kernel.Memory.NewView()
 
 	parent := cfg.Trace
 	shards := make([]*trace.Recorder, cfg.NumSMs)
@@ -122,7 +133,6 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 		if err != nil {
 			return res, err
 		}
-		s.DeferMemoryPublish()
 		sms[i] = s
 	}
 
@@ -180,11 +190,11 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 		wg.Wait()
 	}
 
-	// Deterministic epilogue: merge, publish, and absorb strictly in SM
-	// order. On error, only state up to and including the first failing
-	// SM is kept — exactly what a sequential run would have produced.
+	// Deterministic epilogue: merge and absorb strictly in SM order. On
+	// error, only state up to and including the first failing SM is
+	// kept — exactly what a sequential run would have produced.
 	for i, s := range sms {
-		s.PublishMemory()
+		res.Memory.Absorb(s.Memory())
 		if parent != nil {
 			parent.Absorb(shards[i])
 		}
@@ -198,15 +208,14 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 	return res, nil
 }
 
-// Compare runs the kernel under a baseline and a test configuration on
-// identical fresh state and returns both results with the speedup of
-// test over baseline.
-func Compare(base, test config.Config, mkKernel func() *sm.Kernel) (Result, Result, float64, error) {
-	rb, err := Run(base, mkKernel())
+// Compare runs the kernel under a baseline and a test configuration
+// and returns both results with the speedup of test over baseline.
+func Compare(base, test config.Config, kernel *sm.Kernel) (Result, Result, float64, error) {
+	rb, err := Run(base, kernel)
 	if err != nil {
 		return rb, Result{}, 0, err
 	}
-	rt, err := Run(test, mkKernel())
+	rt, err := Run(test, kernel)
 	if err != nil {
 		return rb, rt, 0, err
 	}

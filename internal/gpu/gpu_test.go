@@ -27,14 +27,13 @@ func storeTID() *sm.Kernel {
 }
 
 func TestRunDistributesAllWarps(t *testing.T) {
-	k := storeTID()
-	res, err := Run(config.Default(), k)
+	res, err := Run(config.Default(), storeTID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// All 20 warps x 32 threads stored their global IDs.
 	for tid := 0; tid < 20*32; tid++ {
-		if got := k.Memory.Load(uint64(0x4000 + tid*4)); got != uint32(tid) {
+		if got := res.Memory.Load(uint64(0x4000 + tid*4)); got != uint32(tid) {
 			t.Fatalf("tid %d stored %d", tid, got)
 		}
 	}
@@ -93,7 +92,7 @@ func TestDerived(t *testing.T) {
 func TestCompare(t *testing.T) {
 	base := config.Default()
 	si := base.WithSI(true, config.TriggerHalfStalled)
-	rb, rt, sp, err := Compare(base, si, storeTID)
+	rb, rt, sp, err := Compare(base, si, storeTID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +106,8 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareErrorPropagates(t *testing.T) {
-	bad := func() *sm.Kernel {
-		k := storeTID()
-		k.Program = nil
-		return k
-	}
+	bad := storeTID()
+	bad.Program = nil
 	if _, _, _, err := Compare(config.Default(), config.Default(), bad); err == nil {
 		t.Fatal("expected error")
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"subwarpsim/internal/config"
-	"subwarpsim/internal/sm"
 	"subwarpsim/internal/workload"
 )
 
@@ -28,10 +27,13 @@ func smallGenWorkloads(t *testing.T) []diffWorkload {
 	bfs.Levels = 1
 	tex := workload.DefaultTexture()
 	tex.Iterations = 2
+	gk, gerr := workload.GEMM(gemm)
+	bk, berr := workload.BFS(bfs)
+	tk, terr := workload.Texture(tex)
 	return []diffWorkload{
-		{name: "gemm", mk: func() (*sm.Kernel, error) { return workload.GEMM(gemm) }},
-		{name: "bfs", mk: func() (*sm.Kernel, error) { return workload.BFS(bfs) }},
-		{name: "texture", mk: func() (*sm.Kernel, error) { return workload.Texture(tex) }},
+		built(t, "gemm", gk, gerr),
+		built(t, "bfs", bk, berr),
+		built(t, "texture", tk, terr),
 	}
 }
 
@@ -95,10 +97,8 @@ func TestMatrixDifferential(t *testing.T) {
 func TestPropertyGEMMSITransparency(t *testing.T) {
 	p := workload.DefaultGEMM()
 	p.TilesK = 4
-	w := diffWorkload{
-		name: "gemm",
-		mk:   func() (*sm.Kernel, error) { return workload.GEMM(p) },
-	}
+	k, err := workload.GEMM(p)
+	w := built(t, "gemm", k, err)
 	for _, pol := range schedPolicies() {
 		base := config.Default()
 		base.SchedPolicy = pol

@@ -61,14 +61,8 @@ func TestSMInjectedErrorSurfaces(t *testing.T) {
 // latency must not change simulated counters — the determinism
 // contract survives slow backends.
 func TestSMLatencyInjectionIsResultTransparent(t *testing.T) {
-	mk := func() *sm.Kernel {
-		k, err := workload.Microbench(workload.DefaultMicrobench(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	clean, err := RunWorkers(config.Default(), mk(), 2)
+	k := microbench4(t).kernel
+	clean, err := RunWorkers(config.Default(), k, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +70,7 @@ func TestSMLatencyInjectionIsResultTransparent(t *testing.T) {
 	cfg := config.Default()
 	cfg.Faults = faults.New(1, faults.Rule{
 		Site: faults.SiteSMRun, Kind: faults.KindLatency, Delay: time.Millisecond})
-	slow, err := RunWorkers(cfg, mk(), 2)
+	slow, err := RunWorkers(cfg, k, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

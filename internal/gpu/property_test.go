@@ -34,7 +34,7 @@ func propBytes(seed int64, n int, allowDivergence bool) []byte {
 	return data
 }
 
-// propKernel instantiates a fresh kernel for one generated program.
+// propKernel instantiates the kernel for one generated program.
 func propKernel(t *testing.T, prog *isa.Program, shape byte) *sm.Kernel {
 	t.Helper()
 	return &sm.Kernel{
@@ -161,12 +161,8 @@ func TestPropertyWorkInvariantAcrossScheduling(t *testing.T) {
 		}
 		var outcomes []outcome
 		record := func(name string, cfg config.Config, workers int) {
-			k := propKernel(t, prog, data[0])
-			res, err := RunWorkers(cfg, k, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outcomes = append(outcomes, outcome{name, res.Counters.ActiveThreads, k.Memory.Fingerprint()})
+			res := propRun(t, cfg, prog, data[0], workers)
+			outcomes = append(outcomes, outcome{name, res.Counters.ActiveThreads, res.Memory.Fingerprint()})
 		}
 		record("baseline w1", config.Default(), 1)
 		record("baseline w4", config.Default(), 4)

@@ -56,27 +56,35 @@ func (m *Memory) Snapshot() map[uint64]uint32 {
 func (m *Memory) Fingerprint() uint64 {
 	var fp uint64
 	for a, v := range m.words {
-		z := a ^ uint64(v)<<32 ^ uint64(v)
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		fp += z ^ (z >> 31) // commutative combine: iteration-order free
+		fp += mixWord(a, v)
 	}
 	return fp ^ uint64(len(m.words))
 }
 
+// mixWord hashes one written (address, value) pair; Fingerprint sums
+// the mixes, a commutative combine that makes it iteration-order free.
+func mixWord(a uint64, v uint32) uint64 {
+	z := a ^ uint64(v)<<32 ^ uint64(v)
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
 // View is a copy-on-write overlay over a base Memory: loads read
 // through to the base until the view itself has stored the word, and
-// stores stay private to the view until Publish folds them into the
-// base.
+// stores stay in the view. Nothing a view does writes its base, so any
+// number of views — of one run or of concurrent runs — share a base
+// image safely.
 //
 // Views are the unit of memory sharding for parallel simulation: each
-// SM owns one view, so concurrent SMs never touch the shared image
-// while running, and gpu.Run publishes the views in SM order afterwards
-// — making the final image deterministic even for overlapping writes
-// (higher-numbered SMs win, exactly as when SMs simulated one after
-// another). Warps on different SMs consequently do not observe each
-// other's stores mid-run; like CUDA kernels without atomics, cross-SM
-// communication within a launch is undefined and unsupported.
+// SM owns one view, so concurrent SMs never touch a shared image while
+// running, and gpu.Run absorbs the views in SM order afterwards into
+// one result view — making the final image deterministic even for
+// overlapping writes (higher-numbered SMs win, exactly as when SMs
+// simulated one after another). Warps on different SMs consequently do
+// not observe each other's stores mid-run; like CUDA kernels without
+// atomics, cross-SM communication within a launch is undefined and
+// unsupported.
 type View struct {
 	base  *Memory
 	words map[uint64]uint32
@@ -105,13 +113,31 @@ func (v *View) Store(addr uint64, val uint32) {
 // Written returns how many distinct words this view has stored.
 func (v *View) Written() int { return len(v.words) }
 
-// Publish folds the view's writes into the base image. Callers
-// coordinate ordering: publishing concurrently with loads or other
-// publishes on the same base is a data race.
-func (v *View) Publish() {
-	for a, val := range v.words {
-		v.base.words[a] = val
+// Absorb folds o's stores into v, o winning every word both stored.
+// Callers coordinate ordering: absorbing concurrently with loads or
+// stores on v is a data race.
+func (v *View) Absorb(o *View) {
+	for a, val := range o.words {
+		v.words[a] = val
 	}
+}
+
+// Fingerprint hashes the merged image — the base overlaid with the
+// view's stores — to exactly the value Memory.Fingerprint gives a
+// Memory holding those words.
+func (v *View) Fingerprint() uint64 {
+	var fp uint64
+	n := len(v.words)
+	for a, val := range v.words {
+		fp += mixWord(a, val)
+	}
+	for a, val := range v.base.words {
+		if _, shadowed := v.words[a]; !shadowed {
+			fp += mixWord(a, val)
+			n++
+		}
+	}
+	return fp ^ uint64(n)
 }
 
 // DefaultValue is the deterministic content of unwritten memory:

@@ -5,6 +5,7 @@ import "testing"
 func TestViewIsolatesStoresUntilPublish(t *testing.T) {
 	base := NewMemory()
 	base.Store(0x100, 7)
+	baseFP := base.Fingerprint()
 
 	v := base.NewView()
 	if got := v.Load(0x100); got != 7 {
@@ -15,38 +16,64 @@ func TestViewIsolatesStoresUntilPublish(t *testing.T) {
 	if got := v.Load(0x100); got != 42 {
 		t.Fatalf("view Load(0x100) = %d after private store, want 42", got)
 	}
-	if got := base.Load(0x100); got != 7 {
-		t.Fatalf("base Load(0x100) = %d before Publish, want 7", got)
-	}
-	if base.Written() != 1 {
-		t.Fatalf("base Written = %d before Publish, want 1", base.Written())
-	}
 	if v.Written() != 2 {
 		t.Fatalf("view Written = %d, want 2", v.Written())
 	}
 
-	v.Publish()
-	if got := base.Load(0x100); got != 42 {
-		t.Fatalf("base Load(0x100) = %d after Publish, want 42", got)
+	// Publishing is absorbing into another view of the same base: the
+	// sibling sees the stores only afterwards, the base never does.
+	out := base.NewView()
+	if got := out.Load(0x100); got != 7 {
+		t.Fatalf("sibling Load(0x100) = %d before Absorb, want 7", got)
 	}
-	if got := base.Load(0x200); got != 9 {
-		t.Fatalf("base Load(0x200) = %d after Publish, want 9", got)
+	out.Absorb(v)
+	if got := out.Load(0x100); got != 42 {
+		t.Fatalf("result Load(0x100) = %d after Absorb, want 42", got)
+	}
+	if got := out.Load(0x200); got != 9 {
+		t.Fatalf("result Load(0x200) = %d after Absorb, want 9", got)
+	}
+	if base.Load(0x100) != 7 || base.Written() != 1 || base.Fingerprint() != baseFP {
+		t.Fatalf("base image changed: Load(0x100) = %d, Written = %d", base.Load(0x100), base.Written())
 	}
 }
 
 func TestViewPublishOrderResolvesConflicts(t *testing.T) {
-	// gpu.RunWorkers publishes views in ascending SM order; the
-	// later-published view must win conflicting words, matching what
+	// gpu.RunContext absorbs views in ascending SM order; the
+	// later-absorbed view must win conflicting words, matching what
 	// sequential simulation produced.
 	base := NewMemory()
 	v0 := base.NewView()
 	v1 := base.NewView()
 	v0.Store(0x40, 1)
 	v1.Store(0x40, 2)
-	v0.Publish()
-	v1.Publish()
-	if got := base.Load(0x40); got != 2 {
-		t.Fatalf("base Load(0x40) = %d, want later-published 2", got)
+	out := base.NewView()
+	out.Absorb(v0)
+	out.Absorb(v1)
+	if got := out.Load(0x40); got != 2 {
+		t.Fatalf("result Load(0x40) = %d, want later-absorbed 2", got)
+	}
+}
+
+// TestViewFingerprintIsTheMergedImage: a view hashes to what a Memory
+// holding the same merged words hashes to, whether a word comes from
+// the base, from the view, or from both.
+func TestViewFingerprintIsTheMergedImage(t *testing.T) {
+	base, want := NewMemory(), NewMemory()
+	for i := uint64(0); i < 32; i++ {
+		base.Store(i*4, uint32(i))
+		want.Store(i*4, uint32(i))
+	}
+	v := base.NewView()
+	if v.Fingerprint() != base.Fingerprint() {
+		t.Fatal("an empty view must hash to its base")
+	}
+	for i := uint64(16); i < 48; i++ { // half shadow the base, half are new
+		v.Store(i*4, uint32(1000+i))
+		want.Store(i*4, uint32(1000+i))
+	}
+	if got := v.Fingerprint(); got != want.Fingerprint() {
+		t.Fatalf("view fingerprint %#x, want merged image's %#x", got, want.Fingerprint())
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
 	"subwarpsim/internal/config"
 	"subwarpsim/internal/simcache"
@@ -53,42 +52,6 @@ type JobSpec struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// ParseOrder maps a CLI/API order name onto the config constant.
-func ParseOrder(name string) (config.SubwarpOrder, error) {
-	switch strings.ToLower(name) {
-	case "", "taken":
-		return config.OrderTakenFirst, nil
-	case "fallthrough":
-		return config.OrderFallthroughFirst, nil
-	case "largest":
-		return config.OrderLargestFirst, nil
-	case "random":
-		return config.OrderRandom, nil
-	default:
-		return 0, fmt.Errorf("unknown order %q (taken, fallthrough, largest, random)", name)
-	}
-}
-
-// ParseTrigger maps a CLI/API trigger name onto the config constant.
-func ParseTrigger(name string) (config.SelectTrigger, error) {
-	switch strings.ToLower(name) {
-	case "any":
-		return config.TriggerAnyStalled, nil
-	case "", "half":
-		return config.TriggerHalfStalled, nil
-	case "all":
-		return config.TriggerAllStalled, nil
-	default:
-		return 0, fmt.Errorf("unknown trigger %q (any, half, all)", name)
-	}
-}
-
-// ParsePolicy maps a CLI/API scheduler-policy name onto the config
-// constant. The empty string means "default" and parses as LRR.
-func ParsePolicy(name string) (config.SchedPolicy, error) {
-	return config.ParseSchedPolicy(name)
-}
-
 // policyKnobs is the SI/DWS/yield/trigger/order/policy subset JobSpec
 // and SubmitSpec both carry; the wire structs stay flat, this is the
 // one place the knobs are checked and mapped onto a config.
@@ -102,15 +65,15 @@ func (k policyKnobs) apply(cfg config.Config) (config.Config, error) {
 	if k.SI && k.DWS {
 		return cfg, fmt.Errorf("spec sets both si and dws; pick one")
 	}
-	trigger, err := ParseTrigger(k.Trigger)
+	trigger, err := config.ParseTrigger(k.Trigger)
 	if err != nil {
 		return cfg, err
 	}
-	policy, err := ParsePolicy(k.Policy)
+	policy, err := config.ParseSchedPolicy(k.Policy)
 	if err != nil {
 		return cfg, err
 	}
-	order, err := ParseOrder(k.Order)
+	order, err := config.ParseOrder(k.Order)
 	if err != nil {
 		return cfg, err
 	}
@@ -197,9 +160,8 @@ func (j JobSpec) Config() (config.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// BuildKernel constructs a fresh kernel for the spec's workload.
-// Kernels carry mutable functional state, so every simulation needs
-// its own.
+// BuildKernel constructs the kernel for the spec's workload. A run
+// leaves a kernel as built, so equal specs may share one.
 func (j JobSpec) BuildKernel() (*sm.Kernel, error) {
 	switch {
 	case j.App != "":

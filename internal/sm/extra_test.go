@@ -84,7 +84,7 @@ func TestStoreToLoadForwarding(t *testing.T) {
 	if _, err := s.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.Memory.Load(0x4000); got != 154 {
+	if got := s.Memory().Load(0x4000); got != 154 {
 		t.Errorf("forwarded value = %d, want 154", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestNestedBarriers(t *testing.T) {
 		case lane < 16:
 			want = 2 + 10
 		}
-		if got := k.Memory.Load(uint64(0x6000 + lane*4)); got != want {
+		if got := s.Memory().Load(uint64(0x6000 + lane*4)); got != want {
 			t.Errorf("lane %d = %d, want %d", lane, got, want)
 		}
 	}
@@ -273,7 +273,7 @@ func TestMufuAndFloatOps(t *testing.T) {
 	if _, err := s.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.Memory.Load(0x7000); got != 0x43080000 { // 136.0f
+	if got := s.Memory().Load(0x7000); got != 0x43080000 { // 136.0f
 		t.Errorf("FFMA chain = %#x, want 0x43080000 (136.0f)", got)
 	}
 }

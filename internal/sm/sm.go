@@ -25,7 +25,10 @@ type Kernel struct {
 	// WarpsPerCTA sizes the cooperative thread array for S2R special
 	// registers.
 	WarpsPerCTA int
-	// Memory is the functional global/texture backing store.
+	// Memory is the functional global/texture backing store the launch
+	// starts from. A run reads it and never writes it: stores land in
+	// per-SM views and come back as the run's result (gpu.Result.Memory),
+	// so one kernel serves any number of runs, concurrent ones included.
 	Memory *mem.Memory
 	// BVH and RayGen configure the RT core; nil unless the program uses
 	// TRACE.
@@ -95,10 +98,6 @@ type SM struct {
 	// functional memory image; it is what makes SMs safe to simulate
 	// concurrently (see mem.View).
 	mem *mem.View
-	// deferPublish suppresses the automatic view publication at the end
-	// of Run; gpu.Run sets it and publishes every SM's view itself, in
-	// SM order, after all SMs finish.
-	deferPublish bool
 
 	// budget is the kernel's gas limit (nil when unmetered); checked at
 	// the top of each RunContext iteration, never inside Block.step.
@@ -176,16 +175,10 @@ func (s *SM) Admit(seq int, id, ctaID, warpInCTA int) {
 // Blocks exposes the SM's processing blocks (for tests/inspection).
 func (s *SM) Blocks() []*Block { return s.blocks }
 
-// DeferMemoryPublish suppresses the automatic publication of the SM's
-// memory view when Run finishes. gpu.Run uses it to run SMs
-// concurrently and then publish every view itself in SM order, keeping
-// the final memory image deterministic.
-func (s *SM) DeferMemoryPublish() { s.deferPublish = true }
-
-// PublishMemory folds the SM's private stores into the kernel's shared
-// memory image. It must not race with other SMs still simulating or
-// publishing against the same image.
-func (s *SM) PublishMemory() { s.mem.Publish() }
+// Memory exposes the SM's view of the kernel image: everything the SM
+// has stored so far, over the untouched image. It must not be read
+// while the SM is simulating.
+func (s *SM) Memory() *mem.View { return s.mem }
 
 // Run simulates until every admitted warp completes or maxCycles
 // elapses, returning the merged per-block counters. It is shorthand
@@ -209,13 +202,9 @@ const cancelCheckStride = 4096
 // ctx.Err() wrapped in the error.
 //
 // The SM executes loads and stores against its private copy-on-write
-// view of the kernel memory; unless DeferMemoryPublish was called, the
-// view is published to the shared image when Run returns (including on
-// error or cancellation, matching how far the simulation got).
+// view of the kernel memory (see Memory), which after an error or a
+// cancellation holds the stores made up to where the simulation got.
 func (s *SM) RunContext(ctx context.Context, maxCycles int64) (stats.Counters, error) {
-	if !s.deferPublish {
-		defer s.mem.Publish()
-	}
 	for _, blk := range s.blocks {
 		if len(blk.warps) == 0 && len(blk.pending) == 0 {
 			blk.done = true

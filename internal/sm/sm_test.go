@@ -147,7 +147,7 @@ func TestLoadValueArrives(t *testing.T) {
 	}
 	for lane := 0; lane < 32; lane++ {
 		want := uint32(2 * (100 + lane))
-		if got := k.Memory.Load(uint64(0x2000 + lane*4)); got != want {
+		if got := s.Memory().Load(uint64(0x2000 + lane*4)); got != want {
 			t.Errorf("lane %d: out = %d, want %d", lane, got, want)
 		}
 	}
@@ -380,7 +380,7 @@ func TestDivergentLoopTripCounts(t *testing.T) {
 	}
 	for lane := 0; lane < 32; lane++ {
 		want := uint32(lane%4 + 1)
-		if got := k.Memory.Load(uint64(0x5000 + lane*4)); got != want {
+		if got := s.Memory().Load(uint64(0x5000 + lane*4)); got != want {
 			t.Errorf("lane %d: trips = %d, want %d", lane, got, want)
 		}
 	}
@@ -473,7 +473,7 @@ func TestFunctionalEquivalenceBaselineVsSI(t *testing.T) {
 		}
 		var vals []uint32
 		for lane := 0; lane < 64; lane++ {
-			vals = append(vals, k.Memory.Load(uint64(0x8000+lane*4)))
+			vals = append(vals, s.Memory().Load(uint64(0x8000+lane*4)))
 		}
 		results[name] = vals
 	}

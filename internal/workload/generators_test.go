@@ -30,7 +30,8 @@ func TestGeneratorRegistry(t *testing.T) {
 		if err := k.Validate(); err != nil {
 			t.Fatalf("%s: kernel invalid: %v", g.Name, err)
 		}
-		// Kernels carry mutable state; builds must not share memory.
+		// A build seeds its image, and an image is never written once
+		// its kernel is handed out: builds must not share memory.
 		k2, _ := g.Build()
 		if k2.Memory == k.Memory {
 			t.Errorf("%s: Build reuses the functional memory", g.Name)

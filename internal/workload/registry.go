@@ -12,15 +12,14 @@ import (
 // parameterless kernel constructor. Families differ in control-flow
 // shape (divergence-free compute, data-dependent traversal,
 // mixed-latency graphics), which is exactly the axis the scheduler-
-// policy and SI experiments sweep. Kernels carry mutable functional
-// state, so Build returns a fresh kernel per call.
+// policy and SI experiments sweep. Build constructs a new kernel per
+// call; a run never changes a kernel, so callers keep and share it.
 type Generator struct {
 	// Name is the stable CLI/API identifier ("gemm", "bfs", "texture").
 	Name string
 	// Title is a one-line human description for usage text.
 	Title string
-	// Build constructs a fresh kernel with the family's default
-	// parameters.
+	// Build constructs a kernel with the family's default parameters.
 	Build func() (*sm.Kernel, error)
 }
 
@@ -69,7 +68,7 @@ func GeneratorByName(name string) (Generator, error) {
 	return g, nil
 }
 
-// BuildByName constructs a fresh kernel for the named family.
+// BuildByName constructs a kernel for the named family.
 func BuildByName(name string) (*sm.Kernel, error) {
 	g, err := GeneratorByName(name)
 	if err != nil {

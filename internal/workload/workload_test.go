@@ -215,17 +215,18 @@ func TestMegakernelFunctionalEquivalence(t *testing.T) {
 	p.NumWarps = 8
 	p.Iterations = 2
 
+	k, err := Megakernel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	outputs := func(cfg config.Config) []uint32 {
-		k, err := Megakernel(p)
+		res, err := gpu.Run(cfg, k)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := gpu.Run(cfg, k); err != nil {
 			t.Fatal(err)
 		}
 		var out []uint32
 		for tid := 0; tid < p.NumWarps*32; tid++ {
-			out = append(out, k.Memory.Load(uint64(0x0080_0000+tid*4)))
+			out = append(out, res.Memory.Load(uint64(0x0080_0000+tid*4)))
 		}
 		return out
 	}
@@ -380,17 +381,18 @@ func TestDWSNeverBreaksFunctionality(t *testing.T) {
 	p, _ := ProfileByName("Ctrl")
 	p.NumWarps = 8
 	p.Iterations = 2
+	k, err := Megakernel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	outputs := func(cfg config.Config) []uint32 {
-		k, err := Megakernel(p)
+		res, err := gpu.Run(cfg, k)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := gpu.Run(cfg, k); err != nil {
 			t.Fatal(err)
 		}
 		var out []uint32
 		for tid := 0; tid < p.NumWarps*32; tid++ {
-			out = append(out, k.Memory.Load(uint64(0x0080_0000+tid*4)))
+			out = append(out, res.Memory.Load(uint64(0x0080_0000+tid*4)))
 		}
 		return out
 	}

@@ -25,8 +25,6 @@
 //	app, _ := subwarpsim.Application("BFV1")
 //	kernel, _ := subwarpsim.BuildMegakernel(app)
 //	base, _ := subwarpsim.Run(subwarpsim.DefaultConfig(), kernel)
-//
-//	kernel, _ = subwarpsim.BuildMegakernel(app)
 //	si, _ := subwarpsim.Run(
 //		subwarpsim.DefaultConfig().WithSI(true, subwarpsim.TriggerHalfStalled),
 //		kernel)
@@ -78,7 +76,10 @@ const (
 // 64 KB L1I, 16 KB L0I, 600-cycle L1 miss latency.
 func DefaultConfig() Config { return config.Default() }
 
-// Kernel is one launch: a program plus its functional resources.
+// Kernel is one launch: a program plus its functional resources. A run
+// never changes it — the stores come back as Result.Memory — so build a
+// kernel once and run it under as many configurations as needed, one
+// after another or at the same time.
 type Kernel = sm.Kernel
 
 // Budget gas-meters a kernel launch (see Kernel.Budget): per-SM limits
@@ -93,7 +94,9 @@ type (
 	DeadlockError = sm.DeadlockError
 )
 
-// Result is the outcome of a simulation.
+// Result is the outcome of a simulation: the configuration, the merged
+// counters, and the final memory image (Result.Memory.Load reads a word
+// of it).
 type Result = gpu.Result
 
 // Counters are the raw event counts a simulation produces.
@@ -123,10 +126,10 @@ func RunContext(ctx context.Context, cfg Config, kernel *Kernel, workers int) (R
 	return gpu.RunContext(ctx, cfg, kernel, workers)
 }
 
-// Compare runs the kernel under two configurations on fresh state and
-// returns both results and the speedup of test over base.
-func Compare(base, test Config, mkKernel func() *Kernel) (Result, Result, float64, error) {
-	return gpu.Compare(base, test, mkKernel)
+// Compare runs the kernel under two configurations and returns both
+// results and the speedup of test over base.
+func Compare(base, test Config, kernel *Kernel) (Result, Result, float64, error) {
+	return gpu.Compare(base, test, kernel)
 }
 
 // Speedup returns test's speedup over base as a fraction (0.063 means
@@ -174,7 +177,7 @@ func WorkloadGenerators() []WorkloadGenerator { return workload.Generators() }
 // text and menus.
 func WorkloadNames() []string { return workload.GeneratorNames() }
 
-// BuildWorkload constructs a fresh kernel for the named family.
+// BuildWorkload constructs a kernel for the named family.
 func BuildWorkload(name string) (*Kernel, error) { return workload.BuildByName(name) }
 
 // SchedPolicy selects the warp-scheduler arbitration rule (see

@@ -54,6 +54,11 @@ echo "== determinism smoke =="
 # SM's chunks, in SM order, after the goroutines joined) is race-free
 # and shard-order-deterministic.
 gate -race -count=2 -run 'TestParallelMatchesSequential|TestParallelTraceMatchesSequential' ./internal/gpu
+# A kernel is a value: one built kernel run in sequence and
+# concurrently gives a fresh kernel's counters and memory image every
+# time and keeps its own image and content address. A run that wrote
+# its kernel is a race here. Gated by name so a rename fails the gate.
+gate -race -count=2 -run '^TestKernelIsReusable$' ./internal/gpu
 
 echo "== fast-forward gate =="
 # The two-regime differential layer under the race detector. There is
@@ -190,5 +195,16 @@ echo "== benchmark smoke =="
 # trace exporter) proves the whole bench harness still runs; timing is
 # not asserted here.
 go test -run '^$' -bench . -benchmem -benchtime 1x . ./internal/sm ./internal/gpu ./internal/trace
+
+if [ "${CHECK_BENCH:-0}" = 1 ]; then
+    echo "== repository benchmark =="
+    # Opt-in (minutes, and only meaningful on a quiet host): two full
+    # sets of the repo benchmark on this host in this invocation. The
+    # harness exits non-zero when the sets disagree beyond
+    # BENCHMARK.json's bounds or when an exact-repeat count
+    # (sim.pass_cycles, sim.pass_instrs, trace.events_per_run) — which
+    # is simulated time, so it gates unconditionally — differs.
+    go run ./benchmark -seed 1 -sets 2
+fi
 
 echo "all checks passed"
