@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -304,6 +305,13 @@ func FuzzRun(f *testing.F) {
 			interp := cfg
 			interp.Compiled = false
 			intRes, intErr := run(interp, 1)
+			for _, err := range []error{seqErr, parErr, intErr} {
+				// A budget error may repeat in every variant; a panic
+				// (the divergence check's included) may not happen at all.
+				if pe := (*PanicError)(nil); errors.As(err, &pe) {
+					t.Fatalf("the simulator panicked: %v\n%s", pe.Value, pe.Stack)
+				}
+			}
 			if (seqErr == nil) != (intErr == nil) {
 				t.Fatalf("error outcomes diverge: compiled %v, interpreted %v", seqErr, intErr)
 			}

@@ -3,7 +3,7 @@ package rtcore
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Hit is the result of a ray traversal, the record the RT core returns
@@ -47,6 +47,21 @@ type BVH struct {
 	depth int
 }
 
+// sortKey is one primitive's centroid coordinate on the split axis and
+// its position in the range being sorted.
+type sortKey struct {
+	key float32
+	idx int32
+}
+
+// builder is BuildBVH's scratch: one key and one triangle slot per
+// primitive, reused by every node's sort.
+type builder struct {
+	*BVH
+	keys []sortKey
+	tmp  []Triangle
+}
+
 // BuildBVH constructs a hierarchy over the given triangles. The
 // triangle slice is copied and reordered. An empty scene yields a BVH
 // whose traversals always miss in one step.
@@ -57,12 +72,13 @@ func BuildBVH(tris []Triangle) *BVH {
 		return b
 	}
 	b.nodes = make([]bvhNode, 0, 2*len(b.tris))
-	b.build(0, len(b.tris), 1)
+	bl := builder{BVH: b, keys: make([]sortKey, len(b.tris)), tmp: make([]Triangle, len(b.tris))}
+	bl.build(0, len(b.tris), 1)
 	return b
 }
 
 // build emits the subtree over tris[lo:hi) and returns its node index.
-func (b *BVH) build(lo, hi, depth int) int {
+func (b *builder) build(lo, hi, depth int) int {
 	if depth > b.depth {
 		b.depth = depth
 	}
@@ -86,10 +102,27 @@ func (b *BVH) build(lo, hi, depth int) int {
 		return idx
 	}
 
-	sub := b.tris[lo:hi]
-	sort.Slice(sub, func(i, j int) bool {
-		return sub[i].Centroid().Axis(axis) < sub[j].Centroid().Axis(axis)
+	// Sort 8-byte (key, index) pairs and move each triangle once. The
+	// comparison is sort.Slice's less on the same values and both sorts
+	// are the one pdqsort, so the permutation — ties included — and
+	// with it the tree is the one sort.Slice over the triangles built.
+	sub, keys, tmp := b.tris[lo:hi], b.keys[:n], b.tmp[:n]
+	for i := range sub {
+		keys[i] = sortKey{sub[i].Centroid().Axis(axis), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.key < b.key {
+			return -1
+		}
+		if b.key < a.key {
+			return 1
+		}
+		return 0
 	})
+	copy(tmp, sub)
+	for i, k := range keys {
+		sub[i] = tmp[k.idx]
+	}
 	mid := lo + n/2
 
 	b.build(lo, mid, depth+1) // left child lands at idx+1

@@ -239,39 +239,85 @@ func TestEmptyBVHTraversal(t *testing.T) {
 }
 
 func TestCoreLatencyAndMemo(t *testing.T) {
-	tri := Triangle{V0: V(-1, -1, 5), V1: V(1, -1, 5), V2: V(0, 1, 5), Material: 2}
-	bvh := BuildBVH([]Triangle{tri})
+	tris := []Triangle{
+		{V0: V(-1, -1, 5), V1: V(1, -1, 5), V2: V(0, 1, 5), Material: 2},
+		{V0: V(-1, -1, -5), V1: V(1, -1, -5), V2: V(0, 1, -5), Material: 1 << 16},
+	}
+	bvh := BuildBVH(tris)
+	traversals := 0
 	gen := func(id uint32) Ray {
-		if id == 0 {
-			return NewRay(V(0, 0, 0), V(0, 0, 1)) // hit
+		traversals++
+		switch id {
+		case 0:
+			return NewRay(V(0, 0, 0), V(0, 0, 1)) // hits material 2
+		case 1:
+			return NewRay(V(0, 0, 0), V(0, 1, 0)) // miss
+		default:
+			return NewRay(V(0, 0, 0), V(0, 0, -1)) // hits the material no table word holds
 		}
-		return NewRay(V(0, 0, 0), V(0, 0, -1)) // miss
 	}
-	core := NewCore(bvh, gen, 200, 24)
-	hit, lat := core.Trace(0)
-	if !hit.Ok || hit.Material != 2 {
-		t.Fatalf("trace 0: %+v", hit)
+	// check traces id on a core over b and holds the answer to a plain
+	// traversal's, and whether the core traversed to what is expected.
+	b := bvh
+	check := func(core *Core, id uint32, traverses bool) {
+		t.Helper()
+		h := b.Traverse(gen(id), 1e-4, InfinityT)
+		wantMat, wantSteps := h.Material, h.Steps
+		before := traversals
+		mat, steps, lat := core.Trace(id)
+		if mat != wantMat || steps != wantSteps || lat != 200+24*int64(wantSteps) {
+			t.Errorf("ray %d: material %d steps %d latency %d, want %d, %d, base+steps*per",
+				id, mat, steps, lat, wantMat, wantSteps)
+		}
+		if got := traversals > before; got != traverses {
+			t.Errorf("ray %d: traversed = %v, want %v", id, got, traverses)
+		}
 	}
-	if lat != 200+24*int64(hit.Steps) {
-		t.Errorf("latency = %d, want base+steps*per", lat)
+	if h := bvh.Traverse(gen(1), 1e-4, InfinityT); h.Ok || h.Material != MissMaterial {
+		t.Fatalf("ray 1 should miss: %+v", h)
 	}
-	miss, _ := core.Trace(1)
-	if miss.Ok || miss.Material != MissMaterial+0 && miss.Material != -1 {
-		t.Fatalf("trace 1 should miss: %+v", miss)
+
+	// No table: every trace traverses.
+	bare := NewCore(bvh, gen, nil, 200, 24)
+	check(bare, 0, true)
+	check(bare, 0, true)
+
+	// A table answers a ray's second trace, for a second core too; IDs
+	// past its end and values that do not fit a word keep traversing.
+	hits := NewHitTable(3)
+	core := NewCore(bvh, gen, hits, 200, 24)
+	for _, id := range []uint32{0, 1} {
+		check(core, id, true)
+		check(core, id, false)
+		check(NewCore(bvh, gen, hits, 200, 24), id, false)
 	}
-	// Memoized: same result object, counters still advance.
-	hit2, lat2 := core.Trace(0)
-	if hit2 != hit || lat2 != lat {
-		t.Error("memoized trace differs")
+	check(core, 2, true)
+	check(core, 2, true)
+	if hits[2].Load() != 0 {
+		t.Errorf("material %d stored as %#x", 1<<16, hits[2].Load())
 	}
-	if core.Traces() != 3 {
-		t.Errorf("Traces = %d, want 3", core.Traces())
+	check(core, 3, true)
+	check(core, 3, true)
+
+	// Nor is a traversal of more than 65535 steps stored: a
+	// right-leaning chain of interior nodes around ray 0, each with a
+	// leaf its slab test rejects, takes two steps a level.
+	const levels = 40000
+	around := AABB{Min: V(-1, -1, -1), Max: V(1, 1, 10)}
+	aside := AABB{Min: V(5, 5, 5), Max: V(6, 6, 6)}
+	b = &BVH{tris: tris[:1]}
+	for i := 0; i < levels; i++ {
+		b.nodes = append(b.nodes,
+			bvhNode{bounds: around, right: int32(2*i + 2)},
+			bvhNode{bounds: aside, right: -1, primCount: 1})
 	}
-	if core.TotalSteps() <= 0 {
-		t.Error("TotalSteps should accumulate")
-	}
-	if core.BVH() != bvh {
-		t.Error("BVH accessor")
+	b.nodes = append(b.nodes, bvhNode{bounds: aside, right: -1, primCount: 1})
+	hits = NewHitTable(1)
+	core = NewCore(b, gen, hits, 200, 24)
+	check(core, 0, true)
+	check(core, 0, true)
+	if _, steps, _ := core.Trace(0); steps != 2*levels+1 || hits[0].Load() != 0 {
+		t.Errorf("chain: %d steps, table word %#x", steps, hits[0].Load())
 	}
 }
 

@@ -525,6 +525,7 @@ func (b *Block) issue(now int64) bool {
 	// re-classify it next cycle. No other warp's class can change from
 	// this issue alone.
 	b.dirty[pick] = true
+	w.divKnown = false
 	return true
 }
 
@@ -539,7 +540,7 @@ func (b *Block) classify() idleSummary {
 		switch b.statuses[i] {
 		case classScbdWait:
 			s.loadStall = true
-			if w.Diverged() {
+			if w.divergedCached() {
 				s.loadStallDiv = true
 			}
 		case classNoActive, classSelecting:
@@ -548,7 +549,7 @@ func (b *Block) classify() idleSummary {
 			}
 			if !w.tab.Mask(tst.Stalled).Empty() {
 				s.loadStall = true
-				if w.Diverged() {
+				if w.divergedCached() {
 					s.loadStallDiv = true
 				}
 			} else if !w.tab.Mask(tst.Ready).Empty() {

@@ -279,19 +279,16 @@ func (b *Block) executeTrace(w *Warp, op *isa.COp, now int64) {
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
 		rayID := w.regs[l][op.SrcA]
-		hit, lat := b.sm.rt.Trace(rayID)
+		material, steps, lat := b.sm.rt.Trace(rayID)
 		b.counters.RTTraces++
-		b.counters.RTTraversalSteps += int64(hit.Steps)
+		b.counters.RTTraversalSteps += int64(steps)
 		if lat > maxLat {
 			maxLat = lat
 		}
-		val := uint32(0) // miss
-		if hit.Ok {
-			val = uint32(hit.Material + 1)
-		}
+		// The hit record is material+1, so a miss (MissMaterial) reads 0.
 		b.events.push(wbEvent{
 			at: now + lat, warp: w, lane: l,
-			reg: op.Dst, sbid: op.WrScbd, kind: wbTrace, val: val,
+			reg: op.Dst, sbid: op.WrScbd, kind: wbTrace, val: uint32(material + 1),
 		})
 	}
 	if b.rec != nil {

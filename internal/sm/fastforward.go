@@ -130,6 +130,7 @@ func (b *Block) ffCommit(gap, endCycle int64) {
 		w.applySimple(mask, b.fetch(pc))
 	}
 	w.setActivePCs(pc)
+	w.divKnown = false
 	b.counters.Cycles = endCycle
 }
 

@@ -34,6 +34,12 @@ type Kernel struct {
 	// TRACE.
 	BVH    *rtcore.BVH
 	RayGen rtcore.RayGen
+	// Hits, when non-nil, is the table in which the RT core looks up and
+	// leaves each ray's hit, so a ray is traversed once however many
+	// runs trace it. It must belong to this BVH and RayGen (the hit is a
+	// pure function of scene and ray ID) and is the one part of a kernel
+	// a run fills in; it never changes a result.
+	Hits rtcore.HitTable
 	// Budget, when non-nil, gas-meters the launch: each SM independently
 	// enforces the limits and kills the run with a *BudgetError at a
 	// deterministic point (see Budget). Nil means unmetered.
@@ -130,7 +136,7 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 		s.budget = kernel.Budget
 	}
 	if kernel.BVH != nil && kernel.RayGen != nil {
-		s.rt = rtcore.NewCore(kernel.BVH, kernel.RayGen,
+		s.rt = rtcore.NewCore(kernel.BVH, kernel.RayGen, kernel.Hits,
 			int64(cfg.RTBaseLatency), int64(cfg.RTStepLatency))
 	}
 	cp := kernel.Program.Compiled()

@@ -53,6 +53,13 @@ type Warp struct {
 	// events can mark the owning slot dirty without a search.
 	slot int
 
+	// diverged remembers Diverged() while divKnown is set. Lane PCs and
+	// the live mask change only when the warp itself executes, so
+	// Block.issue and ffCommit clear divKnown and the idle
+	// classification rescans the lanes once per issue, not once per idle
+	// cycle.
+	divKnown, diverged bool
+
 	exited bool
 }
 
@@ -93,6 +100,21 @@ func (w *Warp) Scoreboards() *scoreboard.File { return w.sb }
 // subwarp, the condition under which exposed stalls count as
 // "in divergent code blocks" (Fig. 3).
 func (w *Warp) Diverged() bool { return w.tab.DivergedLive() }
+
+// CheckDivergence makes every read of a remembered divergence bit
+// rescan the lanes and panic on a mismatch. Tests set it before any
+// run starts; nothing else does.
+var CheckDivergence bool
+
+// divergedCached is Diverged() through the remembered bit.
+func (w *Warp) divergedCached() bool {
+	if !w.divKnown {
+		w.diverged, w.divKnown = w.Diverged(), true
+	} else if CheckDivergence && w.diverged != w.Diverged() {
+		panic(fmt.Sprintf("sm: warp %d remembers diverged=%v, its lanes say %v", w.ID, w.diverged, !w.diverged))
+	}
+	return w.diverged
+}
 
 // special reads an S2R special register for one lane.
 func (w *Warp) special(sr int, lane int) uint32 {

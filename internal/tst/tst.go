@@ -139,8 +139,8 @@ func (t *Table) LiveSubwarps() int {
 
 // DivergedLive reports whether live lanes span more than one distinct
 // PC, i.e. LiveSubwarps() > 1 without counting: it exits on the first
-// PC mismatch. The scheduler's idle classification calls this every
-// non-issuing cycle, where the full count would be wasted work.
+// PC mismatch. The scheduler's idle classification reads it once per
+// stalled warp per issue of that warp and remembers the answer.
 func (t *Table) DivergedLive() bool {
 	m := t.Live()
 	if m.Empty() {

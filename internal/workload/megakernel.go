@@ -85,7 +85,10 @@ const (
 )
 
 // Megakernel assembles the raytracing megakernel for a profile,
-// generating its scene, BVH and camera.
+// generating its scene, BVH and camera. A profile that is one of the
+// Table II traces as registered also gets that trace's process-wide hit
+// table, so its rays are traversed once per process; every other
+// profile gets none.
 //
 // The kernel follows the structure of Figs. 1 and 5: each iteration
 // casts a ray asynchronously via TRACE, performs convergent G-buffer
@@ -215,6 +218,7 @@ func Megakernel(p AppProfile) (*sm.Kernel, error) {
 		Memory:      mem.NewMemory(),
 		BVH:         sc.BVH,
 		RayGen:      sc.RayGen(cam),
+		Hits:        hitTableFor(p),
 	}, nil
 }
 

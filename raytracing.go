@@ -35,6 +35,14 @@ type BVH = rtcore.BVH
 // BuildBVH constructs a hierarchy by median split.
 func BuildBVH(tris []Triangle) *BVH { return rtcore.BuildBVH(tris) }
 
+// HitTable remembers each ray's hit for a kernel (Kernel.Hits) so that
+// runs tracing the same ray IDs traverse each ray once. It belongs to
+// one (BVH, RayGen) pair and never changes a result.
+type HitTable = rtcore.HitTable
+
+// NewHitTable returns an empty table for ray IDs below rays.
+func NewHitTable(rays int) HitTable { return rtcore.NewHitTable(rays) }
+
 // MissMaterial is the material reported for rays that hit nothing.
 const MissMaterial = rtcore.MissMaterial
 

@@ -23,13 +23,11 @@ func main() {
 	fmt.Println("app      stall%(ref)  div%(ref)   Both05%(ref)  miss%")
 	var sps []float64
 	for _, app := range workload.Apps() {
-		kb, err := workload.Megakernel(app)
+		k, err := workload.Megakernel(app)
 		must(err)
-		base, err := gpu.Run(config.Default(), kb)
+		base, err := gpu.Run(config.Default(), k)
 		must(err)
-		k2, err := workload.Megakernel(app)
-		must(err)
-		s2, err := gpu.Run(config.Default().WithSI(true, config.TriggerHalfStalled), k2)
+		s2, err := gpu.Run(config.Default().WithSI(true, config.TriggerHalfStalled), k)
 		must(err)
 		sp := stats.Speedup(base.Counters, s2.Counters)
 		d := base.Derived()

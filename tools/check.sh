@@ -59,6 +59,19 @@ gate -race -count=2 -run 'TestParallelMatchesSequential|TestParallelTraceMatches
 # time and keeps its own image and content address. A run that wrote
 # its kernel is a race here. Gated by name so a rename fails the gate.
 gate -race -count=2 -run '^TestKernelIsReusable$' ./internal/gpu
+# What is remembered between cycles and between runs never changes a
+# result, each gated by name. A trace's shared hit table: no table, an
+# empty one, a warm one and four runs filling one at once give identical
+# counters and images. A warp's divergence bit: with the SM's check on
+# (the TestMain of internal/sm, internal/gpu and internal/experiments,
+# so the golden and FuzzRun corpora hold it too), every remembered bit
+# equals a scan of the warp's lanes where the idle classification reads
+# it.
+gate -race -count=2 -run '^TestHitTableNeverChangesAResult$' ./internal/gpu
+gate -race -count=2 -run '^TestDivergenceBitMatchesLaneScan$' ./internal/gpu ./internal/sm
+# The keyed BVH build reproduces, node for node, the trees the
+# reflective sort built (internal/rtcore/testdata).
+gate -count=1 -run '^TestBVHMatchesPinnedDigests$' ./internal/rtcore
 
 echo "== fast-forward gate =="
 # The two-regime differential layer under the race detector. There is
