@@ -270,6 +270,16 @@ type Config struct {
 	// and performance are unchanged when unset.
 	Trace *trace.Recorder
 
+	// Check turns the simulator's self-checks on. Like Trace it is not an
+	// architecture parameter and never changes a result, so the
+	// result-cache canonicalization leaves it out: every processing
+	// block is stepped at every visited cycle, and a block whose own
+	// time excused it from one must step as predicted (sm.Block's
+	// stepExcused); every remembered divergence bit is compared with a
+	// lane scan where it is read. A failed check panics. Tests and the
+	// fuzzers set it; nothing a user reaches does.
+	Check bool
+
 	// Faults optionally attaches the deterministic fault-injection
 	// layer to the run. Like Trace it is not an architecture
 	// parameter: it is excluded from the result-cache canonicalization

@@ -48,6 +48,10 @@ type Options struct {
 	// to the named generators (the -workload flag); empty means all
 	// registered families.
 	Workloads []string
+
+	// check runs every simulation under config.Config.Check; this
+	// package's tests set it.
+	check bool
 }
 
 func (o Options) workers() int {
@@ -183,6 +187,7 @@ func runJobs(o Options, jobs []job) (map[string]gpu.Result, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			cfg := j.cfg
+			cfg.Check = o.check
 			if o.Interpret {
 				cfg.Compiled = false
 			}

@@ -9,13 +9,14 @@ import (
 
 	"subwarpsim/internal/config"
 	"subwarpsim/internal/sm"
+	"subwarpsim/internal/testutil"
 	"subwarpsim/internal/workload"
 )
 
 // full returns the full-size options used for shape assertions; the
 // calibrated speedups depend on warm caches and full occupancy, so
 // shape tests run the real workloads. They honor -short via skipLong.
-func full() Options { return Options{} }
+func full() Options { return Options{check: testutil.Checked()} }
 
 func skipLong(t *testing.T) {
 	t.Helper()
@@ -259,7 +260,7 @@ func TestRunJobsPropagatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runJobs(Options{}, []job{
+	_, err = runJobs(full(), []job{
 		{key: "fine", cfg: config.Default(), kernel: good},
 		{key: "bad", cfg: config.Default(), kernel: &sm.Kernel{}}, // no program: the run rejects it
 		{key: "worse", cfg: config.Default(), kernel: &sm.Kernel{}},
@@ -279,7 +280,7 @@ func TestRunJobsHonorsCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runJobs(Options{Workers: 1, Context: ctx}, []job{{
+	_, err = runJobs(Options{Workers: 1, Context: ctx, check: testutil.Checked()}, []job{{
 		key: "cancelled", cfg: config.Default(), kernel: k,
 	}})
 	if !errors.Is(err, context.Canceled) {

@@ -21,7 +21,7 @@ func BenchmarkRecordedRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := config.Default().WithSI(true, config.TriggerHalfStalled)
+	base := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 	base.Compiled = false
 	// run builds a fresh kernel off the clock and simulates it; only
 	// the recorded runs count towards ns/op and allocs/op.

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"subwarpsim/internal/config"
 	"subwarpsim/internal/sm"
 	"subwarpsim/internal/workload"
 )
@@ -33,7 +32,7 @@ func TestCancelMidRunReturnsPromptly(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() {
-			_, err := RunContext(ctx, config.Default(), slowKernel(t), workers)
+			_, err := RunContext(ctx, defaultConfig(), slowKernel(t), workers)
 			errc <- err
 		}()
 		time.Sleep(20 * time.Millisecond) // let the simulation get going
@@ -59,7 +58,7 @@ func TestCancelMidRunReturnsPromptly(t *testing.T) {
 func TestDeadlineExceededSurfaces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := RunContext(ctx, config.Default(), slowKernel(t), 0)
+	_, err := RunContext(ctx, defaultConfig(), slowKernel(t), 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -71,7 +70,7 @@ func TestPreCancelledContextRefusesToRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunContext(ctx, config.Default(), slowKernel(t), 0)
+	_, err := RunContext(ctx, defaultConfig(), slowKernel(t), 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -86,7 +85,7 @@ func TestCancelLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		RunContext(ctx, config.Default(), slowKernel(t), 2)
+		RunContext(ctx, defaultConfig(), slowKernel(t), 2)
 		cancel()
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -104,11 +103,11 @@ func TestCancelLeavesNoGoroutines(t *testing.T) {
 // and match a Background-context run bit for bit.
 func TestContextlessRunUnaffected(t *testing.T) {
 	k := microbench4(t).kernel
-	plain, err := RunWorkers(config.Default(), k, 1)
+	plain, err := RunWorkers(defaultConfig(), k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := RunContext(context.Background(), config.Default(), k, 1)
+	viaCtx, err := RunContext(context.Background(), defaultConfig(), k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"subwarpsim/internal/config"
+	"subwarpsim/internal/testutil"
 	"subwarpsim/internal/workload"
 )
 
@@ -13,7 +14,9 @@ import (
 // (Compiled=false, the reference these tests call "interpreted") on
 // every workload, configuration, and observable — counters, derived
 // metrics, final memory images — so what is under test is the
-// soundness of ffStable/ffHorizon/ffCommit. These tests are the proof
+// soundness of Block.plan's run case and ffCommit: the fast-forward
+// side runs as it is served, its blocks keeping their own time, and
+// the stepped side in checked lock-step. These tests are the proof
 // obligation behind Config.Compiled being excluded from the
 // result-cache key. Trace streams need no regime comparison: attaching
 // a recorder forces the stepped regime whatever Compiled says (they
@@ -22,25 +25,33 @@ import (
 
 // engineConfigs are the policy points the two-mode comparison quantifies
 // over: the baseline, both SI modes (yield exercises the FFLen vs
-// FFLenYieldInert table split), DWS (eager selection stresses the
-// ffStable gate), and randomized activation order (per-divergence RNG
-// draws must happen on identical cycles in both modes).
+// FFLenYieldInert table split), DWS (eager selection stresses a run's
+// no-select-waiting condition), and randomized activation order
+// (per-divergence RNG draws must happen on identical cycles in both
+// modes).
 func engineConfigs() map[string]config.Config {
-	rnd := config.Default().WithSI(true, config.TriggerHalfStalled)
+	rnd := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 	rnd.Order = config.OrderRandom
 	return map[string]config.Config{
-		"baseline": config.Default(),
-		"sos":      config.Default().WithSI(false, config.TriggerAnyStalled),
-		"both":     config.Default().WithSI(true, config.TriggerHalfStalled),
-		"dws":      config.Default().WithDWS(),
+		"baseline": defaultConfig(),
+		"sos":      defaultConfig().WithSI(false, config.TriggerAnyStalled),
+		"both":     defaultConfig().WithSI(true, config.TriggerHalfStalled),
+		"dws":      defaultConfig().WithDWS(),
 		"random":   rnd,
 	}
 }
 
 // interpreted returns the configuration with fast-forward off: the
-// stepped reference regime (-compile=off).
+// stepped reference regime (-compile=off), under Config.Check.
 func interpreted(cfg config.Config) config.Config {
-	cfg.Compiled = false
+	cfg.Compiled, cfg.Check = false, testutil.Checked()
+	return cfg
+}
+
+// served returns the configuration with fast-forward on and
+// Config.Check off: the loop every caller outside the tests runs.
+func served(cfg config.Config) config.Config {
+	cfg.Compiled, cfg.Check = true, false
 	return cfg
 }
 
@@ -53,8 +64,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			w, cfg := w, cfg
 			t.Run(w.name+"/"+cname, func(t *testing.T) {
 				t.Parallel()
-				cfg.Compiled = true
-				cRes, cFP := runWith(t, w, cfg, 0)
+				cRes, cFP := runWith(t, w, served(cfg), 0)
 				iRes, iFP := runWith(t, w, interpreted(cfg), 0)
 				if cRes.Counters != iRes.Counters {
 					t.Errorf("counters diverge:\n  compiled    %+v\n  interpreted %+v",
@@ -80,8 +90,8 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 // loads must retire identically in both modes under every SI policy.
 func TestCompiledMatchesInterpretedProperty(t *testing.T) {
 	cfgs := siConfigs()
-	cfgs["baseline"] = config.Default()
-	cfgs["dws"] = config.Default().WithDWS()
+	cfgs["baseline"] = defaultConfig()
+	cfgs["dws"] = defaultConfig().WithDWS()
 	for seed := int64(0); seed < 6; seed++ {
 		data := propBytes(seed, 48, true)
 		prog, err := fuzzProgram(data[1:])
@@ -89,8 +99,7 @@ func TestCompiledMatchesInterpretedProperty(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for cname, cfg := range cfgs {
-			cfg.Compiled = true
-			cRes := propRun(t, cfg, prog, data[0], 0)
+			cRes := propRun(t, served(cfg), prog, data[0], 0)
 			iRes := propRun(t, interpreted(cfg), prog, data[0], 0)
 			if cRes.Counters != iRes.Counters {
 				t.Errorf("seed %d %s: counters diverge:\n  compiled    %+v\n  interpreted %+v",
@@ -109,7 +118,7 @@ func TestCompiledOncePerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Default() // 2 SMs
+	cfg := defaultConfig() // 2 SMs
 	if got := k.Program.CompileCount(); got != 0 {
 		t.Fatalf("program pre-compiled: CompileCount = %d before the run", got)
 	}

@@ -88,8 +88,8 @@ func runWith(t *testing.T, w diffWorkload, cfg config.Config, workers int) (Resu
 // counter set and the final architectural memory image match exactly.
 func TestParallelMatchesSequential(t *testing.T) {
 	cfgs := map[string]config.Config{
-		"baseline": config.Default(),
-		"si":       config.Default().WithSI(true, config.TriggerHalfStalled),
+		"baseline": defaultConfig(),
+		"si":       defaultConfig().WithSI(true, config.TriggerHalfStalled),
 	}
 	for _, w := range diffWorkloads(t) {
 		for cname, cfg := range cfgs {
@@ -127,8 +127,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 // so the same thread-level work arrives at join blocks in a different
 // number of subwarp-granularity pieces.
 func TestSIPreservesArchitecturalState(t *testing.T) {
-	base := config.Default()
-	si := config.Default().WithSI(true, config.TriggerHalfStalled)
+	base := defaultConfig()
+	si := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 	for _, w := range diffWorkloads(t) {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
@@ -156,37 +156,10 @@ func TestParallelTraceMatchesSequential(t *testing.T) {
 	w := microbench4(t)
 	traced := func(workers int) *trace.Recorder {
 		rec := trace.NewRecorder()
-		cfg := config.Default().WithSI(true, config.TriggerHalfStalled)
+		cfg := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 		cfg.Trace = rec
 		runWith(t, w, cfg, workers)
 		return rec
 	}
-	seq := traced(1)
-	par := traced(4)
-
-	if seq.Len() == 0 {
-		t.Fatal("sequential run recorded no events; trace comparison is vacuous")
-	}
-	if seq.Len() != par.Len() {
-		t.Fatalf("event counts diverge: sequential %d, parallel %d", seq.Len(), par.Len())
-	}
-	if seq.Dropped() != par.Dropped() {
-		t.Errorf("dropped counts diverge: sequential %d, parallel %d", seq.Dropped(), par.Dropped())
-	}
-	se, pe := seq.Events(), par.Events()
-	for i := range se {
-		if se[i] != pe[i] {
-			t.Fatalf("event %d diverges:\n  sequential %s\n  parallel   %s", i, se[i], pe[i])
-		}
-	}
-	sh, ph := seq.Histograms(), par.Histograms()
-	if len(sh) != len(ph) {
-		t.Fatalf("histogram counts diverge: sequential %d, parallel %d", len(sh), len(ph))
-	}
-	for i := range sh {
-		if sh[i].String() != ph[i].String() {
-			t.Errorf("histogram %d diverges:\n  sequential:\n%s\n  parallel:\n%s",
-				i, sh[i], ph[i])
-		}
-	}
+	sameTrace(t, traced(4), traced(1))
 }

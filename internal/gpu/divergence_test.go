@@ -4,25 +4,25 @@ import (
 	"testing"
 
 	"subwarpsim/internal/config"
-	"subwarpsim/internal/sm"
+	"subwarpsim/internal/testutil"
 )
 
 // TestDivergenceBitMatchesLaneScan runs the ten traces and the
 // divergence microbenchmark, baseline, SI and a two-entry TST, in both
-// regimes with the SM's divergence check on (TestMain): a remembered
-// bit that disagrees with its warp's lanes panics inside the SM, which
-// fails the run. The same check is on for every other test here and in
-// internal/experiments, so the FuzzRun seed corpus and the golden
-// corpus hold it too; tools/check.sh gates this one by name.
+// regimes under Config.Check: a remembered bit that disagrees with its
+// warp's lanes panics inside the SM, which fails the run. The same
+// check is on for every other test here and in internal/experiments,
+// so the FuzzRun seed corpus and the golden corpus hold it too;
+// tools/check.sh gates this one by name.
 func TestDivergenceBitMatchesLaneScan(t *testing.T) {
-	if !sm.CheckDivergence {
-		t.Fatal("TestMain did not turn the divergence check on")
+	if !testutil.Checked() {
+		t.Skip("-bench turns Config.Check off")
 	}
-	tinyTST := config.Default().WithSI(true, config.TriggerAnyStalled)
+	tinyTST := defaultConfig().WithSI(true, config.TriggerAnyStalled)
 	tinyTST.SI.MaxSubwarps = 2
 	cfgs := map[string]config.Config{
-		"baseline": config.Default(),
-		"si":       config.Default().WithSI(true, config.TriggerHalfStalled),
+		"baseline": defaultConfig(),
+		"si":       defaultConfig().WithSI(true, config.TriggerHalfStalled),
 		"tinyTST":  tinyTST,
 	}
 	for _, w := range diffWorkloads(t) {

@@ -213,11 +213,12 @@ func fuzzMemory() *mem.Memory {
 // FuzzRun feeds generated kernels to the whole-device simulator and
 // checks the properties no input may break: the simulator never
 // panics; a parallel run is bit-identical to a sequential run of the
-// same kernel (counters, final memory image, and error outcome); and
-// the stepped regime (Compiled=false) is bit-identical to the
-// fast-forward regime — all with SI off and on. Run errors themselves (e.g. the
-// tightened cycle budget) are tolerated as long as every variant
-// agrees.
+// same kernel (counters, final memory image, and error outcome), and
+// so is the run loop with its blocks keeping their own time to the
+// checked lock-step loop (Config.Check); and the stepped regime
+// (Compiled=false) is bit-identical to the fast-forward regime — all
+// with SI off and on. Run errors themselves (e.g. the tightened cycle
+// budget) are tolerated as long as every variant agrees.
 func FuzzRun(f *testing.F) {
 	old := MaxCycles
 	MaxCycles = fuzzMaxCycles
@@ -258,16 +259,16 @@ func FuzzRun(f *testing.F) {
 	// tinyTST caps the TST at 2 entries so generated divergence can
 	// overflow it (the overflow path leaves the subwarp waiting in
 	// place, which fast-forward must reproduce cycle-exactly).
-	tinyTST := config.Default().WithSI(true, config.TriggerAnyStalled)
+	tinyTST := defaultConfig().WithSI(true, config.TriggerAnyStalled)
 	tinyTST.SI.MaxSubwarps = 2
 
 	// The scheduler-policy zoo: GTO's oldest-first fallback can starve
 	// young ready warps behind a long-latency veteran, and the WaSP-style
 	// phase policy deliberately runs its leader group ahead; both must
 	// stay deterministic and engine-identical like LRR.
-	gto := config.Default()
+	gto := defaultConfig()
 	gto.SchedPolicy = config.SchedGTO
-	waspSI := config.Default().WithSI(true, config.TriggerHalfStalled)
+	waspSI := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 	waspSI.SchedPolicy = config.SchedWaSP
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -291,14 +292,19 @@ func FuzzRun(f *testing.F) {
 			return RunWorkers(cfg, k, workers)
 		}
 		for _, cfg := range []config.Config{
-			config.Default(),
-			config.Default().WithSI(true, config.TriggerHalfStalled),
+			defaultConfig(),
+			defaultConfig().WithSI(true, config.TriggerHalfStalled),
 			tinyTST,
 			gto,
 			waspSI,
 		} {
 			seqRes, seqErr := run(cfg, 1)
-			parRes, parErr := run(cfg, 4)
+			// The parallel run is also the one without Config.Check: its
+			// blocks keep their own time, where the other two are stepped
+			// in lock-step with every excused step's prediction asserted.
+			par := cfg
+			par.Check = false
+			parRes, parErr := run(par, 4)
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("error outcomes diverge: sequential %v, parallel %v", seqErr, parErr)
 			}

@@ -90,7 +90,8 @@ func RunWorkers(cfg config.Config, kernel *sm.Kernel, workers int) (Result, erro
 //
 // Warps distribute round-robin across SMs, and within an SM across its
 // processing blocks; warps beyond the register-limited occupancy run as
-// follow-on waves. SMs only share read-only launch state (program, BVH,
+// follow-on waves. SMs only share read-only launch state (program, BVH
+// — which builds its nodes once, whichever SM traverses it first — and
 // ray generator), so each simulates independently in its own goroutine:
 // every SM executes loads and stores against a private copy-on-write
 // view of the functional memory image (mem.View), and traces into a

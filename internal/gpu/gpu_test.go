@@ -27,7 +27,7 @@ func storeTID() *sm.Kernel {
 }
 
 func TestRunDistributesAllWarps(t *testing.T) {
-	res, err := Run(config.Default(), storeTID())
+	res, err := Run(defaultConfig(), storeTID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunDistributesAllWarps(t *testing.T) {
 }
 
 func TestRunValidatesConfig(t *testing.T) {
-	bad := config.Default()
+	bad := defaultConfig()
 	bad.NumSMs = 0
 	if _, err := Run(bad, storeTID()); err == nil {
 		t.Fatal("invalid config accepted")
@@ -56,17 +56,17 @@ func TestRunValidatesConfig(t *testing.T) {
 func TestRunValidatesKernel(t *testing.T) {
 	k := storeTID()
 	k.NumWarps = 0
-	if _, err := Run(config.Default(), k); err == nil {
+	if _, err := Run(defaultConfig(), k); err == nil {
 		t.Fatal("invalid kernel accepted")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(config.Default(), storeTID())
+	a, err := Run(defaultConfig(), storeTID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(config.Default(), storeTID())
+	b, err := Run(defaultConfig(), storeTID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestDerived(t *testing.T) {
-	res, err := Run(config.Default(), storeTID())
+	res, err := Run(defaultConfig(), storeTID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDerived(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
-	base := config.Default()
+	base := defaultConfig()
 	si := base.WithSI(true, config.TriggerHalfStalled)
 	rb, rt, sp, err := Compare(base, si, storeTID())
 	if err != nil {
@@ -108,7 +108,7 @@ func TestCompare(t *testing.T) {
 func TestCompareErrorPropagates(t *testing.T) {
 	bad := storeTID()
 	bad.Program = nil
-	if _, _, _, err := Compare(config.Default(), config.Default(), bad); err == nil {
+	if _, _, _, err := Compare(defaultConfig(), defaultConfig(), bad); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -128,7 +128,7 @@ func TestRunErrorNamesSM(t *testing.T) {
 	old := MaxCycles
 	MaxCycles = 100_000
 	defer func() { MaxCycles = old }()
-	_, err = Run(config.Default(), k)
+	_, err = Run(defaultConfig(), k)
 	if err == nil {
 		t.Fatal("expected cycle-budget error")
 	}
@@ -140,7 +140,7 @@ func TestRunErrorNamesSM(t *testing.T) {
 func TestSingleWarpSmallerThanSMCount(t *testing.T) {
 	k := storeTID()
 	k.NumWarps = 1
-	res, err := Run(config.Default(), k)
+	res, err := Run(defaultConfig(), k)
 	if err != nil {
 		t.Fatal(err)
 	}

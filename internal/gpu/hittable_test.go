@@ -17,7 +17,7 @@ import (
 // sweepConfigs are the four Fig. 12a policies the repository
 // benchmark's paper-sweep crosses with the traces.
 func sweepConfigs() map[string]config.Config {
-	base := config.Default()
+	base := defaultConfig()
 	return map[string]config.Config{
 		"baseline":    base,
 		"SOS,N>=0.5":  base.WithSI(false, config.TriggerHalfStalled),
@@ -95,7 +95,7 @@ func TestHitTableNeverChangesAResult(t *testing.T) {
 			}
 
 			// Concurrent fill: four runs race to store the same words.
-			cfg := config.Default().WithSI(true, config.TriggerHalfStalled)
+			cfg := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 			want, _ := runWith(t, bare, cfg, 1)
 			racing := withHits(k, rtcore.NewHitTable(rays))
 			var wg sync.WaitGroup
@@ -149,7 +149,7 @@ func TestHitTableFallsBackToTraversal(t *testing.T) {
 	if k.Hits != nil {
 		t.Fatal("a profile that is not the registered one got a hit table")
 	}
-	cfg := config.Default().WithSI(true, config.TriggerHalfStalled)
+	cfg := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 	want, wantFP := runWith(t, diffWorkload{"Ctrl/16", k}, cfg, 0)
 
 	rays := edited.NumWarps * 32 * edited.Iterations
@@ -187,7 +187,7 @@ func TestHitTableFallsBackToTraversal(t *testing.T) {
 		Hits: rtcore.NewHitTable(64),
 	}
 	for pass := 0; pass < 2; pass++ {
-		res, _ := runWith(t, diffWorkload{"tracestore", tk}, config.Default(), 0)
+		res, _ := runWith(t, diffWorkload{"tracestore", tk}, defaultConfig(), 0)
 		for id := uint32(0); id < 64; id++ {
 			record := [3]uint32{3 + 1, 0, 1<<16 + 1}[id%3]
 			if got := res.Memory.Load(uint64(4 * id)); got != record {
@@ -217,7 +217,7 @@ func TestTablesAreAllThatIsKept(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(config.Default(), k); err != nil {
+		if _, err := Run(defaultConfig(), k); err != nil {
 			t.Fatal(err)
 		}
 	}

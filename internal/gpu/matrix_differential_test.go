@@ -57,13 +57,13 @@ func TestMatrixDifferential(t *testing.T) {
 				w, pol, mode := w, pol, mode
 				t.Run(w.name+"/"+pol.String()+"/"+mode, func(t *testing.T) {
 					t.Parallel()
-					cfg := config.Default()
+					cfg := defaultConfig()
 					cfg.SchedPolicy = pol
 					if mode == "si" {
 						cfg = cfg.WithSI(true, config.TriggerHalfStalled)
 					}
-					seqRes, seqFP := runWith(t, w, cfg, 1)
-					parRes, parFP := runWith(t, w, cfg, 4)
+					seqRes, seqFP := runWith(t, w, served(cfg), 1)
+					parRes, parFP := runWith(t, w, served(cfg), 4)
 					intRes, intFP := runWith(t, w, interpreted(cfg), 1)
 					if seqRes.Counters != parRes.Counters {
 						t.Errorf("worker counts diverge:\n  w1 %+v\n  w4 %+v",
@@ -100,7 +100,7 @@ func TestPropertyGEMMSITransparency(t *testing.T) {
 	k, err := workload.GEMM(p)
 	w := built(t, "gemm", k, err)
 	for _, pol := range schedPolicies() {
-		base := config.Default()
+		base := defaultConfig()
 		base.SchedPolicy = pol
 		bRes, _ := runWith(t, w, base, 0)
 		if bRes.Counters.DivergentBranches != 0 {
@@ -137,7 +137,7 @@ func TestPropertyGeneratorInvariants(t *testing.T) {
 			var outcomes []outcome
 			for _, pol := range schedPolicies() {
 				for _, mode := range []string{"baseline", "si"} {
-					cfg := config.Default()
+					cfg := defaultConfig()
 					cfg.SchedPolicy = pol
 					if mode == "si" {
 						cfg = cfg.WithSI(true, config.TriggerHalfStalled)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"subwarpsim/internal/config"
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/isa"
 	"subwarpsim/internal/mem"
@@ -19,7 +18,7 @@ import (
 // both the sequential and the parallel path.
 func TestSMPanicIsRecovered(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		cfg := config.Default()
+		cfg := defaultConfig()
 		cfg.Faults = faults.New(1, faults.Rule{Site: faults.SiteSMRun, Kind: faults.KindPanic, N: 1})
 		k, err := workload.Microbench(workload.DefaultMicrobench(4))
 		if err != nil {
@@ -45,7 +44,7 @@ func TestSMPanicIsRecovered(t *testing.T) {
 // TestSMInjectedErrorSurfaces: an error rule at the SM site fails the
 // run with an error wrapping faults.ErrInjected.
 func TestSMInjectedErrorSurfaces(t *testing.T) {
-	cfg := config.Default()
+	cfg := defaultConfig()
 	cfg.Faults = faults.New(1, faults.Rule{Site: faults.SiteSMRun, Kind: faults.KindError, N: 1})
 	k, err := workload.Microbench(workload.DefaultMicrobench(4))
 	if err != nil {
@@ -62,12 +61,12 @@ func TestSMInjectedErrorSurfaces(t *testing.T) {
 // contract survives slow backends.
 func TestSMLatencyInjectionIsResultTransparent(t *testing.T) {
 	k := microbench4(t).kernel
-	clean, err := RunWorkers(config.Default(), k, 2)
+	clean, err := RunWorkers(defaultConfig(), k, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := config.Default()
+	cfg := defaultConfig()
 	cfg.Faults = faults.New(1, faults.Rule{
 		Site: faults.SiteSMRun, Kind: faults.KindLatency, Delay: time.Millisecond})
 	slow, err := RunWorkers(cfg, k, 2)
@@ -99,7 +98,7 @@ func TestFallOffEndDiagnostic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := config.Default()
+		cfg := defaultConfig()
 		cfg.Compiled = compiled
 		k := &sm.Kernel{Program: prog, NumWarps: 2, WarpsPerCTA: 1, Memory: mem.NewMemory()}
 		_, err = RunContext(context.Background(), cfg, k, 1)

@@ -57,10 +57,10 @@ func propRun(t *testing.T, cfg config.Config, prog *isa.Program, shape byte, wor
 // siConfigs are the policy points the properties quantify over.
 func siConfigs() map[string]config.Config {
 	return map[string]config.Config{
-		"SOS half":  config.Default().WithSI(false, config.TriggerHalfStalled),
-		"SOS any":   config.Default().WithSI(false, config.TriggerAnyStalled),
-		"Both half": config.Default().WithSI(true, config.TriggerHalfStalled),
-		"Both all":  config.Default().WithSI(true, config.TriggerAllStalled),
+		"SOS half":  defaultConfig().WithSI(false, config.TriggerHalfStalled),
+		"SOS any":   defaultConfig().WithSI(false, config.TriggerAnyStalled),
+		"Both half": defaultConfig().WithSI(true, config.TriggerHalfStalled),
+		"Both all":  defaultConfig().WithSI(true, config.TriggerAllStalled),
 	}
 }
 
@@ -76,7 +76,7 @@ func TestPropertySITransparencyWithoutDivergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := propRun(t, config.Default(), prog, data[0], 1)
+		base := propRun(t, defaultConfig(), prog, data[0], 1)
 		if base.Counters.DivergentBranches != 0 {
 			t.Fatalf("seed %d: straight-line generator produced %d divergent branches",
 				seed, base.Counters.DivergentBranches)
@@ -105,8 +105,8 @@ func TestPropertyGeneratedProgramsTerminate(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for name, cfg := range map[string]config.Config{
-			"baseline": config.Default(),
-			"SI":       config.Default().WithSI(true, config.TriggerHalfStalled),
+			"baseline": defaultConfig(),
+			"SI":       defaultConfig().WithSI(true, config.TriggerHalfStalled),
 		} {
 			if _, err := RunWorkers(cfg, propKernel(t, prog, data[0]), 1); err != nil {
 				t.Errorf("seed %d, %s: %v", seed, name, err)
@@ -119,8 +119,8 @@ func TestPropertyGeneratedProgramsTerminate(t *testing.T) {
 // buckets partition idle time exactly, for every kernel and policy.
 func TestPropertyIdleBucketsConserveIdleCycles(t *testing.T) {
 	configs := siConfigs()
-	configs["baseline"] = config.Default()
-	configs["DWS"] = config.Default().WithDWS()
+	configs["baseline"] = defaultConfig()
+	configs["DWS"] = defaultConfig().WithDWS()
 	for seed := int64(0); seed < 6; seed++ {
 		data := propBytes(seed, 48, true)
 		prog, err := fuzzProgram(data[1:])
@@ -164,15 +164,15 @@ func TestPropertyWorkInvariantAcrossScheduling(t *testing.T) {
 			res := propRun(t, cfg, prog, data[0], workers)
 			outcomes = append(outcomes, outcome{name, res.Counters.ActiveThreads, res.Memory.Fingerprint()})
 		}
-		record("baseline w1", config.Default(), 1)
-		record("baseline w4", config.Default(), 4)
+		record("baseline w1", defaultConfig(), 1)
+		record("baseline w4", defaultConfig(), 4)
 		for name, cfg := range siConfigs() {
 			record(name, cfg, 1)
 		}
 		for _, ord := range []config.SubwarpOrder{
 			config.OrderFallthroughFirst, config.OrderLargestFirst, config.OrderRandom,
 		} {
-			cfg := config.Default().WithSI(true, config.TriggerHalfStalled)
+			cfg := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 			cfg.Order = ord
 			record("order variant", cfg, 1)
 		}
@@ -206,11 +206,11 @@ func TestPropertySpeedupMonotoneInSwitchLatency(t *testing.T) {
 		}
 		return res.Counters.Cycles
 	}
-	base := run(config.Default())
+	base := run(defaultConfig())
 	prev := int64(0)
 	prevLat := -1
 	for _, lat := range []int{0, 1, 2, 4, 8, 16, 32} {
-		cfg := config.Default().WithSI(true, config.TriggerHalfStalled)
+		cfg := defaultConfig().WithSI(true, config.TriggerHalfStalled)
 		cfg.SI.SwitchLatency = lat
 		cycles := run(cfg)
 		if prevLat >= 0 && cycles < prev {

@@ -63,8 +63,8 @@ func reuseWorkloads(t *testing.T) []diffWorkload {
 // it under -race, where a run that wrote its kernel is a reported race.
 func TestKernelIsReusable(t *testing.T) {
 	cfgs := map[string]config.Config{
-		"baseline": config.Default(),
-		"si":       config.Default().WithSI(true, config.TriggerHalfStalled),
+		"baseline": defaultConfig(),
+		"si":       defaultConfig().WithSI(true, config.TriggerHalfStalled),
 	}
 	shared := reuseWorkloads(t)
 	for cname, cfg := range cfgs {

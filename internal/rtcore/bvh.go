@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Hit is the result of a ray traversal, the record the RT core returns
@@ -41,10 +42,16 @@ const maxLeafSize = 4
 // the longest axis, the classic construction used by the acceleration
 // structures DXR drivers build (the "Bounded Volume Hierarchy data
 // structures as configured by their respective developers", §IV-B).
+//
+// The nodes are constructed once, by BuildBVH or — for a NewBVH — by
+// the first method that reads them, so a hierarchy no ray ever walks
+// (every hit already in a HitTable, or its kernel's result already
+// cached) costs a triangle copy. A BVH must not be copied.
 type BVH struct {
 	tris  []Triangle
 	nodes []bvhNode
 	depth int
+	built sync.Once
 }
 
 // sortKey is one primitive's centroid coordinate on the split axis and
@@ -62,19 +69,36 @@ type builder struct {
 	tmp  []Triangle
 }
 
+// NewBVH returns the hierarchy BuildBVH constructs over the given
+// triangles, constructed at its first use. The triangle slice is
+// copied.
+func NewBVH(tris []Triangle) *BVH {
+	return &BVH{tris: append([]Triangle(nil), tris...)}
+}
+
 // BuildBVH constructs a hierarchy over the given triangles. The
 // triangle slice is copied and reordered. An empty scene yields a BVH
 // whose traversals always miss in one step.
 func BuildBVH(tris []Triangle) *BVH {
-	b := &BVH{tris: append([]Triangle(nil), tris...)}
-	if len(b.tris) == 0 {
-		b.nodes = []bvhNode{{bounds: EmptyAABB(), right: -1, primCount: 0}}
-		return b
-	}
-	b.nodes = make([]bvhNode, 0, 2*len(b.tris))
-	bl := builder{BVH: b, keys: make([]sortKey, len(b.tris)), tmp: make([]Triangle, len(b.tris))}
-	bl.build(0, len(b.tris), 1)
+	b := NewBVH(tris)
+	b.construct()
 	return b
+}
+
+// construct builds the nodes, reordering the triangles, unless the BVH
+// already has some (BuildBVH's, or a hand-assembled hierarchy's).
+func (b *BVH) construct() {
+	b.built.Do(func() {
+		switch {
+		case b.nodes != nil:
+		case len(b.tris) == 0:
+			b.nodes = []bvhNode{{bounds: EmptyAABB(), right: -1, primCount: 0}}
+		default:
+			b.nodes = make([]bvhNode, 0, 2*len(b.tris))
+			bl := builder{BVH: b, keys: make([]sortKey, len(b.tris)), tmp: make([]Triangle, len(b.tris))}
+			bl.build(0, len(b.tris), 1)
+		}
+	})
 }
 
 // build emits the subtree over tris[lo:hi) and returns its node index.
@@ -135,26 +159,41 @@ func (b *builder) build(lo, hi, depth int) int {
 func (b *BVH) NumTriangles() int { return len(b.tris) }
 
 // NumNodes returns the node count.
-func (b *BVH) NumNodes() int { return len(b.nodes) }
+func (b *BVH) NumNodes() int {
+	b.construct()
+	return len(b.nodes)
+}
 
 // Depth returns the tree depth (1 for a single leaf or empty scene).
 func (b *BVH) Depth() int {
+	b.construct()
 	if b.depth == 0 {
 		return 1
 	}
 	return b.depth
 }
 
-// Bounds returns the root bounding box.
-func (b *BVH) Bounds() AABB { return b.nodes[0].bounds }
+// Bounds returns the root bounding box: the union of the triangles'
+// bounds, which needs no nodes.
+func (b *BVH) Bounds() AABB {
+	bounds := EmptyAABB()
+	for i := range b.tris {
+		bounds = bounds.Union(b.tris[i].Bounds())
+	}
+	return bounds
+}
 
 // Triangle returns primitive i after construction reordering.
-func (b *BVH) Triangle(i int) Triangle { return b.tris[i] }
+func (b *BVH) Triangle(i int) Triangle {
+	b.construct()
+	return b.tris[i]
+}
 
 // Traverse finds the nearest hit along ray r in (tmin, tmax), counting
 // node visits in Hit.Steps. Traversal uses an explicit stack (as a
 // hardware unit would) and prunes by the best hit found so far.
 func (b *BVH) Traverse(r Ray, tmin, tmax float32) Hit {
+	b.construct()
 	hit := Hit{T: tmax, Tri: -1, Material: -1}
 	if len(b.tris) == 0 {
 		hit.Steps = 1
@@ -199,6 +238,7 @@ func (b *BVH) Traverse(r Ray, tmin, tmax float32) Hit {
 // BruteForce intersects the ray against every triangle; used by tests
 // as the traversal oracle.
 func (b *BVH) BruteForce(r Ray, tmin, tmax float32) Hit {
+	b.construct()
 	hit := Hit{T: tmax, Tri: -1, Material: -1}
 	for i, tri := range b.tris {
 		if t, ok := tri.Intersect(r, tmin, hit.T); ok {
@@ -217,6 +257,7 @@ func (b *BVH) BruteForce(r Ray, tmin, tmax float32) Hit {
 
 // Stats summarizes the hierarchy for reports.
 func (b *BVH) Stats() string {
+	b.construct()
 	return fmt.Sprintf("BVH{tris=%d nodes=%d depth=%d}", len(b.tris), len(b.nodes), b.Depth())
 }
 
@@ -224,6 +265,7 @@ func (b *BVH) Stats() string {
 // every leaf range within primitives, every child's bounds inside its
 // parent's (with epsilon), and all primitives covered exactly once.
 func (b *BVH) Validate() error {
+	b.construct()
 	if len(b.nodes) == 0 {
 		return fmt.Errorf("rtcore: BVH has no nodes")
 	}

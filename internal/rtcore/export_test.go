@@ -15,6 +15,7 @@ var RandomScene = randomScene
 // reordered primitives' vertex and material bits. Two hierarchies with
 // one digest traverse every ray in the same steps.
 func (b *BVH) StructuralDigest() string {
+	b.construct()
 	h := sha256.New()
 	var buf []byte
 	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }

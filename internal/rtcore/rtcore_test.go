@@ -3,6 +3,7 @@ package rtcore
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -318,6 +319,42 @@ func TestCoreLatencyAndMemo(t *testing.T) {
 	check(core, 0, true)
 	if _, steps, _ := core.Trace(0); steps != 2*levels+1 || hits[0].Load() != 0 {
 		t.Errorf("chain: %d steps, table word %#x", steps, hits[0].Load())
+	}
+}
+
+// TestNewBVHConstructsAtFirstUse: a NewBVH has no nodes until something
+// reads them — its bounds and triangle count do not — and then is the
+// hierarchy BuildBVH builds, also when several goroutines are first at
+// once (the race detector watches a kernel's BVH shared by concurrent
+// runs).
+func TestNewBVHConstructsAtFirstUse(t *testing.T) {
+	tris := randomScene(rand.New(rand.NewSource(5)), 300)
+	eager, lazy := BuildBVH(tris), NewBVH(tris)
+	if lazy.Bounds() != eager.Bounds() || lazy.NumTriangles() != eager.NumTriangles() {
+		t.Errorf("bounds %v over %d triangles, BuildBVH's %v over %d",
+			lazy.Bounds(), lazy.NumTriangles(), eager.Bounds(), eager.NumTriangles())
+	}
+	if eager.Bounds() != eager.nodes[0].bounds {
+		t.Errorf("Bounds() = %v, the root node's are %v", eager.Bounds(), eager.nodes[0].bounds)
+	}
+	if lazy.nodes != nil {
+		t.Fatal("NewBVH, Bounds or NumTriangles constructed the nodes")
+	}
+	r := NewRay(V(0, 0, -20), V(0.1, 0.05, 1))
+	want := eager.Traverse(r, 1e-4, InfinityT)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := lazy.Traverse(r, 1e-4, InfinityT); got != want {
+				t.Errorf("first traversal found %+v, BuildBVH's tree %+v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if lazy.StructuralDigest() != eager.StructuralDigest() {
+		t.Error("the hierarchy constructed at first use is not BuildBVH's")
 	}
 }
 

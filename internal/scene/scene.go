@@ -100,7 +100,7 @@ func Generate(p Params) (*Scene, error) {
 			Material: mat,
 		})
 	}
-	return &Scene{Params: p, BVH: rtcore.BuildBVH(tris)}, nil
+	return &Scene{Params: p, BVH: rtcore.NewBVH(tris)}, nil
 }
 
 // pickMaterial draws a material index with geometric skew: skew 0 is

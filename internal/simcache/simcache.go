@@ -109,11 +109,11 @@ func KeyOf(cfg config.Config, k *sm.Kernel, workloadID string) Key {
 }
 
 // writeCanonicalConfig streams every result-affecting config field in
-// a fixed order. Config.Trace, Config.Faults, and Config.Compiled are
-// deliberately excluded: none of them changes simulation results
-// (Compiled only turns basic-block fast-forward on or off, and the
-// fast-forwarded and stepped regimes are bit-identical by contract),
-// so a cached result serves both.
+// a fixed order. Config.Trace, Config.Faults, Config.Check, and
+// Config.Compiled are deliberately excluded: none of them changes
+// simulation results (Compiled only turns basic-block fast-forward on
+// or off, and the fast-forwarded and stepped regimes are bit-identical
+// by contract), so a cached result serves both.
 func writeCanonicalConfig(w io.Writer, c config.Config) {
 	fmt.Fprintf(w, "v=%s;", keyVersion)
 	fmt.Fprintf(w, "sms=%d;blocks=%d;slots=%d;", c.NumSMs, c.BlocksPerSM, c.WarpSlotsPerBlock)

@@ -35,6 +35,11 @@ func TestKeyDeterministicAndTraceBlind(t *testing.T) {
 	if k3 := microKernelKey(t, traced, 4, "micro/4"); k3 != k1 {
 		t.Error("Config.Trace leaked into the cache key")
 	}
+	checked := cfg
+	checked.Check = true
+	if k4 := microKernelKey(t, checked, 4, "micro/4"); k4 != k1 {
+		t.Error("Config.Check leaked into the cache key")
+	}
 }
 
 func TestKeySensitivity(t *testing.T) {

@@ -116,14 +116,15 @@ func TestWritebackDrainZeroAlloc(t *testing.T) {
 }
 
 // TestCompiledSteadyStateZeroAlloc pins the fast-forward regime's
-// steady-state loop exactly as RunContext drives it — scheduler step,
-// fast-forward horizon computation, bulk commit — at zero heap
-// allocations per iteration, and pins the stepped regime
-// (Compiled=false: same executor, fast-forward off) separately so the
-// reference path does not regress.
+// steady-state loop — SM.advance, the iteration RunContext itself runs:
+// due steps, run planning, bulk commit — at zero heap allocations per
+// iteration, and pins the stepped regime (Compiled=false: same
+// executor, fast-forward off) separately so the reference path does not
+// regress.
 func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("compiled-ff", func(t *testing.T) {
 		cfg := testConfig()
+		cfg.Check = false // the loop as it is served, runs taken
 		if !cfg.Compiled {
 			t.Fatal("default config no longer selects fast-forward")
 		}
@@ -131,35 +132,25 @@ func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 		if s.ffLen == nil {
 			t.Fatal("compiled config did not install fast-forward tables")
 		}
-		blk := s.blocks[0]
-		now := int64(0)
-		ffWindows := 0
+		runs := 0
 		cycle := func() {
-			issued, next := blk.step(now)
-			if h := s.ffHorizon(now, next, issued); h > now+1 {
-				if blk.lastPick >= 0 {
-					blk.ffCommit(h-now-1, h)
-				} else {
-					blk.skipIdle(h-now-1, h)
-				}
-				ffWindows++
-				now = h
-			} else {
-				now++
+			from := s.now
+			if done, err := s.advance(1 << 40); done {
+				t.Fatalf("run ended inside the measured window (%v); enlarge the program", err)
+			}
+			if s.now > from+1 {
+				runs++
 			}
 		}
 		for i := 0; i < 512; i++ {
 			cycle()
 		}
-		if ffWindows == 0 {
-			t.Fatal("fast-forward never engaged during warmup; the pin is vacuous")
+		if runs == 0 {
+			t.Fatal("no run was ever taken during warmup; the pin is vacuous")
 		}
 		avg := testing.AllocsPerRun(200, cycle)
 		if avg != 0 {
 			t.Fatalf("compiled steady-state loop allocates %.1f times per iteration, want 0", avg)
-		}
-		if blk.done {
-			t.Fatal("kernel finished inside the measured window; enlarge the program")
 		}
 	})
 	t.Run("interpreted", func(t *testing.T) {
@@ -188,34 +179,18 @@ func TestCompiledSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestBudgetedSteadyStateZeroAlloc pins the gas meter's hot-loop
-// contract: with a budget attached, the per-iteration work RunContext
-// adds — budgetExceeded plus clampBudgetHorizon on every fast-forward
-// window — must stay allocation-free until the kill actually fires
-// (only the terminal *BudgetError may allocate).
+// contract: with a budget attached, the per-iteration work advance
+// adds — budgetExceeded plus clampJump on every jump over a run — must
+// stay allocation-free until the kill actually fires (only the terminal
+// *BudgetError may allocate).
 func TestBudgetedSteadyStateZeroAlloc(t *testing.T) {
 	cfg := testConfig()
+	cfg.Check = false
 	s := allocSM(t, cfg, straightLine(100000), 4)
 	s.budget = &Budget{MaxCycles: 1 << 40, MaxInstrs: 1 << 40, MaxMemBytes: 1 << 40}
-	blk := s.blocks[0]
-	now := int64(0)
 	cycle := func() {
-		if be := s.budgetExceeded(now); be != nil {
-			t.Fatalf("generous budget killed the run: %v", be)
-		}
-		issued, next := blk.step(now)
-		h := s.ffHorizon(now, next, issued)
-		if h > now+1 {
-			h = s.clampBudgetHorizon(now, h)
-		}
-		if h > now+1 {
-			if blk.lastPick >= 0 {
-				blk.ffCommit(h-now-1, h)
-			} else {
-				blk.skipIdle(h-now-1, h)
-			}
-			now = h
-		} else {
-			now++
+		if done, err := s.advance(1 << 40); done {
+			t.Fatalf("generous budget ended the run: %v", err)
 		}
 	}
 	for i := 0; i < 512; i++ {
@@ -224,9 +199,6 @@ func TestBudgetedSteadyStateZeroAlloc(t *testing.T) {
 	avg := testing.AllocsPerRun(200, cycle)
 	if avg != 0 {
 		t.Fatalf("budgeted steady-state loop allocates %.1f times per iteration, want 0", avg)
-	}
-	if blk.done {
-		t.Fatal("kernel finished inside the measured window; enlarge the program")
 	}
 }
 

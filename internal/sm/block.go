@@ -88,11 +88,29 @@ type Block struct {
 	// pre-decoded operation stream, read only through fetch, and ffLen
 	// the per-PC fast-forward run lengths (nil in the stepped regime —
 	// cfg.Compiled off or a trace recorder attached). lastPick records
-	// which warp issued in the most recent step (-1 when none), which is
-	// what SM.ffHorizon consults.
+	// which warp issued in the most recent step (-1 when none).
 	cops     []isa.COp
 	ffLen    []int32
 	lastPick int
+
+	// The block's own time (fastforward.go), all as of its last step.
+	// due is the next cycle whose step can change something; until then
+	// the block is excused, either quiet or — runLen > 0 — with lastPick
+	// issuing the next runLen cycles of a simple run. event caches
+	// nextEventTime, moved records that the step changed state other than
+	// the idle counters, overflow is the TSTOverflow its failed demotes
+	// counted (owed again for every visited cycle the block sits out),
+	// and visitMark is SM.visits at that step.
+	due, event, runLen  int64
+	overflow, visitMark int64
+	moved               bool
+
+	// wakeMin is the earliest pending select completion or fetch fill,
+	// folded in where one is scheduled and re-derived by a warp scan
+	// (scanWakes) only after a step at or past it. exits flags an EXIT
+	// that emptied a warp since the last retireExited.
+	wakeMin int64
+	exits   bool
 
 	// Dirty-warp scheduling state. statuses caches each warp's issue
 	// class across cycles; a warp is re-classified (the expensive
@@ -143,6 +161,7 @@ func newBlock(id int, cfg config.Config, owner *SM) *Block {
 		cops:     owner.cops,
 		ffLen:    owner.ffLen,
 		lastPick: -1,
+		wakeMin:  math.MaxInt64,
 		policy:   policyFor(cfg.SchedPolicy),
 	}
 }
@@ -204,9 +223,13 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 		return false, math.MaxInt64
 	}
 	b.lastPick = -1
+	b.moved = false
+	overflow := b.counters.TSTOverflow
 
 	b.drainEvents(now)
-	b.completeSelections(now)
+	if b.wakeMin <= now {
+		b.completeSelections(now)
+	}
 
 	// Per-warp status scan; with SI, demote scoreboard-stalled subwarps
 	// (subwarp-stall is combinational, applying to every stalled warp).
@@ -222,6 +245,7 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 		if b.dirty[i] ||
 			((st == classSelecting || st == classFetchWait) && now >= b.wakeAt[i]) {
 			b.dirty[i] = false
+			b.moved = true
 			st = b.status(w, now)
 			switch st {
 			case classSelecting:
@@ -233,10 +257,12 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 		if st == classScbdWait && b.cfg.SI.Enabled {
 			if b.demote(w, now) {
 				st = classNoActive
+				b.moved = true
 			}
 		}
 		b.statuses[i] = st
 	}
+	b.overflow = b.counters.TSTOverflow - overflow
 
 	if b.cfg.SI.Enabled {
 		b.maybeTriggerSelect(now)
@@ -254,33 +280,21 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 		b.rec.Sample(now, occ, subs, fill, issued)
 	}
 
-	b.retireExited()
+	if b.exits {
+		b.exits = false
+		b.retireExited()
+	}
 	b.counters.Cycles = now + 1
-
-	if b.done {
-		return issued, math.MaxInt64
+	if b.wakeMin <= now {
+		b.wakeMin = b.scanWakes()
 	}
-	return issued, b.nextEventTime()
-}
-
-// skipIdle accounts for gap idle cycles the SM fast-forwarded over: by
-// construction nothing changes during them, so the classification from
-// the last stepped cycle applies to each.
-func (b *Block) skipIdle(gap int64, endCycle int64) {
-	if b.done || gap <= 0 {
-		return
-	}
-	b.addIdle(b.classify(), gap)
-	b.counters.Cycles = endCycle
-	if b.rec.Sampling() {
-		occ, subs, fill := b.sampleState()
-		b.rec.SampleGap(endCycle-gap, endCycle, occ, subs, fill)
-	}
+	b.plan(now, issued)
+	return issued, b.event
 }
 
 // sampleState gathers the block's time-series sample: live resident
 // warps, live subwarps across them, and occupied TST (stalled) entries.
-// It walks every warp's TST, so step and skipIdle call it only when the
+// It walks every warp's TST, so step and catchUp call it only when the
 // recorder has a series to feed (Recorder.Sampling, nil-safe).
 func (b *Block) sampleState() (occ, subs, fill int) {
 	for _, w := range b.warps {
@@ -297,6 +311,7 @@ func (b *Block) sampleState() (occ, subs, fill int) {
 // drainEvents applies all writebacks due at or before now.
 func (b *Block) drainEvents(now int64) {
 	for len(b.events) > 0 && b.events[0].at <= now {
+		b.moved = true
 		b.applyWriteback(b.events.pop(), now)
 	}
 }
@@ -337,6 +352,7 @@ func (b *Block) completeSelections(now int64) {
 			continue
 		}
 		w.pendingSelect = false
+		b.moved = true
 		b.markDirty(w.slot)
 		if sub, ok := w.tab.Select(); ok {
 			w.activate(sub.Mask, sub.PC)
@@ -402,6 +418,7 @@ func (b *Block) status(w *Warp, now int64) issueClass {
 			}
 			w.fetchReadyAt = readyAt
 			w.fetchingLine = line
+			b.wakeMin = min(b.wakeMin, readyAt)
 			return classFetchWait
 		}
 		w.fetchedLine = line
@@ -470,11 +487,11 @@ func (b *Block) demote(w *Warp, now int64) bool {
 	return true
 }
 
-// maybeTriggerSelect applies the Section III-C3 policy: when the
-// fraction of stalled warps among live warps satisfies the trigger,
-// initiate subwarp-select on the lowest-numbered stalled warp that has
-// a READY subwarp. One initiation per block per cycle.
-func (b *Block) maybeTriggerSelect(now int64) {
+// selectCandidate applies the Section III-C3 policy to the block's
+// statuses: when the fraction of stalled warps among live warps
+// satisfies the trigger, it returns the lowest-numbered stalled warp
+// that has a READY subwarp and no select in flight, else -1.
+func (b *Block) selectCandidate() int {
 	stalled, live := 0, 0
 	for i, w := range b.warps {
 		if w.exited {
@@ -486,23 +503,38 @@ func (b *Block) maybeTriggerSelect(now int64) {
 		}
 	}
 	if !b.cfg.SI.Trigger.Satisfied(stalled, live) {
-		return
+		return -1
 	}
 	for i, w := range b.warps {
-		if b.statuses[i] != classNoActive || w.pendingSelect {
-			continue
+		if b.statuses[i] == classNoActive && !w.pendingSelect && !w.tab.Mask(tst.Ready).Empty() {
+			return i
 		}
-		if w.tab.Mask(tst.Ready).Empty() {
-			continue
-		}
-		w.pendingSelect = true
-		w.selectDoneAt = now + int64(b.cfg.SI.SwitchLatency)
-		b.statuses[i] = classSelecting
-		b.wakeAt[i] = w.selectDoneAt
-		if b.rec != nil {
-			b.emit(now, w, -1, 0, trace.KindSelectStart, b.cfg.SI.SwitchLatency)
-		}
+	}
+	return -1
+}
+
+// maybeTriggerSelect initiates subwarp-select on the policy's
+// candidate. One initiation per block per visited cycle.
+func (b *Block) maybeTriggerSelect(now int64) {
+	i := b.selectCandidate()
+	if i < 0 {
 		return
+	}
+	w := b.warps[i]
+	b.startSelect(w, now)
+	b.statuses[i] = classSelecting
+	b.wakeAt[i] = w.selectDoneAt
+	b.moved = true
+}
+
+// startSelect begins a subwarp-select on w, due after the switch
+// latency.
+func (b *Block) startSelect(w *Warp, now int64) {
+	w.pendingSelect = true
+	w.selectDoneAt = now + int64(b.cfg.SI.SwitchLatency)
+	b.wakeMin = min(b.wakeMin, w.selectDoneAt)
+	if b.rec != nil {
+		b.emit(now, w, -1, 0, trace.KindSelectStart, b.cfg.SI.SwitchLatency)
 	}
 }
 
@@ -540,7 +572,7 @@ func (b *Block) classify() idleSummary {
 		switch b.statuses[i] {
 		case classScbdWait:
 			s.loadStall = true
-			if w.divergedCached() {
+			if w.divergedCached(b.cfg.Check) {
 				s.loadStallDiv = true
 			}
 		case classNoActive, classSelecting:
@@ -549,7 +581,7 @@ func (b *Block) classify() idleSummary {
 			}
 			if !w.tab.Mask(tst.Stalled).Empty() {
 				s.loadStall = true
-				if w.divergedCached() {
+				if w.divergedCached(b.cfg.Check) {
 					s.loadStallDiv = true
 				}
 			} else if !w.tab.Mask(tst.Ready).Empty() {
@@ -643,10 +675,15 @@ func (b *Block) freeSlots() int {
 // change without issuing: a writeback, a select completion, or an
 // instruction fetch fill.
 func (b *Block) nextEventTime() int64 {
-	next := int64(math.MaxInt64)
-	if len(b.events) > 0 && b.events[0].at < next {
-		next = b.events[0].at
+	if len(b.events) > 0 {
+		return min(b.events[0].at, b.wakeMin)
 	}
+	return b.wakeMin
+}
+
+// scanWakes derives wakeMin from the warps.
+func (b *Block) scanWakes() int64 {
+	next := int64(math.MaxInt64)
 	for _, w := range b.warps {
 		if w.exited {
 			continue

@@ -70,40 +70,35 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sm %d: deadlock at cycle %d\n%s", e.SM, e.Cycle, e.State)
 }
 
-// retired sums instructions retired so far across the SM's blocks.
-// Bounded by BlocksPerSM (4 in the paper config), so the per-iteration
-// budget check stays a handful of loads.
-func (s *SM) retired() int64 {
+// retired sums the instructions issued before cycle now across the
+// SM's blocks, a run's uncommitted part included. Bounded by BlocksPerSM
+// (4 in the paper config), so the per-iteration budget check stays a
+// handful of loads.
+func (s *SM) retired(now int64) int64 {
 	var n int64
 	for _, blk := range s.blocks {
 		n += blk.counters.IssuedInstrs
+		if blk.runLen > 0 && now > blk.counters.Cycles {
+			n += now - blk.counters.Cycles // one a cycle since its last step
+		}
 	}
 	return n
 }
 
 // budgetExceeded checks every limited resource against the state at
-// cycle now; it runs at the top of each RunContext iteration (never
-// inside Block.step, keeping the zero-alloc hot loop untouched) and
-// allocates only on the kill path.
+// cycle now; it runs at the top of each advance (never inside
+// Block.step, keeping the zero-alloc hot loop untouched) and allocates
+// only on the kill path.
 //
-// Determinism argument, per resource:
-//
-//   - cycles: the stepped regime visits every non-idle cycle; the
-//     fast-forward regime additionally jumps over simple runs. Idle
-//     skips are taken identically by both regimes (they are part of the
-//     shared run loop), and clampBudgetHorizon caps fast-forward
-//     windows at MaxCycles+1, so both regimes observe the same first
-//     now > MaxCycles.
-//   - instructions: instruction counts only change at stepped cycles
-//     and inside fast-forward commits. clampBudgetHorizon sizes windows
-//     so a commit can never push the total past MaxInstrs (each issuing
-//     block retires exactly one instruction per window cycle), so the
-//     first over-budget total always appears at a stepped cycle — the
-//     same cycle in both regimes, by the regimes' bit-identity.
-//   - memory: stores execute only at stepped cycles (STG is never
-//     fast-forward-simple), and clampBudgetHorizon refuses to open a
-//     window while the footprint is over budget, so the kill is
-//     observed at now = storeCycle+1 in both regimes.
+// Determinism argument: lock-step stepping checks at every visited
+// cycle, and advance visits the same cycles except those it jumps over
+// while every block is excused. Idle jumps visit nothing in between.
+// A jump over runs does, and there only the cycle number and the
+// instruction total move — by one instruction per issuing block per
+// cycle; stores execute only in steps (STG is never
+// fast-forward-simple) — so clampJump lands the loop on the first cycle
+// at which a limit would read exceeded, and the kill is observed there
+// with every run's prefix counted (retired) and then committed (settle).
 func (s *SM) budgetExceeded(now int64) *BudgetError {
 	b := s.budget
 	if b.MaxCycles > 0 && now > b.MaxCycles {
@@ -111,7 +106,7 @@ func (s *SM) budgetExceeded(now int64) *BudgetError {
 			Limit: b.MaxCycles, Used: now, Cycle: now}
 	}
 	if b.MaxInstrs > 0 {
-		if used := s.retired(); used > b.MaxInstrs {
+		if used := s.retired(now); used > b.MaxInstrs {
 			return &BudgetError{SM: s.id, Resource: ResourceInstructions,
 				Limit: b.MaxInstrs, Used: used, Cycle: now}
 		}
@@ -125,43 +120,31 @@ func (s *SM) budgetExceeded(now int64) *BudgetError {
 	return nil
 }
 
-// clampBudgetHorizon caps a fast-forward window [now+1, h) so that no
-// budget limit can be crossed inside it: crossings then happen only at
-// stepped cycles, which both regimes execute identically. Shortening a
-// window is always semantically safe (any prefix of a valid inert
-// window is a valid inert window); returning now+1 degrades to plain
-// single-cycle advance.
-func (s *SM) clampBudgetHorizon(now, h int64) int64 {
-	b := s.budget
-	if b.MaxCycles > 0 && h > b.MaxCycles+1 {
-		h = b.MaxCycles + 1
+// clampJump shortens the jump from now to due, across which issuing
+// blocks each retire one run instruction per cycle, so that it lands on
+// the first cycle lock-step stepping would stop at: maxCycles+1, or the
+// first cycle at which a budget limit reads exceeded. Landing where no
+// block is due is harmless.
+func (s *SM) clampJump(now, due, issuing, maxCycles int64) int64 {
+	if due > maxCycles+1 {
+		due = maxCycles + 1
 	}
-	if b.MaxInstrs > 0 {
-		used := s.retired()
-		if used > b.MaxInstrs {
-			return now + 1
+	if b := s.budget; b != nil {
+		if b.MaxCycles > 0 && due > b.MaxCycles+1 {
+			due = b.MaxCycles + 1
 		}
-		var issuing int64
-		for _, blk := range s.blocks {
-			if !blk.done && blk.lastPick >= 0 {
-				issuing++
+		if b.MaxInstrs > 0 {
+			kill := now + 1
+			if left := b.MaxInstrs - s.retired(now+1); left >= 0 {
+				kill += 1 + left/issuing
+			}
+			if due > kill {
+				due = kill
 			}
 		}
-		if issuing > 0 {
-			// Each issuing block retires exactly one instruction per window
-			// cycle (ffCommit's accounting), so the window may cover at most
-			// floor((MaxInstrs-used)/issuing) cycles before the total could
-			// exceed the limit at the next stepped cycle.
-			if cap := now + 1 + (b.MaxInstrs-used)/issuing; h > cap {
-				h = cap
-			}
+		if b.MaxMemBytes > 0 && int64(s.mem.Written())*4 > b.MaxMemBytes {
+			due = now + 1 // a store at now went over, by a block that may now be in a run
 		}
 	}
-	if b.MaxMemBytes > 0 && int64(s.mem.Written())*4 > b.MaxMemBytes {
-		return now + 1
-	}
-	if h < now+1 {
-		h = now + 1
-	}
-	return h
+	return due
 }

@@ -1,8 +1,6 @@
 package sm
 
 import (
-	"flag"
-	"os"
 	"strings"
 	"testing"
 
@@ -10,23 +8,14 @@ import (
 	"subwarpsim/internal/mem"
 )
 
-// TestMain runs this package's tests with every remembered divergence
-// bit checked against a lane scan where it is read; benchmarks run
-// without the rescan they would otherwise time.
-func TestMain(m *testing.M) {
-	flag.Parse()
-	CheckDivergence = flag.Lookup("test.bench").Value.String() == ""
-	os.Exit(m.Run())
-}
-
 // TestDivergenceBitMatchesLaneScan steps the Fig. 9 kernel — two
 // subwarps, a load-to-use stall on each — under the baseline and SI in
-// both regimes with the check on, then shows the check is live: the bit
+// both regimes under Config.Check, then shows the check is live: the bit
 // is remembered across idle cycles, dropped when the warp issues, and a
 // stale one is caught.
 func TestDivergenceBitMatchesLaneScan(t *testing.T) {
-	if !CheckDivergence {
-		t.Fatal("TestMain did not turn the divergence check on")
+	if !testConfig().Check {
+		t.Skip("-bench turns Config.Check off")
 	}
 	for _, cfg := range []config.Config{testConfig(), testConfig().WithSI(true, config.TriggerAnyStalled)} {
 		for _, compiled := range []bool{true, false} {

@@ -66,7 +66,9 @@ func (b *Block) execute(w *Warp, now int64) {
 		w.tab.Exit(mask)
 		w.dropActive()
 		w.checkExit()
-		if !w.exited {
+		if w.exited {
+			b.exits = true
+		} else {
 			b.releaseAfterExit(w, now)
 		}
 
@@ -487,11 +489,7 @@ func (b *Block) switchAfterBlock(w *Warp, now int64) {
 	if w.tab.Mask(tst.Ready).Empty() {
 		return // wakeups will make the warp selectable via the policy
 	}
-	w.pendingSelect = true
-	w.selectDoneAt = now + int64(b.cfg.SI.SwitchLatency)
-	if b.rec != nil {
-		b.emit(now, w, -1, 0, trace.KindSelectStart, b.cfg.SI.SwitchLatency)
-	}
+	b.startSelect(w, now)
 }
 
 // executeBsync implements the convergence barrier wait: the arriving

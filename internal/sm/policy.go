@@ -9,11 +9,11 @@ import "subwarpsim/internal/config"
 // Every implementation must satisfy two contracts:
 //
 //   - Greedy stickiness: if the last-issued slot can issue, Pick
-//     returns it. Basic-block fast-forward (SM.ffHorizon) retires
-//     straight-line runs under the assumption that the scheduler would
-//     re-pick the same warp while its status stays classCanIssue; a
-//     non-sticky policy would make fast-forwarded and stepped runs
-//     diverge.
+//     returns it. A block that issued excuses itself from the cycles
+//     of its warp's straight-line simple run (Block.plan) on the
+//     assumption that every one of those steps would re-pick the same
+//     warp while its status stays classCanIssue; a non-sticky policy
+//     would make fast-forwarded and stepped runs diverge.
 //   - Determinism and time-independence: Pick is a pure function of
 //     the block's slot statuses, warp IDs, and lastIssued — never of
 //     the cycle number, wall clock, or any random source — so results

@@ -106,8 +106,12 @@ type SM struct {
 	mem *mem.View
 
 	// budget is the kernel's gas limit (nil when unmetered); checked at
-	// the top of each RunContext iteration, never inside Block.step.
+	// the top of each advance, never inside Block.step.
 	budget *Budget
+
+	// now is the cycle the run loop is at; visits counts the cycles it
+	// has visited up to and including now (see advance).
+	now, visits int64
 }
 
 // NewSM builds an SM for the given kernel. The configuration must be
@@ -131,6 +135,7 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 		l1i:    mem.NewCache("L1I", cfg.L1InstrBytes, 8, cfg.CacheLineBytes),
 		l1d:    mem.NewCache("L1D", cfg.L1DataBytes, 8, cfg.CacheLineBytes),
 		mem:    kernel.Memory.NewView(),
+		visits: 1,
 	}
 	if kernel.Budget.Enabled() {
 		s.budget = kernel.Budget
@@ -201,11 +206,10 @@ const cancelCheckStride = 4096
 
 // RunContext simulates until every admitted warp completes, maxCycles
 // elapses, or ctx is cancelled, returning the merged per-block
-// counters. The run loop steps all blocks in lock-step and
-// fast-forwards through provably idle regions to the next scheduled
-// event; cancellation is observed at least every cancelCheckStride
-// loop iterations, so a cancelled run returns promptly with
-// ctx.Err() wrapped in the error.
+// counters. The run loop is advance, one visited cycle at a time;
+// cancellation is observed at least every cancelCheckStride loop
+// iterations, so a cancelled run returns promptly with ctx.Err()
+// wrapped in the error.
 //
 // The SM executes loads and stores against its private copy-on-write
 // view of the kernel memory (see Memory), which after an error or a
@@ -219,86 +223,109 @@ func (s *SM) RunContext(ctx context.Context, maxCycles int64) (stats.Counters, e
 	if err := ctx.Err(); err != nil {
 		return s.merge(), fmt.Errorf("sm %d: cancelled before cycle 0: %w", s.id, err)
 	}
-	now := int64(0)
 	sinceCheck := 0
 	for {
 		if sinceCheck++; sinceCheck >= cancelCheckStride {
 			sinceCheck = 0
 			if err := ctx.Err(); err != nil {
-				return s.merge(), fmt.Errorf("sm %d: cancelled at cycle %d: %w", s.id, now, err)
+				s.settle(s.now, s.visits-1)
+				return s.merge(), fmt.Errorf("sm %d: cancelled at cycle %d: %w", s.id, s.now, err)
 			}
 		}
-		if s.budget != nil {
-			// Gas metering: checked before stepping so the kill point
-			// depends only on committed simulation state, which is
-			// bit-identical across regimes and worker counts.
-			if be := s.budgetExceeded(now); be != nil {
-				return s.merge(), be
-			}
-		}
-		allDone := true
-		anyIssued := false
-		next := int64(math.MaxInt64)
-		for _, blk := range s.blocks {
-			if blk.done {
-				continue
-			}
-			allDone = false
-			issued, n := blk.step(now)
-			if issued {
-				anyIssued = true
-			}
-			if n < next {
-				next = n
-			}
-		}
-		if allDone {
-			break
-		}
-		switch {
-		case anyIssued || next <= now+1:
-			h := s.ffHorizon(now, next, anyIssued)
-			if s.budget != nil && h > now+1 {
-				// Shrink the window so no budget limit can be crossed
-				// inside it; crossings then surface at stepped cycles,
-				// identically in both regimes (see clampBudgetHorizon).
-				h = s.clampBudgetHorizon(now, h)
-			}
-			if h > now+1 {
-				// Basic-block fast-forward: every issuing block retires its
-				// warp's straight-line simple run in bulk and every idle
-				// block accounts the same window as idle cycles; nothing
-				// observable can occur before h (see fastforward.go).
-				gap := h - now - 1
-				for _, blk := range s.blocks {
-					if blk.done {
-						continue
-					}
-					if blk.lastPick >= 0 {
-						blk.ffCommit(gap, h)
-					} else {
-						blk.skipIdle(gap, h)
-					}
-				}
-				now = h
-			} else {
-				now++
-			}
-		case next == math.MaxInt64:
-			return s.merge(), &DeadlockError{SM: s.id, Cycle: now, State: s.dumpState()}
-		default:
-			// Cycles now+1 .. next-1 are provably idle everywhere.
-			gap := next - now - 1
-			for _, blk := range s.blocks {
-				blk.skipIdle(gap, next)
-			}
-			now = next
-		}
-		if now > maxCycles {
-			return s.merge(), fmt.Errorf("sm %d: exceeded %d cycles", s.id, maxCycles)
+		if done, err := s.advance(maxCycles); done {
+			return s.merge(), err
 		}
 	}
-	return s.merge(), nil
+}
+
+// advance is one iteration of the run loop: at the visited cycle s.now
+// it checks the budget, steps — in block order — the blocks that are
+// due (every block under cfg.Check), and moves s.now to the next
+// visited cycle at which some block is due (see fastforward.go). It
+// reports done when the run is over: finished, killed, deadlocked or
+// past maxCycles, every block's counters settled to that cycle.
+func (s *SM) advance(maxCycles int64) (done bool, err error) {
+	now := s.now
+	if s.budget != nil {
+		// Gas metering: checked before stepping so the kill point
+		// depends only on committed simulation state, which is
+		// bit-identical across regimes and worker counts.
+		if be := s.budgetExceeded(now); be != nil {
+			s.settle(now, s.visits-1)
+			return true, be
+		}
+	}
+	allDone := true
+	issuing := int64(0) // blocks issuing at now: stepped, or inside a run
+	due, event := int64(math.MaxInt64), int64(math.MaxInt64)
+	for _, blk := range s.blocks {
+		if blk.done {
+			continue
+		}
+		allDone = false
+		switch {
+		case blk.due <= now:
+			blk.catchUp(now, s.visits-1-blk.visitMark)
+			if issued, _ := blk.step(now); issued {
+				issuing++
+			}
+			blk.visitMark = s.visits
+		case s.cfg.Check:
+			if blk.stepExcused(now) {
+				issuing++
+			}
+			blk.visitMark = s.visits
+		case blk.runLen > 0:
+			issuing++
+		}
+		if blk.due < due {
+			due = blk.due
+		}
+		if blk.event < event {
+			event = blk.event
+		}
+	}
+	if allDone {
+		return true, nil
+	}
+	next := now + 1
+	switch {
+	case issuing > 0:
+		// now+1 is visited, and so is every cycle up to the earliest due
+		// one: until then each issuing block is inside a run.
+		if due > next && !s.cfg.Check {
+			next = s.clampJump(now, due, issuing, maxCycles)
+		}
+		s.visits += next - now
+	case event == math.MaxInt64:
+		s.settle(now+1, s.visits)
+		return true, &DeadlockError{SM: s.id, Cycle: now, State: s.dumpState()}
+	default:
+		// Cycles before the earliest event are idle everywhere and not
+		// visited.
+		if event > next {
+			next = event
+		}
+		s.visits++
+	}
+	s.now = next
+	if next > maxCycles {
+		s.settle(next, s.visits-1)
+		return true, fmt.Errorf("sm %d: exceeded %d cycles", s.id, maxCycles)
+	}
+	return false, nil
+}
+
+// settle brings every block's counters up to cycle upTo (exclusive) on
+// the way out of the run, before of whose cycles the SM visited:
+// sleeping blocks owe their idle cycles, blocks in a run commit the
+// retired prefix.
+func (s *SM) settle(upTo, before int64) {
+	for _, blk := range s.blocks {
+		if !blk.done {
+			blk.catchUp(upTo, before-blk.visitMark)
+		}
+	}
 }
 
 func (s *SM) merge() stats.Counters {

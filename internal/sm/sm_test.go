@@ -8,6 +8,7 @@ import (
 	"subwarpsim/internal/isa"
 	"subwarpsim/internal/mem"
 	"subwarpsim/internal/stats"
+	"subwarpsim/internal/testutil"
 )
 
 // testConfig returns a deterministic single-block configuration with
@@ -15,6 +16,7 @@ import (
 // under test.
 func testConfig() config.Config {
 	cfg := config.Default()
+	cfg.Check = testutil.Checked()
 	cfg.NumSMs = 1
 	cfg.BlocksPerSM = 1
 	cfg.L0MissPenalty = 0

@@ -101,16 +101,13 @@ func (w *Warp) Scoreboards() *scoreboard.File { return w.sb }
 // "in divergent code blocks" (Fig. 3).
 func (w *Warp) Diverged() bool { return w.tab.DivergedLive() }
 
-// CheckDivergence makes every read of a remembered divergence bit
-// rescan the lanes and panic on a mismatch. Tests set it before any
-// run starts; nothing else does.
-var CheckDivergence bool
-
-// divergedCached is Diverged() through the remembered bit.
-func (w *Warp) divergedCached() bool {
+// divergedCached is Diverged() through the remembered bit; check
+// (Config.Check) rescans the lanes at every read of a remembered bit
+// and panics on a mismatch.
+func (w *Warp) divergedCached(check bool) bool {
 	if !w.divKnown {
 		w.diverged, w.divKnown = w.Diverged(), true
-	} else if CheckDivergence && w.diverged != w.Diverged() {
+	} else if check && w.diverged != w.Diverged() {
 		panic(fmt.Sprintf("sm: warp %d remembers diverged=%v, its lanes say %v", w.ID, w.diverged, !w.diverged))
 	}
 	return w.diverged

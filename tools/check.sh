@@ -62,11 +62,11 @@ gate -race -count=2 -run '^TestKernelIsReusable$' ./internal/gpu
 # What is remembered between cycles and between runs never changes a
 # result, each gated by name. A trace's shared hit table: no table, an
 # empty one, a warm one and four runs filling one at once give identical
-# counters and images. A warp's divergence bit: with the SM's check on
-# (the TestMain of internal/sm, internal/gpu and internal/experiments,
-# so the golden and FuzzRun corpora hold it too), every remembered bit
-# equals a scan of the warp's lanes where the idle classification reads
-# it.
+# counters and images. A warp's divergence bit: under Config.Check
+# (which the tests of internal/sm, internal/gpu and internal/experiments
+# run with, so the golden and FuzzRun corpora hold it too), every
+# remembered bit equals a scan of the warp's lanes where the idle
+# classification reads it.
 gate -race -count=2 -run '^TestHitTableNeverChangesAResult$' ./internal/gpu
 gate -race -count=2 -run '^TestDivergenceBitMatchesLaneScan$' ./internal/gpu ./internal/sm
 # The keyed BVH build reproduces, node for node, the trees the
@@ -88,6 +88,20 @@ echo "== fast-forward gate =="
 gate -race -count=1 -run 'TestCompiled|TestGolden|TestFallOffEndDiagnostic' ./internal/gpu ./internal/experiments
 gate -race -count=1 -run 'FuzzRun' ./internal/gpu
 gate -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestOpsMatchReference|TestReferenceCoversSimpleOps|TestAddressImmediatesZeroExtend' ./internal/isa ./internal/sm
+# Blocks keep their own time: the run loop steps a block only where its
+# step can change something, and accounts the cycles it sat out in
+# closed form. Each gated by name: that loop against the checked
+# lock-step loop (Config.Check) on counters, memory images and recorded
+# streams over the golden corpus, the families and the example kernels,
+# a two-entry TST and DWS included; and every exit — budget kills at
+# each phase of a run and beside a sleeping block, the store-footprint
+# kill among them, a late deadlock, a cancellation inside a run, the
+# cycle limit — settling to lock-step's counters.
+gate -race -count=1 -run '^TestExcusedStepsAreNoOps$' -timeout 30m ./internal/gpu
+gate -race -count=1 -run '^TestBudgetKillBitIdentical$' ./internal/gpu
+for t in TestKillSettlesSleepersAndRuns TestDeadlockSettlesSleepers TestCancelAndCycleLimitInsideARun; do
+    gate -race -count=1 -run "^$t\$" ./internal/sm
+done
 
 echo "== matrix gate =="
 # The cross-matrix differential layer under the race detector: every
