@@ -1,7 +1,7 @@
 // Package mem models the SM-side memory structures: set-associative
-// caches with LRU replacement and in-flight fill tracking, and the
-// fixed-latency memory stub the paper uses in place of a full GPU
-// memory system (Section IV-A).
+// caches with LRU replacement and in-flight fill tracking over the
+// paper's fixed-latency memory stub (Section IV-A), and the functional
+// image loads read: a kernel's paged base Memory under per-SM Views.
 package mem
 
 import "fmt"

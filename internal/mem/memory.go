@@ -1,20 +1,47 @@
 package mem
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Memory is the functional backing store for global and texture
-// address spaces. Timing comes from the fixed-latency stub in the SM
-// model; Memory only supplies values so that loads return deterministic
-// data and stores are visible to later loads.
+// address spaces: a kernel's base image. Timing comes from the
+// fixed-latency stub in the SM model; Memory only supplies values so
+// that loads return deterministic data and stores are visible to later
+// loads.
 //
 // Unwritten locations read as a cheap deterministic hash of their
 // address, which gives workload generators "random-looking" but
-// reproducible data without materializing gigabytes.
+// reproducible data without materializing gigabytes. Generators write
+// densely, so stored words live in pages. Load writes nothing: runs
+// share one image as long as nobody stores to it meanwhile.
 type Memory struct {
-	words map[uint64]uint32
+	pages   map[uint64]*page // by address >> pageShift
+	written int
+}
+
+// A page is 4 KiB of words and a bitmap of those stored.
+const pageShift, pageWords = 12, 1 << (12 - 2)
+
+type page struct {
+	words  [pageWords]uint32
+	stored [pageWords / 64]uint64
+}
+
+// load reads aligned address a off its page p, which is nil when
+// nothing on it was stored.
+func (p *page) load(a uint64) uint32 {
+	i := (a >> 2) % pageWords
+	if p != nil && p.stored[i/64]&(1<<(i%64)) != 0 {
+		return p.words[i]
+	}
+	return DefaultValue(a)
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{words: make(map[uint64]uint32)}
+	return &Memory{pages: make(map[uint64]*page)}
 }
 
 // align rounds addr down to a 4-byte word boundary.
@@ -23,42 +50,49 @@ func align(addr uint64) uint64 { return addr &^ 3 }
 // Load returns the 32-bit word at addr (word-aligned).
 func (m *Memory) Load(addr uint64) uint32 {
 	a := align(addr)
-	if v, ok := m.words[a]; ok {
-		return v
-	}
-	return DefaultValue(a)
+	return m.pages[a>>pageShift].load(a)
 }
 
 // Store writes a 32-bit word at addr (word-aligned).
 func (m *Memory) Store(addr uint64, v uint32) {
-	m.words[align(addr)] = v
+	a := align(addr)
+	p := m.pages[a>>pageShift]
+	if p == nil {
+		p = new(page)
+		m.pages[a>>pageShift] = p
+	}
+	i := (a >> 2) % pageWords
+	if bit := uint64(1) << (i % 64); p.stored[i/64]&bit == 0 {
+		p.stored[i/64] |= bit
+		m.written++
+	}
+	p.words[i] = v
 }
 
 // Written returns how many distinct words have been stored.
-func (m *Memory) Written() int { return len(m.words) }
+func (m *Memory) Written() int { return m.written }
 
-// Snapshot returns a copy of every written word, keyed by aligned
-// address.
-func (m *Memory) Snapshot() map[uint64]uint32 {
-	s := make(map[uint64]uint32, len(m.words))
-	for a, v := range m.words {
-		s[a] = v
+// each calls f with every stored word, in no particular order.
+func (m *Memory) each(f func(a uint64, v uint32)) {
+	for n, p := range m.pages {
+		for j, set := range p.stored {
+			for ; set != 0; set &= set - 1 {
+				i := j*64 + bits.TrailingZeros64(set)
+				f(n<<pageShift|uint64(i)<<2, p.words[i])
+			}
+		}
 	}
-	return s
 }
 
 // Fingerprint returns an order-independent hash of the written image:
 // two memories with identical (address, value) sets produce identical
-// fingerprints regardless of write or iteration order. Unwritten
-// default-valued words do not contribute. Differential-equivalence
-// tests use it to assert that two runs retired the same architectural
-// result.
+// fingerprints regardless of write order or layout. Unwritten
+// default-valued words do not contribute. Differential tests compare
+// it across runs, and cache keys hash it.
 func (m *Memory) Fingerprint() uint64 {
 	var fp uint64
-	for a, v := range m.words {
-		fp += mixWord(a, v)
-	}
-	return fp ^ uint64(len(m.words))
+	m.each(func(a uint64, v uint32) { fp += mixWord(a, v) })
+	return fp ^ uint64(m.written)
 }
 
 // mixWord hashes one written (address, value) pair; Fingerprint sums
@@ -85,24 +119,33 @@ func mixWord(a uint64, v uint32) uint64 {
 // not observe each other's stores mid-run; like CUDA kernels without
 // atomics, cross-SM communication within a launch is undefined and
 // unsupported.
+//
+// A view's stores stay a word map: the sandbox's store budget counts
+// words, and a page per sparse store would hold a thousand times that.
 type View struct {
 	base  *Memory
 	words map[uint64]uint32
+	pn    uint64 // the base page Load read last, cached in pg
+	pg    *page
 }
 
 // NewView returns a fresh copy-on-write view of m.
 func (m *Memory) NewView() *View {
-	return &View{base: m, words: make(map[uint64]uint32)}
+	return &View{base: m, words: make(map[uint64]uint32), pn: math.MaxUint64}
 }
 
 // Load returns the 32-bit word at addr: the view's own store if one
-// happened, the base image otherwise.
+// happened, the base image otherwise. It caches the base page it read,
+// so unlike its base a view serves one goroutine at a time.
 func (v *View) Load(addr uint64) uint32 {
 	a := align(addr)
 	if val, ok := v.words[a]; ok {
 		return val
 	}
-	return v.base.Load(a)
+	if n := a >> pageShift; n != v.pn {
+		v.pn, v.pg = n, v.base.pages[n]
+	}
+	return v.pg.load(a)
 }
 
 // Store writes a 32-bit word at addr into the view only.
@@ -131,12 +174,12 @@ func (v *View) Fingerprint() uint64 {
 	for a, val := range v.words {
 		fp += mixWord(a, val)
 	}
-	for a, val := range v.base.words {
+	v.base.each(func(a uint64, val uint32) {
 		if _, shadowed := v.words[a]; !shadowed {
 			fp += mixWord(a, val)
 			n++
 		}
-	}
+	})
 	return fp ^ uint64(n)
 }
 

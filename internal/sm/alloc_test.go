@@ -92,7 +92,7 @@ func TestLoadPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWritebackDrainZeroAlloc isolates the event-queue push/pop plus
+// TestWritebackDrainZeroAlloc isolates the event-queue push/drop plus
 // applyWriteback path: scheduling and draining a full warp's writebacks
 // must not allocate once the queue's backing array has grown.
 func TestWritebackDrainZeroAlloc(t *testing.T) {
@@ -104,8 +104,8 @@ func TestWritebackDrainZeroAlloc(t *testing.T) {
 		w.sb.Inc(bits.FullMask, 0)
 		for lane := 0; lane < bits.WarpSize; lane++ {
 			blk.events.push(wbEvent{
-				at: now, warp: w, lane: lane,
-				reg: 2, sbid: 0, kind: wbLoad, addr: uint64(lane * 128),
+				at: now, base: uint64(lane * 128), warp: w.rid, mask: bits.LaneMask(lane),
+				reg: 2, sbid: 0,
 			})
 		}
 		blk.drainEvents(now)
@@ -226,7 +226,7 @@ func BenchmarkBlockStep(b *testing.B) {
 }
 
 // BenchmarkExecuteLoad measures a full-warp LDG issue (32 lanes, one
-// line each) plus the drain of its 32 writeback events.
+// line each) plus the drain of its 32 per-line writeback events.
 func BenchmarkExecuteLoad(b *testing.B) {
 	cfg := testConfig()
 	s := allocSM(b, cfg, loadLoop(4), 1)

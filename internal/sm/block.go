@@ -26,28 +26,6 @@ const (
 	classScbdWait  // active subwarp blocked on a load-to-use scoreboard
 )
 
-// wbKind distinguishes the two writeback broadcast ports of Fig. 8b
-// plus the RT core return path (modeled on the LSU port).
-type wbKind uint8
-
-const (
-	wbLoad wbKind = iota
-	wbTex
-	wbTrace
-)
-
-// wbEvent is one thread's pending register writeback.
-type wbEvent struct {
-	at   int64
-	warp *Warp
-	lane int
-	reg  uint8
-	sbid int8
-	kind wbKind
-	addr uint64 // load/tex: address read at writeback time
-	val  uint32 // trace: precomputed result
-}
-
 // warpSpec queues a not-yet-resident warp for a freed slot
 // (persistent-thread style waves when the launch exceeds occupancy).
 type warpSpec struct {
@@ -78,6 +56,12 @@ type Block struct {
 	l0i     *mem.Cache
 	events  eventQueue
 	rng     *rand.Rand
+
+	// roster holds each warp the block materialized at its Warp.rid, an
+	// index never reused within a run: a load that lands after its warp
+	// exited and the slot was refilled writes the dead warp. An entry is
+	// cleared once its warp has exited with nothing in flight.
+	roster []*Warp
 
 	lastIssued int
 	policy     Policy
@@ -129,11 +113,11 @@ type Block struct {
 	// Per-instruction scratch buffers, owned by the block and reused
 	// across execute calls so the steady-state issue path never
 	// allocates. Each user truncates to length zero before filling;
-	// contents are dead between instructions. scratchLines dedups
-	// coalesced cache lines in executeLoad (replacing a per-call map);
+	// contents are dead between instructions. scratchLoads gathers a
+	// load's lanes into one writeback event per line in executeLoad;
 	// scratchGroups holds divergent-branch subgroups for
 	// executeBranch/executeBrx.
-	scratchLines  []lineFill
+	scratchLoads  []wbEvent
 	scratchGroups []subgroup
 
 	// rec is the optional observability recorder (cfg.Trace); nil when
@@ -195,15 +179,12 @@ func (b *Block) admit(spec warpSpec, resident int) {
 }
 
 func (b *Block) materialize(spec warpSpec) *Warp {
-	return newWarp(spec.id, spec.ctaID, spec.warpInCTA, b.sm.kernel.CTASize(),
+	w := newWarp(spec.id, spec.ctaID, spec.warpInCTA, b.sm.kernel.CTASize(),
 		b.cfg.ScoreboardsPerWarp, b.cfg.EffectiveMaxSubwarps())
+	w.rid = int32(len(b.roster))
+	b.roster = append(b.roster, w)
+	return w
 }
-
-// Done reports whether every admitted warp has run to completion.
-func (b *Block) Done() bool { return b.done }
-
-// Counters returns the block's accumulated statistics.
-func (b *Block) Counters() stats.Counters { return b.counters }
 
 func (b *Block) liveWarps() int {
 	n := 0
@@ -308,39 +289,54 @@ func (b *Block) sampleState() (occ, subs, fill int) {
 	return occ, subs, fill
 }
 
-// drainEvents applies all writebacks due at or before now.
+// drainEvents applies all writebacks due at or before now, each in
+// place at the head of the queue.
 func (b *Block) drainEvents(now int64) {
-	for len(b.events) > 0 && b.events[0].at <= now {
+	for len(b.events.h) > 0 && b.events.h[0].at <= now {
 		b.moved = true
-		b.applyWriteback(b.events.pop(), now)
+		b.applyWriteback(&b.events.h[0], now)
+		b.events.drop()
 	}
 }
 
-// applyWriteback writes the register, releases the scoreboard, and
-// broadcasts to the TST (subwarp-wakeup, Fig. 8b).
-func (b *Block) applyWriteback(ev wbEvent, now int64) {
-	w := ev.warp
+// applyWriteback writes the register of each of the event's lanes in
+// ascending order, releases its scoreboard, and broadcasts to the TST
+// (subwarp-wakeup, Fig. 8b).
+func (b *Block) applyWriteback(ev *wbEvent, now int64) {
+	w := b.roster[ev.warp]
 	b.markDirty(w.slot)
-	val := ev.val
-	if ev.kind != wbTrace {
-		val = b.sm.mem.Load(ev.addr)
-	}
-	w.regs[ev.lane][ev.reg] = val
-	w.sb.Dec(ev.lane, int(ev.sbid))
-	woke := w.tab.Writeback(ev.lane, int(ev.sbid))
-	if woke {
-		b.counters.SubwarpWakeups++
-	}
-	if b.rec != nil {
-		lane := bits.LaneMask(ev.lane)
-		pc := w.pcs[ev.lane]
-		b.emit(now, w, pc, lane, trace.KindWriteback, int(ev.sbid))
-		if w.sb.LaneCount(ev.lane, int(ev.sbid)) == 0 {
-			b.emit(now, w, pc, lane, trace.KindScbdRelease, int(ev.sbid))
+	sbid := int(ev.sbid)
+	for it := ev.mask; !it.Empty(); it = it.DropLowest() {
+		l := it.Lowest()
+		val := uint32(ev.base)
+		if !ev.ray {
+			val = b.sm.mem.Load(ev.base + uint64(ev.off[l]))
 		}
+		w.regs[l][ev.reg] = val
+		w.sb.Dec(l, sbid)
+		woke := w.tab.Writeback(l, sbid)
 		if woke {
-			b.emit(now, w, pc, lane, trace.KindWakeup, int(ev.sbid))
+			b.counters.SubwarpWakeups++
 		}
+		if b.rec != nil {
+			lane, pc := bits.LaneMask(l), w.pcs[l]
+			b.emit(now, w, pc, lane, trace.KindWriteback, sbid)
+			if w.sb.LaneCount(l, sbid) == 0 {
+				b.emit(now, w, pc, lane, trace.KindScbdRelease, sbid)
+			}
+			if woke {
+				b.emit(now, w, pc, lane, trace.KindWakeup, sbid)
+			}
+		}
+	}
+	b.release(w)
+}
+
+// release clears w's roster entry once it has exited with nothing in
+// flight.
+func (b *Block) release(w *Warp) {
+	if w.exited && !w.sb.Outstanding(bits.FullMask) {
+		b.roster[w.rid] = nil
 	}
 }
 
@@ -638,6 +634,7 @@ func (b *Block) addIdle(s idleSummary, n int64) {
 func (b *Block) retireExited() {
 	for i, w := range b.warps {
 		if w.exited && len(b.pending) > 0 {
+			b.release(w)
 			nw := b.materialize(b.pending[0])
 			nw.slot = i
 			b.warps[i] = nw
@@ -675,8 +672,8 @@ func (b *Block) freeSlots() int {
 // change without issuing: a writeback, a select completion, or an
 // instruction fetch fill.
 func (b *Block) nextEventTime() int64 {
-	if len(b.events) > 0 {
-		return min(b.events[0].at, b.wakeMin)
+	if len(b.events.h) > 0 {
+		return min(b.events.h[0].at, b.wakeMin)
 	}
 	return b.wakeMin
 }

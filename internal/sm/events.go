@@ -1,69 +1,83 @@
 package sm
 
-// eventQueue is the block's pending-writeback queue: a binary min-heap
-// of wbEvent values ordered by due time.
-//
-// It replaces container/heap on the per-cycle hot path: the generic
-// heap API moves every element through an `any`, which boxes the
-// 48-byte wbEvent on push AND on pop — two heap allocations per
-// scheduled writeback (one per load lane). The inlined value-typed
-// implementation below never boxes, so steady-state push/pop is
-// allocation-free once the backing slice has grown to the workload's
-// high-water mark.
-//
-// Correctness constraint: pop order must be BIT-IDENTICAL to what
-// container/heap produced, including for events with equal due times —
-// same-cycle writebacks to the same lane/register apply in queue pop
-// order, and trace streams record that order. The sift-up and
-// sift-down loops therefore mirror container/heap's up/down exactly
-// (strict-less comparisons, left-child preference on ties, pop via
-// swap-to-end then sift over the shortened prefix); events_test.go
-// keeps a differential test against container/heap as the guard rail.
-type eventQueue []wbEvent
+import "subwarpsim/internal/bits"
 
-// push inserts ev, maintaining the heap invariant.
-func (q *eventQueue) push(ev wbEvent) {
-	h := append(*q, ev)
-	// Sift up, mirroring container/heap.up: stop when the child is not
-	// strictly less than its parent.
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if h[i].at <= h[j].at {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	*q = h
+// wbEvent is one pending writeback on the broadcast ports of Fig. 8b:
+// at cycle at, every lane of mask receives a value in register reg and
+// releases scoreboard sbid. A load pushes one event per coalesced line
+// (per 256-byte window of a longer one), whose lane l reads base+off[l];
+// a TRACE pushes one per lane, as each ray has its own latency, with
+// ray set and the hit record in base. warp indexes the block's roster,
+// so the queue holds no pointers.
+type wbEvent struct {
+	at   int64
+	base uint64
+	seq  uint32
+	warp int32
+	mask bits.Mask
+	reg  uint8
+	sbid int8
+	ray  bool
+	off  [bits.WarpSize]uint8
 }
 
-// pop removes and returns the minimum event. It must only be called on
-// a non-empty queue (callers gate on len > 0, exactly as the
-// container/heap version did).
-func (q *eventQueue) pop() wbEvent {
-	h := *q
+// before orders events by due cycle, then by push sequence: same-cycle
+// writebacks apply in issue order, and applyWriteback walks an event's
+// lanes in ascending order. Sequence numbers compare by their wrapped
+// difference, so the order holds across a uint32 wrap as long as fewer
+// than 2^31 pushes separate two pending events.
+func (e *wbEvent) before(o *wbEvent) bool {
+	return e.at < o.at || e.at == o.at && int32(e.seq-o.seq) < 0
+}
+
+// eventQueue is the block's pending-writeback queue: a binary min-heap
+// of wbEvent values under before, with the push counter that stamps
+// each event's sequence. Values, not pointers or interfaces, so push
+// and drop never allocate once the slice has grown to the block's
+// high-water mark.
+type eventQueue struct {
+	h   []wbEvent
+	seq uint32
+}
+
+// push stamps ev with the next sequence number and inserts it.
+func (q *eventQueue) push(ev wbEvent) {
+	ev.seq = q.seq
+	q.seq++
+	h := append(q.h, ev)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(&h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = ev
+	q.h = h
+}
+
+// drop removes the head, h[0], which the caller has applied in place.
+func (q *eventQueue) drop() {
+	h := q.h
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	// Sift down over h[0:n], mirroring container/heap.down: prefer the
-	// left child unless the right is strictly less, stop when neither
-	// child is strictly less than the parent.
+	last := &h[n]
 	i := 0
 	for {
-		j := 2*i + 1 // left child
+		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].at < h[j].at {
-			j = j2
+		if j+1 < n && h[j+1].before(&h[j]) {
+			j++
 		}
-		if h[i].at <= h[j].at {
+		if !h[j].before(last) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
-	ev := h[n]
-	*q = h[:n]
-	return ev
+	h[i] = *last
+	q.h = h[:n]
 }

@@ -195,8 +195,9 @@ func (w *Warp) applySimple(mask bits.Mask, op *isa.COp) {
 
 // executeLoad issues a global or texture load: per-thread addresses are
 // coalesced into cache lines, each line probes the L1D backed by the
-// fixed-latency stub, scoreboards increment per thread, and per-thread
-// writeback events are scheduled for when each thread's line arrives.
+// fixed-latency stub, scoreboards increment per thread, and one
+// writeback event per line carries its lanes back when the line
+// arrives.
 func (b *Block) executeLoad(w *Warp, op *isa.COp, now int64) {
 	mask := w.active
 	sbid := int(op.WrScbd)
@@ -205,65 +206,66 @@ func (b *Block) executeLoad(w *Warp, op *isa.COp, now int64) {
 		b.emit(now, w, w.activePC, mask, trace.KindScbdSet, sbid)
 	}
 
-	isTex := op.Op.IsTexPath()
-	kind := wbLoad
 	extra := int64(0)
-	if isTex {
-		kind = wbTex
+	if op.Op.IsTexPath() {
 		extra = int64(b.cfg.TexExtraLatency)
 	}
 
+	// Group lanes by window in the block-owned scratch slice, a linear
+	// scan over at most 32 entries. A window is the line, or a 256-byte
+	// part of a longer one so that a lane's offset fits a byte; the
+	// parts of a line share its probe.
 	lineBytes := uint64(b.cfg.CacheLineBytes)
-	// Dedup coalesced lines through the block-owned scratch slice: a warp
-	// touches at most 32 lines per load, so a linear scan beats a map and
-	// reuses the same backing array every instruction.
-	lines := b.scratchLines[:0]
+	winBytes := min(lineBytes, 256)
+	evs := b.scratchLoads[:0]
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
 		addr := uint64(w.regs[l][op.SrcA]) + op.UImm
 		if op.Op == isa.TEX {
 			addr += uint64(w.regs[l][op.SrcB])
 		}
-		line := addr / lineBytes * lineBytes
-		ready, seen := int64(0), false
-		for _, lf := range lines {
-			if lf.line == line {
-				ready, seen = lf.ready, true
+		win, line := addr&^(winBytes-1), addr&^(lineBytes-1)
+		i, ready := -1, int64(-1)
+		for j := range evs {
+			if evs[j].base == win {
+				i = j
 				break
 			}
-		}
-		if !seen {
-			b.counters.L1DAccesses++
-			b.counters.LinesFetched++
-			r, hit := b.sm.l1d.Access(line, now, func(at int64) int64 {
-				return at + int64(b.cfg.L1MissLatency)
-			})
-			if !hit {
-				b.counters.L1DMisses++
+			if evs[j].base&^(lineBytes-1) == line {
+				ready = evs[j].at
 			}
-			if minReady := now + int64(b.cfg.L1DataHitLatency); r < minReady {
-				r = minReady
-			}
-			ready = r
-			lines = append(lines, lineFill{line: line, ready: r})
 		}
-		b.events.push(wbEvent{
-			at: ready + extra, warp: w, lane: l,
-			reg: op.Dst, sbid: op.WrScbd, kind: kind, addr: addr,
-		})
+		if i < 0 {
+			if ready < 0 {
+				ready = b.probeLine(line, now) + extra
+			}
+			i = len(evs)
+			evs = append(evs, wbEvent{at: ready, base: win, warp: w.rid, reg: op.Dst, sbid: op.WrScbd})
+		}
+		evs[i].mask = evs[i].mask.Set(l)
+		evs[i].off[l] = uint8(addr - win)
 	}
-	b.scratchLines = lines
+	for i := range evs {
+		b.events.push(evs[i])
+	}
+	b.scratchLoads = evs
 
 	w.setActivePCs(w.activePC + 1)
 	b.afterLongOp(w, now)
 }
 
-// lineFill records one coalesced cache line's ready time within a
-// single load instruction (scratch-slice replacement for a per-call
-// map in executeLoad).
-type lineFill struct {
-	line  uint64
-	ready int64
+// probeLine looks one coalesced line up in the L1D and returns the
+// cycle its data is ready.
+func (b *Block) probeLine(line uint64, now int64) int64 {
+	b.counters.L1DAccesses++
+	b.counters.LinesFetched++
+	r, hit := b.sm.l1d.Access(line, now, func(at int64) int64 {
+		return at + int64(b.cfg.L1MissLatency)
+	})
+	if !hit {
+		b.counters.L1DMisses++
+	}
+	return max(r, now+int64(b.cfg.L1DataHitLatency))
 }
 
 // executeTrace offloads a TraceRay per thread to the RT core; each
@@ -289,8 +291,8 @@ func (b *Block) executeTrace(w *Warp, op *isa.COp, now int64) {
 		}
 		// The hit record is material+1, so a miss (MissMaterial) reads 0.
 		b.events.push(wbEvent{
-			at: now + lat, warp: w, lane: l,
-			reg: op.Dst, sbid: op.WrScbd, kind: wbTrace, val: uint32(material + 1),
+			at: now + lat, base: uint64(material + 1), warp: w.rid, mask: bits.LaneMask(l),
+			reg: op.Dst, sbid: op.WrScbd, ray: true,
 		})
 	}
 	if b.rec != nil {

@@ -36,28 +36,37 @@ func TestTexPathSlowerThanLSU(t *testing.T) {
 }
 
 // TestCoalescingSameLine: 32 lanes loading the same line issue one L1D
-// line request; scattered lanes issue 32.
+// line request; scattered lanes issue 32. A line longer than 256 bytes
+// returns in several writeback events but is still fetched once, and
+// every lane receives its own word.
 func TestCoalescingSameLine(t *testing.T) {
-	build := func(scatter bool) *isa.Program {
+	for _, tc := range []struct {
+		shift, lineBytes int
+		lines            int64
+	}{
+		{2, 128, 1},  // lane*4: all in one line
+		{7, 128, 32}, // lane*128: one line each
+		{5, 1024, 1}, // lane*32: one line of four 256-byte windows
+	} {
 		b := isa.NewBuilder("coalesce")
 		b.S2R(0, isa.SRLaneID)
-		if scatter {
-			b.Shl(1, 0, 7) // lane*128: one line each
-		} else {
-			b.Shl(1, 0, 2) // lane*4: all in one line
-		}
+		b.Shl(1, 0, int32(tc.shift))
 		b.Iaddi(1, 1, 0x20000)
 		b.Ldg(2, 1, 0, 0)
 		b.Iadd(3, 2, 2).Req(0)
-		return b.Exit().MustBuild()
-	}
-	uni, _ := run(t, testConfig(), build(false), 1)
-	if uni.LinesFetched != 1 {
-		t.Errorf("coalesced LinesFetched = %d, want 1", uni.LinesFetched)
-	}
-	sc, _ := run(t, testConfig(), build(true), 1)
-	if sc.LinesFetched != 32 {
-		t.Errorf("scattered LinesFetched = %d, want 32", sc.LinesFetched)
+		b.Stg(1, 0x10000, 2)
+		cfg := testConfig()
+		cfg.CacheLineBytes = tc.lineBytes
+		c, s := run(t, cfg, b.Exit().MustBuild(), 1)
+		if c.LinesFetched != tc.lines {
+			t.Errorf("lane stride %d, %dB lines: LinesFetched = %d, want %d", 1<<tc.shift, tc.lineBytes, c.LinesFetched, tc.lines)
+		}
+		for lane := uint64(0); lane < 32; lane++ {
+			addr := 0x20000 + lane<<tc.shift
+			if got, want := s.Memory().Load(addr+0x10000), mem.DefaultValue(addr); got != want {
+				t.Fatalf("lane stride %d, %dB lines: lane %d loaded %#x, want %#x", 1<<tc.shift, tc.lineBytes, lane, got, want)
+			}
+		}
 	}
 }
 
@@ -217,8 +226,8 @@ func TestLargestFirstActivatesBigSubwarp(t *testing.T) {
 			t.Fatal("never diverged")
 		}
 	}
-	if w.Active().Count() != 31 {
-		t.Errorf("active subwarp = %d lanes, want 31 (largest first)", w.Active().Count())
+	if w.active.Count() != 31 {
+		t.Errorf("active subwarp = %d lanes, want 31 (largest first)", w.active.Count())
 	}
 }
 

@@ -183,9 +183,6 @@ func (s *SM) Admit(seq int, id, ctaID, warpInCTA int) {
 	blk.admit(warpSpec{id: id, ctaID: ctaID, warpInCTA: warpInCTA}, s.ResidentWarpsPerBlock())
 }
 
-// Blocks exposes the SM's processing blocks (for tests/inspection).
-func (s *SM) Blocks() []*Block { return s.blocks }
-
 // Memory exposes the SM's view of the kernel image: everything the SM
 // has stored so far, over the untouched image. It must not be read
 // while the SM is simulating.

@@ -50,8 +50,10 @@ type Warp struct {
 	longOpsSinceActivation int
 
 	// slot is the warp's index in its block's warps slice, so writeback
-	// events can mark the owning slot dirty without a search.
+	// events can mark the owning slot dirty without a search; rid is its
+	// index in the block's roster, which events name it by.
 	slot int
+	rid  int32
 
 	// diverged remembers Diverged() while divKnown is set. Lane PCs and
 	// the live mask change only when the warp itself executes, so
@@ -80,21 +82,6 @@ func newWarp(id, ctaID, warpInCTA, ctaSize, nsb, maxSubwarps int) *Warp {
 	w.fetchingLine = math.MaxUint64
 	return w
 }
-
-// Active returns the current active subwarp's mask.
-func (w *Warp) Active() bits.Mask { return w.active }
-
-// PC returns the active subwarp's program counter.
-func (w *Warp) PC() int { return w.activePC }
-
-// Exited reports whether every thread has left the program.
-func (w *Warp) Exited() bool { return w.exited }
-
-// Table exposes the warp's thread status table (for inspection/tests).
-func (w *Warp) Table() *tst.Table { return w.tab }
-
-// Scoreboards exposes the warp's scoreboard file.
-func (w *Warp) Scoreboards() *scoreboard.File { return w.sb }
 
 // Diverged reports whether the warp currently has more than one live
 // subwarp, the condition under which exposed stalls count as

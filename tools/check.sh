@@ -103,6 +103,24 @@ for t in TestKillSettlesSleepersAndRuns TestDeadlockSettlesSleepers TestCancelAn
     gate -race -count=1 -run "^$t\$" ./internal/sm
 done
 
+echo "== data path gate =="
+# Loads return one writeback event per cache line, in a defined order,
+# over a paged base image; each gated by name. A writeback that lands
+# after its warp exited and the slot was refilled reaches the dead warp,
+# never the new occupant; same-cycle writebacks apply by issue order,
+# then lane, so the later of two loads into one register wins. Pages and
+# views agree with a plain word map on loads, counts, fingerprints and
+# absorb conflicts; many views load one shared base at once (under the
+# race detector: loading never writes the base); and the content
+# addresses of every generator family are pinned, so a layout change
+# cannot orphan a disk cache.
+for t in TestWritebackAfterSlotRecycled TestSameCycleWritebacksApplyInIssueOrder; do
+    gate -count=1 -run "^$t\$" ./internal/sm
+done
+gate -count=1 -run '^TestPagedMemoryMatchesWordMap$' ./internal/mem
+gate -race -count=2 -run '^TestViewsShareOneBaseConcurrently$' ./internal/mem
+gate -count=1 -run '^TestKeyOfUnchangedByLayout$' ./internal/simcache
+
 echo "== matrix gate =="
 # The cross-matrix differential layer under the race detector: every
 # workload-family x scheduler-policy x SI cell must be bit-identical
