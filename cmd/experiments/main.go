@@ -25,7 +25,6 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	jobs := flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential)")
-	workers := flag.Int("workers", 0, "alias of -j (kept for compatibility)")
 	outPath := flag.String("o", "", "also write the combined report to this file")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
@@ -84,10 +83,6 @@ func main() {
 		}
 	}
 
-	w := *jobs
-	if w == 0 {
-		w = *workers
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -96,26 +91,26 @@ func main() {
 	}
 	opts := experiments.Options{
 		Quick:       *quick,
-		Workers:     w,
+		Workers:     *jobs,
 		Context:     ctx,
 		Interpret:   interpret,
 		SchedPolicy: policy,
 		Workloads:   workloads,
 	}
+	start := time.Now()
+	reports, tally, err := experiments.RunAll(opts, selected)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	var combined strings.Builder
-	for _, e := range selected {
-		start := time.Now()
-		report, err := e.Run(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		text := report.String()
-		fmt.Print(text)
-		fmt.Printf("(%s in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		combined.WriteString(text)
+	for _, r := range reports {
+		combined.WriteString(r.String())
 		combined.WriteString("\n")
 	}
+	fmt.Print(combined.String())
+	fmt.Printf("(%d experiments: %d simulations declared, %d simulated, in %s)\n",
+		len(reports), tally.Declared, tally.Simulated, time.Since(start).Round(time.Millisecond))
 
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, []byte(combined.String()), 0o644); err != nil {

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"subwarpsim/internal/config"
@@ -95,28 +94,63 @@ func (r *Report) String() string {
 	return s
 }
 
-// Experiment is a regenerable paper artifact.
+// Experiment is a regenerable paper artifact. It declares the
+// simulations it needs on a plan and renders its report from their
+// results once the plan has run.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(Options) (*Report, error)
+	ID      string
+	Title   string
+	declare func(*plan) (render func() *Report)
+}
+
+// Run regenerates the experiment alone.
+func (e Experiment) Run(o Options) (*Report, error) {
+	reports, _, err := RunAll(o, []Experiment{e})
+	if err != nil {
+		return nil, err
+	}
+	return reports[0], nil
+}
+
+// Tally counts a plan's simulations: those its experiments declared,
+// and the distinct (kernel, config) runs among them, each simulated once.
+type Tally struct{ Declared, Simulated int }
+
+// RunAll regenerates the experiments over one plan, so a simulation
+// that several of them declare runs once. Reports come back in the
+// order given; the error is the first failing declaration's.
+func RunAll(o Options, es []Experiment) ([]*Report, Tally, error) {
+	p := newPlan(o)
+	renders := make([]func() *Report, len(es))
+	for i, e := range es {
+		renders[i] = e.declare(p)
+	}
+	tally := Tally{p.declared, len(p.runs)}
+	if err := p.exec(); err != nil {
+		return nil, tally, err
+	}
+	reports := make([]*Report, len(es))
+	for i, render := range renders {
+		reports[i] = render()
+	}
+	return reports, tally, nil
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "fig3", Title: "Baseline exposed load-to-use stall characterisation (Fig. 3)", Run: Fig3},
-		{ID: "table3", Title: "Microbenchmark speedup vs divergence factor (Table III)", Run: Table3},
-		{ID: "fig12a", Title: "Per-application speedup across SI policies (Fig. 12a)", Run: Fig12a},
-		{ID: "fig12b", Title: "Reduction in exposed load-to-use stalls (Fig. 12b)", Run: Fig12b},
-		{ID: "fig13", Title: "Average speedup vs L1 miss latency (Fig. 13)", Run: Fig13},
-		{ID: "fig14", Title: "Sensitivity to warp slots per SM (Fig. 14)", Run: Fig14},
-		{ID: "fig15", Title: "Sensitivity to subwarps per warp / TST size (Fig. 15)", Run: Fig15},
-		{ID: "icache", Title: "Instruction cache sizing (Section V-C4)", Run: ICache},
-		{ID: "order", Title: "Ablation: divergent-path activation order (Section VI)", Run: Order},
-		{ID: "yield", Title: "Ablation: subwarp-yield threshold (Section III-B)", Run: Yield},
-		{ID: "dws", Title: "Extension: SI vs Dynamic Warp Subdivision (Section VII-B)", Run: DWS},
-		{ID: "matrix", Title: "Workload-family x scheduler-policy x SI cross matrix", Run: Matrix},
+		{"fig3", "Baseline exposed load-to-use stall characterisation (Fig. 3)", fig3},
+		{"table3", "Microbenchmark speedup vs divergence factor (Table III)", table3},
+		{"fig12a", "Per-application speedup across SI policies (Fig. 12a)", fig12a},
+		{"fig12b", "Reduction in exposed load-to-use stalls (Fig. 12b)", fig12b},
+		{"fig13", "Average speedup vs L1 miss latency (Fig. 13)", fig13},
+		{"fig14", "Sensitivity to warp slots per SM (Fig. 14)", fig14},
+		{"fig15", "Sensitivity to subwarps per warp / TST size (Fig. 15)", fig15},
+		{"icache", "Instruction cache sizing (Section V-C4)", icache},
+		{"order", "Ablation: divergent-path activation order (Section VI)", order},
+		{"yield", "Ablation: subwarp-yield threshold (Section III-B)", yield},
+		{"dws", "Extension: SI vs Dynamic Warp Subdivision (Section VII-B)", dws},
+		{"matrix", "Workload-family x scheduler-policy x SI cross matrix", matrix},
 	}
 }
 
@@ -137,14 +171,7 @@ func quickProfile(p workload.AppProfile, o Options) workload.AppProfile {
 	}
 	// Trim follow-on waves and bounce count but keep per-block occupancy
 	// intact — occupancy is what calibrates SI's gains.
-	resident := 512 / p.RegsPerThread // warps per block at the default 16K-register file
-	if resident > 8 {
-		resident = 8
-	}
-	if resident < 1 {
-		resident = 1
-	}
-	if oneWave := 8 * resident; p.NumWarps > oneWave {
+	if oneWave := 8 * residentWarps(p.RegsPerThread); p.NumWarps > oneWave {
 		p.NumWarps = oneWave
 	}
 	if p.Iterations > 2 {
@@ -153,59 +180,147 @@ func quickProfile(p workload.AppProfile, o Options) workload.AppProfile {
 	return p
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// plan is the simulations a set of experiments declared. Each
+// AppProfile is built into one kernel, each distinct (kernel, config) is
+// one run with one result slot, and exec simulates every run once.
+type plan struct {
+	o        Options
+	kernels  map[workload.AppProfile]*sm.Kernel
+	slots    map[simKey]*gpu.Result
+	runs     []simKey // distinct, in order of first declaration
+	declared int
+	err      error // the first kernel build error
+}
+
+type simKey struct {
+	k   *sm.Kernel
+	cfg config.Config
+}
+
+func newPlan(o Options) *plan {
+	return &plan{o: o, kernels: map[workload.AppProfile]*sm.Kernel{}, slots: map[simKey]*gpu.Result{}}
+}
+
+// runContext is gpu.RunContext; a test counts the runs through it.
+var runContext = gpu.RunContext
+
+// kernel returns the plan's megakernel for prof, built on first use.
+func (p *plan) kernel(prof workload.AppProfile) *sm.Kernel {
+	k, ok := p.kernels[prof]
+	if !ok {
+		k = p.must(workload.Megakernel(prof))
+		p.kernels[prof] = k
 	}
-	return b
+	return k
 }
 
-// job is one simulation to run. Jobs share kernels freely: a run never
-// changes its kernel.
-type job struct {
-	key    string
-	cfg    config.Config
-	kernel *sm.Kernel
+// must returns k, keeping err as the plan's when it is the first build
+// error: exec then fails before simulating anything.
+func (p *plan) must(k *sm.Kernel, err error) *sm.Kernel {
+	if err != nil && p.err == nil {
+		p.err = err
+	}
+	return k
 }
 
-// runJobs executes simulations on a bounded worker pool and returns
-// results keyed by job key. Results and the reported error are
-// deterministic regardless of scheduling: every job's outcome lands in
-// a slot indexed by submission order, and the error returned is the
-// first failing job's in that order. The options' context cancels
-// every in-flight simulation.
-func runJobs(o Options, jobs []job) (map[string]gpu.Result, error) {
-	ctx := o.ctx()
-	slots := make([]gpu.Result, len(jobs))
-	errs := make([]error, len(jobs))
+// traces returns the ten Table II traces' kernels in paper order,
+// Quick-shrunk when the options ask.
+func (p *plan) traces() []*sm.Kernel {
+	var ks []*sm.Kernel
+	for _, a := range workload.Apps() {
+		ks = append(ks, p.kernel(quickProfile(a, p.o)))
+	}
+	return ks
+}
+
+// sim declares a run of k under cfg, as the options amend it, and
+// returns the slot exec fills with its result, counters only: the
+// memory image is dropped. Equal declarations share one slot.
+func (p *plan) sim(cfg config.Config, k *sm.Kernel) *gpu.Result {
+	cfg.Check = p.o.check
+	if p.o.Interpret {
+		cfg.Compiled = false
+	}
+	if p.o.SchedPolicy != config.SchedLRR {
+		cfg.SchedPolicy = p.o.SchedPolicy
+	}
+	p.declared++
+	key := simKey{k, cfg}
+	if res, ok := p.slots[key]; ok {
+		return res
+	}
+	res := new(gpu.Result)
+	p.slots[key] = res
+	p.runs = append(p.runs, key)
+	return res
+}
+
+// exec simulates every distinct run on a bounded worker pool. The
+// reported error is deterministic whatever the scheduling: the first
+// failing run in declaration order. The options' context cancels every
+// in-flight simulation.
+func (p *plan) exec() error {
+	if p.err != nil {
+		return p.err
+	}
+	ctx := p.o.ctx()
+	errs := make([]error, len(p.runs))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.workers())
-	for i, j := range jobs {
+	sem := make(chan struct{}, p.o.workers())
+	for i, key := range p.runs {
+		res := p.slots[key]
 		wg.Add(1)
-		go func(i int, j job) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cfg := j.cfg
-			cfg.Check = o.check
-			if o.Interpret {
-				cfg.Compiled = false
-			}
-			if o.SchedPolicy != config.SchedLRR {
-				cfg.SchedPolicy = o.SchedPolicy
-			}
-			slots[i], errs[i] = gpu.RunContext(ctx, cfg, j.kernel, 0)
-		}(i, j)
+			*res, errs[i] = runContext(ctx, key.cfg, key.k, 0)
+			res.Memory = nil // a whole report's images would triple its peak RSS
+		}()
 	}
 	wg.Wait()
-	results := make(map[string]gpu.Result, len(jobs))
-	for i, j := range jobs {
+	for i, key := range p.runs {
 		if errs[i] != nil {
-			return results, fmt.Errorf("experiments: %s: %w", j.key, errs[i])
+			return fmt.Errorf("experiments: %s under %s: %w", key.k.Program.Name, key.cfg.PolicyName(), errs[i])
 		}
-		results[j.key] = slots[i]
 	}
-	return results, nil
+	return nil
+}
+
+// pair is a declared baseline run and a variant of it.
+type pair struct{ base, with *gpu.Result }
+
+// vs declares k under base once and under each of cfgs: one pair per
+// cfg, in order.
+func (p *plan) vs(k *sm.Kernel, base config.Config, cfgs ...config.Config) []pair {
+	b := p.sim(base, k)
+	pairs := make([]pair, len(cfgs))
+	for i, cfg := range cfgs {
+		pairs[i] = pair{b, p.sim(cfg, k)}
+	}
+	return pairs
+}
+
+// speedup is the variant's speedup over the baseline, read after exec.
+func (s pair) speedup() float64 { return stats.Speedup(s.base.Counters, s.with.Counters) }
+
+// best declares every trace under cfg and under bestSingle(cfg).
+func (p *plan) best(cfg config.Config) []pair {
+	var pairs []pair
+	for _, k := range p.traces() {
+		pairs = append(pairs, p.vs(k, cfg, bestSingle(cfg))...)
+	}
+	return pairs
+}
+
+// meanSpeedup is the mean of one pair per trace's speedups, summed in
+// paper order.
+func meanSpeedup(pairs []pair) float64 {
+	var sum float64
+	for _, s := range pairs {
+		sum += s.speedup()
+	}
+	return sum / float64(len(workload.AppNames()))
 }
 
 // policies enumerates the six SI configurations of Fig. 12a/13, in the
@@ -227,58 +342,21 @@ func policies() []policy {
 	}
 }
 
+// sweep declares every trace under base and under each of the six SI
+// policies over base: one row of pairs per trace, in policies() order.
+func (p *plan) sweep(base config.Config) [][]pair {
+	var cfgs []config.Config
+	for _, pol := range policies() {
+		cfgs = append(cfgs, base.WithSI(pol.yield, pol.trigger))
+	}
+	var rows [][]pair
+	for _, k := range p.traces() {
+		rows = append(rows, p.vs(k, base, cfgs...))
+	}
+	return rows
+}
+
 // bestSingle is the paper's single best configuration: Both, N>=0.5.
 func bestSingle(cfg config.Config) config.Config {
 	return cfg.WithSI(true, config.TriggerHalfStalled)
-}
-
-// namedKernel is one workload as an experiment runs it: built once
-// (Quick-shrunk when asked) and shared by every configuration the
-// experiment sweeps.
-type namedKernel struct {
-	name   string
-	kernel *sm.Kernel
-}
-
-// buildApps builds the ten Table II traces, in paper order.
-func buildApps(o Options) ([]namedKernel, error) {
-	var apps []namedKernel
-	for _, a := range workload.Apps() {
-		p := quickProfile(a, o)
-		k, err := workload.Megakernel(p)
-		if err != nil {
-			return nil, err // names the profile
-		}
-		apps = append(apps, namedKernel{p.Name, k})
-	}
-	return apps, nil
-}
-
-// appSweep runs baseline plus all six SI policies for every application
-// at the given base configuration. Keys: "<app>/baseline",
-// "<app>/<policy>".
-func appSweep(apps []namedKernel, base config.Config, o Options) (map[string]gpu.Result, error) {
-	var jobs []job
-	for _, a := range apps {
-		jobs = append(jobs, job{key: a.name + "/baseline", cfg: base, kernel: a.kernel})
-		for _, pol := range policies() {
-			jobs = append(jobs, job{
-				key:    a.name + "/" + pol.label,
-				cfg:    base.WithSI(pol.yield, pol.trigger),
-				kernel: a.kernel,
-			})
-		}
-	}
-	return runJobs(o, jobs)
-}
-
-// sortedKeys returns map keys sorted lexicographically (for stable
-// notes/diagnostics).
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

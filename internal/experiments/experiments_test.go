@@ -5,9 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"subwarpsim/internal/config"
+	"subwarpsim/internal/gpu"
+	"subwarpsim/internal/isa"
+	"subwarpsim/internal/mem"
 	"subwarpsim/internal/sm"
 	"subwarpsim/internal/testutil"
 	"subwarpsim/internal/workload"
@@ -18,17 +23,69 @@ import (
 // shape tests run the real workloads. They honor -short via skipLong.
 func full() Options { return Options{check: testutil.Checked()} }
 
+// quick returns the options of the golden corpus and the digests.
+func quick() Options { return Options{Quick: true, check: testutil.Checked()} }
+
+// skipLong skips a test of full-size runs under -short, and under
+// -race, where the Quick runs put the same code under the detector in a
+// fraction of the time.
 func skipLong(t *testing.T) {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("shape test runs full-size workloads; skipped in -short mode")
+	if testing.Short() || raceEnabled {
+		t.Skip("full-size workloads; skipped in -short and -race builds")
 	}
+}
+
+// raceEnabled reports a -race build (race_test.go sets it).
+var raceEnabled bool
+
+// allRun is RunAll(All()) at one size, run once per test binary and
+// read by every test that asks for a report of that size.
+type allRun struct {
+	once    sync.Once
+	reports []*Report
+	err     error
+}
+
+var fullRun, quickRun allRun
+
+func (a *allRun) get(t *testing.T, o Options) []*Report {
+	t.Helper()
+	a.once.Do(func() { a.reports, _, a.err = RunAll(o, All()) })
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	return a.reports
+}
+
+func reportByID(t *testing.T, reports []*Report, id string) *Report {
+	t.Helper()
+	for _, r := range reports {
+		if r.ID == id {
+			return r
+		}
+	}
+	t.Fatalf("no report %q", id)
+	return nil
+}
+
+// fullReport is id's report from the shared full-size run.
+func fullReport(t *testing.T, id string) *Report {
+	t.Helper()
+	skipLong(t)
+	return reportByID(t, fullRun.get(t, full()), id)
+}
+
+// quickReport is id's report from the shared Quick run.
+func quickReport(t *testing.T, id string) *Report {
+	t.Helper()
+	return reportByID(t, quickRun.get(t, quick()), id)
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range All() {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.declare == nil {
 			t.Errorf("experiment %+v incomplete", e.ID)
 		}
 		if ids[e.ID] {
@@ -54,11 +111,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	skipLong(t)
-	r, err := Fig3(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "fig3")
 	// Every trace has a row; stall fractions are sane; divergent never
 	// exceeds total.
 	for _, name := range workload.AppNames() {
@@ -87,11 +140,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	skipLong(t)
-	r, err := Table3(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "table3")
 	// Monotone growth through 16-way divergence...
 	prev := 1.0
 	for _, d := range []int{2, 4, 8, 16} {
@@ -116,11 +165,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFig12aShape(t *testing.T) {
-	skipLong(t)
-	r, err := Fig12a(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "fig12a")
 	// The paper's winners and losers: BFV traces gain most, Coll1 least.
 	best := "Both,N>=0.5"
 	if r.Values["BFV1/"+best] < r.Values["Coll1/"+best] {
@@ -152,11 +197,7 @@ func TestFig12aShape(t *testing.T) {
 }
 
 func TestFig12bShape(t *testing.T) {
-	skipLong(t)
-	r, err := Fig12b(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "fig12b")
 	// SI must reduce divergent stalls more than total stalls (it only
 	// attacks divergent-region serialization).
 	if r.Values["mean/divergent"] <= r.Values["mean/total"] {
@@ -173,11 +214,7 @@ func TestFig12bShape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	skipLong(t)
-	r, err := Fig13(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "fig13")
 	// SI's benefit grows with L1 miss latency (paper: 4.2/6.6/7.6 BestOf).
 	b300 := r.Values["lat300/BestOf"]
 	b600 := r.Values["lat600/BestOf"]
@@ -188,11 +225,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	skipLong(t)
-	r, err := Fig15(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "fig15")
 	// Small TSTs must retain most of the unlimited upside (paper: 2
 	// subwarps capture 2/3, 4 subwarps 82%; our synthetic traces
 	// saturate even earlier) and never beat it by much.
@@ -211,11 +244,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestICacheShape(t *testing.T) {
-	skipLong(t)
-	r, err := ICache(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "icache")
 	if r.Values["mean/big"] <= 0 {
 		t.Error("upsized-cache mean should be positive")
 	}
@@ -227,11 +256,7 @@ func TestICacheShape(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	skipLong(t)
-	r, err := Fig3(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "fig3")
 	s := r.String()
 	for _, want := range []string{"fig3", "paper:", "BFV1", "mean"} {
 		if !strings.Contains(s, want) {
@@ -252,49 +277,104 @@ func TestQuickProfileShrinks(t *testing.T) {
 	}
 }
 
-// TestRunJobsPropagatesErrors: a failing job's error names its key,
-// and it is the first failing job in submission order that is reported
-// whatever the pool's interleaving.
-func TestRunJobsPropagatesErrors(t *testing.T) {
+// TestPlanRunsEachSimulationOnce: equal declarations share one result
+// slot and one simulation, a profile is built into one kernel per plan,
+// and the whole report declares its runs over fifteen megakernels.
+func TestPlanRunsEachSimulationOnce(t *testing.T) {
+	k, err := workload.Microbench(workload.DefaultMicrobench(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int32
+	run := runContext
+	defer func() { runContext = run }()
+	runContext = func(ctx context.Context, cfg config.Config, k *sm.Kernel, workers int) (gpu.Result, error) {
+		runs.Add(1)
+		return gpu.RunContext(ctx, cfg, k, workers)
+	}
+
+	p := newPlan(full())
+	a, b := p.sim(config.Default(), k), p.sim(config.Default(), k)
+	si := p.sim(bestSingle(config.Default()), k)
+	if a != b || a == si {
+		t.Fatal("equal declarations must share a slot and distinct ones must not")
+	}
+	if err := p.exec(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("three declarations of two runs simulated %d times, want 2", n)
+	}
+	if a.Counters.Cycles == 0 || si.Counters.Cycles == 0 {
+		t.Error("exec left a slot empty")
+	}
+
+	for _, o := range []Options{full(), quick()} {
+		p := newPlan(o)
+		prof := quickProfile(workload.Apps()[0], o)
+		if p.kernel(prof) != p.kernel(prof) {
+			t.Fatal("one profile built into two kernels")
+		}
+		for _, e := range All() {
+			e.declare(p)
+		}
+		if p.err != nil {
+			t.Fatal(p.err)
+		}
+		if len(p.kernels) != 15 || p.declared != 693 || len(p.runs) != 453 {
+			t.Errorf("Quick=%v: %d megakernels, %d runs declared, %d distinct; want 15 (ten traces, five DWS register variants), 693, 453",
+				o.Quick, len(p.kernels), p.declared, len(p.runs))
+		}
+	}
+}
+
+// TestPlanPropagatesErrors: a failing run's error names its program and
+// policy, and it is the first failing declaration's whatever the pool's
+// interleaving. A kernel that fails to build fails the plan before it
+// simulates anything.
+func TestPlanPropagatesErrors(t *testing.T) {
 	good, err := workload.Microbench(workload.DefaultMicrobench(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runJobs(full(), []job{
-		{key: "fine", cfg: config.Default(), kernel: good},
-		{key: "bad", cfg: config.Default(), kernel: &sm.Kernel{}}, // no program: the run rejects it
-		{key: "worse", cfg: config.Default(), kernel: &sm.Kernel{}},
-	})
+	warpless := func(name string) *sm.Kernel { // the run rejects it
+		return &sm.Kernel{Program: isa.NewBuilder(name).Exit().MustBuild(), WarpsPerCTA: 1, Memory: mem.NewMemory()}
+	}
+	p := newPlan(full())
+	p.sim(config.Default(), good)
+	p.sim(config.Default(), warpless("bad"))
+	p.sim(config.Default(), warpless("worse"))
+	err = p.exec()
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if !strings.Contains(err.Error(), "bad") || strings.Contains(err.Error(), "worse") {
-		t.Errorf("error should name the first failing job: %v", err)
+	if !strings.Contains(err.Error(), "bad under baseline") || strings.Contains(err.Error(), "worse") {
+		t.Errorf("error should name the first failing declaration: %v", err)
+	}
+
+	o := full()
+	o.Workloads = []string{"nope"}
+	matrixOnly, _ := ByID("matrix")
+	if _, _, err := RunAll(o, []Experiment{matrixOnly}); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("a family that does not build: err = %v", err)
 	}
 }
 
-func TestRunJobsHonorsCancelledContext(t *testing.T) {
+func TestPlanHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	k, err := workload.Microbench(workload.DefaultMicrobench(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runJobs(Options{Workers: 1, Context: ctx, check: testutil.Checked()}, []job{{
-		key: "cancelled", cfg: config.Default(), kernel: k,
-	}})
+	p := newPlan(Options{Workers: 1, Context: ctx, check: testutil.Checked()})
+	p.sim(config.Default(), k)
+	err = p.exec()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if !strings.Contains(err.Error(), "cancelled") {
-		t.Errorf("error should name the job: %v", err)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	keys := sortedKeys(map[string]float64{"b": 1, "a": 2, "c": 3})
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("sortedKeys = %v", keys)
+	if !strings.Contains(err.Error(), k.Program.Name) {
+		t.Errorf("error should name the run: %v", err)
 	}
 }
 
@@ -303,11 +383,7 @@ func sprintf(format string, args ...any) string {
 }
 
 func TestDWSShape(t *testing.T) {
-	skipLong(t)
-	r, err := DWS(full())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fullReport(t, "dws")
 	// Section VII-B: SI beats DWS on average, decisively so on traces
 	// with few free warp slots.
 	if r.Values["mean/dws"] >= r.Values["mean/si"] {

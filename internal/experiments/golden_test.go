@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"subwarpsim/internal/testutil"
 )
 
 // updateGolden rewrites the golden corpus from the current simulator
@@ -91,21 +89,13 @@ func relErr(got, want float64) float64 {
 // characterisation (the paper's Fig. 3 counters) against the recorded
 // corpus.
 func TestGoldenFig3(t *testing.T) {
-	r, err := Fig3(Options{Quick: true, check: testutil.Checked()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig3.json", r.Values)
+	checkGolden(t, "fig3.json", quickReport(t, "fig3").Values)
 }
 
 // TestGoldenTable3 pins the microbenchmark speedups and fetch-overhead
 // fractions (Table III) against the recorded corpus.
 func TestGoldenTable3(t *testing.T) {
-	r, err := Table3(Options{Quick: true, check: testutil.Checked()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "table3.json", r.Values)
+	checkGolden(t, "table3.json", quickReport(t, "table3").Values)
 }
 
 // TestGoldenMatrix pins every workload-family x scheduler-policy x SI
@@ -113,11 +103,7 @@ func TestGoldenTable3(t *testing.T) {
 // a policy's tie-order rules, a generator's kernel, or the SI
 // machinery shows up as a cell-level diff here.
 func TestGoldenMatrix(t *testing.T) {
-	r, err := Matrix(Options{Quick: true, check: testutil.Checked()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "matrix.json", r.Values)
+	checkGolden(t, "matrix.json", quickReport(t, "matrix").Values)
 }
 
 // TestGoldenInterpreted re-derives the golden corpus in the stepped
@@ -130,19 +116,18 @@ func TestGoldenInterpreted(t *testing.T) {
 	if *updateGolden {
 		t.Skip("corpus regeneration runs on the compiled engine")
 	}
-	r, err := Fig3(Options{Quick: true, Interpret: true, check: testutil.Checked()})
+	o := quick()
+	o.Interpret = true
+	var es []Experiment
+	for _, id := range []string{"fig3", "table3", "matrix"} {
+		e, _ := ByID(id)
+		es = append(es, e)
+	}
+	reports, _, err := RunAll(o, es)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fig3.json", r.Values)
-	r, err = Table3(Options{Quick: true, Interpret: true, check: testutil.Checked()})
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range reports {
+		checkGolden(t, r.ID+".json", r.Values)
 	}
-	checkGolden(t, "table3.json", r.Values)
-	r, err = Matrix(Options{Quick: true, Interpret: true, check: testutil.Checked()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "matrix.json", r.Values)
 }

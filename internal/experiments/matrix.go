@@ -44,25 +44,6 @@ func buildFamily(name string, quick bool) (*sm.Kernel, error) {
 	}
 }
 
-// matrixFamilies builds the workload axis, honoring the Options
-// workload filter and Quick shrinking: one kernel per family, shared
-// by every cell of its row.
-func matrixFamilies(o Options) ([]namedKernel, error) {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = workload.GeneratorNames()
-	}
-	var fams []namedKernel
-	for _, name := range names {
-		k, err := buildFamily(name, o.Quick)
-		if err != nil {
-			return nil, err
-		}
-		fams = append(fams, namedKernel{name, k})
-	}
-	return fams, nil
-}
-
 // matrixPolicies returns the scheduler-policy axis: all registered
 // policies, or just the Options override when one is set.
 func matrixPolicies(o Options) []config.SchedPolicy {
@@ -76,66 +57,65 @@ func matrixPolicies(o Options) []config.SchedPolicy {
 	return pols
 }
 
-// Matrix crosses the workload-family and scheduler-policy axes against
+// matrix crosses the workload-family and scheduler-policy axes against
 // baseline and best-single SI. This is the scenario grid the related
 // work says the paper is missing: whether SI's gains survive a
 // scheduler change and a workload shape change is exactly what the
-// cross cells answer. Cell keys: "<family>/<policy>/<metric>".
-func Matrix(o Options) (*Report, error) {
-	fams, err := matrixFamilies(o)
-	if err != nil {
-		return nil, err
+// cross cells answer. Cell keys: "<family>/<policy>/<metric>". The
+// family axis honors the Options workload filter, one kernel per family
+// shared by every cell of its row.
+func matrix(p *plan) func() *Report {
+	fams := p.o.Workloads
+	if len(fams) == 0 {
+		fams = workload.GeneratorNames()
 	}
-	pols := matrixPolicies(o)
-
-	var jobs []job
+	pols := matrixPolicies(p.o)
+	var cells [][]pair
 	for _, fam := range fams {
+		k := p.must(buildFamily(fam, p.o.Quick))
+		var row []pair
 		for _, pol := range pols {
 			cfg := config.Default()
 			cfg.SchedPolicy = pol
-			key := fam.name + "/" + pol.String()
-			jobs = append(jobs, job{key: key + "/baseline", cfg: cfg, kernel: fam.kernel})
-			jobs = append(jobs, job{key: key + "/si", cfg: bestSingle(cfg), kernel: fam.kernel})
+			row = append(row, p.vs(k, cfg, bestSingle(cfg))...)
 		}
-	}
-	results, err := runJobs(o, jobs)
-	if err != nil {
-		return nil, err
+		cells = append(cells, row)
 	}
 
-	tbl := stats.NewTable("Workload x policy cross matrix (baseline vs Both,N>=0.5)",
-		"Family", "Policy", "Cycles", "SI speedup", "Stall frac", "Divergent frac")
-	values := make(map[string]float64)
-	for _, fam := range fams {
-		for _, pol := range pols {
-			key := fam.name + "/" + pol.String()
-			base := results[key+"/baseline"]
-			si := results[key+"/si"]
-			d := base.Derived()
-			speedup := stats.Speedup(base.Counters, si.Counters)
-			values[key+"/si_speedup"] = speedup
-			values[key+"/stall_frac"] = d.ExposedStallFrac
-			values[key+"/div_stall_frac"] = d.DivergentStallFrac
-			tbl.AddRow(fam.name, pol.String(),
-				fmt.Sprintf("%d", base.Counters.Cycles),
-				stats.Percent(speedup),
-				stats.Percent(d.ExposedStallFrac),
-				stats.Percent(d.DivergentStallFrac))
+	return func() *Report {
+		tbl := stats.NewTable("Workload x policy cross matrix (baseline vs Both,N>=0.5)",
+			"Family", "Policy", "Cycles", "SI speedup", "Stall frac", "Divergent frac")
+		values := make(map[string]float64)
+		for f, fam := range fams {
+			for j, pol := range pols {
+				key := fam + "/" + pol.String()
+				base := cells[f][j].base
+				d := base.Derived()
+				speedup := cells[f][j].speedup()
+				values[key+"/si_speedup"] = speedup
+				values[key+"/stall_frac"] = d.ExposedStallFrac
+				values[key+"/div_stall_frac"] = d.DivergentStallFrac
+				tbl.AddRow(fam, pol.String(),
+					fmt.Sprintf("%d", base.Counters.Cycles),
+					stats.Percent(speedup),
+					stats.Percent(d.ExposedStallFrac),
+					stats.Percent(d.DivergentStallFrac))
+			}
+		}
+
+		return &Report{
+			ID:    "matrix",
+			Title: "Workload-family x scheduler-policy x SI cross matrix",
+			Paper: "not a paper artifact: the related-work critique (Accel-Sim modeling, WaSP) argues " +
+				"latency-hiding conclusions flip with workload shape and warp scheduling; this grid " +
+				"characterises SI across regular compute, irregular traversal, and graphics " +
+				"sampling under LRR, GTO, and WaSP-style schedulers",
+			Tables: []*stats.Table{tbl},
+			Values: values,
+			Notes: []string{
+				"gemm is divergence-free: SI must be cycle-exact transparent (0.0% speedup) under every policy",
+				"bfs diverges with independent load chains per arm: the SI stress case",
+			},
 		}
 	}
-
-	return &Report{
-		ID:    "matrix",
-		Title: "Workload-family x scheduler-policy x SI cross matrix",
-		Paper: "not a paper artifact: the related-work critique (Accel-Sim modeling, WaSP) argues " +
-			"latency-hiding conclusions flip with workload shape and warp scheduling; this grid " +
-			"characterises SI across regular compute, irregular traversal, and graphics " +
-			"sampling under LRR, GTO, and WaSP-style schedulers",
-		Tables: []*stats.Table{tbl},
-		Values: values,
-		Notes: []string{
-			"gemm is divergence-free: SI must be cycle-exact transparent (0.0% speedup) under every policy",
-			"bfs diverges with independent load chains per arm: the SI stress case",
-		},
-	}, nil
 }

@@ -133,8 +133,8 @@ func TestHitTableNeverChangesAResult(t *testing.T) {
 
 // TestHitTableFallsBackToTraversal covers what a table cannot hold — a
 // ray ID past its end, a material that does not fit its word — and a
-// profile that is not a registered trace: all traverse, none changes a
-// result.
+// profile that is not a registered trace, whose kernel gets a table of
+// its own: none changes a result.
 func TestHitTableFallsBackToTraversal(t *testing.T) {
 	p, err := workload.ProfileByName("Ctrl")
 	if err != nil {
@@ -146,13 +146,19 @@ func TestHitTableFallsBackToTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Hits != nil {
-		t.Fatal("a profile that is not the registered one got a hit table")
+	registered, err := workload.Megakernel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rays := edited.NumWarps * 32 * edited.Iterations
+	if len(k.Hits) != rays || &k.Hits[0] == &registered.Hits[0] {
+		t.Fatalf("an edited profile got a table of %d rays (want %d) that must not be the registered one's", len(k.Hits), rays)
 	}
 	cfg := defaultConfig().WithSI(true, config.TriggerHalfStalled)
-	want, wantFP := runWith(t, diffWorkload{"Ctrl/16", k}, cfg, 0)
+	want, wantFP := runWith(t, diffWorkload{"Ctrl/16", withHits(k, nil)}, cfg, 0)
+	got, _ := runWith(t, diffWorkload{"Ctrl/16", k}, cfg, 0)
+	sameResult(t, "the edited kernel's own table", want, got)
 
-	rays := edited.NumWarps * 32 * edited.Iterations
 	short := rtcore.NewHitTable(rays / 3)
 	for pass := 0; pass < 2; pass++ {
 		got, gotFP := runWith(t, diffWorkload{"Ctrl/16", withHits(k, short)}, cfg, 0)

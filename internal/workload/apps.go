@@ -145,15 +145,19 @@ var appHits = make([]struct {
 	table rtcore.HitTable
 }, len(apps))
 
-// hitTableFor returns the shared table of the Table II trace p is, made
-// on first use, or nil when p is any other profile: only a registered
-// profile names its scene, and a ray's hit is a function of the scene.
+// hitTableFor returns the table a kernel built from p looks its rays up
+// in. A Table II trace as registered shares one process-wide table, made
+// on first use, because the daemon builds a kernel of it per request.
+// Any other profile gets a table of its own, kept and freed with its
+// kernel: only a registered profile names its scene beyond one build,
+// and a ray's hit is a function of the scene.
 func hitTableFor(p AppProfile) rtcore.HitTable {
+	rays := p.NumWarps * 32 * p.Iterations
 	i := slices.Index(apps, p)
 	if i < 0 {
-		return nil
+		return rtcore.NewHitTable(rays)
 	}
 	h := &appHits[i]
-	h.once.Do(func() { h.table = rtcore.NewHitTable(p.NumWarps * 32 * p.Iterations) })
+	h.once.Do(func() { h.table = rtcore.NewHitTable(rays) })
 	return h.table
 }

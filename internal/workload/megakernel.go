@@ -88,7 +88,8 @@ const (
 // generating its scene, BVH and camera. A profile that is one of the
 // Table II traces as registered also gets that trace's process-wide hit
 // table, so its rays are traversed once per process; every other
-// profile gets none.
+// profile gets a table of the kernel's own, so its rays are traversed
+// once per kernel.
 //
 // The kernel follows the structure of Figs. 1 and 5: each iteration
 // casts a ray asynchronously via TRACE, performs convergent G-buffer

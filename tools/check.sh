@@ -42,7 +42,7 @@ go test ./...
 
 echo "== go test -race =="
 # The whole suite again under the race detector: gpu.RunWorkers
-# simulates SMs on concurrent goroutines and the experiments pool runs
+# simulates SMs on concurrent goroutines and the experiments plan runs
 # concurrent simulations, so every data race is a correctness bug here.
 go test -race ./...
 
@@ -120,6 +120,19 @@ done
 gate -count=1 -run '^TestPagedMemoryMatchesWordMap$' ./internal/mem
 gate -race -count=2 -run '^TestViewsShareOneBaseConcurrently$' ./internal/mem
 gate -count=1 -run '^TestKeyOfUnchangedByLayout$' ./internal/simcache
+
+echo "== experiments plan gate =="
+# One plan runs the report: each distinct (kernel, config) the
+# experiments declare is simulated once, over one kernel per profile.
+# Each gated by name: equal declarations share one slot and one run;
+# every Quick report matches its digest in
+# internal/experiments/testdata, and each experiment run alone renders
+# what it renders inside the whole plan (under the race detector); the
+# full report equals results/full_report.txt byte for byte, and so does
+# each experiment alone (full-size tests skip under -race).
+gate -race -count=1 -run '^TestPlanRunsEachSimulationOnce$' ./internal/experiments
+gate -race -count=1 -run '^TestReportsMatchPins$/^quick$' ./internal/experiments
+gate -count=1 -run '^TestReportsMatchPins$/^full$' ./internal/experiments
 
 echo "== matrix gate =="
 # The cross-matrix differential layer under the race detector: every
