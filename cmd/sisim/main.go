@@ -36,9 +36,9 @@ import (
 
 	"subwarpsim"
 	"subwarpsim/internal/admission"
-	"subwarpsim/internal/config"
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
+	"subwarpsim/internal/server"
 	"subwarpsim/internal/simcache"
 )
 
@@ -61,8 +61,8 @@ func main() {
 	dws := flag.Bool("dws", false, "model Dynamic Warp Subdivision instead of SI")
 	yield := flag.Bool("yield", false, "enable subwarp-yield (the paper's 'Both' mode)")
 	trigger := flag.String("trigger", "half", "select trigger: any (N>0), half (N>=0.5), all (N=1)")
-	latency := flag.Int("latency", 600, "L1 miss latency in cycles")
-	warpSlots := flag.Int("warpslots", 8, "warp slots per processing block (2, 4, 8)")
+	latency := flag.Int("latency", 600, "L1 miss latency in cycles (0 = the Table I default)")
+	warpSlots := flag.Int("warpslots", 8, "warp slots per processing block (2, 4, 8; 0 = the Table I default)")
 	maxSubwarps := flag.Int("maxsubwarps", 0, "TST entries / subwarps per warp (0 = unlimited)")
 	order := flag.String("order", "taken", "divergent path order: taken, fallthrough, largest, random")
 	compile := flag.String("compile", "on", "basic-block fast-forward: on, or off (the stepped reference regime); results are bit-identical")
@@ -100,40 +100,14 @@ func main() {
 		return
 	}
 
-	cfg := subwarpsim.DefaultConfig()
-	cfg.L1MissLatency = *latency
-	cfg.WarpSlotsPerBlock = *warpSlots
-	sched, err := subwarpsim.ParseSchedPolicy(*policyFlag)
-	if err != nil {
-		fail("%v", err)
+	// The knobs and the catalogued workloads are the daemon's JobSpec, so
+	// a spec sisimd would refuse is refused here with the same message.
+	spec := server.JobSpec{
+		App: *app, Microbench: *micro, Workload: *workloadFlag,
+		SI: *si, DWS: *dws, Yield: *yield, Trigger: *trigger,
+		LatencyCycles: *latency, WarpSlots: *warpSlots, MaxSubwarps: *maxSubwarps,
+		Order: *order, Policy: *policyFlag,
 	}
-	cfg.SchedPolicy = sched
-	switch strings.ToLower(*compile) {
-	case "on":
-		cfg.Compiled = true
-	case "off":
-		cfg.Compiled = false
-	default:
-		fail("unknown -compile %q (want on or off)", *compile)
-	}
-	// Every knob is checked whether or not the chosen mode reads it,
-	// so a spec the daemon would refuse is refused here too.
-	if cfg.Order, err = config.ParseOrder(*order); err != nil {
-		fail("%v", err)
-	}
-	trig, err := config.ParseTrigger(*trigger)
-	if err != nil {
-		fail("%v", err)
-	}
-	if *dws {
-		cfg = cfg.WithDWS()
-	} else if *si {
-		cfg = cfg.WithSI(*yield, trig)
-		cfg.SI.MaxSubwarps = *maxSubwarps
-	}
-
-	var kernel *subwarpsim.Kernel
-	var workloadID string
 	selected := 0
 	for _, set := range []bool{*micro != 0, *app != "", *workloadFlag != "", *submitPath != ""} {
 		if set {
@@ -143,32 +117,35 @@ func main() {
 	switch {
 	case selected > 1:
 		fail("choose one workload: -app, -microbench, -workload, or -submit, not several")
-	case *submitPath != "":
-		workloadID = "submit/" + filepath.Base(*submitPath)
+	case selected == 0:
+		fail("choose a workload: -app <name>, -microbench <subwarp size>, or -workload <family>")
+	case *submitPath == "":
+		if err := spec.Validate(); err != nil {
+			fail("%v", err)
+		}
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		fail("%v", err)
+	}
+	switch strings.ToLower(*compile) {
+	case "on":
+		cfg.Compiled = true
+	case "off":
+		cfg.Compiled = false
+	default:
+		fail("unknown -compile %q (want on or off)", *compile)
+	}
+
+	var kernel *subwarpsim.Kernel
+	if *submitPath != "" {
 		kernel, err = buildSubmission(*submitPath, *submitWarps, subwarpsim.Budget{
 			MaxCycles:   *maxCycles,
 			MaxInstrs:   *maxInstrs,
 			MaxMemBytes: *memFootprint,
 		})
-	case *micro != 0:
-		// Negative and non-power-of-two sizes reach the builder so the
-		// user sees its precise validation error, not the generic usage.
-		workloadID = fmt.Sprintf("micro/%d", *micro)
-		kernel, err = subwarpsim.BuildMicrobenchmark(subwarpsim.DefaultMicrobenchmark(*micro))
-	case *app != "":
-		workloadID = "app/" + *app
-		var profile subwarpsim.AppProfile
-		profile, err = subwarpsim.Application(*app)
-		if err == nil {
-			kernel, err = subwarpsim.BuildMegakernel(profile)
-		}
-	case *workloadFlag != "":
-		// Unknown names reach the registry so the error enumerates the
-		// registered families.
-		workloadID = "gen/" + *workloadFlag
-		kernel, err = subwarpsim.BuildWorkload(*workloadFlag)
-	default:
-		fail("choose a workload: -app <name>, -microbench <subwarp size>, or -workload <family>")
+	} else {
+		kernel, err = spec.BuildKernel()
 	}
 	if err != nil {
 		fail("%v", err)
@@ -209,7 +186,11 @@ func main() {
 		d := simcache.NewDisk(*cacheDir)
 		d.Faults = injector
 		cache = d
-		key = simcache.KeyOf(cfg, kernel, workloadID)
+		if *submitPath != "" {
+			key = simcache.KeyOf(cfg, kernel, "submit/"+filepath.Base(*submitPath))
+		} else if key, err = spec.Key(); err != nil {
+			fail("%v", err)
+		}
 	}
 
 	var res subwarpsim.Result

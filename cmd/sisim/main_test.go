@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"subwarpsim/internal/server"
 )
 
 // buildCLI compiles the sisim binary once per test into a temp dir.
@@ -67,6 +69,12 @@ func TestCLIErrorPaths(t *testing.T) {
 		"bad trigger, no si": {[]string{"-microbench", "4", "-trigger", "bogus"}, "any, half, all"},
 		"bad trigger, dws":   {[]string{"-microbench", "4", "-dws", "-trigger", "bogus"}, "bogus"},
 		"bad order lists":    {[]string{"-microbench", "4", "-order", "sideways"}, "taken, fallthrough, largest, random"},
+		// The knobs are the daemon's JobSpec, refused with its messages.
+		"si and dws":             {[]string{"-microbench", "4", "-si", "-dws"}, "spec sets both si and dws; pick one"},
+		"negative maxsubwarps":   {[]string{"-microbench", "4", "-maxsubwarps", "-1"}, "negative knob values are invalid"},
+		"negative latency":       {[]string{"-microbench", "4", "-si", "-latency", "-5"}, "negative knob values are invalid"},
+		"submit, si and dws":     {[]string{"-submit", "../../examples/submissions/saxpy.asm", "-si", "-dws"}, "pick one"},
+		"submit, negative slots": {[]string{"-submit", "../../examples/submissions/saxpy.asm", "-warpslots", "-2"}, "negative knob"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, bin, tc.args...)
@@ -182,6 +190,47 @@ func TestCLICacheRoundTrip(t *testing.T) {
 	}
 	if c1, c2 := cycles(first), cycles(second); c1 == "" || c1 != c2 {
 		t.Errorf("cached cycles differ: %q vs %q", c1, c2)
+	}
+}
+
+// TestCLIKeyMatchesDaemon: the key sisim -cache-dir reports on a hit is
+// JobSpec.Key of the same knobs, the key sisimd answers under, and a
+// zero -latency or -warpslots means the Table I default, as a zero
+// latency_cycles or warp_slots does.
+func TestCLIKeyMatchesDaemon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI binary")
+	}
+	bin := buildCLI(t)
+	for _, tc := range []struct {
+		args []string
+		spec server.JobSpec
+	}{
+		{[]string{"-microbench", "4", "-si", "-yield", "-trigger", "any", "-latency", "900",
+			"-maxsubwarps", "4", "-policy", "gto", "-order", "largest"},
+			server.JobSpec{Microbench: 4, SI: true, Yield: true, Trigger: "any", LatencyCycles: 900,
+				MaxSubwarps: 4, Policy: "gto", Order: "largest"}},
+		{[]string{"-workload", "texture", "-dws", "-warpslots", "4"},
+			server.JobSpec{Workload: "texture", DWS: true, WarpSlots: 4}},
+		{[]string{"-microbench", "8", "-latency", "0", "-warpslots", "0"},
+			server.JobSpec{Microbench: 8}},
+	} {
+		want, err := tc.spec.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := append(tc.args, "-cache-dir", t.TempDir())
+		var out string
+		for run := 0; run < 2; run++ {
+			stdout, stderr, code := runCLI(t, bin, args...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d: %s", args, code, stderr)
+			}
+			out = stdout
+		}
+		if line := "cache     hit " + want.String(); !strings.Contains(out, line) {
+			t.Errorf("%v: second run must print %q:\n%s", tc.args, line, out)
+		}
 	}
 }
 

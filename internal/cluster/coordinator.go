@@ -83,21 +83,12 @@ type Coordinator struct {
 	peers map[string]*peer
 	obs   *obs.Observer
 
-	// keyMemo caches JobSpec -> ring hash: computing a content key
-	// builds the kernel, far too expensive per request. JobSpec is
-	// comparable, so specs index directly; the map is reset wholesale at
-	// the bound (sweep working sets are far smaller).
-	keyMu   sync.Mutex
-	keyMemo map[server.JobSpec]uint64
-
 	hedges    *obs.Counter
 	steals    *obs.Counter
 	reroutes  *obs.Counter
 	fallbacks *obs.Counter
 	batches   *obs.Counter
 }
-
-const keyMemoMax = 4096
 
 // The ring is built from the same seam the node implements: one hop
 // and the whole ladder are both "run this request".
@@ -113,10 +104,9 @@ func New(opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: Options.Local is required")
 	}
 	c := &Coordinator{
-		opts:    opts,
-		peers:   make(map[string]*peer, len(opts.Peers)),
-		obs:     opts.Obs,
-		keyMemo: make(map[server.JobSpec]uint64),
+		opts:  opts,
+		peers: make(map[string]*peer, len(opts.Peers)),
+		obs:   opts.Obs,
 	}
 	// One client for every peer hop; its timeout is the backstop behind
 	// the request contexts.
@@ -161,18 +151,18 @@ func (c *Coordinator) registerMetrics() {
 	ns := server.MetricsNamespace
 	for name, p := range c.peers {
 		for _, oc := range outcomes {
-			p.reqs[oc] = r.CounterWith(ns+"_peer_requests_total",
+			p.reqs[oc] = r.Counter(ns+"_peer_requests_total",
 				"Coordinator-to-peer requests by peer and outcome.",
 				"peer", name, "outcome", oc)
 		}
 		pp, nm := p, name
-		r.GaugeFuncWith(ns+"_peer_inflight",
+		r.GaugeFunc(ns+"_peer_inflight",
 			"Requests currently in flight to each peer.",
 			func() float64 { return float64(pp.inflight.Load()) }, "peer", nm)
-		r.GaugeFuncWith(ns+"_peer_breaker_state",
+		r.GaugeFunc(ns+"_peer_breaker_state",
 			"Peer circuit breaker state: 0 closed, 1 open, 2 half-open.",
 			func() float64 { return float64(pp.br.State()) }, "peer", nm)
-		r.GaugeFuncWith(ns+"_ring_ownership",
+		r.GaugeFunc(ns+"_ring_ownership",
 			"Fraction of the key hash space owned by each peer.",
 			func() float64 { return c.ring.OwnedFraction(nm) }, "peer", nm)
 	}
@@ -188,29 +178,13 @@ func (c *Coordinator) registerMetrics() {
 		"Batch shards scattered across the cluster.")
 }
 
-// jobHash returns the ring position of a job spec — the first 8 bytes
-// of its simcache content key — memoized per spec. ok=false means the
-// spec does not produce a key (it is invalid); the caller routes it to
-// the local server for the canonical structured error.
-func (c *Coordinator) jobHash(spec server.JobSpec) (uint64, bool) {
-	c.keyMu.Lock()
-	h, ok := c.keyMemo[spec]
-	c.keyMu.Unlock()
-	if ok {
-		return h, true
-	}
-	key, err := spec.CacheKey()
-	if err != nil {
-		return 0, false
-	}
-	h = key.RouteHash()
-	c.keyMu.Lock()
-	if len(c.keyMemo) >= keyMemoMax {
-		c.keyMemo = make(map[server.JobSpec]uint64)
-	}
-	c.keyMemo[spec] = h
-	c.keyMu.Unlock()
-	return h, true
+// jobHash returns the ring position of a job spec: the first 8 bytes
+// of its content key, which JobSpec.Key memoises per process. ok=false
+// means the spec is invalid; the caller routes it to the local server
+// for the canonical structured error.
+func jobHash(spec server.JobSpec) (h uint64, ok bool) {
+	key, err := spec.Key()
+	return key.RouteHash(), err == nil
 }
 
 // submitHash positions an untrusted-kernel submission on the ring by
@@ -288,7 +262,7 @@ func (c *Coordinator) Run(ctx context.Context, req server.Request) (server.JobRe
 	case req.Kernel != nil:
 		return c.route(ctx, req, submitHash(req.Kernel), "")
 	case req.Job != nil:
-		if h, ok := c.jobHash(*req.Job); ok {
+		if h, ok := jobHash(*req.Job); ok {
 			return c.route(ctx, req, h, "")
 		}
 	}

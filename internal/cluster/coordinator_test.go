@@ -148,7 +148,7 @@ func homedSpecs(t testing.TB, c *testCluster, peer string, n int) []server.JobSp
 	var out []server.JobSpec
 	for lat := 100; lat < 5000 && len(out) < n; lat += 10 {
 		spec := server.JobSpec{Microbench: 4, SI: true, LatencyCycles: lat}
-		h, ok := c.co.jobHash(spec)
+		h, ok := jobHash(spec)
 		if !ok {
 			t.Fatalf("spec %+v did not hash", spec)
 		}
@@ -350,7 +350,7 @@ func TestClusterHedgedRequest(t *testing.T) {
 	c := newTestCluster(t, 2, nil, slowable, func(o *Options) { o.HedgeAfter = 20 * time.Millisecond })
 
 	spec := server.JobSpec{Microbench: 4, SI: true}
-	h, ok := c.co.jobHash(spec)
+	h, ok := jobHash(spec)
 	if !ok {
 		t.Fatal("spec did not hash")
 	}
@@ -864,7 +864,7 @@ func TestRunnerConformance(t *testing.T) {
 	})
 
 	jobSpec := server.JobSpec{Microbench: 4, SI: true}
-	wantKey, err := jobSpec.CacheKey()
+	wantKey, err := jobSpec.Key()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func (c *Coordinator) scatter(ctx context.Context, specs []server.JobSpec) []ser
 	hashes := make([]uint64, n)
 	routable := make([]bool, n)
 	for i, spec := range specs {
-		hashes[i], routable[i] = c.jobHash(spec)
+		hashes[i], routable[i] = jobHash(spec)
 	}
 	c.batches.Add(int64(n))
 

@@ -41,10 +41,10 @@ func New(namespace string, ringSize, traceCap int, log *slog.Logger) *Observer {
 		stageLat: make(map[string]*Histogram),
 	}
 	for _, st := range Stages {
-		o.stageLat[st] = o.Reg.LabeledHistogram(
+		o.stageLat[st] = o.Reg.Histogram(
 			namespace+"_stage_latency_seconds",
 			"Wall-clock latency of each request-path stage.",
-			"stage", st, 1e-6)
+			1e-6, "stage", st)
 	}
 	registerRuntimeMetrics(o.Reg, namespace)
 	registerBuildInfo(o.Reg, namespace)
@@ -165,9 +165,8 @@ func registerBuildInfo(r *Registry, ns string) {
 	if rev == "" {
 		rev = "unknown"
 	}
-	r.LabeledGaugeFunc(ns+"_build_info",
-		"Build metadata; the value is always 1.",
-		"revision", rev, func() float64 { return 1 })
+	r.GaugeFunc(ns+"_build_info", "Build metadata; the value is always 1.",
+		func() float64 { return 1 }, "revision", rev)
 }
 
 // nopHandler discards all records. slog.DiscardHandler exists only

@@ -107,10 +107,10 @@ func TestPrometheusExpositionLints(t *testing.T) {
 	for _, v := range []int64{3, 90, 90, 1500, 40000} {
 		h.Observe(v)
 	}
-	lh := r.LabeledHistogram("app_stage_seconds", "Stage latency.", "stage", `we"ird\st`, 1e-6)
+	lh := r.Histogram("app_stage_seconds", "Stage latency.", 1e-6, "stage", `we"ird\st`)
 	lh.Observe(250)
-	r.LabeledCounter("app_by_workload_total", "Per workload.", "workload", "app/BFV1").Add(2)
-	r.LabeledCounter("app_by_workload_total", "Per workload.", "workload", "micro/7").Add(9)
+	r.Counter("app_by_workload_total", "Per workload.", "workload", "app/BFV1").Add(2)
+	r.Counter("app_by_workload_total", "Per workload.", "workload", "micro/7").Add(9)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -332,18 +332,18 @@ func TestNopLoggerDiscards(t *testing.T) {
 
 func TestMultiLabelSeries(t *testing.T) {
 	r := NewRegistry()
-	ok := r.CounterWith("test_peer_requests_total", "per-peer requests",
+	ok := r.Counter("test_peer_requests_total", "per-peer requests",
 		"peer", "w1", "outcome", "ok")
-	errs := r.CounterWith("test_peer_requests_total", "per-peer requests",
+	errs := r.Counter("test_peer_requests_total", "per-peer requests",
 		"peer", "w1", "outcome", "error")
 	ok.Add(3)
 	errs.Inc()
 	// Identity: same ordered label set returns the same counter.
-	if r.CounterWith("test_peer_requests_total", "per-peer requests",
+	if r.Counter("test_peer_requests_total", "per-peer requests",
 		"peer", "w1", "outcome", "ok") != ok {
 		t.Fatal("re-registration did not return the same multi-label counter")
 	}
-	r.GaugeFuncWith("test_ring_ownership", "ring share",
+	r.GaugeFunc("test_ring_ownership", "ring share",
 		func() float64 { return 0.25 }, "peer", "w1")
 
 	var buf bytes.Buffer

@@ -208,15 +208,6 @@ func (f *family) sampleFor(labels []string, mk func() *sample) *sample {
 	return s
 }
 
-// pairsOf normalizes a single (possibly empty) label pair into the
-// ordered-pairs form sampleFor keys on.
-func pairsOf(labelName, labelValue string) []string {
-	if labelName == "" {
-		return nil
-	}
-	return []string{labelName, labelValue}
-}
-
 // Registry is an ordered collection of metric families. All methods
 // are safe for concurrent use and nil-safe (a nil registry registers
 // nothing and exposes nothing).
@@ -249,98 +240,47 @@ func (r *Registry) familyFor(name, help string, kind metricKind) *family {
 	return f
 }
 
-// Counter registers (or finds) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.LabeledCounter(name, help, "", "")
-}
-
-// LabeledCounter registers (or finds) one labeled counter time series,
-// e.g. LabeledCounter("jobs_total", ..., "workload", "app/BFV1").
-func (r *Registry) LabeledCounter(name, help, labelName, labelValue string) *Counter {
-	return r.CounterWith(name, help, pairsOf(labelName, labelValue)...)
-}
-
-// CounterWith registers (or finds) one counter time series carrying an
-// ordered list of label pairs given as name, value, name, value, ...
-// (e.g. CounterWith("peer_requests_total", ..., "peer", "w1",
-// "outcome", "ok")). An odd trailing name is ignored.
-func (r *Registry) CounterWith(name, help string, labelPairs ...string) *Counter {
+// register finds or creates one series of the named family. labels
+// are name, value pairs in order (e.g. "peer", "w1", "outcome", "ok");
+// an odd trailing name is ignored. mk builds a new series' value
+// source. A nil registry hands back a detached empty series.
+func (r *Registry) register(name, help string, kind metricKind, labels []string, mk func() *sample) *sample {
 	if r == nil {
-		return nil
+		return &sample{}
 	}
-	f := r.familyFor(name, help, kindCounter)
-	s := f.sampleFor(evenPairs(labelPairs), func() *sample { return &sample{counter: &Counter{}} })
-	return s.counter
+	return r.familyFor(name, help, kind).sampleFor(labels[:len(labels)&^1], mk)
 }
 
-// evenPairs drops an odd trailing element so labels always come in
-// complete (name, value) pairs.
-func evenPairs(pairs []string) []string {
-	return pairs[:len(pairs)&^1]
+// Counter registers (or finds) one counter series.
+func (r *Registry) Counter(name, help string, labels ...string) *Counter {
+	return r.register(name, help, kindCounter, labels,
+		func() *sample { return &sample{counter: &Counter{}} }).counter
 }
 
-// Gauge registers (or finds) an unlabeled settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.familyFor(name, help, kindGauge)
-	s := f.sampleFor(nil, func() *sample { return &sample{gauge: &Gauge{}} })
-	return s.gauge
+// Gauge registers (or finds) one settable gauge series.
+func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
+	return r.register(name, help, kindGauge, labels,
+		func() *sample { return &sample{gauge: &Gauge{}} }).gauge
 }
 
-// GaugeFunc registers a gauge whose value is read at exposition time.
-// fn must be safe for concurrent use.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.LabeledGaugeFunc(name, help, "", "", fn)
+// CounterFunc registers a counter series whose value is read at
+// exposition time (for counts already maintained elsewhere). fn must
+// be safe for concurrent use.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
+	r.register(name, help, kindCounter, labels, func() *sample { return &sample{fn: fn} })
 }
 
-// LabeledGaugeFunc registers one labeled callback-gauge time series.
-func (r *Registry) LabeledGaugeFunc(name, help, labelName, labelValue string, fn func() float64) {
-	r.GaugeFuncWith(name, help, fn, pairsOf(labelName, labelValue)...)
+// GaugeFunc registers a gauge series whose value is read at exposition
+// time. fn must be safe for concurrent use.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
+	r.register(name, help, kindGauge, labels, func() *sample { return &sample{fn: fn} })
 }
 
-// GaugeFuncWith registers one callback-gauge time series carrying an
-// ordered list of label pairs (name, value, name, value, ...).
-func (r *Registry) GaugeFuncWith(name, help string, fn func() float64, labelPairs ...string) {
-	if r == nil {
-		return
-	}
-	f := r.familyFor(name, help, kindGauge)
-	f.sampleFor(evenPairs(labelPairs), func() *sample { return &sample{fn: fn} })
-}
-
-// CounterFunc registers a counter whose value is read at exposition
-// time (for counts already maintained elsewhere, e.g. server atomics).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.LabeledCounterFunc(name, help, "", "", fn)
-}
-
-// LabeledCounterFunc registers one labeled callback-counter series.
-func (r *Registry) LabeledCounterFunc(name, help, labelName, labelValue string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := r.familyFor(name, help, kindCounter)
-	f.sampleFor(pairsOf(labelName, labelValue), func() *sample { return &sample{fn: fn} })
-}
-
-// Histogram registers (or finds) an unlabeled histogram. scale
-// converts the base unit at exposition (0 means 1, i.e. unscaled).
-func (r *Registry) Histogram(name, help string, scale float64) *Histogram {
-	return r.LabeledHistogram(name, help, "", "", scale)
-}
-
-// LabeledHistogram registers (or finds) one labeled histogram series.
-func (r *Registry) LabeledHistogram(name, help, labelName, labelValue string, scale float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	f := r.familyFor(name, help, kindHistogram)
-	s := f.sampleFor(pairsOf(labelName, labelValue), func() *sample {
-		return &sample{hist: &Histogram{scale: scale}}
-	})
-	return s.hist
+// Histogram registers (or finds) one histogram series. scale converts
+// the base unit at exposition (0 means 1, i.e. unscaled).
+func (r *Registry) Histogram(name, help string, scale float64, labels ...string) *Histogram {
+	return r.register(name, help, kindHistogram, labels,
+		func() *sample { return &sample{hist: &Histogram{scale: scale}} }).hist
 }
 
 // snapshotFamilies copies the family list (samples are then read under

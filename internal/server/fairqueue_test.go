@@ -168,7 +168,7 @@ func TestBatchQuarantinedEntryCarriesExtra(t *testing.T) {
 	defer ts.Close()
 
 	spec := JobSpec{Microbench: 2}
-	key, err := spec.CacheKey()
+	key, err := spec.Key()
 	if err != nil {
 		t.Fatal(err)
 	}

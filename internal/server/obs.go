@@ -23,15 +23,14 @@ const MetricsNamespace = "sisimd"
 // completed simulations. Per-workload series use the bounded
 // WorkloadID label set ("app/<name>" / "micro/<n>").
 type siMetrics struct {
-	idle      map[string]*obs.Counter // stall-attribution bucket -> cycles
-	stalls    *obs.Counter
-	wakeups   *obs.Counter
-	selects   *obs.Counter
-	yields    *obs.Counter
-	selBusy   *obs.Counter
-	tstOver   *obs.Counter
-	tstPeak   *obs.Gauge
-	simCycles *obs.Counter
+	idle    map[string]*obs.Counter // stall-attribution bucket -> cycles
+	stalls  *obs.Counter
+	wakeups *obs.Counter
+	selects *obs.Counter
+	yields  *obs.Counter
+	selBusy *obs.Counter
+	tstOver *obs.Counter
+	tstPeak *obs.Gauge
 }
 
 // idleBuckets are the paper's idle-cycle attribution categories; their
@@ -114,13 +113,13 @@ func (s *Server) registerMetrics() {
 	// every series is pre-registered and visible from the first scrape.
 	s.admRejects = make(map[string]*obs.Counter)
 	for _, reason := range admission.Reasons() {
-		s.admRejects[reason] = r.LabeledCounter(ns+"_admission_rejects_total",
+		s.admRejects[reason] = r.Counter(ns+"_admission_rejects_total",
 			"Untrusted submissions rejected by static admission, by structured reason.",
 			"reason", reason)
 	}
 	s.budgetKills = make(map[string]*obs.Counter)
 	for _, resource := range []string{sm.ResourceCycles, sm.ResourceInstructions, sm.ResourceMemory} {
-		s.budgetKills[resource] = r.LabeledCounter(ns+"_budget_kills_total",
+		s.budgetKills[resource] = r.Counter(ns+"_budget_kills_total",
 			"Simulations terminated by the gas meter, by exhausted resource.",
 			"resource", resource)
 	}
@@ -128,9 +127,8 @@ func (s *Server) registerMetrics() {
 	// the first scrape; other tenants register on first submission
 	// (the set is bounded by maxTenants, so cardinality stays finite).
 	registerTenantGauge := func(tenant string) {
-		r.LabeledGaugeFunc(ns+"_tenant_queue_depth",
-			"Jobs waiting for a worker, per tenant.", "tenant", tenant,
-			func() float64 { return float64(s.queue.depthOf(tenant)) })
+		r.GaugeFunc(ns+"_tenant_queue_depth", "Jobs waiting for a worker, per tenant.",
+			func() float64 { return float64(s.queue.depthOf(tenant)) }, "tenant", tenant)
 	}
 	registerTenantGauge(DefaultTenant)
 	s.queue.onNewTenant = func(tenant string) {
@@ -143,7 +141,7 @@ func (s *Server) registerMetrics() {
 	// visible before the first simulation completes.
 	s.si.idle = make(map[string]*obs.Counter, len(idleBuckets))
 	for _, b := range idleBuckets {
-		s.si.idle[b] = r.LabeledCounter(ns+"_si_idle_cycles_total",
+		s.si.idle[b] = r.Counter(ns+"_si_idle_cycles_total",
 			"Idle block-cycles attributed to one stall cause (the paper's stall-attribution buckets).",
 			"bucket", b)
 	}
@@ -161,8 +159,8 @@ func (s *Server) registerMetrics() {
 		"Stall demotions rejected because the Thread State Table was full.")
 	s.si.tstPeak = r.Gauge(ns+"_si_max_live_subwarps",
 		"High-water mark of concurrently live subwarps observed in any warp (TST pressure).")
-	s.si.simCycles = r.Counter(ns+"_si_sim_cycles_total",
-		"Simulated cycles folded into the SI roll-ups.")
+	r.CounterFunc(ns+"_si_sim_cycles_total", "Simulated cycles folded into the SI roll-ups.",
+		func() float64 { return float64(s.simCycles.Value()) })
 }
 
 // siRollup folds one completed simulation's counters into the
@@ -180,20 +178,19 @@ func (s *Server) siRollup(workload string, c stats.Counters) {
 	s.si.selBusy.Add(c.SelectBusy)
 	s.si.tstOver.Add(c.TSTOverflow)
 	s.si.tstPeak.SetMax(float64(c.MaxLiveSubwarps))
-	s.si.simCycles.Add(c.Cycles)
 
 	// Per-workload mechanism visibility. WorkloadID is a bounded label
 	// set (catalogued apps plus micro/<order>), so series cardinality
 	// stays small.
 	r := s.obs.Reg
 	ns := MetricsNamespace
-	r.LabeledCounter(ns+"_si_workload_subwarp_switches_total",
+	r.Counter(ns+"_si_workload_subwarp_switches_total",
 		"Subwarp switches per workload.", "workload", workload).Add(c.SubwarpSelects)
-	r.LabeledCounter(ns+"_si_workload_stall_cycles_total",
+	r.Counter(ns+"_si_workload_stall_cycles_total",
 		"Idle (stalled) cycles per workload.", "workload", workload).Add(c.IdleCycles)
-	r.LabeledCounter(ns+"_si_workload_sim_cycles_total",
+	r.Counter(ns+"_si_workload_sim_cycles_total",
 		"Simulated cycles per workload.", "workload", workload).Add(c.Cycles)
-	r.LabeledCounter(ns+"_si_workload_jobs_total",
+	r.Counter(ns+"_si_workload_jobs_total",
 		"Completed simulations per workload.", "workload", workload).Inc()
 }
 

@@ -465,7 +465,7 @@ func resultFrom(key simcache.Key, workloadID string, e simcache.Entry, cached, c
 	}
 }
 
-// Submit runs one job to completion: cache lookup, singleflight
+// Submit runs one job to completion: key, cache lookup, singleflight
 // coalescing, then a bounded-queue simulation. ctx is the caller's
 // (request) context — its cancellation abandons the wait, and the
 // underlying simulation stops once every interested caller is gone.
@@ -475,30 +475,30 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobResult, error) {
 	if err := s.preflight(ctx); err != nil {
 		return JobResult{}, err
 	}
-	cfg, err := spec.Config()
+	// The key comes first: a cache hit never builds a kernel. A memo miss
+	// built one to hash, and a cache miss runs it.
+	key, kernel, err := spec.key()
 	if err != nil {
 		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
-	// Thread the fault layer into the job so the per-SM site fires; the
-	// cache key deliberately ignores it (like Trace, it is not an
-	// architecture parameter).
-	cfg.Faults = s.opts.Faults
-	kernel, err := spec.BuildKernel()
-	if err != nil {
-		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
-	}
-	key := simcache.KeyOf(cfg, kernel, spec.WorkloadID())
-	return s.execute(ctx, tr, admitStart, key, cfg, kernel,
-		spec.WorkloadID(), s.jobTimeout(spec.TimeoutMS))
+	return s.execute(ctx, tr, admitStart, key, spec.WorkloadID(), s.jobTimeout(spec.TimeoutMS),
+		func() (config.Config, *sm.Kernel, error) {
+			cfg, err := spec.Config()
+			if err == nil && kernel == nil {
+				kernel, err = spec.BuildKernel()
+			}
+			return cfg, kernel, err
+		})
 }
 
 // execute is the submission tail shared by Submit (catalogued
 // workloads) and SubmitKernel (untrusted assembly): quarantine check,
-// cache lookup, singleflight coalescing, fair-queue enqueue with
-// tenant quotas, then the wait and error mapping.
+// cache lookup, then on a miss prepare (the config and kernel to run),
+// singleflight coalescing, fair-queue enqueue with tenant quotas, and
+// the wait and error mapping.
 func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Time,
-	key simcache.Key, cfg config.Config, kernel *sm.Kernel,
-	workloadID string, timeout time.Duration) (JobResult, error) {
+	key simcache.Key, workloadID string, timeout time.Duration,
+	prepare func() (config.Config, *sm.Kernel, error)) (JobResult, error) {
 	s.mu.Lock()
 	reason, quarantined := s.quarantine[key]
 	s.mu.Unlock()
@@ -524,12 +524,23 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 		return res, nil
 	}
 
+	// A miss builds what it runs before joining or starting a flight; the
+	// dedup stage times both. Thread the fault layer into the job so the
+	// per-SM site fires; the cache key deliberately ignores it (like
+	// Trace, it is not an architecture parameter).
+	dedupEnd := stageTimer(s, tr, "dedup")
+	cfg, kernel, err := prepare()
+	if err != nil {
+		dedupEnd()
+		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
+	}
+	cfg.Faults = s.opts.Faults
+
 	// Singleflight: join an in-flight twin, or become the one that
 	// simulates. The flight's context is independent of any single
 	// request so coalesced waiters survive the first requester leaving;
 	// the first submitter's trace rides along so worker-side spans and
 	// logs correlate with the request that caused the simulation.
-	dedupEnd := stageTimer(s, tr, "dedup")
 	s.mu.Lock()
 	fl, joined := s.flights[key]
 	if joined {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"subwarpsim/internal/config"
 	"subwarpsim/internal/simcache"
@@ -52,18 +54,25 @@ type JobSpec struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// policyKnobs is the SI/DWS/yield/trigger/order/policy subset JobSpec
-// and SubmitSpec both carry; the wire structs stay flat, this is the
-// one place the knobs are checked and mapped onto a config.
+// policyKnobs is the knob set JobSpec and SubmitSpec share (a
+// submission leaves the three architecture numbers at zero); the wire
+// structs stay flat, and this is the one place knobs are checked and
+// mapped onto a config.
 type policyKnobs struct {
-	SI, DWS, Yield         bool
-	Trigger, Order, Policy string
+	SI, DWS, Yield                        bool
+	Trigger, Order, Policy                string
+	LatencyCycles, WarpSlots, MaxSubwarps int
 }
 
-// apply checks the knobs and returns cfg with them applied.
-func (k policyKnobs) apply(cfg config.Config) (config.Config, error) {
-	if k.SI && k.DWS {
+// config checks the knobs and applies them to the paper's Table I
+// defaults; zero numbers keep the default.
+func (k policyKnobs) config() (config.Config, error) {
+	cfg := config.Default()
+	switch {
+	case k.SI && k.DWS:
 		return cfg, fmt.Errorf("spec sets both si and dws; pick one")
+	case k.LatencyCycles < 0 || k.WarpSlots < 0 || k.MaxSubwarps < 0:
+		return cfg, errNegativeKnob
 	}
 	trigger, err := config.ParseTrigger(k.Trigger)
 	if err != nil {
@@ -77,15 +86,24 @@ func (k policyKnobs) apply(cfg config.Config) (config.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
+	if k.LatencyCycles > 0 {
+		cfg.L1MissLatency = k.LatencyCycles
+	}
+	if k.WarpSlots > 0 {
+		cfg.WarpSlotsPerBlock = k.WarpSlots
+	}
 	cfg.Order = order
 	cfg.SchedPolicy = policy
 	if k.DWS {
 		cfg = cfg.WithDWS()
 	} else if k.SI {
 		cfg = cfg.WithSI(k.Yield, trigger)
+		cfg.SI.MaxSubwarps = k.MaxSubwarps
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
+
+var errNegativeKnob = errors.New("negative knob values are invalid")
 
 // workloadCount counts how many of the three workload selectors the
 // spec sets; exactly one must be.
@@ -103,7 +121,8 @@ func (j JobSpec) workloadCount() int {
 	return n
 }
 
-// Validate reports the first problem with the spec.
+// Validate reports the first problem with the spec: its workload, then
+// everything Config checks.
 func (j JobSpec) Validate() error {
 	switch {
 	case j.workloadCount() == 0:
@@ -113,7 +132,7 @@ func (j JobSpec) Validate() error {
 	case j.Microbench < 0:
 		return fmt.Errorf("microbench subwarp size %d must be positive", j.Microbench)
 	case j.LatencyCycles < 0 || j.WarpSlots < 0 || j.MaxSubwarps < 0 || j.TimeoutMS < 0:
-		return fmt.Errorf("negative knob values are invalid")
+		return errNegativeKnob
 	}
 	switch {
 	case j.App != "":
@@ -131,33 +150,18 @@ func (j JobSpec) Validate() error {
 			return err
 		}
 	}
-	_, err := j.knobs().apply(config.Default())
+	_, err := j.Config()
 	return err
 }
 
-func (j JobSpec) knobs() policyKnobs {
-	return policyKnobs{SI: j.SI, DWS: j.DWS, Yield: j.Yield,
-		Trigger: j.Trigger, Order: j.Order, Policy: j.Policy}
-}
-
-// Config builds the architecture configuration the spec describes,
-// starting from the paper's Table I defaults.
+// Config builds the architecture configuration the spec's knobs
+// describe, starting from the paper's Table I defaults. It does not
+// look at the workload; Validate does.
 func (j JobSpec) Config() (config.Config, error) {
-	cfg := config.Default()
-	if err := j.Validate(); err != nil {
-		return cfg, err
-	}
-	if j.LatencyCycles > 0 {
-		cfg.L1MissLatency = j.LatencyCycles
-	}
-	if j.WarpSlots > 0 {
-		cfg.WarpSlotsPerBlock = j.WarpSlots
-	}
-	cfg, _ = j.knobs().apply(cfg)
-	if j.SI && !j.DWS {
-		cfg.SI.MaxSubwarps = j.MaxSubwarps
-	}
-	return cfg, cfg.Validate()
+	return policyKnobs{SI: j.SI, DWS: j.DWS, Yield: j.Yield,
+		Trigger: j.Trigger, Order: j.Order, Policy: j.Policy,
+		LatencyCycles: j.LatencyCycles, WarpSlots: j.WarpSlots, MaxSubwarps: j.MaxSubwarps,
+	}.config()
 }
 
 // BuildKernel constructs the kernel for the spec's workload. A run
@@ -177,24 +181,6 @@ func (j JobSpec) BuildKernel() (*sm.Kernel, error) {
 	}
 }
 
-// CacheKey computes the spec's content address — the same
-// simcache.Key Submit uses — without running anything. The cluster
-// coordinator hashes it onto the consistent-hash ring so that a spec
-// routes to the node whose memory LRU already holds its result.
-// Building the kernel makes this costlier than a pure hash; routing
-// layers should memoize per spec (JobSpec is comparable).
-func (j JobSpec) CacheKey() (simcache.Key, error) {
-	cfg, err := j.Config()
-	if err != nil {
-		return simcache.Key{}, err
-	}
-	kernel, err := j.BuildKernel()
-	if err != nil {
-		return simcache.Key{}, err
-	}
-	return simcache.KeyOf(cfg, kernel, j.WorkloadID()), nil
-}
-
 // WorkloadID is the workload half of the cache key: a stable name for
 // how BuildKernel constructs the kernel.
 func (j JobSpec) WorkloadID() string {
@@ -206,4 +192,58 @@ func (j JobSpec) WorkloadID() string {
 	default:
 		return fmt.Sprintf("micro/%d", j.Microbench)
 	}
+}
+
+// specKeysMax bounds the spec-to-key memo. At the bound the memo is reset
+// wholesale: a sweep's working set is far smaller, and a reset costs
+// each spec one more build.
+const specKeysMax = 4096
+
+// specKeys maps a valid spec, TimeoutMS zeroed, to its content address
+// for the life of the process. It holds keys, never kernels: a retained
+// kernel costs far more memory than the rare rebuild a cache miss needs.
+// It lives only in process memory, so every key in it was computed by
+// this binary's generators.
+var specKeys = struct {
+	sync.Mutex
+	m map[JobSpec]simcache.Key
+}{m: make(map[JobSpec]simcache.Key)}
+
+// Key returns the spec's content address: the simcache key a node
+// looks its result up by, and whose RouteHash places it on the cluster
+// ring. The first call for a spec in a process builds the kernel and
+// hashes it; later calls validate the spec and look the key up. Errors
+// are never remembered.
+func (j JobSpec) Key() (simcache.Key, error) {
+	key, _, err := j.key()
+	return key, err
+}
+
+// key is Key that also hands back the kernel a memo miss built (nil on
+// a memo hit), so a node whose cache then misses runs that kernel
+// instead of building another.
+func (j JobSpec) key() (simcache.Key, *sm.Kernel, error) {
+	if err := j.Validate(); err != nil {
+		return simcache.Key{}, nil, err
+	}
+	j.TimeoutMS = 0
+	specKeys.Lock()
+	key, ok := specKeys.m[j]
+	specKeys.Unlock()
+	if ok {
+		return key, nil, nil
+	}
+	cfg, _ := j.Config() // Validate has checked it
+	kernel, err := j.BuildKernel()
+	if err != nil {
+		return simcache.Key{}, nil, err
+	}
+	key = simcache.KeyOf(cfg, kernel, j.WorkloadID())
+	specKeys.Lock()
+	if len(specKeys.m) >= specKeysMax {
+		specKeys.m = make(map[JobSpec]simcache.Key)
+	}
+	specKeys.m[j] = key
+	specKeys.Unlock()
+	return key, kernel, nil
 }

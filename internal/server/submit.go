@@ -101,7 +101,7 @@ func (sp SubmitSpec) Validate() error {
 	case sp.TimeoutMS < 0:
 		return fmt.Errorf("negative timeout_ms is invalid")
 	}
-	_, err := sp.knobs().apply(config.Default())
+	_, err := sp.knobs().config()
 	return err
 }
 
@@ -113,12 +113,10 @@ func (sp SubmitSpec) knobs() policyKnobs {
 // Config builds the architecture configuration for the submission,
 // applying the same knob mapping as JobSpec.Config.
 func (sp SubmitSpec) Config() (config.Config, error) {
-	cfg := config.Default()
 	if err := sp.Validate(); err != nil {
-		return cfg, err
+		return config.Default(), err
 	}
-	cfg, _ = sp.knobs().apply(cfg)
-	return cfg, cfg.Validate()
+	return sp.knobs().config()
 }
 
 // submitBudget resolves the spec's budget request against the
@@ -164,7 +162,6 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 	if err != nil {
 		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
 	}
-	cfg.Faults = s.opts.Faults
 	budget := s.submitBudget(sp)
 	lim := s.opts.SubmitLimits
 	lim.MemFootprintBytes = budget.MaxMemBytes
@@ -195,6 +192,6 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 		Budget:      &budget,
 	}
 	key := simcache.KeyOf(cfg, kernel, submitWorkloadID)
-	return s.execute(ctx, tr, admitStart, key, cfg, kernel,
-		submitWorkloadID, s.jobTimeout(sp.TimeoutMS))
+	return s.execute(ctx, tr, admitStart, key, submitWorkloadID, s.jobTimeout(sp.TimeoutMS),
+		func() (config.Config, *sm.Kernel, error) { return cfg, kernel, nil })
 }

@@ -234,6 +234,24 @@ gate -race -count=1 -run 'TestClusterErrorParity' ./internal/cluster
 gate -race -count=1 -run 'TestRunnerConformance' ./internal/cluster
 gate -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
 
+echo "== key path gate =="
+# One spec-to-key path: sisim, the node and the coordinator key a
+# catalogued job through JobSpec.Key, whose process-wide memo holds keys
+# only. Each gated by name. Remembered keys equal a fresh build's, on
+# repeats, from eight goroutines, past the memo bound and against the
+# corpus pinned from the keys written before the memo (under the race
+# detector, twice); a key remembered after its result was evicted
+# builds and runs a fresh kernel, twins included, and strands no joiner;
+# a cache hit allocates what a hit needs, never a build; the key sisim
+# -cache-dir prints is the daemon's, and sisim refuses what the daemon
+# refuses with the daemon's message; and registering every metric
+# through the five registry constructors leaves each family's name,
+# type and help text as pinned.
+gate -race -count=2 -run '^TestKeyMatchesFreshBuild$|^TestKeyMemoHitCacheMiss$' ./internal/server
+gate -count=1 -run '^TestCacheHitBuildsNoKernel$' ./internal/server
+gate -count=1 -run '^TestCLIKeyMatchesDaemon$|^TestCLIErrorPaths$' ./cmd/sisim
+gate -count=1 -run '^TestExpositionFamiliesUnchanged$' ./internal/cluster
+
 echo "== coverage floor =="
 # Gate total statement coverage just below the current level so test
 # debt cannot creep in silently. Raise the floor when coverage rises.
