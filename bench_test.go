@@ -139,18 +139,18 @@ func BenchmarkSimulationRate(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }
 
-// benchEngine times one execution regime on the paper's divergence
-// microbenchmark scaled to 256 warps: a scheduler-bound workload with
-// no RT-core functional work, so what is measured is instruction
-// dispatch and scheduling — exactly what basic-block fast-forward
-// accelerates. The kernel is built once before the timer starts;
-// program lowering (Program.Compiled) is cached on the program, so
-// only the first iteration pays it.
-func benchEngine(b *testing.B, compiled bool) {
+// BenchmarkGPURunCompiled times the served regime, basic-block
+// fast-forward included, on the paper's divergence microbenchmark
+// scaled to 256 warps: a scheduler-bound workload with no RT-core
+// functional work, so what is measured is instruction dispatch and
+// scheduling — exactly what fast-forward accelerates. The kernel is
+// built once before the timer starts; program lowering
+// (Program.Compiled) is cached on the program, so only the first
+// iteration pays it.
+func BenchmarkGPURunCompiled(b *testing.B) {
 	p := DefaultMicrobenchmark(4)
 	p.NumWarps = 256
 	cfg := DefaultConfig()
-	cfg.Compiled = compiled
 	k, err := BuildMicrobenchmark(p)
 	if err != nil {
 		b.Fatal(err)
@@ -166,16 +166,6 @@ func benchEngine(b *testing.B, compiled bool) {
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }
-
-// BenchmarkGPURunCompiled times the fast-forward regime (the
-// Config.Compiled default).
-func BenchmarkGPURunCompiled(b *testing.B) { benchEngine(b, true) }
-
-// BenchmarkGPURunInterpreted times the stepped regime (-compile=off:
-// the same executor with fast-forward off) on the same workload; both
-// regimes retire identical cycle counts, so the sim-cycles/op metrics
-// match and only wall time differs.
-func BenchmarkGPURunInterpreted(b *testing.B) { benchEngine(b, false) }
 
 // benchGenerator times one synthetic workload family end to end at its
 // default full-occupancy size. The kernel is built once before the

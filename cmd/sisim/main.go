@@ -65,7 +65,6 @@ func main() {
 	warpSlots := flag.Int("warpslots", 8, "warp slots per processing block (2, 4, 8; 0 = the Table I default)")
 	maxSubwarps := flag.Int("maxsubwarps", 0, "TST entries / subwarps per warp (0 = unlimited)")
 	order := flag.String("order", "taken", "divergent path order: taken, fallthrough, largest, random")
-	compile := flag.String("compile", "on", "basic-block fast-forward: on, or off (the stepped reference regime); results are bit-identical")
 	jobs := flag.Int("j", 0, "concurrent SM simulation goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	listApps := flag.Bool("listapps", false, "list application traces and exit")
 	verbose := flag.Bool("v", false, "print the full counter set")
@@ -128,15 +127,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	switch strings.ToLower(*compile) {
-	case "on":
-		cfg.Compiled = true
-	case "off":
-		cfg.Compiled = false
-	default:
-		fail("unknown -compile %q (want on or off)", *compile)
-	}
-
 	var kernel *subwarpsim.Kernel
 	if *submitPath != "" {
 		kernel, err = buildSubmission(*submitPath, *submitWarps, subwarpsim.Budget{

@@ -86,7 +86,6 @@ func main() {
 
 // replayTimeline runs the kernel with the event recorder attached and
 // prints the reconstructed subwarp-state chart and stall attribution.
-// The attached recorder puts the run in the stepped regime.
 func replayTimeline(kernel *subwarpsim.Kernel, si, yield bool, warps, width int) {
 	cfg := subwarpsim.DefaultConfig()
 	if si {

@@ -9,7 +9,6 @@ package bits
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // WarpSize is the number of threads per warp, matching NVIDIA's
@@ -68,14 +67,6 @@ func (m Mask) Lowest() int {
 	return bits.TrailingZeros32(uint32(m))
 }
 
-// Highest returns the highest set lane index, or -1 if the mask is empty.
-func (m Mask) Highest() int {
-	if m == 0 {
-		return -1
-	}
-	return 31 - bits.LeadingZeros32(uint32(m))
-}
-
 // Union returns the set union of m and o.
 func (m Mask) Union(o Mask) Mask { return m | o }
 
@@ -87,9 +78,6 @@ func (m Mask) Minus(o Mask) Mask { return m &^ o }
 
 // Contains reports whether every lane of o is also in m.
 func (m Mask) Contains(o Mask) bool { return m&o == o }
-
-// Overlaps reports whether m and o share at least one lane.
-func (m Mask) Overlaps(o Mask) bool { return m&o != 0 }
 
 // Lanes returns the set lane indices in ascending order.
 func (m Mask) Lanes() []int {
@@ -122,19 +110,4 @@ func (m Mask) DropLowest() Mask { return m & (m - 1) }
 // e.g. "0x0000000f(4)".
 func (m Mask) String() string {
 	return fmt.Sprintf("0x%08x(%d)", uint32(m), m.Count())
-}
-
-// Bitstring renders lane 31 on the left down to lane 0 on the right,
-// useful when eyeballing divergence patterns in tests.
-func (m Mask) Bitstring() string {
-	var b strings.Builder
-	b.Grow(WarpSize)
-	for lane := WarpSize - 1; lane >= 0; lane-- {
-		if m.Has(lane) {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
 }

@@ -17,9 +17,11 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"fmt"
-	"hash/fnv"
 	"sort"
+
+	"subwarpsim/internal/simcache"
 )
 
 // Ring is a consistent-hash ring over named nodes, each mapped to
@@ -37,12 +39,13 @@ type point struct {
 	node string
 }
 
-// ringHash positions a string on the ring (FNV-64a: fast, stable
-// across processes, and uniform enough under virtual-node spreading).
+// ringHash positions a string on the ring: the first 8 bytes of its
+// SHA-256, the projection keys route by (simcache.Key.RouteHash). Every
+// input byte reaches the high bits that order the ring, so a node's
+// vnode names, which differ only in their last bytes, still spread over
+// the whole ring; FNV-1a bunched them into a few arcs.
 func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	return simcache.Key(sha256.Sum256([]byte(s))).RouteHash()
 }
 
 // NewRing builds a ring over the given node names with vnodes virtual

@@ -3,25 +3,44 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
-// TestRingBalance checks that virtual nodes spread ownership roughly
-// evenly: with 64 vnodes each of 3 nodes should own a third of the
-// hash space, give or take, and the shares must sum to the whole ring.
+// TestRingBalance checks that virtual nodes spread ownership evenly over
+// the names peers really have: loopback host:port triples, as a
+// three-worker cluster on one machine is named — the repository
+// benchmark's own ports, then seeded triples of adjacent and of random
+// ports. With 64 vnodes every node must own between a fifth and a half
+// of the hash space, and the shares must sum to the whole ring.
 func TestRingBalance(t *testing.T) {
-	nodes := []string{"w1:8080", "w2:8080", "w3:8080"}
-	r := NewRing(nodes, 64)
-	var sum float64
-	for _, n := range nodes {
-		f := r.OwnedFraction(n)
-		if f < 0.15 || f > 0.55 {
-			t.Errorf("OwnedFraction(%s) = %.3f, want roughly 1/3", n, f)
+	rings := [][]int{{18471, 18472, 18473}}
+	rng := rand.New(rand.NewSource(1))
+	for len(rings) < 401 {
+		p := 1024 + rng.Intn(60000)
+		rings = append(rings, []int{p, p + 1, p + 2})
+		q, r := 1024+rng.Intn(60000), 1024+rng.Intn(60000)
+		if q != p && r != p && r != q {
+			rings = append(rings, []int{p, q, r})
 		}
-		sum += f
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("ownership fractions sum to %.9f, want 1", sum)
+	for _, ports := range rings {
+		var nodes []string
+		for _, p := range ports {
+			nodes = append(nodes, fmt.Sprintf("127.0.0.1:%d", p))
+		}
+		r := NewRing(nodes, 64)
+		var sum float64
+		for _, n := range nodes {
+			f := r.OwnedFraction(n)
+			if f < 0.2 || f > 0.5 {
+				t.Errorf("ring %v: OwnedFraction(%s) = %.3f, want within [0.2, 0.5]", ports, n, f)
+			}
+			sum += f
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("ring %v: ownership fractions sum to %.9f, want 1", ports, sum)
+		}
 	}
 }
 

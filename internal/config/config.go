@@ -247,17 +247,16 @@ type Config struct {
 	// when it differs from LRR, so existing cache entries stay valid.
 	SchedPolicy SchedPolicy
 
-	// Compiled selects the execution regime, not the architecture, and
-	// nothing else: when true (the default) eligible straight-line
-	// convergent regions are retired in bulk (basic-block
-	// fast-forward); when false the same executor — there is one,
-	// running each program's pre-decoded operation stream — steps every
-	// cycle, which is also what an attached Trace recorder forces.
-	// Results — counters, derived metrics, memory fingerprints — are
-	// bit-identical across the two regimes, which the differential and
-	// fuzz suites enforce with the stepped side as their reference, so
-	// like Trace and Faults it is excluded from the result-cache
-	// canonicalization.
+	// Compiled is a benchmark switch, not an architecture parameter:
+	// when true (the default, and the only value a CLI, the daemon or a
+	// recorded run uses) eligible straight-line convergent regions are
+	// retired in bulk (basic-block fast-forward); false turns that off
+	// so the repository benchmark's probe (benchmark/probes.go) can time
+	// the stepped regime against it. Results — counters, derived
+	// metrics, memory fingerprints, recorded events — are bit-identical
+	// either way, so like Trace and Faults it is excluded from the
+	// result-cache canonicalization. Retiring it waits for a change to
+	// the benchmark.
 	Compiled bool
 
 	// Subwarp Interleaving.

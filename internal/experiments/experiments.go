@@ -32,12 +32,6 @@ type Options struct {
 	// in-flight runs return promptly and the experiment reports the
 	// context error. Nil means context.Background().
 	Context context.Context
-	// Interpret turns basic-block fast-forward off (cfg.Compiled =
-	// false) so every simulation runs in the stepped reference regime.
-	// Results are bit-identical either way — the golden corpus is
-	// checked in both regimes — so this is a verification and debugging
-	// knob, not a result knob.
-	Interpret bool
 	// SchedPolicy overrides the warp-scheduler policy for every
 	// simulation when set to a non-LRR value (the -policy flag). The
 	// matrix experiment, which enumerates policies itself, narrows its
@@ -238,9 +232,6 @@ func (p *plan) traces() []*sm.Kernel {
 // memory image is dropped. Equal declarations share one slot.
 func (p *plan) sim(cfg config.Config, k *sm.Kernel) *gpu.Result {
 	cfg.Check = p.o.check
-	if p.o.Interpret {
-		cfg.Compiled = false
-	}
 	if p.o.SchedPolicy != config.SchedLRR {
 		cfg.SchedPolicy = p.o.SchedPolicy
 	}

@@ -105,29 +105,3 @@ func TestGoldenTable3(t *testing.T) {
 func TestGoldenMatrix(t *testing.T) {
 	checkGolden(t, "matrix.json", quickReport(t, "matrix").Values)
 }
-
-// TestGoldenInterpreted re-derives the golden corpus in the stepped
-// regime (Options.Interpret turns fast-forward off). The same files
-// must match in both regimes: together with the fast-forward-by-default
-// golden tests above, this pins the two regimes' bit-identity on the
-// full recorded corpus. Skipped under -update-golden — the corpus is
-// regenerated by the default runs, not rewritten twice.
-func TestGoldenInterpreted(t *testing.T) {
-	if *updateGolden {
-		t.Skip("corpus regeneration runs on the compiled engine")
-	}
-	o := quick()
-	o.Interpret = true
-	var es []Experiment
-	for _, id := range []string{"fig3", "table3", "matrix"} {
-		e, _ := ByID(id)
-		es = append(es, e)
-	}
-	reports, _, err := RunAll(o, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		checkGolden(t, r.ID+".json", r.Values)
-	}
-}

@@ -10,12 +10,12 @@ import (
 )
 
 // BenchmarkRecordedRun measures what attaching the cycle recorder
-// costs a run: Ctrl under Both,N>=0.5 on one worker, once in the
-// stepped regime with no recorder (Compiled=false — the regime a
-// recorder forces) and once with a fresh recorder attached. ns/op is
-// the recorded run alone; events/s is its recording rate and overhead-x
-// the recorded over the stepped wall time, the benchmark harness's
-// trace.record_overhead_x.
+// costs a run: Ctrl under Both,N>=0.5 on one worker, stepped
+// (Compiled=false, as the benchmark harness's recorded probe runs it),
+// once with no recorder and once with a fresh recorder attached. ns/op
+// is the recorded run alone; events/s is its recording rate and
+// overhead-x the recorded over the unrecorded wall time, the benchmark
+// harness's trace.record_overhead_x.
 func BenchmarkRecordedRun(b *testing.B) {
 	p, err := workload.ProfileByName("Ctrl")
 	if err != nil {

@@ -18,10 +18,9 @@ import (
 // side runs as it is served, its blocks keeping their own time, and
 // the stepped side in checked lock-step. These tests are the proof
 // obligation behind Config.Compiled being excluded from the
-// result-cache key. Trace streams need no regime comparison: attaching
-// a recorder forces the stepped regime whatever Compiled says (they
-// stay pinned by TestParallelTraceMatchesSequential and
-// internal/sm/trace_test.go).
+// result-cache key. A recorded run fast-forwards too; its event stream,
+// histograms and time series are held to checked lock-step's by
+// TestExcusedStepsAreNoOps.
 
 // engineConfigs are the policy points the two-mode comparison quantifies
 // over: the baseline, both SI modes (yield exercises the FFLen vs
@@ -42,7 +41,7 @@ func engineConfigs() map[string]config.Config {
 }
 
 // interpreted returns the configuration with fast-forward off: the
-// stepped reference regime (-compile=off), under Config.Check.
+// stepped reference regime, under Config.Check.
 func interpreted(cfg config.Config) config.Config {
 	cfg.Compiled, cfg.Check = false, testutil.Checked()
 	return cfg

@@ -161,5 +161,5 @@ func TestParallelTraceMatchesSequential(t *testing.T) {
 		runWith(t, w, cfg, workers)
 		return rec
 	}
-	sameTrace(t, traced(4), traced(1))
+	sameTrace(t, traced(4), traced(1), false)
 }

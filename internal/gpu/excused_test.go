@@ -3,6 +3,7 @@ package gpu
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -72,9 +73,9 @@ func excusedConfigs() map[string]config.Config {
 // TestExcusedStepsAreNoOps runs every workload × configuration ×
 // scheduler policy × regime checked (lock-step, one worker) and
 // unchecked (one and four workers) and requires identical counters and
-// memory images; for the LRR cells it also attaches a recorder with a
-// time series and requires identical event streams, histograms and
-// windows.
+// memory images; under every policy it also attaches a recorder with a
+// time series to the served regime and requires the event stream (in
+// lock-step order), histograms and windows of checked lock-step.
 func TestExcusedStepsAreNoOps(t *testing.T) {
 	var overflowed atomic.Bool
 	t.Cleanup(func() {
@@ -108,24 +109,31 @@ func TestExcusedStepsAreNoOps(t *testing.T) {
 							}
 						}
 					}
+					cfg.Compiled = true
+					traced := func(check bool) *trace.Recorder {
+						rec := trace.NewRecorder()
+						rec.Series = stats.NewTimeSeries(64)
+						cfg.Check, cfg.Trace = check, rec
+						runWith(t, w, cfg, 1)
+						cfg.Trace = nil
+						return rec
+					}
+					sameTrace(t, traced(false), traced(true), true) // served against checked
 				}
-				cfg.SchedPolicy, cfg.Compiled = config.SchedLRR, true
-				traced := func(check bool) *trace.Recorder {
-					rec := trace.NewRecorder()
-					rec.Series = stats.NewTimeSeries(64)
-					cfg.Check, cfg.Trace = check, rec
-					runWith(t, w, cfg, 1)
-					return rec
-				}
-				sameTrace(t, traced(false), traced(true)) // unchecked against checked
 			})
 		}
 	}
 }
 
 // sameTrace requires two recorders to hold the same event stream,
-// histograms and — when a time series is attached — windows.
-func sameTrace(t *testing.T, got, want *trace.Recorder) {
+// histograms and — when a time series is attached — windows. With
+// lockStep set, want comes from a checked run and got's stream is
+// compared in lock-step order: stably sorted by (SM, Cycle, Block),
+// which is the order lock-step emits in, since every event carries its
+// step's cycle and a block's own stream is in cycle order. A fast-forward
+// run emits its issue events when it ends, after other blocks' later
+// events.
+func sameTrace(t *testing.T, got, want *trace.Recorder, lockStep bool) {
 	t.Helper()
 	if want.Len() == 0 {
 		t.Fatal("the reference run recorded no events; the comparison is vacuous")
@@ -135,6 +143,24 @@ func sameTrace(t *testing.T, got, want *trace.Recorder) {
 			got.Len(), got.Dropped(), want.Len(), want.Dropped())
 	}
 	ge, we := got.Events(), want.Events()
+	if lockStep {
+		before := func(es []trace.Event) func(i, j int) bool {
+			return func(i, j int) bool {
+				a, b := es[i], es[j]
+				if a.SM != b.SM {
+					return a.SM < b.SM
+				}
+				if a.Cycle != b.Cycle {
+					return a.Cycle < b.Cycle
+				}
+				return a.Block < b.Block
+			}
+		}
+		if !sort.SliceIsSorted(we, before(we)) {
+			t.Fatal("the checked stream is not in lock-step order")
+		}
+		sort.SliceStable(ge, before(ge))
+	}
 	for i := range we {
 		if ge[i] != we[i] {
 			t.Fatalf("event %d differs:\n  got  %s\n  want %s", i, ge[i], we[i])

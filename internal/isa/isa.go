@@ -114,16 +114,6 @@ func (o Opcode) IsLongLatency() bool {
 // (one of the two writeback broadcast ports in Fig. 8b).
 func (o Opcode) IsTexPath() bool { return o == TLD || o == TEX }
 
-// IsControl reports whether the opcode redirects or synchronizes
-// control flow.
-func (o Opcode) IsControl() bool {
-	switch o {
-	case BRA, BRX, BSSY, BSYNC, EXIT:
-		return true
-	}
-	return false
-}
-
 // WritesReg reports whether the instruction writes a destination GPR.
 func (o Opcode) WritesReg() bool {
 	switch o {

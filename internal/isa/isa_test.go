@@ -25,14 +25,6 @@ func TestOpcodeClassification(t *testing.T) {
 	if LDG.IsTexPath() || TRACE.IsTexPath() {
 		t.Error("LDG/TRACE must be on the LSU writeback path")
 	}
-	for _, op := range []Opcode{BRA, BRX, BSSY, BSYNC, EXIT} {
-		if !op.IsControl() {
-			t.Errorf("%v should be control", op)
-		}
-	}
-	if IADD.IsControl() || LDG.IsControl() {
-		t.Error("IADD/LDG must not be control")
-	}
 	if !LDG.WritesReg() || !TRACE.WritesReg() || !MOVI.WritesReg() {
 		t.Error("register-writing ops misclassified")
 	}

@@ -55,16 +55,8 @@ func NewCache(name string, totalBytes, ways, lineBytes int) *Cache {
 	}
 }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr / uint64(c.lineBytes) * uint64(c.lineBytes)
-}
-
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
 
 // Hits returns the number of accesses that found the line present
 // (including fills still in flight).
@@ -128,14 +120,6 @@ func (c *Cache) Contains(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Reset invalidates all lines and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = way{}
-	}
-	c.tick, c.hits, c.misses = 0, 0, 0
 }
 
 // String describes the geometry, e.g. "L0I 16KB 4w/128B (32 sets)".

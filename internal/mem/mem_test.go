@@ -18,13 +18,13 @@ func fillAt(lat int64, calls *int) func(int64) int64 {
 
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache("L0I", 16<<10, 4, 128)
-	if c.Sets() != 32 || c.Ways() != 4 {
-		t.Errorf("geometry = %d sets / %d ways, want 32/4", c.Sets(), c.Ways())
+	if c.Sets() != 32 || c.String() != "L0I 16KB 4w/128B (32 sets)" {
+		t.Errorf("geometry = %s, want 32 sets of 4 ways", c)
 	}
 	// A cache smaller than ways*line clamps associativity.
 	small := NewCache("tiny", 256, 4, 128)
-	if small.Sets()*small.Ways() != 2 {
-		t.Errorf("tiny cache holds %d lines, want 2", small.Sets()*small.Ways())
+	if small.String() != "tiny 0KB 2w/128B (1 sets)" {
+		t.Errorf("tiny cache = %s, want one set of 2 ways", small)
 	}
 }
 
@@ -150,22 +150,6 @@ func TestReadyNeverBeforeNow(t *testing.T) {
 	ready, _ = c.Access(9999, 100, func(now int64) int64 { return 5 })
 	if ready != 100 {
 		t.Errorf("ready = %d, want clamped to now=100", ready)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := NewCache("c", 1<<10, 4, 128)
-	c.Access(0, 0, fillAt(10, nil))
-	c.Reset()
-	if c.Contains(0) || c.Hits() != 0 || c.Misses() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestLineAddr(t *testing.T) {
-	c := NewCache("c", 1<<10, 4, 128)
-	if got := c.LineAddr(0x1FF); got != 0x180 {
-		t.Errorf("LineAddr(0x1FF) = %#x, want 0x180", got)
 	}
 }
 

@@ -90,12 +90,6 @@ func TestAABBOps(t *testing.T) {
 	if !a.Contains(V(0.5, 0.5, 0.5)) || a.Contains(V(2, 0, 0)) {
 		t.Error("Contains wrong")
 	}
-	if got := a.SurfaceArea(); got != 6 {
-		t.Errorf("SurfaceArea = %v, want 6", got)
-	}
-	if EmptyAABB().SurfaceArea() != 0 {
-		t.Error("empty box must have zero area")
-	}
 	wide := AABB{Min: V(0, 0, 0), Max: V(10, 1, 2)}
 	if wide.LongestAxis() != 0 {
 		t.Errorf("LongestAxis = %d, want 0", wide.LongestAxis())

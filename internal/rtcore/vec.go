@@ -142,15 +142,6 @@ func (a AABB) Contains(p Vec3) bool {
 		p.Z >= a.Min.Z && p.Z <= a.Max.Z
 }
 
-// SurfaceArea returns the box surface area (0 for inverted boxes).
-func (a AABB) SurfaceArea() float32 {
-	d := a.Max.Sub(a.Min)
-	if d.X < 0 || d.Y < 0 || d.Z < 0 {
-		return 0
-	}
-	return 2 * (d.X*d.Y + d.Y*d.Z + d.Z*d.X)
-}
-
 // LongestAxis returns the axis index (0..2) of the widest extent.
 func (a AABB) LongestAxis() int {
 	d := a.Max.Sub(a.Min)

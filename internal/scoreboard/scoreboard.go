@@ -119,8 +119,3 @@ func (f *File) Outstanding(mask bits.Mask) bool {
 	}
 	return false
 }
-
-// Reset zeroes all counters.
-func (f *File) Reset() {
-	f.counts = [bits.WarpSize][MaxScoreboards]uint8{}
-}

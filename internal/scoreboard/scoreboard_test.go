@@ -127,15 +127,6 @@ func TestOutstanding(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	f := NewFile(8)
-	f.Inc(bits.FullMask, 0)
-	f.Reset()
-	if f.Outstanding(bits.FullMask) {
-		t.Error("Reset should clear counts")
-	}
-}
-
 func TestReadyEmptyMask(t *testing.T) {
 	f := NewFile(8)
 	f.Inc(bits.FullMask, 0)

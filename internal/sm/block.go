@@ -70,9 +70,9 @@ type Block struct {
 
 	// Shared with (and owned by) the SM: cops is the program's
 	// pre-decoded operation stream, read only through fetch, and ffLen
-	// the per-PC fast-forward run lengths (nil in the stepped regime —
-	// cfg.Compiled off or a trace recorder attached). lastPick records
-	// which warp issued in the most recent step (-1 when none).
+	// the per-PC fast-forward run lengths (nil when cfg.Compiled is off).
+	// lastPick records which warp issued in the most recent step (-1
+	// when none).
 	cops     []isa.COp
 	ffLen    []int32
 	lastPick int
@@ -275,8 +275,8 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 
 // sampleState gathers the block's time-series sample: live resident
 // warps, live subwarps across them, and occupied TST (stalled) entries.
-// It walks every warp's TST, so step and catchUp call it only when the
-// recorder has a series to feed (Recorder.Sampling, nil-safe).
+// It walks every warp's TST, so step, catchUp and ffCommit call it only
+// when the recorder has a series to feed (Recorder.Sampling, nil-safe).
 func (b *Block) sampleState() (occ, subs, fill int) {
 	for _, w := range b.warps {
 		if w.exited {

@@ -3,6 +3,8 @@ package sm
 import (
 	"fmt"
 	"math"
+
+	"subwarpsim/internal/trace"
 )
 
 // Blocks keep their own time. The paper's processing blocks meet only
@@ -21,18 +23,18 @@ import (
 //     add one idle cycle. catchUp accounts them in closed form when the
 //     block wakes: the idle classification for each cycle, and the
 //     step's failed-demote TSTOverflow count for each cycle the SM
-//     visited. This holds in both regimes and under a recorder (a quiet
-//     step emits no event).
-//   - In a run, only with the run-length table installed (cfg.Compiled
-//     and no recorder): the step issued and the warp sits in a
-//     fast-forward-simple run (isa.Compiled.FFLen) on its fetched icache
-//     line that ends before the block's own next event. Every step of
-//     the run would re-pick the warp (greedy stickiness over frozen
-//     statuses), touch only its registers, predicates or barrier masks,
-//     repeat the same failed demotes, and start no select. ffCommit
-//     retires the run when it ends — or, on an early exit, the prefix
-//     that fits — with the counters cycle-by-cycle issue would have
-//     accrued.
+//     visited. A quiet step emits no event; catchUp feeds the time series
+//     the span as one gap.
+//   - In a run, only with the run-length table installed (cfg.Compiled):
+//     the step issued and the warp sits in a fast-forward-simple run
+//     (isa.Compiled.FFLen) on its fetched icache line that ends before
+//     the block's own next event. Every step of the run would re-pick
+//     the warp (greedy stickiness over frozen statuses), touch only its
+//     registers, predicates or barrier masks, repeat the same failed
+//     demotes, and start no select. ffCommit retires the run when it
+//     ends — or, on an early exit, the prefix that fits — with the
+//     counters, issue events and time-series samples cycle-by-cycle
+//     issue would have produced.
 //
 // An excused block touches none of l1d, l1i, the memory view or the RT
 // core, so those see the same accesses in the same order as lock-step
@@ -106,12 +108,15 @@ func (b *Block) ffRun() int64 {
 // ffCommit retires n cycles of the last-issued warp's simple run in
 // one call, with exactly the counters cycle-by-cycle execution would
 // have accrued: n issue cycles, n instructions, n×|active| threads.
-// Each op goes through the same Warp.applySimple a stepped issue uses;
-// the per-op PC writes are batched into one setActivePCs at the end —
-// intermediate PCs are unobservable inside the run (no events, no
-// tracing, no cross-warp reads). The warp stays dirty from its issue at
-// the run's base cycle, so the step that follows re-classifies it as
-// usual.
+// Each op goes through the same Warp.applySimple a stepped issue uses
+// and, with a recorder attached, emits the issue event — the only event
+// a simple op emits — at its own cycle: the block's counters.Cycles
+// onward. The per-op PC writes are batched into one setActivePCs at the
+// end: nothing reads the PC inside the run except a time series, which
+// gets one sample per cycle taken after that op's PC advance, as a step
+// takes it (the live-subwarp count reads the active subwarp's PC).
+// The warp stays dirty from its issue at the run's base cycle, so the
+// step that follows re-classifies it as usual.
 func (b *Block) ffCommit(n int64) {
 	w := b.warps[b.lastPick]
 	mask := w.active
@@ -119,8 +124,18 @@ func (b *Block) ffCommit(n int64) {
 	b.counters.IssueCycles += n
 	b.counters.IssuedInstrs += n
 	b.counters.ActiveThreads += n * int64(mask.Count())
-	for end := pc + int(n); pc < end; pc++ {
-		w.applySimple(mask, b.fetch(pc))
+	cycle := b.counters.Cycles
+	for end := pc + int(n); pc < end; pc, cycle = pc+1, cycle+1 {
+		op := b.fetch(pc)
+		if b.rec != nil {
+			b.emit(cycle, w, pc, mask, trace.KindIssue, int(op.Op))
+		}
+		w.applySimple(mask, op)
+		if b.rec.Sampling() {
+			w.setActivePCs(pc + 1)
+			occ, subs, fill := b.sampleState()
+			b.rec.Sample(cycle, occ, subs, fill, true)
+		}
 	}
 	w.setActivePCs(pc)
 	w.divKnown = false

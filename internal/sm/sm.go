@@ -94,9 +94,8 @@ type SM struct {
 
 	// cops is the program's pre-decoded operation stream, the only
 	// instruction format the blocks execute. ffLen enables basic-block
-	// fast-forward: per-PC simple-run lengths, nil in the stepped regime
-	// (cfg.Compiled off, or a trace recorder attached so the event
-	// stream is produced cycle by cycle).
+	// fast-forward: per-PC simple-run lengths, nil when cfg.Compiled is
+	// off.
 	cops  []isa.COp
 	ffLen []int32
 
@@ -146,7 +145,7 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 	}
 	cp := kernel.Program.Compiled()
 	s.cops = cp.Ops
-	if cfg.Compiled && cfg.Trace == nil {
+	if cfg.Compiled {
 		if cfg.SI.Enabled && cfg.SI.Yield {
 			s.ffLen = cp.FFLen
 		} else {

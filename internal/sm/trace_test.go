@@ -35,6 +35,63 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
+// TestRecordedRunIsTheServedRun: a recorder with a time series observes
+// the run it is attached to. A straight-line run, unchecked, takes
+// exactly as many SM.advance iterations recorded as unrecorded, with
+// equal counters and memory, and its stream and series still account
+// for every issued instruction and every block-cycle.
+func TestRecordedRunIsTheServedRun(t *testing.T) {
+	type outcome struct {
+		iterations int
+		counters   stats.Counters
+		memory     uint64
+	}
+	drive := func(rec *trace.Recorder) outcome {
+		cfg := testConfig()
+		cfg.Check, cfg.Trace = false, rec
+		s := allocSM(t, cfg, straightLine(2000), 8)
+		var o outcome
+		for done := false; !done; {
+			var err error
+			done, err = s.advance(1 << 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.iterations++
+		}
+		o.counters, o.memory = s.merge(), s.mem.Fingerprint()
+		return o
+	}
+	rec := trace.NewRecorder()
+	rec.Series = stats.NewTimeSeries(64)
+	plain, recorded := drive(nil), drive(rec)
+	if recorded != plain {
+		t.Errorf("recording changed the run:\n  recorded   %+v\n  unrecorded %+v", recorded, plain)
+	}
+	if plain.iterations*4 > int(plain.counters.Cycles) {
+		t.Errorf("%d iterations over %d cycles: the run barely fast-forwarded, the comparison is weak",
+			plain.iterations, plain.counters.Cycles)
+	}
+	issues := int64(0)
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindIssue {
+			issues++
+		}
+	}
+	if issues != plain.counters.IssuedInstrs {
+		t.Errorf("issue events = %d, want IssuedInstrs = %d", issues, plain.counters.IssuedInstrs)
+	}
+	var weight, issued int64
+	for _, w := range rec.Series.Windows() {
+		weight += w.Weight
+		issued += w.Issued
+	}
+	if weight != plain.counters.Cycles || issued != plain.counters.IssuedInstrs {
+		t.Errorf("series covers %d block-cycles and %d issues, want %d and %d",
+			weight, issued, plain.counters.Cycles, plain.counters.IssuedInstrs)
+	}
+}
+
 // TestIdleBucketsSumToIdleCycles checks the attribution invariant: the
 // five buckets partition the idle cycles exactly, per run.
 func TestIdleBucketsSumToIdleCycles(t *testing.T) {

@@ -8,8 +8,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -259,78 +257,6 @@ func (t *Table) numCols() int {
 		}
 	}
 	return n
-}
-
-// numericPrefix parses the leading numeric value of a cell, accepting
-// forms like "600", "-3", "+6.3%", "1234 cy". ok is false when the cell
-// has no numeric prefix.
-func numericPrefix(s string) (v float64, ok bool) {
-	s = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(s), "+"))
-	end := 0
-	seenDot := false
-	for i, r := range s {
-		if r >= '0' && r <= '9' {
-			end = i + 1
-			continue
-		}
-		if r == '-' && i == 0 {
-			continue
-		}
-		if r == '.' && !seenDot {
-			seenDot = true
-			continue
-		}
-		break
-	}
-	if end == 0 {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(s[:end], 64)
-	return v, err == nil
-}
-
-// SortRows orders rows by the given column. When every non-empty cell
-// in the column has a numeric prefix (plain counts, "6.3%", "600 cy"),
-// rows order by value; otherwise ordering is lexicographic. Empty and
-// missing cells sort last.
-func (t *Table) SortRows(col int) {
-	if col < 0 || col >= t.numCols() {
-		return
-	}
-	cell := func(r []string) (string, bool) {
-		if col >= len(r) || r[col] == "" {
-			return "", false
-		}
-		return r[col], true
-	}
-	numeric := false
-	for _, r := range t.rows {
-		c, present := cell(r)
-		if !present {
-			continue
-		}
-		if _, ok := numericPrefix(c); !ok {
-			numeric = false
-			break
-		}
-		numeric = true
-	}
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		ci, iok := cell(t.rows[i])
-		cj, jok := cell(t.rows[j])
-		if iok != jok {
-			return iok // rows with a value come first
-		}
-		if !iok {
-			return false
-		}
-		if numeric {
-			vi, _ := numericPrefix(ci)
-			vj, _ := numericPrefix(cj)
-			return vi < vj
-		}
-		return ci < cj
-	})
 }
 
 // String renders the table with aligned columns.

@@ -138,19 +138,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableSortRows(t *testing.T) {
-	tbl := NewTable("", "App", "X")
-	tbl.AddRow("MW", "1")
-	tbl.AddRow("AV1", "2")
-	tbl.AddRow("Ctrl", "3")
-	tbl.SortRows(0)
-	s := tbl.String()
-	if strings.Index(s, "AV1") > strings.Index(s, "Ctrl") || strings.Index(s, "Ctrl") > strings.Index(s, "MW") {
-		t.Errorf("rows not sorted:\n%s", s)
-	}
-	tbl.SortRows(99) // out of range: no-op, must not panic
-}
-
 func TestTableAddRowGrows(t *testing.T) {
 	tbl := NewTable("", "A", "B")
 	tbl.AddRow("x", "y", "extra1", "extra2") // longer than the header
@@ -159,37 +146,6 @@ func TestTableAddRowGrows(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("long row lost cell %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestTableSortRowsNumeric(t *testing.T) {
-	tbl := NewTable("", "App", "Speedup")
-	tbl.AddRow("a", "19.8%")
-	tbl.AddRow("b", "2.0%")
-	tbl.AddRow("c", "+100.0%")
-	tbl.AddRow("d", "-3.5%")
-	tbl.SortRows(1)
-	s := tbl.String()
-	order := []string{"-3.5%", "2.0%", "19.8%", "+100.0%"}
-	last := -1
-	for _, v := range order {
-		at := strings.Index(s, v)
-		if at < last {
-			t.Fatalf("numeric sort wrong, want order %v:\n%s", order, s)
-		}
-		last = at
-	}
-}
-
-func TestTableSortRowsNumericMissingCellsLast(t *testing.T) {
-	tbl := NewTable("", "App", "Cycles")
-	tbl.AddRow("short") // no cycles cell
-	tbl.AddRow("b", "10")
-	tbl.AddRow("a", "2")
-	tbl.SortRows(1)
-	s := tbl.String()
-	if strings.Index(s, "a") > strings.Index(s, "b") || strings.Index(s, "short") < strings.Index(s, "b") {
-		t.Errorf("missing cells should sort last:\n%s", s)
 	}
 }
 

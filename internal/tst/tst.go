@@ -267,37 +267,6 @@ type ReadySubwarp struct {
 	Mask bits.Mask
 }
 
-// ReadySubwarps returns the Ready lanes grouped by PC in ascending PC
-// order.
-func (t *Table) ReadySubwarps() []ReadySubwarp {
-	out := make([]ReadySubwarp, 0, 4)
-	for it := t.masks[Ready]; !it.Empty(); it = it.DropLowest() {
-		lane := it.Lowest()
-		pc := t.pcs[lane]
-		found := false
-		for i := range out {
-			if out[i].PC == pc {
-				out[i].Mask = out[i].Mask.Set(lane)
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, ReadySubwarp{PC: pc, Mask: bits.LaneMask(lane)})
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		g := out[i]
-		j := i - 1
-		for j >= 0 && out[j].PC > g.PC {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = g
-	}
-	return out
-}
-
 // Select performs subwarp-select: it picks the next Ready subwarp in
 // round-robin PC order after the previously selected PC, transitions
 // its lanes to Active, and returns it. ok is false when no lane is
@@ -305,8 +274,7 @@ func (t *Table) ReadySubwarps() []ReadySubwarp {
 //
 // The pick — the smallest Ready PC strictly greater than the rotor,
 // falling back to the smallest Ready PC — is computed directly from
-// the lane masks; building the sorted ReadySubwarps slice here would
-// put an allocation on the subwarp-switch path.
+// the lane masks, so the subwarp-switch path never allocates.
 func (t *Table) Select() (ReadySubwarp, bool) {
 	ready := t.masks[Ready]
 	if ready.Empty() {

@@ -218,21 +218,24 @@ func TestSelectNoneReady(t *testing.T) {
 	}
 }
 
+// TestReadySubwarpsSorted: interleaved Ready lanes group by PC, and with
+// the rotor at the highest PC Select hands the groups out in ascending
+// PC order.
 func TestReadySubwarpsSorted(t *testing.T) {
 	tab, pcs := newTable(32)
 	tab.ActivateAll(bits.FirstN(6))
 	pcs[0], pcs[2], pcs[4] = 30, 10, 20
 	pcs[1], pcs[3], pcs[5] = 30, 10, 20
-	tab.Yield(bits.FirstN(6))
-	subs := tab.ReadySubwarps()
-	if len(subs) != 3 {
-		t.Fatalf("len = %d", len(subs))
-	}
-	if subs[0].PC != 10 || subs[1].PC != 20 || subs[2].PC != 30 {
-		t.Errorf("not sorted: %+v", subs)
-	}
-	if subs[0].Mask != bits.LaneMask(2).Set(3) {
-		t.Errorf("grouping wrong: %+v", subs[0])
+	tab.Yield(bits.FirstN(6)) // the rotor takes lane 0's PC, 30
+	for _, want := range []ReadySubwarp{
+		{PC: 10, Mask: bits.LaneMask(2).Set(3)},
+		{PC: 20, Mask: bits.LaneMask(4).Set(5)},
+		{PC: 30, Mask: bits.LaneMask(0).Set(1)},
+	} {
+		got, ok := tab.Select()
+		if !ok || got != want {
+			t.Fatalf("Select = %+v (ok=%v), want %+v", got, ok, want)
+		}
 	}
 }
 

@@ -77,8 +77,9 @@ echo "== fast-forward gate =="
 # The two-regime differential layer under the race detector. There is
 # one executor; what is gated is basic-block fast-forward, which must
 # be bit-identical to the stepped regime (Compiled=false) — counters,
-# derived metrics, memory fingerprints — over the golden corpus (both
-# regimes), randomized divergent kernels, and the fuzz seed corpus, and
+# derived metrics, memory fingerprints — over the golden corpus (under
+# Config.Check, which is lock-step), randomized divergent kernels, and
+# the fuzz seed corpus, and
 # must die with the same named fetch diagnostic when control flow
 # escapes the program. The single definition of the ALU/compare/move
 # semantics both regimes share is checked against the independent
@@ -91,15 +92,18 @@ gate -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestOpsMa
 # Blocks keep their own time: the run loop steps a block only where its
 # step can change something, and accounts the cycles it sat out in
 # closed form. Each gated by name: that loop against the checked
-# lock-step loop (Config.Check) on counters, memory images and recorded
-# streams over the golden corpus, the families and the example kernels,
-# a two-entry TST and DWS included; and every exit — budget kills at
-# each phase of a run and beside a sleeping block, the store-footprint
-# kill among them, a late deadlock, a cancellation inside a run, the
-# cycle limit — settling to lock-step's counters.
+# lock-step loop (Config.Check) on counters and memory images over the
+# golden corpus, the families and the example kernels, a two-entry TST
+# and DWS included, and — with a recorder attached to the served loop,
+# under every scheduler policy — on event streams in lock-step order,
+# histograms and time series; a recorded run taking exactly the
+# unrecorded run's loop iterations, counters and memory; and every exit
+# — budget kills at each phase of a run and beside a sleeping block, the
+# store-footprint kill among them, a late deadlock, a cancellation
+# inside a run, the cycle limit — settling to lock-step's counters.
 gate -race -count=1 -run '^TestExcusedStepsAreNoOps$' -timeout 30m ./internal/gpu
 gate -race -count=1 -run '^TestBudgetKillBitIdentical$' ./internal/gpu
-for t in TestKillSettlesSleepersAndRuns TestDeadlockSettlesSleepers TestCancelAndCycleLimitInsideARun; do
+for t in TestRecordedRunIsTheServedRun TestKillSettlesSleepersAndRuns TestDeadlockSettlesSleepers TestCancelAndCycleLimitInsideARun; do
     gate -race -count=1 -run "^$t\$" ./internal/sm
 done
 
@@ -229,7 +233,11 @@ echo "== cluster gate =="
 # test then drives a real coordinator + 2-worker topology end to end —
 # affinity hits through the coordinator, SIGKILL one worker, identical
 # answers after — and the SIGTERM teardown requires a clean drain.
+# The ring is gated by name too: over the benchmark's loopback ports and
+# seeded adjacent and random port triples, every worker owns between a
+# fifth and a half of the ring.
 go test -race -count=1 ./internal/cluster
+gate -count=1 -run '^TestRingBalance$' ./internal/cluster
 gate -race -count=1 -run 'TestClusterErrorParity' ./internal/cluster
 gate -race -count=1 -run 'TestRunnerConformance' ./internal/cluster
 gate -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
