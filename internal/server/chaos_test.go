@@ -416,16 +416,21 @@ func TestRefusedLeaderReleasesJoiners(t *testing.T) {
 	release := make(chan struct{})
 	s.runSim = fakeSim(started, release)
 	var holders sync.WaitGroup
-	for _, size := range []int{1, 2} { // distinct keys: one on the worker, one queued
+	hold := func(size int) { // distinct keys: one on the worker, one queued
 		holders.Add(1)
-		go func(size int) {
+		go func() {
 			defer holders.Done()
 			if _, err := s.Submit(context.Background(), JobSpec{Microbench: size}); err != nil {
 				t.Errorf("holder %d: %v", size, err)
 			}
-		}(size)
+		}()
 	}
+	// Holder 2 starts only once the worker holds holder 1: started
+	// together, holder 2 could find holder 1 still in the one queue slot
+	// and be refused.
+	hold(1)
 	<-started
+	hold(2)
 	waitFor(t, func() bool { return s.queue.Len() == 1 })
 
 	const rounds, twins = 200, 16

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"fmt"
 	"testing"
 
 	"subwarpsim/internal/bits"
@@ -225,6 +226,41 @@ func BenchmarkBlockStep(b *testing.B) {
 	}
 }
 
+// BenchmarkApplySimple measures one lane loop, per warp-op, across 64
+// warps: FMUL squaring a register and IADD, on 4 lanes (a subwarp of
+// the microbenchmark) and on all 32. The operands are mem.DefaultValue
+// words, the contents of unwritten memory the paper's microbenchmark
+// loads and squares, or ordinary floats near 1. The two operand sets
+// cost the same unless the host multiply has a data-dependent path.
+func BenchmarkApplySimple(b *testing.B) {
+	const warps = 64
+	for _, opc := range []isa.Opcode{isa.FMUL, isa.IADD} {
+		for _, mask := range []bits.Mask{bits.FirstN(4), bits.FullMask} {
+			for _, operands := range []string{"default-value", "ordinary"} {
+				ws := make([]Warp, warps)
+				for i := range ws {
+					for l := 0; l < bits.WarpSize; l++ {
+						addr := uint64(i*bits.WarpSize+l) * 4
+						ws[i].regs[1][l], ws[i].regs[2][l] = mem.DefaultValue(addr), mem.DefaultValue(addr+1<<20)
+						if operands == "ordinary" {
+							ws[i].regs[1][l], ws[i].regs[2][l] = u32(float32(64+l)/64), u32(float32(128-i)/128)
+						}
+					}
+				}
+				op := &isa.COp{Op: opc, Dst: 3, SrcA: 1, SrcB: 1}
+				if opc == isa.IADD {
+					op.SrcB = 2
+				}
+				b.Run(fmt.Sprintf("%v/lanes=%d/%s", opc, mask.Count(), operands), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ws[i%warps].applySimple(mask, op)
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkExecuteLoad measures a full-warp LDG issue (32 lanes, one
 // line each) plus the drain of its 32 per-line writeback events.
 func BenchmarkExecuteLoad(b *testing.B) {
@@ -233,7 +269,7 @@ func BenchmarkExecuteLoad(b *testing.B) {
 	blk := s.blocks[0]
 	w := blk.warps[0]
 	for lane := 0; lane < bits.WarpSize; lane++ {
-		w.regs[lane][1] = uint32(lane * 128)
+		w.regs[1][lane] = uint32(lane * 128)
 	}
 	op := &isa.COp{Op: isa.LDG, Dst: 2, SrcA: 1, WrScbd: 0, ReqScbd: isa.NoScoreboard}
 	now := int64(0)

@@ -312,7 +312,7 @@ func (b *Block) applyWriteback(ev *wbEvent, now int64) {
 		if !ev.ray {
 			val = b.sm.mem.Load(ev.base + uint64(ev.off[l]))
 		}
-		w.regs[l][ev.reg] = val
+		w.regs[ev.reg][l] = val
 		w.sb.Dec(l, sbid)
 		woke := w.tab.Writeback(l, sbid)
 		if woke {

@@ -37,7 +37,7 @@ func (b *Block) execute(w *Warp, now int64) {
 	case isa.STG:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			b.sm.mem.Store(uint64(w.regs[l][op.SrcA])+op.UImm, w.regs[l][op.SrcB])
+			b.sm.mem.Store(uint64(w.regs[op.SrcA][l])+op.UImm, w.regs[op.SrcB][l])
 		}
 		w.setActivePCs(pc + 1)
 
@@ -83,115 +83,126 @@ func (b *Block) execute(w *Warp, now int64) {
 // lanes' registers and predicates or the warp's convergence-barrier
 // masks, and leaves PCs to the caller — a single issue advances them by
 // one, ffCommit once per window. This switch is the only definition of
-// the ALU, compare, and move semantics.
+// the ALU, compare, and move semantics. Loops visit only mask's lanes:
+// an inactive lane's arbitrary word could hit a slow float path.
 func (w *Warp) applySimple(mask bits.Mask, op *isa.COp) {
 	switch op.Op {
 	case isa.NOP, isa.YIELD:
 		// YIELD arrives here only from a fast-forward run, which admits it
 		// only where the hint is architecturally inert (FFLenYieldInert).
+		return
+	case isa.BSSY:
+		w.barriers[op.Barrier] = w.barriers[op.Barrier].Union(mask)
+		return
+	}
+	// Program.Validate bounds every source and the Dst of each op below.
+	d, a, x, c := &w.regs[op.Dst], &w.regs[op.SrcA], &w.regs[op.SrcB], &w.regs[op.SrcC]
+	switch op.Op {
 	case isa.MOVI:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
-			w.regs[it.Lowest()][op.Dst] = uint32(op.Imm)
+			d[it.Lowest()] = uint32(op.Imm)
 		}
 	case isa.MOV:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA]
+			d[l] = a[l]
 		}
 	case isa.S2R:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.special(int(op.SrcA), l)
+			d[l] = w.special(int(op.SrcA), l)
 		}
 	case isa.IADD:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] + w.regs[l][op.SrcB]
+			d[l] = a[l] + x[l]
 		}
 	case isa.IADDI:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] + uint32(op.Imm)
+			d[l] = a[l] + uint32(op.Imm)
 		}
 	case isa.IMUL:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] * w.regs[l][op.SrcB]
+			d[l] = a[l] * x[l]
 		}
 	case isa.IMULI:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] * uint32(op.Imm)
+			d[l] = a[l] * uint32(op.Imm)
 		}
 	case isa.IAND:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] & w.regs[l][op.SrcB]
+			d[l] = a[l] & x[l]
 		}
 	case isa.IOR:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] | w.regs[l][op.SrcB]
+			d[l] = a[l] | x[l]
 		}
 	case isa.IXOR:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] ^ w.regs[l][op.SrcB]
+			d[l] = a[l] ^ x[l]
 		}
 	case isa.SHL:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] << op.Sh
+			d[l] = a[l] << op.Sh
 		}
 	case isa.SHR:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.regs[l][op.Dst] = w.regs[l][op.SrcA] >> op.Sh
+			d[l] = a[l] >> op.Sh
 		}
-	case isa.ISETP:
+	case isa.ISETP, isa.ISETPI:
+		var set bits.Mask
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), int32(w.regs[l][op.SrcB]))
+			rhs := op.Imm
+			if op.Op == isa.ISETP {
+				rhs = int32(x[l])
+			}
+			if op.Cmp.Eval(int32(a[l]), rhs) {
+				set = set.Set(l)
+			}
 		}
-	case isa.ISETPI:
-		for it := mask; !it.Empty(); it = it.DropLowest() {
-			l := it.Lowest()
-			w.preds[l][op.Dst] = op.Cmp.Eval(int32(w.regs[l][op.SrcA]), op.Imm)
-		}
+		w.preds[op.Dst] = w.preds[op.Dst].Minus(mask).Union(set)
 	case isa.FADD:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			a := math.Float32frombits(w.regs[l][op.SrcA])
-			x := math.Float32frombits(w.regs[l][op.SrcB])
-			w.regs[l][op.Dst] = math.Float32bits(a + x)
+			d[l] = math.Float32bits(f32(a[l]) + f32(x[l]))
 		}
 	case isa.FMUL:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			a := math.Float32frombits(w.regs[l][op.SrcA])
-			x := math.Float32frombits(w.regs[l][op.SrcB])
-			w.regs[l][op.Dst] = math.Float32bits(a * x)
+			d[l] = math.Float32bits(fmul(a[l], x[l]))
 		}
 	case isa.FFMA:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			a := math.Float32frombits(w.regs[l][op.SrcA])
-			x := math.Float32frombits(w.regs[l][op.SrcB])
-			c := math.Float32frombits(w.regs[l][op.SrcC])
-			w.regs[l][op.Dst] = math.Float32bits(a*x + c)
+			d[l] = math.Float32bits(fmul(a[l], x[l]) + f32(c[l]))
 		}
 	case isa.MUFU:
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			x := math.Float32frombits(w.regs[l][op.SrcA])
-			w.regs[l][op.Dst] = math.Float32bits(float32(1 / math.Sqrt(math.Abs(float64(x))+1)))
+			d[l] = math.Float32bits(float32(1 / math.Sqrt(math.Abs(float64(f32(a[l])))+1)))
 		}
-	case isa.BSSY:
-		w.barriers[op.Barrier] = w.barriers[op.Barrier].Union(mask)
 	default:
 		panic(fmt.Sprintf("sm: %v is not a simple operation", op.Op))
 	}
 }
+
+// f32 reads a register word as a binary32 value.
+func f32(u uint32) float32 { return math.Float32frombits(u) }
+
+// fmul is the binary32 product, rounded to nearest even: binary64 holds
+// it exactly (48 significant bits at most), so the one rounding back is
+// the IEEE result bit for bit, and the host never takes its subnormal
+// slow path. The explicit conversion keeps FFMA's add unfused.
+func fmul(a, x uint32) float32 { return float32(float64(f32(a)) * float64(f32(x))) }
 
 // executeLoad issues a global or texture load: per-thread addresses are
 // coalesced into cache lines, each line probes the L1D backed by the
@@ -220,9 +231,9 @@ func (b *Block) executeLoad(w *Warp, op *isa.COp, now int64) {
 	evs := b.scratchLoads[:0]
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
-		addr := uint64(w.regs[l][op.SrcA]) + op.UImm
+		addr := uint64(w.regs[op.SrcA][l]) + op.UImm
 		if op.Op == isa.TEX {
-			addr += uint64(w.regs[l][op.SrcB])
+			addr += uint64(w.regs[op.SrcB][l])
 		}
 		win, line := addr&^(winBytes-1), addr&^(lineBytes-1)
 		i, ready := -1, int64(-1)
@@ -282,7 +293,7 @@ func (b *Block) executeTrace(w *Warp, op *isa.COp, now int64) {
 	maxLat := int64(0)
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
-		rayID := w.regs[l][op.SrcA]
+		rayID := w.regs[op.SrcA][l]
 		material, steps, lat := b.sm.rt.Trace(rayID)
 		b.counters.RTTraces++
 		b.counters.RTTraversalSteps += int64(steps)
@@ -340,19 +351,9 @@ type subgroup struct {
 func (b *Block) executeBranch(w *Warp, op *isa.COp, now int64) {
 	target := int(op.Target)
 	mask := w.active
-	var taken bits.Mask
-	for it := mask; !it.Empty(); it = it.DropLowest() {
-		l := it.Lowest()
-		p := true
-		if op.Pred != isa.PT {
-			p = w.preds[l][op.Pred]
-		}
-		if op.PredNeg {
-			p = !p
-		}
-		if p {
-			taken = taken.Set(l)
-		}
+	taken := mask.Intersect(w.preds[op.Pred])
+	if op.PredNeg {
+		taken = mask.Minus(taken)
 	}
 	notTaken := mask.Minus(taken)
 
@@ -374,17 +375,14 @@ func (b *Block) executeBranch(w *Warp, op *isa.COp, now int64) {
 // subroutines: active threads group by their per-thread target PC.
 func (b *Block) executeBrx(w *Warp, op *isa.COp, now int64) {
 	// Group lanes by target in ascending lane order via a linear scan
-	// over the groups found so far (a warp produces at most 32 groups,
-	// where a map would allocate per call), then insertion-sort by
-	// target PC. Targets are distinct across groups, so the ascending-PC
-	// order handed to splinter is exactly what the previous map+sort
-	// implementation produced — group order feeds electWinner
+	// over the groups found so far (at most 32; a map would allocate),
+	// then insertion-sort by target PC. Group order feeds electWinner
 	// (largest-first tie-breaks, random draws, fallthrough's last-group
 	// pick), so it must not change.
 	groups := b.scratchGroups[:0]
 	for it := w.active; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
-		t := int(w.regs[l][op.SrcA])
+		t := int(w.regs[op.SrcA][l])
 		if t < 0 || t >= len(b.cops) {
 			panic(fmt.Sprintf("sm: BRX target %d out of range in %q (warp %d lane %d)",
 				t, b.sm.prog.Name, w.ID, l))

@@ -18,8 +18,10 @@ import (
 // *unlowered* isa.Instr — no COp, no UImm/Sh pre-widening, no CmpOp.Eval
 // — and the tests below require the production path (compile pass +
 // Block.execute) to agree with it bit for bit. The whole-program
-// per-thread oracle is ROADMAP item 4; this is its per-instruction
-// floor.
+// per-thread oracle is ROADMAP item 1; this is its per-instruction
+// floor. The reference keeps its own thread-major layout (one
+// refThread a lane), so it shares neither the warp's operand-major
+// register rows nor its predicate masks.
 
 // refThread is one thread's architectural state as the reference sees
 // it: registers, predicates, and the S2R special registers.
@@ -29,7 +31,6 @@ type refThread struct {
 	sr [4]uint32
 }
 
-func f32(u uint32) float32 { return math.Float32frombits(u) }
 func u32(f float32) uint32 { return math.Float32bits(f) }
 
 func refCmp(c isa.CmpOp, a, b int32) bool {
@@ -60,7 +61,9 @@ var refOps = map[isa.Opcode]func(in isa.Instr, t *refThread){
 	isa.FADD:   func(in isa.Instr, t *refThread) { t.r[in.Dst] = u32(f32(t.r[in.SrcA]) + f32(t.r[in.SrcB])) },
 	isa.FMUL:   func(in isa.Instr, t *refThread) { t.r[in.Dst] = u32(f32(t.r[in.SrcA]) * f32(t.r[in.SrcB])) },
 	isa.FFMA: func(in isa.Instr, t *refThread) {
-		t.r[in.Dst] = u32(f32(t.r[in.SrcA])*f32(t.r[in.SrcB]) + f32(t.r[in.SrcC]))
+		// Unfused: the explicit conversion rounds the product to binary32
+		// before the add, so no GOARCH may fuse it into one rounding.
+		t.r[in.Dst] = u32(float32(f32(t.r[in.SrcA])*f32(t.r[in.SrcB])) + f32(t.r[in.SrcC]))
 	},
 	isa.MUFU: func(in isa.Instr, t *refThread) {
 		t.r[in.Dst] = u32(float32(1 / math.Sqrt(math.Abs(float64(f32(t.r[in.SrcA])))+1)))
@@ -69,8 +72,11 @@ var refOps = map[isa.Opcode]func(in isa.Instr, t *refThread){
 
 // edgeWords are the register operands the random draw is salted with:
 // integer extremes (signedness for ISETP vs ISETPI), shift-sized
-// values, and the float specials — ±0, ±Inf, quiet and signalling NaN,
-// a denormal — whose handling FADD/FMUL/FFMA/MUFU must reproduce.
+// values, the float specials — ±0, ±Inf, quiet and signalling NaN,
+// a denormal — whose handling FADD/FMUL/FFMA/MUFU must reproduce, and
+// operands whose products land in the binary32 subnormal band or at
+// the min-normal edge, where the widened multiply must still round
+// exactly as a binary32 one.
 var edgeWords = []uint32{
 	0, 1, 2, 31, 32, 0x7FFFFFFF,
 	0x80000000,             // INT_MIN, and -0.0
@@ -79,6 +85,8 @@ var edgeWords = []uint32{
 	0x7F800000, 0xFF800000, // ±Inf
 	0x7FC00000, 0x7FA00000, // quiet, signalling NaN
 	0x00000001, 0x7F7FFFFF, // smallest denormal, largest finite
+	0x1C800000, 0x9CFFFFFF, // 2^-70, -(2^-69 less an ulp): their products are subnormal
+	0x20000000, 0x1FFFFFFF, // 2^-63 squares to 2^-126 (min normal), its predecessor to just below
 }
 
 // edgeImms exercise the lowering's pre-widening: shift counts at and
@@ -115,13 +123,15 @@ func single(in isa.Instr) *isa.Program {
 // them, with the lane's special registers, into the reference state.
 func randomize(rng *rand.Rand, w *Warp) (ref [bits.WarpSize]refThread) {
 	for l := range ref {
-		for r := range w.regs[l] {
-			w.regs[l][r] = drawWord(rng)
+		for r := range w.regs {
+			w.regs[r][l] = drawWord(rng)
 		}
-		for p := range w.preds[l] {
-			w.preds[l][p] = rng.Intn(2) == 0
+		for p := range w.preds[:isa.PT] {
+			if rng.Intn(2) == 0 {
+				w.preds[p] = w.preds[p].Set(l)
+			}
 		}
-		ref[l] = refThread{r: w.regs[l], p: w.preds[l], sr: [4]uint32{
+		ref[l] = refThread{r: laneRegs(w, l), p: lanePreds(w, l), sr: [4]uint32{
 			isa.SRLaneID:   uint32(l),
 			isa.SRWarpID:   1,
 			isa.SRCTAID:    3,
@@ -129,6 +139,23 @@ func randomize(rng *rand.Rand, w *Warp) (ref [bits.WarpSize]refThread) {
 		}}
 	}
 	return ref
+}
+
+// laneRegs gathers one lane's registers out of the warp's
+// operand-major rows.
+func laneRegs(w *Warp, l int) (r [isa.NumRegs]uint32) {
+	for i := range r {
+		r[i] = w.regs[i][l]
+	}
+	return r
+}
+
+// lanePreds gathers one lane's predicates out of the warp's masks.
+func lanePreds(w *Warp, l int) (p [isa.NumPreds]bool) {
+	for i := range p {
+		p[i] = w.preds[i].Has(l)
+	}
+	return p
 }
 
 // sameRegs compares a lane's register file with the reference bit for
@@ -200,13 +227,49 @@ func TestOpsMatchReference(t *testing.T) {
 				if mask.Has(l) {
 					ref(in, &want[l])
 				}
-				if !sameRegs(in, &w.regs[l], &want[l].r) || w.preds[l] != want[l].p {
+				got, gotP := laneRegs(w, l), lanePreds(w, l)
+				if !sameRegs(in, &got, &want[l].r) || gotP != want[l].p {
 					t.Fatalf("%s (imm %d, mask %v) lane %d (active=%v) diverges from the reference:\n  A=%#x B=%#x C=%#x\n  got  R%d=%#x preds=%v\n  want R%d=%#x preds=%v",
 						in, in.Imm, mask, l, mask.Has(l),
 						want[l].r[in.SrcA], want[l].r[in.SrcB], want[l].r[in.SrcC],
-						in.Dst, w.regs[l][in.Dst], w.preds[l], in.Dst, want[l].r[in.Dst], want[l].p)
+						in.Dst, got[in.Dst], gotP, in.Dst, want[l].r[in.Dst], want[l].p)
 				}
 			}
+		}
+	}
+}
+
+// TestFmulMatchesFloat32: the widened multiply behind FMUL and FFMA
+// must equal the host's binary32 multiply bit for bit, NaN payloads
+// included. When both operands are NaN, which payload survives follows
+// the host's and the compiler's operand order, as sameRegs says, so
+// the product need only be one of the two, quieted. Half the seeded
+// pairs have biased exponents summing to 90..140, which puts the
+// product between 2^-164 and 2^-114: through underflow to zero, the
+// subnormal band and the min-normal edge. A quarter pair an edge word
+// with a salted draw, a quarter are uniform.
+func TestFmulMatchesFloat32(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	withExp := func(e int) uint32 { return rng.Uint32()&0x807FFFFF | uint32(e)<<23 }
+	for i := 0; i < 10_000_000; i++ {
+		var a, x uint32
+		switch i % 4 {
+		case 0, 1:
+			sum := 90 + rng.Intn(51)
+			ea := rng.Intn(sum + 1)
+			a, x = withExp(ea), withExp(sum-ea)
+		case 2:
+			a, x = edgeWords[rng.Intn(len(edgeWords))], drawWord(rng)
+		default:
+			a, x = rng.Uint32(), rng.Uint32()
+		}
+		got, want := u32(fmul(a, x)), u32(f32(a)*f32(x))
+		const quiet = 1 << 22
+		if f32(a) != f32(a) && f32(x) != f32(x) && (got == a|quiet || got == x|quiet) {
+			continue
+		}
+		if got != want {
+			t.Fatalf("fmul(%#x, %#x) = %#x, binary32 multiply gives %#x", a, x, got, want)
 		}
 	}
 }
@@ -264,8 +327,8 @@ func TestAddressImmediatesZeroExtend(t *testing.T) {
 				if l >= bits.WarpSize/2 {
 					base += 0xFFFF0000
 				}
-				w.regs[l][1], w.regs[l][2] = base, uint32(l*4)
-				ref[l].r = w.regs[l]
+				w.regs[1][l], w.regs[2][l] = base, uint32(l*4)
+				ref[l].r = laneRegs(w, l)
 				if op != isa.STG {
 					s.mem.Store(refAddr(in, &ref[l]), 0xB000+uint32(l))
 				}
@@ -279,7 +342,7 @@ func TestAddressImmediatesZeroExtend(t *testing.T) {
 					if got := s.mem.Load(addr); got != uint32(l*4) {
 						t.Errorf("%s imm %d lane %d: mem[%#x] = %#x, want the stored %#x", op, imm, l, addr, got, l*4)
 					}
-				} else if got := w.regs[l][3]; got != 0xB000+uint32(l) {
+				} else if got := w.regs[3][l]; got != 0xB000+uint32(l) {
 					t.Errorf("%s imm %d lane %d: loaded %#x, want the sentinel at %#x", op, imm, l, got, addr)
 				}
 			}

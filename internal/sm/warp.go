@@ -24,10 +24,11 @@ type Warp struct {
 	WarpInCTA int
 	CTASize   int // threads per CTA
 
-	// Architectural state.
+	// Architectural state, operand-major: regs[r][lane], and preds[p]
+	// is the mask of lanes holding p (PT, never written, is all lanes).
 	pcs   [bits.WarpSize]int
-	regs  [bits.WarpSize][isa.NumRegs]uint32
-	preds [bits.WarpSize][isa.NumPreds]bool
+	regs  [isa.NumRegs][bits.WarpSize]uint32
+	preds [isa.NumPreds]bits.Mask
 
 	// Divergence and scheduling state.
 	tab      *tst.Table
@@ -76,6 +77,7 @@ func newWarp(id, ctaID, warpInCTA, ctaSize, nsb, maxSubwarps int) *Warp {
 	}
 	w.tab = tst.New(&w.pcs, maxSubwarps)
 	w.tab.ActivateAll(bits.FullMask)
+	w.preds[isa.PT] = bits.FullMask
 	w.active = bits.FullMask
 	w.activePC = 0
 	w.fetchedLine = math.MaxUint64

@@ -89,6 +89,26 @@ echo "== fast-forward gate =="
 gate -race -count=1 -run 'TestCompiled|TestGolden|TestFallOffEndDiagnostic' ./internal/gpu ./internal/experiments
 gate -race -count=1 -run 'FuzzRun' ./internal/gpu
 gate -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestOpsMatchReference|TestReferenceCoversSimpleOps|TestAddressImmediatesZeroExtend' ./internal/isa ./internal/sm
+# The float semantics are binary32 on every GOARCH: the widened multiply
+# equals the binary32 one bit for bit (subnormal band and NaN payloads
+# included), and FFMA rounds its product before the add. arm64 would
+# fuse an unrounded a*x + c into one FMADD, so the arm64 assembly of
+# internal/sm, package and test binary (whose reference restates FFMA),
+# must hold no fused multiply-add.
+gate -race -count=1 -run '^TestFmulMatchesFloat32$' ./internal/sm
+for build in build "test -c -o /dev/null"; do
+    # shellcheck disable=SC2086 # $build is two commands' words
+    asm=$(GOARCH=arm64 go $build -gcflags='subwarpsim/internal/sm=-S' ./internal/sm 2>&1)
+    if ! echo "$asm" | grep -q 'TEXT.*applySimple'; then
+        echo "$asm" >&2
+        echo "go $build: no arm64 assembly of applySimple to inspect" >&2
+        exit 1
+    fi
+    if echo "$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]'; then
+        echo "go $build: internal/sm fuses a float multiply-add on arm64" >&2
+        exit 1
+    fi
+done
 # Blocks keep their own time: the run loop steps a block only where its
 # step can change something, and accounts the cycles it sat out in
 # closed form. Each gated by name: that loop against the checked
