@@ -175,50 +175,6 @@ func TestAssembleNegatedPredicate(t *testing.T) {
 	}
 }
 
-// Round-trip property: reassembling a program's disassembly reproduces
-// it exactly. Exercised on hand-built and generator-scale programs.
-func TestAssembleDisassembleRoundTrip(t *testing.T) {
-	progs := []*Program{}
-
-	b := NewBuilder("hand")
-	b.S2R(0, SRLaneID)
-	b.Shl(1, 0, 7)
-	b.Isetpi(CmpLT, 0, 0, 16)
-	b.Bssy(0, "sync")
-	b.BraP(0, true, "then")
-	b.Ldg(3, 1, 64, 1)
-	b.Iadd(3, 3, 3).Req(1)
-	b.Bra("sync")
-	b.Label("then")
-	b.Tex(4, 1, 2, 8, 2)
-	b.Fadd(4, 4, 3).Req(2)
-	b.Bra("sync")
-	b.Label("sync")
-	b.Bsync(0)
-	b.Trace(5, 1, 3)
-	b.Mufu(6, 5).Req(3)
-	b.Stg(1, 0, 6)
-	b.Yield()
-	progs = append(progs, b.Exit().MustBuild())
-
-	for _, p := range progs {
-		again, err := Assemble(p.Name, p.Disassemble())
-		if err != nil {
-			t.Fatalf("%s: reassembly failed: %v", p.Name, err)
-		}
-		if again.Len() != p.Len() {
-			t.Fatalf("%s: length %d != %d", p.Name, again.Len(), p.Len())
-		}
-		for pc := range p.Code {
-			want := p.Code[pc]
-			got := again.Code[pc]
-			if got != want {
-				t.Fatalf("%s: pc %d: %v != %v", p.Name, pc, got, want)
-			}
-		}
-	}
-}
-
 func TestAssembleIgnoresComments(t *testing.T) {
 	src := `
 		# hash comment

@@ -1,7 +1,9 @@
-package isa
+package isa_test
 
 import (
 	"testing"
+
+	"subwarpsim/internal/isa"
 )
 
 // FuzzAssemble drives the assembler with arbitrary source text and
@@ -18,14 +20,17 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("TLD R4, [R1+8] &wr=sb1\nTEX R5, [R1+R2+4] &wr=sb2\nTRACE R6, R5 &wr=sb3\nMUFU R7, R6 &req=sb3\nEXIT\n")
 	f.Add("loop:\nIADDI R1, R1, -1\nISETPI.GT P1, R1, 0\n@P1 BRA loop\nSTG [R0+0], R1\nYIELD\nEXIT\n")
 	f.Add("# comment\nNOP // trailing\nBRX R2\nEXIT\n")
+	for _, s := range treeSources(f) {
+		f.Add(s.src)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
-		p1, err := Assemble("fuzz", src)
+		p1, err := isa.Assemble("fuzz", src)
 		if err != nil {
 			return // rejected input; only panics are failures
 		}
 		d1 := p1.Disassemble()
-		p2, err := Assemble("fuzz", d1)
+		p2, err := isa.Assemble("fuzz", d1)
 		if err != nil {
 			t.Fatalf("disassembly does not reassemble: %v\naccepted source:\n%s\ndisassembly:\n%s",
 				err, src, d1)
