@@ -32,7 +32,7 @@ const (
 	ReasonParse      = "parse"      // assembler rejected the source text
 	ReasonLimits     = "limits"     // declared resources exceed hardware/policy limits
 	ReasonOpcode     = "opcode"     // opcode not admissible for untrusted code (BRX, TRACE)
-	ReasonOperand    = "operand"    // operand out of range (special register, memory immediate)
+	ReasonOperand    = "operand"    // operand out of range (negative memory immediate)
 	ReasonRegisters  = "registers"  // register use exceeds the declared .regs footprint
 	ReasonScoreboard = "scoreboard" // scoreboard index exceeds the hardware file
 	ReasonCFG        = "cfg"        // convergence-barrier structure is unsound
@@ -139,11 +139,12 @@ func ValidateSource(name, src string, lim Limits) (*isa.Program, error) {
 //   - admissible opcodes: BRX (runtime-computed targets cannot be
 //     bounded statically and out-of-range targets panic the engine)
 //     and TRACE (submissions carry no BVH/ray generator) are rejected
-//   - operand ranges the structural validator does not cover: S2R
-//     special-register selectors, non-negative memory immediates
-//   - register indices actually referenced stay under the declared
-//     .regs footprint (occupancy honesty: the declared footprint is
-//     what the SM charges against its register file)
+//   - the operand range the structural validator does not cover:
+//     non-negative memory immediates
+//   - the general registers an instruction names (its GPR operands in
+//     the opcode table; unused fields do not count) stay under the
+//     declared .regs footprint (occupancy honesty: the declared
+//     footprint is what the SM charges against its register file)
 //   - scoreboard indices under the hardware file size
 //   - memory-operand immediates inside the declared footprint
 //   - the convergence-barrier CFG pass (see cfg.go)
@@ -167,6 +168,7 @@ func Validate(p *isa.Program, lim Limits) error {
 		return reject(ReasonScoreboard, -1, "program uses sb%d but hardware has %d scoreboards/warp",
 			maxSB, lim.ScoreboardsPerWarp)
 	}
+	var regs []uint8
 	for pc, in := range p.Code {
 		switch in.Op {
 		case isa.BRX:
@@ -175,10 +177,6 @@ func Validate(p *isa.Program, lim Limits) error {
 		case isa.TRACE:
 			return reject(ReasonOpcode, pc,
 				"TRACE requires an RT core; submissions have no BVH/ray generator")
-		case isa.S2R:
-			if in.SrcA > isa.SRThreadID {
-				return reject(ReasonOperand, pc, "S2R SR%d is undefined", in.SrcA)
-			}
 		case isa.LDG, isa.STG, isa.TLD, isa.TEX:
 			if in.Imm < 0 {
 				return reject(ReasonOperand, pc,
@@ -190,54 +188,12 @@ func Validate(p *isa.Program, lim Limits) error {
 					in.Imm, lim.MemFootprintBytes)
 			}
 		}
-		if err := checkRegs(pc, in, p.RegsPerThread); err != nil {
-			return err
+		regs = in.AppendGPRs(regs[:0])
+		for _, r := range regs {
+			if int(r) >= p.RegsPerThread {
+				return reject(ReasonRegisters, pc, "R%d exceeds declared .regs %d", r, p.RegsPerThread)
+			}
 		}
 	}
 	return checkCFG(p)
-}
-
-// checkRegs verifies that every register the instruction actually
-// reads or writes is under the declared footprint. Only referenced
-// fields count: the assembler zeroes unused operand fields, but
-// hand-built programs may not.
-func checkRegs(pc int, in isa.Instr, declared int) error {
-	check := func(r uint8) error {
-		if int(r) >= declared {
-			return reject(ReasonRegisters, pc,
-				"R%d exceeds declared .regs %d", r, declared)
-		}
-		return nil
-	}
-	var refs []uint8
-	switch in.Op {
-	case isa.MOVI:
-		refs = []uint8{in.Dst}
-	case isa.MOV, isa.MUFU:
-		refs = []uint8{in.Dst, in.SrcA}
-	case isa.S2R:
-		refs = []uint8{in.Dst} // SrcA selects a special register, not a GPR
-	case isa.IADD, isa.IMUL, isa.IAND, isa.IOR, isa.IXOR, isa.FADD, isa.FMUL:
-		refs = []uint8{in.Dst, in.SrcA, in.SrcB}
-	case isa.IADDI, isa.IMULI, isa.SHL, isa.SHR:
-		refs = []uint8{in.Dst, in.SrcA}
-	case isa.FFMA:
-		refs = []uint8{in.Dst, in.SrcA, in.SrcB, in.SrcC}
-	case isa.ISETP:
-		refs = []uint8{in.SrcA, in.SrcB} // Dst is a predicate
-	case isa.ISETPI:
-		refs = []uint8{in.SrcA}
-	case isa.LDG, isa.TLD:
-		refs = []uint8{in.Dst, in.SrcA}
-	case isa.STG:
-		refs = []uint8{in.SrcA, in.SrcB}
-	case isa.TEX:
-		refs = []uint8{in.Dst, in.SrcA, in.SrcB}
-	}
-	for _, r := range refs {
-		if err := check(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -63,6 +63,7 @@ var hostileWant = map[string]string{
 	"brx.asm":                 ReasonOpcode,
 	"trace_no_rtcore.asm":     ReasonOpcode,
 	"zero_body.asm":           ReasonParse,
+	"huge_offset.asm":         ReasonParse,
 }
 
 // CorpusDir is the hostile-submission corpus shared by this package's

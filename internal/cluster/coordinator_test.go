@@ -335,19 +335,25 @@ func TestCluster429Relay(t *testing.T) {
 
 // TestClusterHedgedRequest: when the primary dawdles past HedgeAfter,
 // a duplicate fires to the next ring node and the first answer wins —
-// sound only because answers are bit-identical.
+// sound only because answers are bit-identical. The primary's handler
+// is held until the POST has returned, so the answer cannot be the
+// primary's; it is released at cleanup, before the cluster's servers
+// close (cleanups run last-in first-out).
 func TestClusterHedgedRequest(t *testing.T) {
-	delays := make([]atomic.Int64, 2) // per-worker delay in ms
-	slowable := func(i int, h http.Handler) http.Handler {
-		d := &delays[i]
+	held := make([]atomic.Bool, 2) // per-worker: hold requests until release
+	release := make(chan struct{})
+	var primaryServed atomic.Bool
+	holdable := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if ms := d.Load(); ms > 0 {
-				time.Sleep(time.Duration(ms) * time.Millisecond)
+			if held[i].Load() {
+				<-release
+				primaryServed.Store(true)
 			}
 			h.ServeHTTP(w, r)
 		})
 	}
-	c := newTestCluster(t, 2, nil, slowable, func(o *Options) { o.HedgeAfter = 20 * time.Millisecond })
+	c := newTestCluster(t, 2, nil, holdable, func(o *Options) { o.HedgeAfter = 20 * time.Millisecond })
+	t.Cleanup(func() { close(release) })
 
 	spec := server.JobSpec{Microbench: 4, SI: true}
 	h, ok := jobHash(spec)
@@ -357,11 +363,10 @@ func TestClusterHedgedRequest(t *testing.T) {
 	primary := c.co.ring.Preference(h)[0]
 	for i, ts := range c.workerTS {
 		if peerName(ts.URL) == primary {
-			delays[i].Store(500)
+			held[i].Store(true)
 		}
 	}
 
-	start := time.Now()
 	res, code, _ := postVia(t, c.front.URL, spec, nil)
 	if code != http.StatusOK {
 		t.Fatalf("hedged POST = %d", code)
@@ -370,10 +375,10 @@ func TestClusterHedgedRequest(t *testing.T) {
 		t.Fatal("hedged job returned empty counters")
 	}
 	if c.co.hedges.Value() == 0 {
-		t.Error("no hedge recorded despite a slow primary")
+		t.Error("no hedge recorded despite a held primary")
 	}
-	if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
-		t.Errorf("hedged request took %v; the fast secondary should have answered first", elapsed)
+	if primaryServed.Load() {
+		t.Error("the held primary served the request before the POST returned")
 	}
 }
 

@@ -2,30 +2,28 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Assemble parses textual assembly into a Program. The syntax is the
-// disassembler's output plus labels and directives, so
-// Assemble(name, p.Disassemble()) round-trips any program:
+// Assemble parses textual assembly into a Program. Each instruction is
+// written as its row of the opcode table spells it, with optional
+// "&wr=sbN" / "&req=sbN" scoreboard annotations; other lines are labels,
+// a ".regs N" register-footprint directive, or blank:
 //
-//	.regs 40            // declared register footprint
+//	.regs 40
 //	start:
-//	    S2R R0, SR0     // special register read
-//	    MOVI R1, 128
-//	    SHL R1, R0, 7
 //	    LDG R2, [R1+0] &wr=sb0
-//	    IADD R3, R2, R2 &req=sb0
+//	    IADD R3, R2, R2 &req=sb0   // IADD R3, R2, 5 would be IADDI
 //	    ISETP.LT P0, R0, 16
-//	    BSSY B0, join
-//	    @P0 BRA start   // predicated branch (also @!P0)
-//	join:
-//	    BSYNC B0
+//	    @!P0 BRA start
 //	    EXIT
 //
 // Branch and BSSY targets may be labels or absolute instruction
-// indices. Comments run from "//" or "#" to end of line.
+// indices, and a line may keep the "12:" PC prefix of disassembly, so
+// Assemble(name, p.Disassemble()) reproduces p. Comments run from "//"
+// or "#" to end of line.
 func Assemble(name, src string) (*Program, error) {
 	b := NewBuilder(name)
 	for num, raw := range strings.Split(src, "\n") {
@@ -41,12 +39,8 @@ func Assemble(name, src string) (*Program, error) {
 }
 
 func stripComment(line string) string {
-	if i := strings.Index(line, "//"); i >= 0 {
-		line = line[:i]
-	}
-	if i := strings.Index(line, "#"); i >= 0 {
-		line = line[:i]
-	}
+	line, _, _ = strings.Cut(line, "//")
+	line, _, _ = strings.Cut(line, "#")
 	return strings.TrimSpace(line)
 }
 
@@ -77,40 +71,32 @@ func asmLine(b *Builder, line string) error {
 	}
 
 	// Scoreboard annotations.
-	wr, req := NoScoreboard, NoScoreboard
-	var err error
-	if line, wr, err = takeAnnot(line, "&wr=sb"); err != nil {
+	line, wr, err := takeAnnot(line, "&wr=sb")
+	if err != nil {
 		return err
 	}
-	if line, req, err = takeAnnot(line, "&req=sb"); err != nil {
+	line, req, err := takeAnnot(line, "&req=sb")
+	if err != nil {
 		return err
 	}
 
 	// Predicate guard "@P0" / "@!P3".
 	pred, predNeg := uint8(PT), false
-	if strings.HasPrefix(line, "@") {
-		fields := strings.SplitN(line, " ", 2)
-		if len(fields) != 2 {
+	if g, ok := strings.CutPrefix(line, "@"); ok {
+		g, rest, ok := strings.Cut(g, " ")
+		if !ok {
 			return fmt.Errorf("predicate guard without instruction")
 		}
-		g := strings.TrimPrefix(fields[0], "@")
-		if strings.HasPrefix(g, "!") {
-			predNeg = true
-			g = g[1:]
+		g, predNeg = strings.CutPrefix(g, "!")
+		p, err := parseIdx(g, kP)
+		if err != nil {
+			return err
 		}
-		p, perr := parseIdx(g, "P", NumPreds)
-		if perr != nil {
-			return perr
-		}
-		pred = p
-		line = strings.TrimSpace(fields[1])
+		pred, line = uint8(p), strings.TrimSpace(rest)
 	}
 
 	mnemonic, rest, _ := strings.Cut(line, " ")
-	mnemonic = strings.ToUpper(mnemonic)
-	ops := splitOperands(rest)
-
-	in, target, err := parseInstr(mnemonic, ops)
+	in, label, err := parseInstr(strings.ToUpper(mnemonic), splitOperands(rest))
 	if err != nil {
 		return err
 	}
@@ -118,17 +104,14 @@ func asmLine(b *Builder, line string) error {
 	if wr >= 0 && !in.Op.IsLongLatency() {
 		return fmt.Errorf("&wr on %s", in.Op)
 	}
-
-	switch in.Op {
-	case BRA:
+	if opTable[in.Op].guard {
 		in.Pred, in.PredNeg = pred, predNeg
-		b.fixBranch(in, target)
-	case BSSY:
-		b.fixBssy(in, target)
-	default:
-		if pred != PT || predNeg {
-			return fmt.Errorf("predicate guard only valid on BRA")
-		}
+	} else if pred != PT || predNeg {
+		return fmt.Errorf("predicate guard only valid on BRA")
+	}
+	if label != "" {
+		b.to(in, label)
+	} else {
 		b.Raw(in)
 	}
 	return nil
@@ -136,439 +119,158 @@ func asmLine(b *Builder, line string) error {
 
 // takeAnnot strips an "&wr=sbN" style annotation, returning its value.
 func takeAnnot(line, prefix string) (string, int, error) {
-	i := strings.Index(line, prefix)
-	if i < 0 {
+	before, after, ok := strings.Cut(line, prefix)
+	if !ok {
 		return line, NoScoreboard, nil
 	}
-	rest := line[i+len(prefix):]
-	j := 0
-	for j < len(rest) && rest[j] >= '0' && rest[j] <= '9' {
-		j++
-	}
+	j := len(after) - len(strings.TrimLeft(after, "0123456789"))
 	if j == 0 {
 		return line, 0, fmt.Errorf("malformed %q annotation", prefix)
 	}
-	n, _ := strconv.Atoi(rest[:j])
+	n, _ := strconv.Atoi(after[:j])
 	if n >= NumBarriers {
 		return line, 0, fmt.Errorf("scoreboard sb%d out of range", n)
 	}
-	return strings.TrimSpace(line[:i] + rest[j:]), n, nil
+	return strings.TrimSpace(before + after[j:]), n, nil
 }
 
 func splitOperands(s string) []string {
 	var ops []string
 	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f != "" {
+		if f = strings.TrimSpace(f); f != "" {
 			ops = append(ops, f)
 		}
 	}
 	return ops
 }
 
-func parseIdx(tok, prefix string, limit int) (uint8, error) {
-	if !strings.HasPrefix(tok, prefix) {
+// parseIdx parses a register-like operand of kind k: its prefix, then
+// decimal digits naming an index under the kind's limit.
+func parseIdx(tok string, k kind) (int, error) {
+	prefix := kinds[k].prefix
+	digits, ok := strings.CutPrefix(tok, prefix)
+	if !ok {
 		return 0, fmt.Errorf("expected %s register, got %q", prefix, tok)
 	}
-	n, err := strconv.Atoi(tok[len(prefix):])
-	if err != nil || n < 0 || n >= limit {
+	n, err := strconv.Atoi(digits)
+	if err != nil || strings.Trim(digits, "0123456789") != "" || n >= kinds[k].limit {
 		return 0, fmt.Errorf("bad %s register %q", prefix, tok)
 	}
-	return uint8(n), nil
+	return n, nil
 }
 
+// parseImm parses a 32-bit immediate, signed or unsigned: 0xFFFFFFFF
+// is -1, and anything outside [-2^31, 2^32-1] is an error rather than
+// a silent wrap.
 func parseImm(tok string) (int32, error) {
 	n, err := strconv.ParseInt(tok, 0, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad immediate %q", tok)
 	}
+	if n < -1<<31 || n > 1<<32-1 {
+		return 0, fmt.Errorf("immediate %q out of range", tok)
+	}
 	return int32(n), nil
 }
 
-// parseMem parses "[Ra+imm]" or "[Ra+Rb+imm]"; imm is optional.
-func parseMem(tok string) (ra, rb uint8, hasRB bool, imm int32, err error) {
+// parseField parses tok as the immediate or register-like field f.
+func parseField(in *Instr, f field, tok string) (err error) {
+	if f.kind == kI {
+		in.Imm, err = parseImm(tok)
+		return err
+	}
+	n, err := parseIdx(tok, f.kind)
+	*in.reg(f.slot) = uint8(n)
+	return err
+}
+
+// parseAddr parses the memory operand tok into its fields o: a base
+// register, for "[R+R+I]" a second one, and an offset, which may be
+// omitted.
+func parseAddr(in *Instr, mnemonic, tok string, o []field) error {
 	if !strings.HasPrefix(tok, "[") || !strings.HasSuffix(tok, "]") {
-		return 0, 0, false, 0, fmt.Errorf("expected address operand, got %q", tok)
+		return fmt.Errorf("expected address operand, got %q", tok)
 	}
 	parts := strings.Split(tok[1:len(tok)-1], "+")
-	if len(parts) == 0 || len(parts) > 3 {
-		return 0, 0, false, 0, fmt.Errorf("bad address %q", tok)
+	if len(parts) > 3 {
+		return fmt.Errorf("bad address %q", tok)
 	}
-	if ra, err = parseIdx(strings.TrimSpace(parts[0]), "R", NumRegs); err != nil {
-		return
-	}
-	rest := parts[1:]
-	if len(rest) > 0 && strings.HasPrefix(strings.TrimSpace(rest[0]), "R") {
-		if rb, err = parseIdx(strings.TrimSpace(rest[0]), "R", NumRegs); err != nil {
-			return
+	regs := 0
+	for i, part := range parts {
+		part = strings.TrimSpace(part)
+		f := o[len(o)-1] // the offset
+		switch {
+		case i == 0 || i == 1 && strings.HasPrefix(part, "R"):
+			f, regs = o[min(regs, len(o)-2)], regs+1
+		case i < len(parts)-1:
+			return fmt.Errorf("bad address %q", tok)
 		}
-		hasRB = true
-		rest = rest[1:]
-	}
-	if len(rest) == 1 {
-		if imm, err = parseImm(strings.TrimSpace(rest[0])); err != nil {
-			return
+		if err := parseField(in, f, part); err != nil {
+			return err
 		}
-	} else if len(rest) > 1 {
-		err = fmt.Errorf("bad address %q", tok)
 	}
-	return
+	if want := len(o) - 1; regs != want {
+		if want == 1 {
+			return fmt.Errorf("%s takes a single base register", mnemonic)
+		}
+		return fmt.Errorf("%s wants [Ra+Rb+imm]", mnemonic)
+	}
+	return nil
 }
 
-// parseInstr builds the instruction; branch-like ops also return their
-// textual target for fixup.
-func parseInstr(mnemonic string, ops []string) (Instr, string, error) {
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s wants %d operands, got %d", mnemonic, n, len(ops))
-		}
-		return nil
+// parseInstr builds an instruction by walking its table row. A target
+// operand that is not an instruction index comes back as a label.
+func parseInstr(mnemonic string, toks []string) (in Instr, label string, err error) {
+	base, cc, hasCC := strings.Cut(mnemonic, ".")
+	ops := mnemonics[base]
+	if len(ops) == 0 || opTable[ops[0]].cmp != hasCC {
+		return in, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-
-	// Compare-suffixed mnemonics: ISETP.LT etc.
-	if cmpName, ok := strings.CutPrefix(mnemonic, "ISETP."); ok {
-		cmp, err := parseCmp(cmpName)
-		if err != nil {
-			return Instr{}, "", err
+	in = MakeInstr(ops[0])
+	if hasCC {
+		c := slices.Index(cmpNames[:], cc)
+		if c < 0 {
+			return in, "", fmt.Errorf("unknown comparison %q", cc)
 		}
-		if err := need(3); err != nil {
-			return Instr{}, "", err
-		}
-		pd, err := parseIdx(ops[0], "P", NumPreds)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(ISETPI)
-		in.Cmp, in.Dst, in.SrcA = cmp, pd, ra
-		if strings.HasPrefix(ops[2], "R") {
-			rb, err := parseIdx(ops[2], "R", NumRegs)
-			if err != nil {
-				return Instr{}, "", err
-			}
-			in.Op, in.SrcB = ISETP, rb
-		} else {
-			imm, err := parseImm(ops[2])
-			if err != nil {
-				return Instr{}, "", err
-			}
-			in.Imm = imm
-		}
-		return in, "", nil
+		in.Cmp = CmpOp(c)
 	}
-
-	switch mnemonic {
-	case "NOP", "YIELD", "EXIT":
-		if err := need(0); err != nil {
-			return Instr{}, "", err
-		}
-		op := map[string]Opcode{"NOP": NOP, "YIELD": YIELD, "EXIT": EXIT}[mnemonic]
-		return MakeInstr(op), "", nil
-
-	case "MOVI":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		imm, err := parseImm(ops[1])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(MOVI)
-		in.Dst, in.Imm = rd, imm
-		return in, "", nil
-
-	case "MOV", "MUFU":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(map[string]Opcode{"MOV": MOV, "MUFU": MUFU}[mnemonic])
-		in.Dst, in.SrcA = rd, ra
-		return in, "", nil
-
-	case "S2R":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		sr, err := parseIdx(ops[1], "SR", 4)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(S2R)
-		in.Dst, in.SrcA = rd, sr
-		return in, "", nil
-
-	case "IADD", "IMUL", "IAND", "IOR", "IXOR", "FADD", "FMUL", "SHL", "SHR":
-		if err := need(3); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if strings.HasPrefix(ops[2], "R") {
-			rb, err := parseIdx(ops[2], "R", NumRegs)
-			if err != nil {
-				return Instr{}, "", err
+	if n := len(opTable[in.Op].operands); len(toks) != n {
+		return in, "", fmt.Errorf("%s wants %d operands, got %d", mnemonic, n, len(toks))
+	}
+	for i, tok := range toks {
+		if i == 2 && len(toks) == 3 {
+			if in.Op, err = pickThird(mnemonic, ops, tok); err != nil {
+				return in, "", err
 			}
-			var op Opcode
-			switch mnemonic {
-			case "IADD":
-				op = IADD
-			case "IMUL":
-				op = IMUL
-			case "IAND":
-				op = IAND
-			case "IOR":
-				op = IOR
-			case "IXOR":
-				op = IXOR
-			case "FADD":
-				op = FADD
-			case "FMUL":
-				op = FMUL
-			default:
-				return Instr{}, "", fmt.Errorf("%s requires an immediate third operand", mnemonic)
+		}
+		switch o := opTable[in.Op].operands[i]; {
+		case len(o) > 1:
+			err = parseAddr(&in, mnemonic, tok, o)
+		case o[0].kind == kL:
+			if in.Target, err = strconv.Atoi(tok); err != nil {
+				label, err = tok, nil
 			}
-			in := MakeInstr(op)
-			in.Dst, in.SrcA, in.SrcB = rd, ra, rb
-			return in, "", nil
-		}
-		imm, err := parseImm(ops[2])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		var op Opcode
-		switch mnemonic {
-		case "IADD":
-			op = IADDI
-		case "IMUL":
-			op = IMULI
-		case "SHL":
-			op = SHL
-		case "SHR":
-			op = SHR
 		default:
-			return Instr{}, "", fmt.Errorf("%s does not take an immediate", mnemonic)
+			err = parseField(&in, o[0], tok)
 		}
-		in := MakeInstr(op)
-		in.Dst, in.SrcA, in.Imm = rd, ra, imm
-		return in, "", nil
-
-	case "IADDI", "IMULI":
-		if err := need(3); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
 		if err != nil {
-			return Instr{}, "", err
+			return in, "", err
 		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		imm, err := parseImm(ops[2])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(map[string]Opcode{"IADDI": IADDI, "IMULI": IMULI}[mnemonic])
-		in.Dst, in.SrcA, in.Imm = rd, ra, imm
-		return in, "", nil
-
-	case "FFMA":
-		if err := need(4); err != nil {
-			return Instr{}, "", err
-		}
-		var regs [4]uint8
-		for i, op := range ops {
-			r, err := parseIdx(op, "R", NumRegs)
-			if err != nil {
-				return Instr{}, "", err
-			}
-			regs[i] = r
-		}
-		in := MakeInstr(FFMA)
-		in.Dst, in.SrcA, in.SrcB, in.SrcC = regs[0], regs[1], regs[2], regs[3]
-		return in, "", nil
-
-	case "LDG", "TLD":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, _, hasRB, imm, err := parseMem(ops[1])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if hasRB {
-			return Instr{}, "", fmt.Errorf("%s takes a single base register", mnemonic)
-		}
-		in := MakeInstr(map[string]Opcode{"LDG": LDG, "TLD": TLD}[mnemonic])
-		in.Dst, in.SrcA, in.Imm = rd, ra, imm
-		return in, "", nil
-
-	case "TEX":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, rb, hasRB, imm, err := parseMem(ops[1])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if !hasRB {
-			return Instr{}, "", fmt.Errorf("TEX wants [Ra+Rb+imm]")
-		}
-		in := MakeInstr(TEX)
-		in.Dst, in.SrcA, in.SrcB, in.Imm = rd, ra, rb, imm
-		return in, "", nil
-
-	case "STG":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		ra, _, hasRB, imm, err := parseMem(ops[0])
-		if err != nil {
-			return Instr{}, "", err
-		}
-		if hasRB {
-			return Instr{}, "", fmt.Errorf("STG takes a single base register")
-		}
-		rb, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(STG)
-		in.SrcA, in.Imm, in.SrcB = ra, imm, rb
-		return in, "", nil
-
-	case "TRACE":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		rd, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[1], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(TRACE)
-		in.Dst, in.SrcA = rd, ra
-		return in, "", nil
-
-	case "BRA":
-		if err := need(1); err != nil {
-			return Instr{}, "", err
-		}
-		return MakeInstr(BRA), ops[0], nil
-
-	case "BRX":
-		if err := need(1); err != nil {
-			return Instr{}, "", err
-		}
-		ra, err := parseIdx(ops[0], "R", NumRegs)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(BRX)
-		in.SrcA = ra
-		return in, "", nil
-
-	case "BSSY":
-		if err := need(2); err != nil {
-			return Instr{}, "", err
-		}
-		bar, err := parseIdx(ops[0], "B", NumBarriers)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(BSSY)
-		in.Barrier = bar
-		return in, ops[1], nil
-
-	case "BSYNC":
-		if err := need(1); err != nil {
-			return Instr{}, "", err
-		}
-		bar, err := parseIdx(ops[0], "B", NumBarriers)
-		if err != nil {
-			return Instr{}, "", err
-		}
-		in := MakeInstr(BSYNC)
-		in.Barrier = bar
-		return in, "", nil
 	}
-	return Instr{}, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
+	return in, label, nil
 }
 
-func parseCmp(name string) (CmpOp, error) {
-	switch name {
-	case "EQ":
-		return CmpEQ, nil
-	case "NE":
-		return CmpNE, nil
-	case "LT":
-		return CmpLT, nil
-	case "LE":
-		return CmpLE, nil
-	case "GT":
-		return CmpGT, nil
-	case "GE":
-		return CmpGE, nil
+// pickThird chooses, among the rows a mnemonic names, the one whose
+// third operand is a register if tok is one and an immediate if not.
+func pickThird(mnemonic string, ops []Opcode, tok string) (Opcode, error) {
+	reg := strings.HasPrefix(tok, "R")
+	for _, op := range ops {
+		if (opTable[op].operands[2][0].kind == kR) == reg {
+			return op, nil
+		}
 	}
-	return 0, fmt.Errorf("unknown comparison %q", name)
-}
-
-// fixBranch appends a predicated branch whose target is either a label
-// or an absolute instruction index.
-func (b *Builder) fixBranch(in Instr, target string) {
-	if pc, err := strconv.Atoi(target); err == nil {
-		in.Target = pc
-		b.Raw(in)
-		return
+	if reg {
+		return 0, fmt.Errorf("%s requires an immediate third operand", mnemonic)
 	}
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: target})
-	b.emit(in)
-}
-
-// fixBssy appends a BSSY whose reconvergence target is a label or an
-// absolute instruction index.
-func (b *Builder) fixBssy(in Instr, target string) {
-	if pc, err := strconv.Atoi(target); err == nil {
-		in.Target = pc
-		b.Raw(in)
-		return
-	}
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: target})
-	b.emit(in)
+	return 0, fmt.Errorf("%s does not take an immediate", mnemonic)
 }

@@ -95,6 +95,7 @@ func TestAssembleOperandForms(t *testing.T) {
 		TLD R10, [R1+0] &wr=sb2
 		STG [R1+4], R9
 		TRACE R11, R1 &wr=sb3
+		MOVI R12, 0xFFFFFFFF
 		BRX R4
 	`
 	p, err := Assemble("forms", src)
@@ -112,6 +113,9 @@ func TestAssembleOperandForms(t *testing.T) {
 	}
 	if p.Code[12].Op != ISETP || p.Code[13].Op != ISETPI {
 		t.Error("ISETP forms wrong")
+	}
+	if p.Code[18].Imm != -1 {
+		t.Errorf("0xFFFFFFFF = %d, want -1", p.Code[18].Imm)
 	}
 }
 
@@ -150,6 +154,13 @@ func TestAssembleErrors(t *testing.T) {
 		{"guard on non-branch", "@P0 MOVI R1, 2\nEXIT"},
 		{"scoreboard range", "LDG R1, [R2+0] &wr=sb99\nEXIT"},
 		{"stg two regs", "STG [R1+R2+0], R3\nEXIT"},
+		{"offset past 32 bits", "LDG R1, [R0+4294967296] &wr=sb0\nEXIT"},
+		{"immediate past 32 bits", "MOVI R1, 4294967296\nEXIT"},
+		{"immediate below int32", "MOVI R1, -2147483649\nEXIT"},
+		{"signed register index", "MOV R+1, R2\nEXIT"},
+		{"negative zero register index", "MOV R1, R-0\nEXIT"},
+		{"signed predicate index", "@P+1 BRA x\nx:\nEXIT"},
+		{"signed special register", "S2R R1, SR+3\nEXIT"},
 	}
 	for _, c := range cases {
 		if _, err := Assemble("bad", c.src); err == nil {

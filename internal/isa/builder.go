@@ -6,6 +6,11 @@ import "fmt"
 // instruction each and return the builder for chaining. Labels may be
 // referenced before they are defined; Build resolves them and fails on
 // dangling references.
+//
+// The typed emitters are named for their opcode (see the opcode
+// constants for what each computes) and take its operands in assembly
+// order: Iaddi(rd, ra, imm) is "IADDI Rd, Ra, imm". A variable-latency
+// op takes its write scoreboard ("&wr=sbN") last.
 type Builder struct {
 	name   string
 	code   []Instr
@@ -50,146 +55,66 @@ func (b *Builder) fail(format string, args ...any) {
 	}
 }
 
-func (b *Builder) emit(in Instr) *Builder {
+// Raw appends a pre-constructed instruction verbatim.
+func (b *Builder) Raw(in Instr) *Builder {
 	b.code = append(b.code, in)
 	return b
 }
 
-// Raw appends a pre-constructed instruction verbatim.
-func (b *Builder) Raw(in Instr) *Builder { return b.emit(in) }
-
-// Nop appends a NOP.
-func (b *Builder) Nop() *Builder { return b.emit(MakeInstr(NOP)) }
-
-// Movi sets Rd to an immediate.
-func (b *Builder) Movi(rd uint8, imm int32) *Builder {
-	in := MakeInstr(MOVI)
-	in.Dst, in.Imm = rd, imm
-	return b.emit(in)
+// op appends an instruction of op with immediate imm and, in the
+// opcode table's order, its other fields regs.
+func (b *Builder) op(op Opcode, imm int32, regs ...uint8) *Builder {
+	return b.Raw(encode(op, imm, regs...))
 }
 
-// Mov copies Ra to Rd.
-func (b *Builder) Mov(rd, ra uint8) *Builder {
-	in := MakeInstr(MOV)
-	in.Dst, in.SrcA = rd, ra
-	return b.emit(in)
+// to appends in with its target left to label, resolved by Build.
+func (b *Builder) to(in Instr, label string) *Builder {
+	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: label})
+	return b.Raw(in)
 }
 
-// S2R reads a special register into Rd.
-func (b *Builder) S2R(rd uint8, sr int) *Builder {
-	in := MakeInstr(S2R)
-	in.Dst, in.SrcA = rd, uint8(sr)
-	return b.emit(in)
+// wr annotates the last instruction with its write scoreboard.
+func (b *Builder) wr(sb int) *Builder {
+	b.code[len(b.code)-1].WrScbd = int8(sb)
+	return b
 }
 
-func (b *Builder) alu3(op Opcode, rd, ra, rb uint8) *Builder {
-	in := MakeInstr(op)
-	in.Dst, in.SrcA, in.SrcB = rd, ra, rb
-	return b.emit(in)
-}
+func (b *Builder) Nop() *Builder                              { return b.op(NOP, 0) }
+func (b *Builder) Movi(rd uint8, imm int32) *Builder          { return b.op(MOVI, imm, rd) }
+func (b *Builder) Mov(rd, ra uint8) *Builder                  { return b.op(MOV, 0, rd, ra) }
+func (b *Builder) S2R(rd uint8, sr int) *Builder              { return b.op(S2R, 0, rd, uint8(sr)) }
+func (b *Builder) Iadd(rd, ra, rb uint8) *Builder             { return b.op(IADD, 0, rd, ra, rb) }
+func (b *Builder) Iaddi(rd, ra uint8, imm int32) *Builder     { return b.op(IADDI, imm, rd, ra) }
+func (b *Builder) Imul(rd, ra, rb uint8) *Builder             { return b.op(IMUL, 0, rd, ra, rb) }
+func (b *Builder) Imuli(rd, ra uint8, imm int32) *Builder     { return b.op(IMULI, imm, rd, ra) }
+func (b *Builder) Iand(rd, ra, rb uint8) *Builder             { return b.op(IAND, 0, rd, ra, rb) }
+func (b *Builder) Ior(rd, ra, rb uint8) *Builder              { return b.op(IOR, 0, rd, ra, rb) }
+func (b *Builder) Ixor(rd, ra, rb uint8) *Builder             { return b.op(IXOR, 0, rd, ra, rb) }
+func (b *Builder) Shl(rd, ra uint8, imm int32) *Builder       { return b.op(SHL, imm, rd, ra) }
+func (b *Builder) Shr(rd, ra uint8, imm int32) *Builder       { return b.op(SHR, imm, rd, ra) }
+func (b *Builder) Fadd(rd, ra, rb uint8) *Builder             { return b.op(FADD, 0, rd, ra, rb) }
+func (b *Builder) Fmul(rd, ra, rb uint8) *Builder             { return b.op(FMUL, 0, rd, ra, rb) }
+func (b *Builder) Ffma(rd, ra, rb, rc uint8) *Builder         { return b.op(FFMA, 0, rd, ra, rb, rc) }
+func (b *Builder) Mufu(rd, ra uint8) *Builder                 { return b.op(MUFU, 0, rd, ra) }
+func (b *Builder) Brx(ra uint8) *Builder                      { return b.op(BRX, 0, ra) }
+func (b *Builder) Bsync(barrier uint8) *Builder               { return b.op(BSYNC, 0, barrier) }
+func (b *Builder) Yield() *Builder                            { return b.op(YIELD, 0) }
+func (b *Builder) Exit() *Builder                             { return b.op(EXIT, 0) }
+func (b *Builder) Stg(ra uint8, imm int32, rb uint8) *Builder { return b.op(STG, imm, ra, rb) }
 
-func (b *Builder) aluImm(op Opcode, rd, ra uint8, imm int32) *Builder {
-	in := MakeInstr(op)
-	in.Dst, in.SrcA, in.Imm = rd, ra, imm
-	return b.emit(in)
-}
-
-// Iadd emits Rd = Ra + Rb.
-func (b *Builder) Iadd(rd, ra, rb uint8) *Builder { return b.alu3(IADD, rd, ra, rb) }
-
-// Iaddi emits Rd = Ra + imm.
-func (b *Builder) Iaddi(rd, ra uint8, imm int32) *Builder { return b.aluImm(IADDI, rd, ra, imm) }
-
-// Imul emits Rd = Ra * Rb.
-func (b *Builder) Imul(rd, ra, rb uint8) *Builder { return b.alu3(IMUL, rd, ra, rb) }
-
-// Imuli emits Rd = Ra * imm.
-func (b *Builder) Imuli(rd, ra uint8, imm int32) *Builder { return b.aluImm(IMULI, rd, ra, imm) }
-
-// Iand emits Rd = Ra & Rb.
-func (b *Builder) Iand(rd, ra, rb uint8) *Builder { return b.alu3(IAND, rd, ra, rb) }
-
-// Ior emits Rd = Ra | Rb.
-func (b *Builder) Ior(rd, ra, rb uint8) *Builder { return b.alu3(IOR, rd, ra, rb) }
-
-// Ixor emits Rd = Ra ^ Rb.
-func (b *Builder) Ixor(rd, ra, rb uint8) *Builder { return b.alu3(IXOR, rd, ra, rb) }
-
-// Shl emits Rd = Ra << imm.
-func (b *Builder) Shl(rd, ra uint8, imm int32) *Builder { return b.aluImm(SHL, rd, ra, imm) }
-
-// Shr emits Rd = Ra >> imm.
-func (b *Builder) Shr(rd, ra uint8, imm int32) *Builder { return b.aluImm(SHR, rd, ra, imm) }
-
-// Fadd emits Rd = Ra +f Rb.
-func (b *Builder) Fadd(rd, ra, rb uint8) *Builder { return b.alu3(FADD, rd, ra, rb) }
-
-// Fmul emits Rd = Ra *f Rb.
-func (b *Builder) Fmul(rd, ra, rb uint8) *Builder { return b.alu3(FMUL, rd, ra, rb) }
-
-// Ffma emits Rd = Ra*Rb + Rc.
-func (b *Builder) Ffma(rd, ra, rb, rc uint8) *Builder {
-	in := MakeInstr(FFMA)
-	in.Dst, in.SrcA, in.SrcB, in.SrcC = rd, ra, rb, rc
-	return b.emit(in)
-}
-
-// Mufu emits a transcendental Rd = f(Ra).
-func (b *Builder) Mufu(rd, ra uint8) *Builder {
-	in := MakeInstr(MUFU)
-	in.Dst, in.SrcA = rd, ra
-	return b.emit(in)
-}
-
-// Isetp emits Pd = Ra cmp Rb.
+// Isetp and Isetpi take the comparison first, as in "ISETP.LT Pd, ...".
 func (b *Builder) Isetp(cmp CmpOp, pd, ra, rb uint8) *Builder {
-	in := MakeInstr(ISETP)
-	in.Cmp, in.Dst, in.SrcA, in.SrcB = cmp, pd, ra, rb
-	return b.emit(in)
+	return b.op(ISETP, 0, uint8(cmp), pd, ra, rb)
 }
-
-// Isetpi emits Pd = Ra cmp imm.
 func (b *Builder) Isetpi(cmp CmpOp, pd, ra uint8, imm int32) *Builder {
-	in := MakeInstr(ISETPI)
-	in.Cmp, in.Dst, in.SrcA, in.Imm = cmp, pd, ra, imm
-	return b.emit(in)
+	return b.op(ISETPI, imm, uint8(cmp), pd, ra)
 }
 
-// Ldg emits a global load Rd = [Ra+imm] guarded by write-scoreboard sb.
-func (b *Builder) Ldg(rd, ra uint8, imm int32, sb int) *Builder {
-	in := MakeInstr(LDG)
-	in.Dst, in.SrcA, in.Imm, in.WrScbd = rd, ra, imm, int8(sb)
-	return b.emit(in)
-}
-
-// Stg emits a global store [Ra+imm] = Rb.
-func (b *Builder) Stg(ra uint8, imm int32, rb uint8) *Builder {
-	in := MakeInstr(STG)
-	in.SrcA, in.Imm, in.SrcB = ra, imm, rb
-	in.WrScbd = NoScoreboard
-	return b.emit(in)
-}
-
-// Tld emits a texture load Rd = tex[Ra+imm] guarded by scoreboard sb.
-func (b *Builder) Tld(rd, ra uint8, imm int32, sb int) *Builder {
-	in := MakeInstr(TLD)
-	in.Dst, in.SrcA, in.Imm, in.WrScbd = rd, ra, imm, int8(sb)
-	return b.emit(in)
-}
-
-// Tex emits a texture fetch Rd = tex[Ra+Rb+imm] guarded by scoreboard sb.
+func (b *Builder) Ldg(rd, ra uint8, imm int32, sb int) *Builder { return b.op(LDG, imm, rd, ra).wr(sb) }
+func (b *Builder) Tld(rd, ra uint8, imm int32, sb int) *Builder { return b.op(TLD, imm, rd, ra).wr(sb) }
+func (b *Builder) Trace(rd, ra uint8, sb int) *Builder          { return b.op(TRACE, 0, rd, ra).wr(sb) }
 func (b *Builder) Tex(rd, ra, rb uint8, imm int32, sb int) *Builder {
-	in := MakeInstr(TEX)
-	in.Dst, in.SrcA, in.SrcB, in.Imm, in.WrScbd = rd, ra, rb, imm, int8(sb)
-	return b.emit(in)
-}
-
-// Trace emits an asynchronous TraceRay: Rd = trace(ray Ra), guarded by
-// scoreboard sb.
-func (b *Builder) Trace(rd, ra uint8, sb int) *Builder {
-	in := MakeInstr(TRACE)
-	in.Dst, in.SrcA, in.WrScbd = rd, ra, int8(sb)
-	return b.emit(in)
+	return b.op(TEX, imm, rd, ra, rb).wr(sb)
 }
 
 // Req annotates the most recently emitted instruction with a consumer
@@ -209,39 +134,15 @@ func (b *Builder) Bra(label string) *Builder { return b.BraP(PT, false, label) }
 // BraP emits a branch to label taken by threads whose predicate (or its
 // negation) is true.
 func (b *Builder) BraP(pred uint8, neg bool, label string) *Builder {
-	in := MakeInstr(BRA)
+	in := encode(BRA, 0)
 	in.Pred, in.PredNeg = pred, neg
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: label})
-	return b.emit(in)
-}
-
-// Brx emits an indirect branch through Ra.
-func (b *Builder) Brx(ra uint8) *Builder {
-	in := MakeInstr(BRX)
-	in.SrcA = ra
-	return b.emit(in)
+	return b.to(in, label)
 }
 
 // Bssy emits a convergence-barrier setup naming the reconvergence label.
 func (b *Builder) Bssy(barrier uint8, label string) *Builder {
-	in := MakeInstr(BSSY)
-	in.Barrier = barrier
-	b.fixups = append(b.fixups, fixup{pc: len(b.code), label: label})
-	return b.emit(in)
+	return b.to(encode(BSSY, 0, barrier), label)
 }
-
-// Bsync emits the convergence-barrier wait.
-func (b *Builder) Bsync(barrier uint8) *Builder {
-	in := MakeInstr(BSYNC)
-	in.Barrier = barrier
-	return b.emit(in)
-}
-
-// Yield emits a subwarp-yield scheduling hint.
-func (b *Builder) Yield() *Builder { return b.emit(MakeInstr(YIELD)) }
-
-// Exit emits thread termination.
-func (b *Builder) Exit() *Builder { return b.emit(MakeInstr(EXIT)) }
 
 // Build resolves labels, validates, and returns the program.
 func (b *Builder) Build() (*Program, error) {

@@ -74,14 +74,7 @@ func ffSimple(in Instr, yieldInert bool) bool {
 	if in.ReqScbd != NoScoreboard {
 		return false
 	}
-	switch in.Op {
-	case NOP, MOVI, MOV, S2R, IADD, IADDI, IMUL, IMULI, IAND, IOR, IXOR,
-		SHL, SHR, ISETP, ISETPI, FADD, FMUL, FFMA, MUFU, BSSY:
-		return true
-	case YIELD:
-		return yieldInert
-	}
-	return false
+	return opTable[in.Op].class&simple != 0 || in.Op == YIELD && yieldInert
 }
 
 func compile(p *Program) *Compiled {
@@ -114,41 +107,30 @@ func compile(p *Program) *Compiled {
 	}
 
 	// Run lengths, computed backwards so each PC extends its successor.
-	for pc := n - 1; pc >= 0; pc-- {
-		if ffSimple(p.Code[pc], false) {
-			c.FFLen[pc] = 1
-			if pc+1 < n {
-				c.FFLen[pc] += c.FFLen[pc+1]
+	runs := func(lens []int32, yieldInert bool) {
+		run := int32(0)
+		for pc := n - 1; pc >= 0; pc-- {
+			run++
+			if !ffSimple(p.Code[pc], yieldInert) {
+				run = 0
 			}
-		}
-		if ffSimple(p.Code[pc], true) {
-			c.FFLenYieldInert[pc] = 1
-			if pc+1 < n {
-				c.FFLenYieldInert[pc] += c.FFLenYieldInert[pc+1]
-			}
+			lens[pc] = run
 		}
 	}
+	runs(c.FFLen, false)
+	runs(c.FFLenYieldInert, true)
 
 	// Basic blocks: leaders are the entry, statically known targets
 	// (BRA, and BSSY reconvergence points), and fall-throughs after
-	// control transfers.
+	// the instructions that end a block.
 	leader := make([]bool, n)
-	if n > 0 {
-		leader[0] = true
-	}
 	for pc, in := range p.Code {
-		switch in.Op {
-		case BRA, BSSY:
-			if in.Target >= 0 && in.Target < n {
-				leader[in.Target] = true
-			}
-			if in.Op == BRA && pc+1 < n {
-				leader[pc+1] = true
-			}
-		case BRX, BSYNC, EXIT:
-			if pc+1 < n {
-				leader[pc+1] = true
-			}
+		d := &opTable[in.Op]
+		if d.target && in.Target >= 0 && in.Target < n {
+			leader[in.Target] = true
+		}
+		if d.class&ends != 0 && pc+1 < n {
+			leader[pc+1] = true
 		}
 	}
 	for start := 0; start < n; {

@@ -78,51 +78,27 @@ const (
 	numOpcodes // sentinel
 )
 
-var opNames = [numOpcodes]string{
-	NOP: "NOP", MOVI: "MOVI", MOV: "MOV", S2R: "S2R",
-	IADD: "IADD", IADDI: "IADDI", IMUL: "IMUL", IMULI: "IMULI",
-	IAND: "IAND", IOR: "IOR", IXOR: "IXOR", SHL: "SHL", SHR: "SHR",
-	ISETP: "ISETP", ISETPI: "ISETPI",
-	FADD: "FADD", FMUL: "FMUL", FFMA: "FFMA", MUFU: "MUFU",
-	LDG: "LDG", STG: "STG", TLD: "TLD", TEX: "TEX", TRACE: "TRACE",
-	BRA: "BRA", BRX: "BRX", BSSY: "BSSY", BSYNC: "BSYNC",
-	YIELD: "YIELD", EXIT: "EXIT",
-}
-
 // String returns the mnemonic.
 func (o Opcode) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if o.Valid() {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
 }
 
 // Valid reports whether the opcode is a defined instruction.
-func (o Opcode) Valid() bool { return o < numOpcodes && opNames[o] != "" }
+func (o Opcode) Valid() bool { return opTable[o].name != "" }
 
 // IsLongLatency reports whether the opcode is a variable-latency
 // operation that must be guarded by a count-based scoreboard.
-func (o Opcode) IsLongLatency() bool {
-	switch o {
-	case LDG, TLD, TEX, TRACE:
-		return true
-	}
-	return false
-}
+func (o Opcode) IsLongLatency() bool { return opTable[o].class&long != 0 }
 
 // IsTexPath reports whether writeback arrives on the texture-unit port
 // (one of the two writeback broadcast ports in Fig. 8b).
-func (o Opcode) IsTexPath() bool { return o == TLD || o == TEX }
+func (o Opcode) IsTexPath() bool { return opTable[o].class&tex != 0 }
 
 // WritesReg reports whether the instruction writes a destination GPR.
-func (o Opcode) WritesReg() bool {
-	switch o {
-	case MOVI, MOV, S2R, IADD, IADDI, IMUL, IMULI, IAND, IOR, IXOR,
-		SHL, SHR, FADD, FMUL, FFMA, MUFU, LDG, TLD, TEX, TRACE:
-		return true
-	}
-	return false
-}
+func (o Opcode) WritesReg() bool { return opTable[o].class&wreg != 0 }
 
 // CmpOp is a comparison operator for ISETP/ISETPI.
 type CmpOp uint8
@@ -136,23 +112,13 @@ const (
 	CmpGE
 )
 
+var cmpNames = [...]string{CmpEQ: "EQ", CmpNE: "NE", CmpLT: "LT", CmpLE: "LE", CmpGT: "GT", CmpGE: "GE"}
+
 func (c CmpOp) String() string {
-	switch c {
-	case CmpEQ:
-		return "EQ"
-	case CmpNE:
-		return "NE"
-	case CmpLT:
-		return "LT"
-	case CmpLE:
-		return "LE"
-	case CmpGT:
-		return "GT"
-	case CmpGE:
-		return "GE"
-	default:
-		return fmt.Sprintf("CmpOp(%d)", uint8(c))
+	if int(c) < len(cmpNames) {
+		return cmpNames[c]
 	}
+	return fmt.Sprintf("CmpOp(%d)", uint8(c))
 }
 
 // Eval applies the comparison to signed 32-bit operands.
@@ -220,70 +186,4 @@ type Instr struct {
 
 // MakeInstr returns an Instr of the given opcode with scoreboard
 // annotations cleared.
-func MakeInstr(op Opcode) Instr {
-	return Instr{Op: op, WrScbd: NoScoreboard, ReqScbd: NoScoreboard}
-}
-
-// String disassembles the instruction.
-func (in Instr) String() string {
-	s := in.disasm()
-	if in.WrScbd != NoScoreboard {
-		s += fmt.Sprintf(" &wr=sb%d", in.WrScbd)
-	}
-	if in.ReqScbd != NoScoreboard {
-		s += fmt.Sprintf(" &req=sb%d", in.ReqScbd)
-	}
-	return s
-}
-
-func (in Instr) disasm() string {
-	switch in.Op {
-	case NOP, YIELD, EXIT:
-		return in.Op.String()
-	case MOVI:
-		return fmt.Sprintf("MOVI R%d, %d", in.Dst, in.Imm)
-	case MOV:
-		return fmt.Sprintf("MOV R%d, R%d", in.Dst, in.SrcA)
-	case S2R:
-		return fmt.Sprintf("S2R R%d, SR%d", in.Dst, in.SrcA)
-	case IADD, IMUL, IAND, IOR, IXOR, FADD, FMUL:
-		return fmt.Sprintf("%s R%d, R%d, R%d", in.Op, in.Dst, in.SrcA, in.SrcB)
-	case IADDI, IMULI, SHL, SHR:
-		return fmt.Sprintf("%s R%d, R%d, %d", in.Op, in.Dst, in.SrcA, in.Imm)
-	case FFMA:
-		return fmt.Sprintf("FFMA R%d, R%d, R%d, R%d", in.Dst, in.SrcA, in.SrcB, in.SrcC)
-	case MUFU:
-		return fmt.Sprintf("MUFU R%d, R%d", in.Dst, in.SrcA)
-	case ISETP:
-		return fmt.Sprintf("ISETP.%s P%d, R%d, R%d", in.Cmp, in.Dst, in.SrcA, in.SrcB)
-	case ISETPI:
-		return fmt.Sprintf("ISETP.%s P%d, R%d, %d", in.Cmp, in.Dst, in.SrcA, in.Imm)
-	case LDG:
-		return fmt.Sprintf("LDG R%d, [R%d+%d]", in.Dst, in.SrcA, in.Imm)
-	case STG:
-		return fmt.Sprintf("STG [R%d+%d], R%d", in.SrcA, in.Imm, in.SrcB)
-	case TLD:
-		return fmt.Sprintf("TLD R%d, [R%d+%d]", in.Dst, in.SrcA, in.Imm)
-	case TEX:
-		return fmt.Sprintf("TEX R%d, [R%d+R%d+%d]", in.Dst, in.SrcA, in.SrcB, in.Imm)
-	case TRACE:
-		return fmt.Sprintf("TRACE R%d, R%d", in.Dst, in.SrcA)
-	case BRA:
-		neg := ""
-		if in.PredNeg {
-			neg = "!"
-		}
-		if in.Pred == PT && !in.PredNeg {
-			return fmt.Sprintf("BRA %d", in.Target)
-		}
-		return fmt.Sprintf("@%sP%d BRA %d", neg, in.Pred, in.Target)
-	case BRX:
-		return fmt.Sprintf("BRX R%d", in.SrcA)
-	case BSSY:
-		return fmt.Sprintf("BSSY B%d, %d", in.Barrier, in.Target)
-	case BSYNC:
-		return fmt.Sprintf("BSYNC B%d", in.Barrier)
-	default:
-		return in.Op.String()
-	}
-}
+func MakeInstr(op Opcode) Instr { return Instr{Op: op, WrScbd: NoScoreboard, ReqScbd: NoScoreboard} }

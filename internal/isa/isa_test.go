@@ -102,6 +102,7 @@ func TestDisassembly(t *testing.T) {
 		{func() Instr { i := MakeInstr(TRACE); i.Dst = 4; i.SrcA = 8; i.WrScbd = 1; return i },
 			"TRACE R4, R8 &wr=sb1"},
 		{func() Instr { i := MakeInstr(BRX); i.SrcA = 9; return i }, "BRX R9"},
+		{func() Instr { i := MakeInstr(Opcode(250)); i.ReqScbd = 1; return i }, "Opcode(250) &req=sb1"},
 	}
 	for _, c := range cases {
 		if got := c.build().String(); got != c.want {
@@ -197,6 +198,9 @@ func TestValidateRejections(t *testing.T) {
 		{"wr on math", func() Instr { i := MakeInstr(IADD); i.WrScbd = 2; return i }()},
 		{"load missing wr", MakeInstr(LDG)},
 		{"req out of range", func() Instr { i := MakeInstr(IADD); i.ReqScbd = 16; return i }()},
+		{"trace dst out of range", func() Instr { i := MakeInstr(TRACE); i.Dst = NumRegs; i.WrScbd = 0; return i }()},
+		{"undefined special register", func() Instr { i := MakeInstr(S2R); i.Dst, i.SrcA = 1, 9; return i }()},
+		{"unused SrcC out of range", func() Instr { i := MakeInstr(IADD); i.SrcC = NumRegs; return i }()},
 	}
 	for _, c := range cases {
 		if err := mk(c.in).Validate(); err == nil {

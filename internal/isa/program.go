@@ -73,11 +73,8 @@ func (p *Program) Validate() error {
 			return err
 		}
 	}
-	last := p.Code[len(p.Code)-1]
-	switch last.Op {
-	case EXIT, BRA, BRX:
-	default:
-		return fmt.Errorf("isa: program %q falls off the end (last op %v)", p.Name, last.Op)
+	if last := p.Code[len(p.Code)-1].Op; last != EXIT && last != BRA && last != BRX {
+		return fmt.Errorf("isa: program %q falls off the end (last op %v)", p.Name, last)
 	}
 	return nil
 }
@@ -90,45 +87,33 @@ func (p *Program) validateInstr(pc int, in Instr) error {
 	if !in.Op.Valid() {
 		return fail("undefined opcode")
 	}
-	if in.Op.WritesReg() && in.Op != TRACE {
-		if int(in.Dst) >= NumRegs {
-			return fail("dst R%d out of range", in.Dst)
-		}
-	}
-	if in.Op == ISETP || in.Op == ISETPI {
-		if int(in.Dst) >= NumPreds {
-			return fail("dst P%d out of range", in.Dst)
-		}
-		if in.Dst == PT {
+	for _, f := range opTable[in.Op].fields {
+		v, k := in.get(f), kinds[f.kind]
+		switch {
+		case f.kind == kL && (v < 0 || v >= len(p.Code)):
+			return fail("target %d out of range", v)
+		case k.limit > 0 && v >= k.limit:
+			return fail("%s%d out of range", k.prefix, v)
+		case f.kind == kP && v == PT:
 			return fail("cannot write PT")
 		}
 	}
+	// Every operand field is checked, used or not: the SM indexes a
+	// register row for each.
 	if int(in.SrcA) >= NumRegs || int(in.SrcB) >= NumRegs || int(in.SrcC) >= NumRegs {
 		return fail("source register out of range")
 	}
 	if int(in.Pred) >= NumPreds {
 		return fail("predicate P%d out of range", in.Pred)
 	}
-	switch in.Op {
-	case BRA, BSSY:
-		if in.Target < 0 || in.Target >= len(p.Code) {
-			return fail("target %d out of range", in.Target)
+	if long := in.Op.IsLongLatency(); long != (in.WrScbd != NoScoreboard) {
+		if long {
+			return fail("long-latency op missing &wr scoreboard")
 		}
+		return fail("&wr on non-long-latency op")
 	}
-	if in.Op == BSSY || in.Op == BSYNC {
-		if int(in.Barrier) >= NumBarriers {
-			return fail("barrier B%d out of range", in.Barrier)
-		}
-	}
-	if in.WrScbd != NoScoreboard {
-		if !in.Op.IsLongLatency() {
-			return fail("&wr on non-long-latency op")
-		}
-		if in.WrScbd < 0 || int(in.WrScbd) >= NumBarriers {
-			return fail("&wr=sb%d out of range", in.WrScbd)
-		}
-	} else if in.Op.IsLongLatency() && in.Op != STG {
-		return fail("long-latency op missing &wr scoreboard")
+	if in.WrScbd != NoScoreboard && (in.WrScbd < 0 || int(in.WrScbd) >= NumBarriers) {
+		return fail("&wr=sb%d out of range", in.WrScbd)
 	}
 	if in.ReqScbd != NoScoreboard && (in.ReqScbd < 0 || int(in.ReqScbd) >= NumBarriers) {
 		return fail("&req=sb%d out of range", in.ReqScbd)
@@ -160,14 +145,9 @@ func (p *Program) StaticFootprintBytes(instrBytes int) int {
 // MaxScoreboard returns the highest scoreboard index referenced, or -1
 // if the program uses none.
 func (p *Program) MaxScoreboard() int {
-	max := -1
+	m := -1
 	for _, in := range p.Code {
-		if int(in.WrScbd) > max {
-			max = int(in.WrScbd)
-		}
-		if int(in.ReqScbd) > max {
-			max = int(in.ReqScbd)
-		}
+		m = max(m, int(in.WrScbd), int(in.ReqScbd))
 	}
-	return max
+	return m
 }

@@ -280,6 +280,22 @@ gate -count=1 -run '^TestCacheHitBuildsNoKernel$' ./internal/server
 gate -count=1 -run '^TestCLIKeyMatchesDaemon$|^TestCLIErrorPaths$' ./cmd/sisim
 gate -count=1 -run '^TestExpositionFamiliesUnchanged$' ./internal/cluster
 
+echo "== isa table gate =="
+# One opcode table defines the ISA's syntax: the assembler, the
+# disassembler, Program.Validate, the Builder and admission's register
+# check all walk it. Each check runs by name under the race detector,
+# so renaming one fails the gate: every assembly source in the tree and
+# every program the workload generators build round-trips through
+# disassembly; Validate rejects each invalid instruction in its table;
+# the disassembly of every assembly source matches its pinned digest;
+# FuzzAssemble's seed corpus holds the round-trip fixed point; and the
+# catalogued jobs' keys, which hash disassembly, match the pinned corpus.
+for t in TestAssembleDisassembleRoundTrip TestValidateRejections \
+    TestDisassemblyDigests FuzzAssemble; do
+    gate -race -count=1 -run "^$t\$" ./internal/isa
+done
+gate -race -count=1 -run '^TestKeyMatchesFreshBuild$' ./internal/server
+
 echo "== coverage floor =="
 # Gate total statement coverage just below the current level so test
 # debt cannot creep in silently. Raise the floor when coverage rises.
