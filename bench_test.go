@@ -144,7 +144,7 @@ func BenchmarkSimulationRate(b *testing.B) {
 // scaled to 256 warps: a scheduler-bound workload with no RT-core
 // functional work, so what is measured is instruction dispatch and
 // scheduling — exactly what fast-forward accelerates. The kernel is
-// built once before the timer starts; program lowering
+// built once before the timer starts; the compile pass
 // (Program.Compiled) is cached on the program, so only the first
 // iteration pays it.
 func BenchmarkGPURunCompiled(b *testing.B) {

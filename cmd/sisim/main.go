@@ -177,7 +177,7 @@ func main() {
 		d.Faults = injector
 		cache = d
 		if *submitPath != "" {
-			key = simcache.KeyOf(cfg, kernel, "submit/"+filepath.Base(*submitPath))
+			key = simcache.KeyOf(cfg, kernel, server.SubmitWorkloadID)
 		} else if key, err = spec.Key(); err != nil {
 			fail("%v", err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -195,29 +196,31 @@ func TestCLICacheRoundTrip(t *testing.T) {
 // TestCLIKeyMatchesDaemon: the key sisim -cache-dir reports on a hit is
 // JobSpec.Key of the same knobs, the key sisimd answers under, and a
 // zero -latency or -warpslots means the Table I default, as a zero
-// latency_cycles or warp_slots does.
+// latency_cycles or warp_slots does. A -submit file is keyed as sisimd
+// keys the same source on /v1/submit at default budget and knobs,
+// whatever the file is called.
 func TestCLIKeyMatchesDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI binary")
 	}
 	bin := buildCLI(t)
+	const saxpy = "../../examples/submissions/saxpy.asm"
 	for _, tc := range []struct {
-		args []string
-		spec server.JobSpec
+		args   []string
+		spec   server.JobSpec
+		submit string // when set, the source whose daemon submission gives the key
 	}{
-		{[]string{"-microbench", "4", "-si", "-yield", "-trigger", "any", "-latency", "900",
+		{args: []string{"-microbench", "4", "-si", "-yield", "-trigger", "any", "-latency", "900",
 			"-maxsubwarps", "4", "-policy", "gto", "-order", "largest"},
-			server.JobSpec{Microbench: 4, SI: true, Yield: true, Trigger: "any", LatencyCycles: 900,
+			spec: server.JobSpec{Microbench: 4, SI: true, Yield: true, Trigger: "any", LatencyCycles: 900,
 				MaxSubwarps: 4, Policy: "gto", Order: "largest"}},
-		{[]string{"-workload", "texture", "-dws", "-warpslots", "4"},
-			server.JobSpec{Workload: "texture", DWS: true, WarpSlots: 4}},
-		{[]string{"-microbench", "8", "-latency", "0", "-warpslots", "0"},
-			server.JobSpec{Microbench: 8}},
+		{args: []string{"-workload", "texture", "-dws", "-warpslots", "4"},
+			spec: server.JobSpec{Workload: "texture", DWS: true, WarpSlots: 4}},
+		{args: []string{"-microbench", "8", "-latency", "0", "-warpslots", "0"},
+			spec: server.JobSpec{Microbench: 8}},
+		{args: []string{"-submit", saxpy}, submit: saxpy},
 	} {
-		want, err := tc.spec.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := daemonKey(t, tc.spec, tc.submit)
 		args := append(tc.args, "-cache-dir", t.TempDir())
 		var out string
 		for run := 0; run < 2; run++ {
@@ -227,10 +230,34 @@ func TestCLIKeyMatchesDaemon(t *testing.T) {
 			}
 			out = stdout
 		}
-		if line := "cache     hit " + want.String(); !strings.Contains(out, line) {
+		if line := "cache     hit " + want; !strings.Contains(out, line) {
 			t.Errorf("%v: second run must print %q:\n%s", tc.args, line, out)
 		}
 	}
+}
+
+// daemonKey is the key sisimd answers under: spec's, or with submit set
+// that of an in-process submission of the file's source.
+func daemonKey(t *testing.T, spec server.JobSpec, submit string) string {
+	t.Helper()
+	if submit == "" {
+		key, err := spec.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key.String()
+	}
+	src, err := os.ReadFile(submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Options{Workers: 1})
+	defer s.Drain(context.Background())
+	res, err := s.SubmitKernel(context.Background(), server.SubmitSpec{Assembly: string(src)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Key
 }
 
 // TestCLIBaselineStillRuns guards the ordinary no-flag success path,

@@ -232,7 +232,6 @@ type Config struct {
 	InstrBytes         int // encoded size of one instruction
 	L0MissPenalty      int // fetch cycles to fill L0 from an L1I hit
 	L1IMissPenalty     int // fetch cycles to fill L1I from memory
-	MathLatency        int // fixed-latency ALU pipeline depth
 	RegFilePerBlock    int // 32-bit registers per processing block
 	ScoreboardsPerWarp int // NSB count-based scoreboards per warp
 
@@ -307,7 +306,6 @@ func Default() Config {
 		InstrBytes:         8,
 		L0MissPenalty:      20,
 		L1IMissPenalty:     200,
-		MathLatency:        4,
 		RegFilePerBlock:    16384,
 		ScoreboardsPerWarp: 8,
 		RTStepLatency:      8,
@@ -390,8 +388,6 @@ func (c Config) Validate() error {
 		return errors.New("config: L1DataBytes smaller than one line")
 	case c.ScoreboardsPerWarp <= 0 || c.ScoreboardsPerWarp > 16:
 		return errors.New("config: ScoreboardsPerWarp must be in [1,16]")
-	case c.MathLatency <= 0:
-		return errors.New("config: MathLatency must be positive")
 	case c.RegFilePerBlock <= 0:
 		return errors.New("config: RegFilePerBlock must be positive")
 	case c.SchedPolicy < 0 || int(c.SchedPolicy) >= NumSchedPolicies:

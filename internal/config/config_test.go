@@ -140,7 +140,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"tiny L1I", func(c *Config) { c.L1InstrBytes = 64 }},
 		{"tiny L1D", func(c *Config) { c.L1DataBytes = 64 }},
 		{"too many scoreboards", func(c *Config) { c.ScoreboardsPerWarp = 17 }},
-		{"zero math latency", func(c *Config) { c.MathLatency = 0 }},
 		{"zero regfile", func(c *Config) { c.RegFilePerBlock = 0 }},
 		{"negative switch latency", func(c *Config) {
 			c.SI.Enabled = true
@@ -196,6 +195,11 @@ func TestParseKnobNames(t *testing.T) {
 	for name, want := range map[string]SchedPolicy{"": SchedLRR, "lrr": SchedLRR, "GTO": SchedGTO, "wasp": SchedWaSP} {
 		if got, err := ParseSchedPolicy(name); err != nil || got != want {
 			t.Errorf("ParseSchedPolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for p := SchedPolicy(0); int(p) < NumSchedPolicies; p++ {
+		if got, err := ParseSchedPolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParseSchedPolicy(%v.String()) = %v, %v", p, got, err)
 		}
 	}
 	for valid, parse := range map[string]func(string) error{

@@ -110,7 +110,7 @@ func TestCompiledMatchesInterpretedProperty(t *testing.T) {
 
 // TestCompiledOncePerRun asserts the compile pass is cached at the
 // Program: a whole-device run across multiple SMs (each SM constructs
-// its own execution state from the same kernel) lowers the program
+// its own execution state from the same kernel) analyzes the program
 // exactly once.
 func TestCompiledOncePerRun(t *testing.T) {
 	k, err := workload.Microbench(workload.DefaultMicrobench(4))

@@ -1,37 +1,9 @@
 package isa
 
-// The compile pass lowers a Program once into the pre-decoded operation
-// stream the simulator executes — the SM has no other instruction
-// format: operands are widened to the exact types the execution arms
-// consume (zero-extended address immediates, masked shift amounts), so
-// the per-issue path does no decoding or conversion. Alongside the
-// stream it records the per-PC fast-forward run lengths and a
-// basic-block map (admission's CFG walk). The pass is pure analysis: it
-// never changes architectural semantics.
-
-// COp is one pre-decoded operation. It carries everything the
-// execution arms read, already widened/masked so the per-cycle path
-// does no conversions; Op is what the SM dispatches on.
-type COp struct {
-	Op Opcode
-
-	Dst     uint8
-	SrcA    uint8
-	SrcB    uint8
-	SrcC    uint8
-	Pred    uint8
-	PredNeg bool
-	Barrier uint8
-	Cmp     CmpOp
-
-	WrScbd  int8
-	ReqScbd int8
-
-	Imm    int32
-	Target int32
-	UImm   uint64 // uint64(uint32(Imm)): zero-extended address offset
-	Sh     uint32 // uint32(Imm) & 31: pre-masked shift amount
-}
+// The compile pass analyzes a Program once for the simulator: the
+// per-PC fast-forward run lengths and a basic-block map (admission's
+// CFG walk). The SM executes Program.Code itself; the pass is pure
+// analysis and never changes architectural semantics.
 
 // BasicBlock is a maximal straight-line region [Start, End). Leaders
 // are the program entry, branch/reconvergence targets, and the
@@ -44,9 +16,8 @@ type BasicBlock struct {
 	Start, End int
 }
 
-// Compiled is the pre-decoded form of a Program.
+// Compiled is the analyzed form of a Program.
 type Compiled struct {
-	Ops    []COp
 	Blocks []BasicBlock
 	// BlockOf maps each PC to its index in Blocks.
 	BlockOf []int32
@@ -80,30 +51,9 @@ func ffSimple(in Instr, yieldInert bool) bool {
 func compile(p *Program) *Compiled {
 	n := len(p.Code)
 	c := &Compiled{
-		Ops:             make([]COp, n),
 		BlockOf:         make([]int32, n),
 		FFLen:           make([]int32, n),
 		FFLenYieldInert: make([]int32, n),
-	}
-
-	for pc, in := range p.Code {
-		c.Ops[pc] = COp{
-			Op:      in.Op,
-			Dst:     in.Dst,
-			SrcA:    in.SrcA,
-			SrcB:    in.SrcB,
-			SrcC:    in.SrcC,
-			Pred:    in.Pred,
-			PredNeg: in.PredNeg,
-			Barrier: in.Barrier,
-			Cmp:     in.Cmp,
-			WrScbd:  in.WrScbd,
-			ReqScbd: in.ReqScbd,
-			Imm:     in.Imm,
-			Target:  int32(in.Target),
-			UImm:    uint64(uint32(in.Imm)),
-			Sh:      uint32(in.Imm) & 31,
-		}
 	}
 
 	// Run lengths, computed backwards so each PC extends its successor.

@@ -33,46 +33,6 @@ func compileProgram(t *testing.T) *Program {
 	return p
 }
 
-func TestCompileOpsMirrorInstrs(t *testing.T) {
-	p := compileProgram(t)
-	c := p.Compiled()
-	if len(c.Ops) != len(p.Code) {
-		t.Fatalf("Ops len %d, program len %d", len(c.Ops), len(p.Code))
-	}
-	for pc, in := range p.Code {
-		op := c.Ops[pc]
-		if op.Op != in.Op || op.Dst != in.Dst || op.SrcA != in.SrcA || op.SrcB != in.SrcB ||
-			op.SrcC != in.SrcC || op.Pred != in.Pred || op.PredNeg != in.PredNeg ||
-			op.Barrier != in.Barrier || op.Cmp != in.Cmp ||
-			op.WrScbd != in.WrScbd || op.ReqScbd != in.ReqScbd ||
-			op.Imm != in.Imm || op.Target != int32(in.Target) {
-			t.Errorf("pc %d: operand mismatch: %+v vs %+v", pc, op, in)
-		}
-		if op.UImm != uint64(uint32(in.Imm)) {
-			t.Errorf("pc %d: UImm %d, want %d", pc, op.UImm, uint64(uint32(in.Imm)))
-		}
-		if op.Sh != uint32(in.Imm)&31 {
-			t.Errorf("pc %d: Sh %d, want %d", pc, op.Sh, uint32(in.Imm)&31)
-		}
-	}
-}
-
-func TestCompileWidensNegativeImmediates(t *testing.T) {
-	// A negative address immediate must zero-extend through uint32, not
-	// sign-extend to 64 bits: the load path adds UImm to a 32-bit base.
-	p := NewBuilder("negimm").SetRegsPerThread(8).
-		Shl(1, 1, 35). // shift amounts are masked mod 32
-		Stg(1, -4, 2).
-		Exit().MustBuild()
-	c := p.Compiled()
-	if want := uint64(uint32(0xFFFFFFFC)); c.Ops[1].UImm != want {
-		t.Errorf("UImm = %#x, want %#x", c.Ops[1].UImm, want)
-	}
-	if c.Ops[0].Sh != 3 {
-		t.Errorf("Sh = %d, want 3 (35 mod 32)", c.Ops[0].Sh)
-	}
-}
-
 func TestCompileBasicBlocks(t *testing.T) {
 	p := compileProgram(t)
 	c := p.Compiled()

@@ -25,14 +25,14 @@ type Program struct {
 	// the maximum across all shader targets).
 	RegsPerThread int
 
-	// The pre-decoded form, produced at most once per program no
-	// matter how many SMs (or repeated runs) execute it.
+	// The analyzed form, produced at most once per program no matter
+	// how many SMs (or repeated runs) execute it.
 	compileOnce sync.Once
 	compiled    *Compiled
 	compiles    atomic.Int32
 }
 
-// Compiled returns the program's pre-decoded form, running the compile
+// Compiled returns the program's analyzed form, running the compile
 // pass on first use and caching it for every later caller. Safe for
 // concurrent use.
 func (p *Program) Compiled() *Compiled {

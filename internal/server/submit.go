@@ -15,11 +15,12 @@ import (
 	"subwarpsim/internal/sm"
 )
 
-// submitWorkloadID is the workload half of every submission's cache
-// key. A single constant (rather than the client-chosen name) keeps
-// the per-workload metric label set bounded; the program text itself
-// is what distinguishes submissions in the content address.
-const submitWorkloadID = "submit"
+// SubmitWorkloadID is the workload half of every submission's cache
+// key, in sisimd and in sisim -submit alike. A single constant (rather
+// than the client-chosen name) keeps the per-workload metric label set
+// bounded; the program text itself is what distinguishes submissions
+// in the content address.
+const SubmitWorkloadID = "submit"
 
 // maxSubmitWarps bounds a submission's launch size: enough for many
 // waves over the default 64 warp slots, small enough that a hostile
@@ -191,7 +192,7 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 		Memory:      mem.NewMemory(),
 		Budget:      &budget,
 	}
-	key := simcache.KeyOf(cfg, kernel, submitWorkloadID)
-	return s.execute(ctx, tr, admitStart, key, submitWorkloadID, s.jobTimeout(sp.TimeoutMS),
+	key := simcache.KeyOf(cfg, kernel, SubmitWorkloadID)
+	return s.execute(ctx, tr, admitStart, key, SubmitWorkloadID, s.jobTimeout(sp.TimeoutMS),
 		func() (config.Config, *sm.Kernel, error) { return cfg, kernel, nil })
 }

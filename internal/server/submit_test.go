@@ -88,8 +88,8 @@ func TestSubmitWellFormed(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("submit = %d: %v", code, body)
 	}
-	if w, _ := body["workload"].(string); w != submitWorkloadID {
-		t.Errorf("workload = %q, want %q", w, submitWorkloadID)
+	if w, _ := body["workload"].(string); w != SubmitWorkloadID {
+		t.Errorf("workload = %q, want %q", w, SubmitWorkloadID)
 	}
 	counters, _ := body["counters"].(map[string]any)
 	if cy, _ := counters["Cycles"].(float64); cy <= 0 {

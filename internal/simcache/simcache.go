@@ -120,7 +120,8 @@ func writeCanonicalConfig(w io.Writer, c config.Config) {
 	fmt.Fprintf(w, "l1d=%d;l1i=%d;l0i=%d;", c.L1DataBytes, c.L1InstrBytes, c.L0InstrBytes)
 	fmt.Fprintf(w, "missLat=%d;hitLat=%d;texLat=%d;", c.L1MissLatency, c.L1DataHitLatency, c.TexExtraLatency)
 	fmt.Fprintf(w, "line=%d;ibytes=%d;l0pen=%d;l1ipen=%d;", c.CacheLineBytes, c.InstrBytes, c.L0MissPenalty, c.L1IMissPenalty)
-	fmt.Fprintf(w, "math=%d;regs=%d;nsb=%d;", c.MathLatency, c.RegFilePerBlock, c.ScoreboardsPerWarp)
+	// math=4 is the removed MathLatency knob's only value, kept so keys do not move.
+	fmt.Fprintf(w, "math=4;regs=%d;nsb=%d;", c.RegFilePerBlock, c.ScoreboardsPerWarp)
 	fmt.Fprintf(w, "rtStep=%d;rtBase=%d;", c.RTStepLatency, c.RTBaseLatency)
 	fmt.Fprintf(w, "order=%d;", c.Order)
 	fmt.Fprintf(w, "si=%t;yield=%t;yieldThresh=%d;trigger=%d;maxSub=%d;switch=%d;dws=%t;",

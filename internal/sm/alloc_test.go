@@ -247,7 +247,7 @@ func BenchmarkApplySimple(b *testing.B) {
 						}
 					}
 				}
-				op := &isa.COp{Op: opc, Dst: 3, SrcA: 1, SrcB: 1}
+				op := &isa.Instr{Op: opc, Dst: 3, SrcA: 1, SrcB: 1}
 				if opc == isa.IADD {
 					op.SrcB = 2
 				}
@@ -271,7 +271,7 @@ func BenchmarkExecuteLoad(b *testing.B) {
 	for lane := 0; lane < bits.WarpSize; lane++ {
 		w.regs[1][lane] = uint32(lane * 128)
 	}
-	op := &isa.COp{Op: isa.LDG, Dst: 2, SrcA: 1, WrScbd: 0, ReqScbd: isa.NoScoreboard}
+	op := &isa.Instr{Op: isa.LDG, Dst: 2, SrcA: 1, WrScbd: 0, ReqScbd: isa.NoScoreboard}
 	now := int64(0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -64,22 +64,18 @@ type Block struct {
 	roster []*Warp
 
 	lastIssued int
-	policy     Policy
 	counters   stats.Counters
 	done       bool
 
-	// Shared with (and owned by) the SM: cops is the program's
-	// pre-decoded operation stream, read only through fetch, and ffLen
-	// the per-PC fast-forward run lengths (nil when cfg.Compiled is off).
-	// lastPick records which warp issued in the most recent step (-1
-	// when none).
-	cops     []isa.COp
-	ffLen    []int32
-	lastPick int
+	// Shared with (and owned by) the SM: code is the program's
+	// instructions, read only through fetch, and ffLen the per-PC
+	// fast-forward run lengths (nil when cfg.Compiled is off).
+	code  []isa.Instr
+	ffLen []int32
 
 	// The block's own time (fastforward.go), all as of its last step.
 	// due is the next cycle whose step can change something; until then
-	// the block is excused, either quiet or — runLen > 0 — with lastPick
+	// the block is excused, either quiet or — runLen > 0 — with lastIssued
 	// issuing the next runLen cycles of a simple run. event caches
 	// nextEventTime, moved records that the step changed state other than
 	// the idle counters, overflow is the TSTOverflow its failed demotes
@@ -102,13 +98,12 @@ type Block struct {
 	// touched it — writeback arrival, fetch/selection completion, its
 	// own issue, SI demotion, or slot recycling — instead of re-scanning
 	// every warp every cycle. dirty flags warps touched by such an
-	// event; wakeAt is the cycle at which a time-bound class
-	// (classSelecting, classFetchWait) must be re-evaluated. Spuriously
-	// marking a warp dirty is always safe: re-classifying an unchanged
-	// warp is exactly what the pre-dirty-tracking scan did every cycle.
+	// event; a time-bound class is re-evaluated at the warp's own wake
+	// cycle (selectDoneAt, fetchReadyAt). Spuriously marking a warp
+	// dirty is always safe: re-classifying an unchanged warp is exactly
+	// what the pre-dirty-tracking scan did every cycle.
 	statuses []issueClass
 	dirty    []bool
-	wakeAt   []int64
 
 	// Per-instruction scratch buffers, owned by the block and reused
 	// across execute calls so the steady-state issue path never
@@ -140,13 +135,10 @@ func newBlock(id int, cfg config.Config, owner *SM) *Block {
 		rng:      rand.New(rand.NewSource(int64(owner.id*1000 + id + 1))),
 		statuses: make([]issueClass, 0, cfg.WarpSlotsPerBlock),
 		dirty:    make([]bool, 0, cfg.WarpSlotsPerBlock),
-		wakeAt:   make([]int64, 0, cfg.WarpSlotsPerBlock),
 		rec:      cfg.Trace,
-		cops:     owner.cops,
+		code:     owner.prog.Code,
 		ffLen:    owner.ffLen,
-		lastPick: -1,
 		wakeMin:  math.MaxInt64,
-		policy:   policyFor(cfg.SchedPolicy),
 	}
 }
 
@@ -172,7 +164,6 @@ func (b *Block) admit(spec warpSpec, resident int) {
 		b.warps = append(b.warps, w)
 		b.statuses = append(b.statuses, classCanIssue)
 		b.dirty = append(b.dirty, true)
-		b.wakeAt = append(b.wakeAt, 0)
 		return
 	}
 	b.pending = append(b.pending, spec)
@@ -203,7 +194,6 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 	if b.done {
 		return false, math.MaxInt64
 	}
-	b.lastPick = -1
 	b.moved = false
 	overflow := b.counters.TSTOverflow
 
@@ -223,17 +213,11 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 	// as the full re-scan did.
 	for i, w := range b.warps {
 		st := b.statuses[i]
-		if b.dirty[i] ||
-			((st == classSelecting || st == classFetchWait) && now >= b.wakeAt[i]) {
+		if b.dirty[i] || st == classSelecting && now >= w.selectDoneAt ||
+			st == classFetchWait && now >= w.fetchReadyAt {
 			b.dirty[i] = false
 			b.moved = true
 			st = b.status(w, now)
-			switch st {
-			case classSelecting:
-				b.wakeAt[i] = w.selectDoneAt
-			case classFetchWait:
-				b.wakeAt[i] = w.fetchReadyAt
-			}
 		}
 		if st == classScbdWait && b.cfg.SI.Enabled {
 			if b.demote(w, now) {
@@ -434,17 +418,16 @@ func (b *Block) status(w *Warp, now int64) issueClass {
 	return classCanIssue
 }
 
-// fetch returns the pre-decoded operation at pc. It is the single
-// fetch point — status, demote, and execute all read the stream through
-// it — so control flow that escapes the program (isa.Program.Validate
-// accepts a predicated BRA as the last instruction, whose not-taken
-// lanes fall off the end) dies with one named diagnostic in either
-// regime.
-func (b *Block) fetch(pc int) *isa.COp {
-	if uint(pc) >= uint(len(b.cops)) {
+// fetch returns the instruction at pc. It is the single fetch point —
+// status, demote, and execute all read the program through it — so
+// control flow that escapes the program (isa.Program.Validate accepts a
+// predicated BRA as the last instruction, whose not-taken lanes fall
+// off the end) dies with one named diagnostic in either regime.
+func (b *Block) fetch(pc int) *isa.Instr {
+	if uint(pc) >= uint(len(b.code)) {
 		b.sm.prog.At(pc) // out of range: panics naming program, PC, and length
 	}
-	return &b.cops[pc]
+	return &b.code[pc]
 }
 
 // demote performs subwarp-stall: the active subwarp records its
@@ -519,7 +502,6 @@ func (b *Block) maybeTriggerSelect(now int64) {
 	w := b.warps[i]
 	b.startSelect(w, now)
 	b.statuses[i] = classSelecting
-	b.wakeAt[i] = w.selectDoneAt
 	b.moved = true
 }
 
@@ -534,19 +516,16 @@ func (b *Block) startSelect(w *Warp, now int64) {
 	}
 }
 
-// issue asks the scheduler policy for one ready warp (greedy on the
-// last-issued warp, policy-specific fallback on a stall) and executes
-// its next instruction.
+// issue executes the next instruction of the warp pick chooses.
 func (b *Block) issue(now int64) bool {
 	if len(b.warps) == 0 {
 		return false
 	}
-	pick := b.policy.Pick(b)
+	pick := b.pick()
 	if pick < 0 {
 		return false
 	}
 	b.lastIssued = pick
-	b.lastPick = pick
 	w := b.warps[pick]
 	b.execute(w, now)
 	// Executing changed the warp's own state (PC, masks, scoreboards);
@@ -555,6 +534,59 @@ func (b *Block) issue(now int64) bool {
 	b.dirty[pick] = true
 	w.divKnown = false
 	return true
+}
+
+// waspPhases is the number of phase groups config.SchedWaSP stripes the
+// block's warp slots into: a leader half and a trailing half. With the
+// typical four resident warps, finer striping degenerates to
+// group-of-one slot priority, indistinguishable from GTO whenever slots
+// fill in age order.
+const waspPhases = 2
+
+// pick is the warp scheduler: it returns the slot that issues this
+// cycle, or -1 when no slot is in classCanIssue. The last-issued slot
+// keeps issuing while it can (greedy), which fast-forward relies on: a
+// block that issued is excused from the cycles of its warp's simple run
+// (plan) because each of those steps would pick the same warp again. On
+// a stall, one circular scan from the slot after it ranks the ready
+// slots by cfg.SchedPolicy; the first best one wins:
+//
+//   - lrr takes the first ready slot (loose round-robin);
+//   - gto the lowest warp ID, which is the oldest warp: IDs are
+//     assigned in admission order and never reused within a run;
+//   - wasp the earliest phase group (slots striped into waspPhases
+//     contiguous groups), so the leader group runs ahead and warms the
+//     caches for the trailing one, and within a group the nearest slot.
+//
+// An out-of-range policy (rejected by Config.Validate) picks as lrr.
+// The result depends only on the statuses, the warp IDs and lastIssued,
+// never on the cycle, so it is the same in every regime and worker
+// count.
+func (b *Block) pick() int {
+	n, last := len(b.warps), b.lastIssued
+	if last < n && b.statuses[last] == classCanIssue {
+		return last
+	}
+	pick, best := -1, 0
+	for off := 1; off <= n; off++ {
+		i := (last + off) % n
+		if b.statuses[i] != classCanIssue {
+			continue
+		}
+		var rank int
+		switch b.cfg.SchedPolicy {
+		case config.SchedGTO:
+			rank = b.warps[i].ID
+		case config.SchedWaSP:
+			rank = i * waspPhases / n
+		default:
+			return i
+		}
+		if pick < 0 || rank < best {
+			pick, best = i, rank
+		}
+	}
+	return pick
 }
 
 // classify summarizes why the block is idle this cycle, mirroring the

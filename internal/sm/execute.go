@@ -11,7 +11,7 @@ import (
 	"subwarpsim/internal/tst"
 )
 
-// execute issues the pre-decoded operation at the warp's active PC for
+// execute issues the instruction at the warp's active PC for
 // its active subwarp at cycle now: issue accounting, then the one
 // dispatch in the simulator. Operations with scheduling side effects —
 // memory, the RT core, control flow, barriers, exit — have their own
@@ -35,9 +35,10 @@ func (b *Block) execute(w *Warp, now int64) {
 		b.executeLoad(w, op, now)
 
 	case isa.STG:
+		off := uint64(uint32(op.Imm)) // zero-extended: a 32-bit base plus the offset
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			b.sm.mem.Store(uint64(w.regs[op.SrcA][l])+op.UImm, w.regs[op.SrcB][l])
+			b.sm.mem.Store(uint64(w.regs[op.SrcA][l])+off, w.regs[op.SrcB][l])
 		}
 		w.setActivePCs(pc + 1)
 
@@ -85,7 +86,7 @@ func (b *Block) execute(w *Warp, now int64) {
 // one, ffCommit once per window. This switch is the only definition of
 // the ALU, compare, and move semantics. Loops visit only mask's lanes:
 // an inactive lane's arbitrary word could hit a slow float path.
-func (w *Warp) applySimple(mask bits.Mask, op *isa.COp) {
+func (w *Warp) applySimple(mask bits.Mask, op *isa.Instr) {
 	switch op.Op {
 	case isa.NOP, isa.YIELD:
 		// YIELD arrives here only from a fast-forward run, which admits it
@@ -148,14 +149,16 @@ func (w *Warp) applySimple(mask bits.Mask, op *isa.COp) {
 			d[l] = a[l] ^ x[l]
 		}
 	case isa.SHL:
+		sh := uint32(op.Imm) & 31
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			d[l] = a[l] << op.Sh
+			d[l] = a[l] << sh
 		}
 	case isa.SHR:
+		sh := uint32(op.Imm) & 31
 		for it := mask; !it.Empty(); it = it.DropLowest() {
 			l := it.Lowest()
-			d[l] = a[l] >> op.Sh
+			d[l] = a[l] >> sh
 		}
 	case isa.ISETP, isa.ISETPI:
 		var set bits.Mask
@@ -209,7 +212,7 @@ func fmul(a, x uint32) float32 { return float32(float64(f32(a)) * float64(f32(x)
 // fixed-latency stub, scoreboards increment per thread, and one
 // writeback event per line carries its lanes back when the line
 // arrives.
-func (b *Block) executeLoad(w *Warp, op *isa.COp, now int64) {
+func (b *Block) executeLoad(w *Warp, op *isa.Instr, now int64) {
 	mask := w.active
 	sbid := int(op.WrScbd)
 	w.sb.Inc(mask, sbid)
@@ -229,9 +232,10 @@ func (b *Block) executeLoad(w *Warp, op *isa.COp, now int64) {
 	lineBytes := uint64(b.cfg.CacheLineBytes)
 	winBytes := min(lineBytes, 256)
 	evs := b.scratchLoads[:0]
+	off := uint64(uint32(op.Imm)) // zero-extended, as STG's
 	for it := mask; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
-		addr := uint64(w.regs[op.SrcA][l]) + op.UImm
+		addr := uint64(w.regs[op.SrcA][l]) + off
 		if op.Op == isa.TEX {
 			addr += uint64(w.regs[op.SrcB][l])
 		}
@@ -281,7 +285,7 @@ func (b *Block) probeLine(line uint64, now int64) int64 {
 
 // executeTrace offloads a TraceRay per thread to the RT core; each
 // thread's result returns after the core's modeled traversal latency.
-func (b *Block) executeTrace(w *Warp, op *isa.COp, now int64) {
+func (b *Block) executeTrace(w *Warp, op *isa.Instr, now int64) {
 	if b.sm.rt == nil {
 		panic(fmt.Sprintf("sm: kernel %q uses TRACE but provides no BVH/RayGen", b.sm.prog.Name))
 	}
@@ -348,8 +352,8 @@ type subgroup struct {
 }
 
 // executeBranch implements BRA with predicate-driven divergence.
-func (b *Block) executeBranch(w *Warp, op *isa.COp, now int64) {
-	target := int(op.Target)
+func (b *Block) executeBranch(w *Warp, op *isa.Instr, now int64) {
+	target := op.Target
 	mask := w.active
 	taken := mask.Intersect(w.preds[op.Pred])
 	if op.PredNeg {
@@ -373,7 +377,7 @@ func (b *Block) executeBranch(w *Warp, op *isa.COp, now int64) {
 
 // executeBrx implements the indirect branch that dispatches shader
 // subroutines: active threads group by their per-thread target PC.
-func (b *Block) executeBrx(w *Warp, op *isa.COp, now int64) {
+func (b *Block) executeBrx(w *Warp, op *isa.Instr, now int64) {
 	// Group lanes by target in ascending lane order via a linear scan
 	// over the groups found so far (at most 32; a map would allocate),
 	// then insertion-sort by target PC. Group order feeds electWinner
@@ -383,7 +387,7 @@ func (b *Block) executeBrx(w *Warp, op *isa.COp, now int64) {
 	for it := w.active; !it.Empty(); it = it.DropLowest() {
 		l := it.Lowest()
 		t := int(w.regs[op.SrcA][l])
-		if t < 0 || t >= len(b.cops) {
+		if t < 0 || t >= len(b.code) {
 			panic(fmt.Sprintf("sm: BRX target %d out of range in %q (warp %d lane %d)",
 				t, b.sm.prog.Name, w.ID, l))
 		}
@@ -496,7 +500,7 @@ func (b *Block) switchAfterBlock(w *Warp, now int64) {
 // subwarp reconverges with the barrier's participants if everyone else
 // is already blocked here or exited; otherwise it blocks and the
 // divergence unit switches to a READY subwarp.
-func (b *Block) executeBsync(w *Warp, op *isa.COp, now int64) {
+func (b *Block) executeBsync(w *Warp, op *isa.Instr, now int64) {
 	bar := int(op.Barrier)
 	parts := w.barriers[bar]
 	arrived := w.active
@@ -520,19 +524,7 @@ func (b *Block) executeBsync(w *Warp, op *isa.COp, now int64) {
 	}
 
 	if success {
-		blocked := parts.Intersect(w.tab.Mask(tst.Blocked))
-		w.tab.Release(blocked)
-		joined := arrived.Union(blocked)
-		for it := joined; !it.Empty(); it = it.DropLowest() {
-			w.pcs[it.Lowest()] = w.activePC + 1
-		}
-		w.activate(joined, w.activePC+1)
-		w.barriers[bar] = 0
-		b.counters.Reconvergences++
-		if b.rec != nil {
-			b.emit(now, w, w.activePC, joined, trace.KindReconverge, bar)
-			b.emit(now, w, w.activePC, joined, trace.KindActivate, bar)
-		}
+		b.reconverge(w, bar, arrived, w.activePC, now)
 		return
 	}
 
@@ -572,21 +564,29 @@ func (b *Block) releaseAfterExit(w *Warp, now int64) {
 				satisfied = false
 			}
 		}
-		if !satisfied || pc < 0 {
-			continue
+		if satisfied && pc >= 0 {
+			b.reconverge(w, bar, 0, pc, now)
+			return
 		}
-		w.tab.Release(waiting)
-		for it := waiting; !it.Empty(); it = it.DropLowest() {
-			w.pcs[it.Lowest()] = pc + 1
-		}
-		w.activate(waiting, pc+1)
-		w.barriers[bar] = 0
-		b.counters.Reconvergences++
-		if b.rec != nil {
-			b.emit(now, w, pc+1, waiting, trace.KindReconverge, bar)
-			b.emit(now, w, pc+1, waiting, trace.KindActivate, bar)
-		}
-		return
 	}
 	b.switchAfterBlock(w, now)
+}
+
+// reconverge satisfies barrier bar at the BSYNC at pc: the lanes blocked
+// there are released, and they and the arriving lanes become the active
+// subwarp at pc+1.
+func (b *Block) reconverge(w *Warp, bar int, arrived bits.Mask, pc int, now int64) {
+	blocked := w.barriers[bar].Intersect(w.tab.Mask(tst.Blocked))
+	w.tab.Release(blocked)
+	joined := arrived.Union(blocked)
+	for it := joined; !it.Empty(); it = it.DropLowest() {
+		w.pcs[it.Lowest()] = pc + 1
+	}
+	w.activate(joined, pc+1)
+	w.barriers[bar] = 0
+	b.counters.Reconvergences++
+	if b.rec != nil {
+		b.emit(now, w, pc+1, joined, trace.KindReconverge, bar)
+		b.emit(now, w, pc+1, joined, trace.KindActivate, bar)
+	}
 }

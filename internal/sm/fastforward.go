@@ -80,7 +80,7 @@ func (b *Block) selectWaits() bool {
 // warp is not simply advancing (exited, switched, diverted, or its
 // next instruction needs a fetch or is not simple).
 func (b *Block) ffRun() int64 {
-	w := b.warps[b.lastPick]
+	w := b.warps[b.lastIssued]
 	if w.exited || w.pendingSelect || w.active.Empty() || w.fetchingLine != math.MaxUint64 {
 		return 0
 	}
@@ -118,7 +118,7 @@ func (b *Block) ffRun() int64 {
 // The warp stays dirty from its issue at the run's base cycle, so the
 // step that follows re-classifies it as usual.
 func (b *Block) ffCommit(n int64) {
-	w := b.warps[b.lastPick]
+	w := b.warps[b.lastIssued]
 	mask := w.active
 	pc := w.activePC
 	b.counters.IssueCycles += n
@@ -171,9 +171,8 @@ func (b *Block) catchUp(upTo, visited int64) {
 func (b *Block) stepExcused(now int64) bool {
 	b.catchUp(now, 0) // cycles the SM did not visit; none when in a run
 	due, event, have := b.due, b.event, b.counters
-	pick, pc := -1, 0
-	if b.runLen > 0 {
-		pick = b.lastPick
+	run, pick, pc := b.runLen > 0, b.lastIssued, 0
+	if run {
 		w := b.warps[pick]
 		pc = w.activePC + 1
 		b.counters.IssueCycles++
@@ -188,16 +187,16 @@ func (b *Block) stepExcused(now int64) bool {
 	b.counters = have
 
 	issued, _ := b.step(now)
-	ok := b.counters == want && b.due == due && b.event == event && b.lastPick == pick
-	if pick >= 0 {
-		ok = ok && b.warps[pick].activePC == pc
+	ok := b.counters == want && b.due == due && b.event == event && issued == run
+	if run {
+		ok = ok && b.lastIssued == pick && b.warps[pick].activePC == pc
 	} else {
 		ok = ok && !b.moved
 	}
 	if !ok {
-		panic(fmt.Sprintf("sm: block %d excused from cycle %d until %d (run warp %d, event %d) but its step moved: "+
-			"issued warp %d, moved=%v, due %d, event %d\ncounters %+v\nwant     %+v",
-			b.id, now, due, pick, event, b.lastPick, b.moved, b.due, b.event, b.counters, want))
+		panic(fmt.Sprintf("sm: block %d excused from cycle %d until %d (run %v on warp %d, event %d) but its step moved: "+
+			"issued %v on warp %d, moved=%v, due %d, event %d\ncounters %+v\nwant     %+v",
+			b.id, now, due, run, pick, event, issued, b.lastIssued, b.moved, b.due, b.event, b.counters, want))
 	}
 	return issued
 }

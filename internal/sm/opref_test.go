@@ -11,17 +11,16 @@ import (
 )
 
 // The independent per-op reference. The SM has one executor and one
-// definition of each operation's lane semantics (Warp.applySimple,
-// reading pre-lowered isa.COp fields), so nothing inside the simulator
-// cross-checks that definition any more. refOps restates every ALU,
-// compare, and move opcode as one plain Go expression over the
-// *unlowered* isa.Instr — no COp, no UImm/Sh pre-widening, no CmpOp.Eval
-// — and the tests below require the production path (compile pass +
-// Block.execute) to agree with it bit for bit. The whole-program
-// per-thread oracle is ROADMAP item 1; this is its per-instruction
-// floor. The reference keeps its own thread-major layout (one
-// refThread a lane), so it shares neither the warp's operand-major
-// register rows nor its predicate masks.
+// definition of each operation's lane semantics (Warp.applySimple), so
+// nothing inside the simulator cross-checks that definition any more.
+// refOps restates every ALU, compare, and move opcode as one plain Go
+// expression over the isa.Instr — its own widening of immediates and
+// shift counts, no CmpOp.Eval — and the tests below require the
+// production path (Block.execute) to agree with it bit for bit. The
+// whole-program per-thread oracle is ROADMAP item 1; this is its
+// per-instruction floor. The reference keeps its own thread-major
+// layout (one refThread a lane), so it shares neither the warp's
+// operand-major register rows nor its predicate masks.
 
 // refThread is one thread's architectural state as the reference sees
 // it: registers, predicates, and the S2R special registers.
@@ -89,8 +88,8 @@ var edgeWords = []uint32{
 	0x20000000, 0x1FFFFFFF, // 2^-63 squares to 2^-126 (min normal), its predecessor to just below
 }
 
-// edgeImms exercise the lowering's pre-widening: shift counts at and
-// beyond the register width and negative ones (COp.Sh masking), and
+// edgeImms exercise the executor's widening: shift counts at and beyond
+// the register width and negative ones (masked to 0..31), and
 // signed extremes for the immediate ALU and compare forms.
 var edgeImms = []int32{0, 1, -1, 5, 31, 32, 33, 35, 63, 64, -31, -32, -33, math.MinInt32, math.MaxInt32}
 
@@ -101,7 +100,7 @@ func drawWord(rng *rand.Rand) uint32 {
 	return rng.Uint32()
 }
 
-// oneWarp lowers prog and returns an SM holding a single resident warp
+// oneWarp returns an SM for prog holding a single resident warp
 // with a non-trivial identity (warp 1 of CTA 3), poised at PC 0.
 func oneWarp(t *testing.T, prog *isa.Program) (*SM, *Warp) {
 	t.Helper()
@@ -297,10 +296,10 @@ func TestReferenceCoversSimpleOps(t *testing.T) {
 
 // TestAddressImmediatesZeroExtend: STG/LDG/TLD/TEX form addresses as
 // the 32-bit base register plus the immediate zero-extended through
-// uint32 (COp.UImm) — a negative immediate must not sign-extend to 64
-// bits, and a base near 4 GiB must not wrap at 32. Stores are checked
-// by reading the reference address back; loads by planting a per-lane
-// sentinel at the reference address and draining the writebacks.
+// uint32 — a negative immediate must not sign-extend to 64 bits, and a
+// base near 4 GiB must not wrap at 32. Stores are checked by reading
+// the reference address back; loads by planting a per-lane sentinel at
+// the reference address and draining the writebacks.
 func TestAddressImmediatesZeroExtend(t *testing.T) {
 	refAddr := func(in isa.Instr, th *refThread) uint64 {
 		a := uint64(th.r[in.SrcA]) + uint64(uint32(in.Imm))

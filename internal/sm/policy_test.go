@@ -6,30 +6,15 @@ import (
 	"subwarpsim/internal/config"
 )
 
-// policyBlock builds a bare Block with the given warp IDs (slot order)
-// and issue classes, enough state for Policy.Pick.
-func policyBlock(ids []int, classes []issueClass, lastIssued int) *Block {
+// policyBlock builds a bare Block under scheduler policy p with the
+// given warp IDs (slot order) and issue classes, enough state for pick.
+func policyBlock(p config.SchedPolicy, ids []int, classes []issueClass, lastIssued int) *Block {
 	b := &Block{lastIssued: lastIssued, statuses: classes}
+	b.cfg.SchedPolicy = p
 	for _, id := range ids {
 		b.warps = append(b.warps, &Warp{ID: id})
 	}
 	return b
-}
-
-func TestPolicyForMapping(t *testing.T) {
-	cases := []struct {
-		in   config.SchedPolicy
-		want string
-	}{
-		{config.SchedLRR, "lrr"},
-		{config.SchedGTO, "gto"},
-		{config.SchedWaSP, "wasp"},
-	}
-	for _, c := range cases {
-		if got := PolicyFor(c.in).Name(); got != c.want {
-			t.Errorf("PolicyFor(%v).Name() = %q, want %q", c.in, got, c.want)
-		}
-	}
 }
 
 // TestPolicyStickiness pins the fast-forward contract: every policy
@@ -39,9 +24,8 @@ func TestPolicyStickiness(t *testing.T) {
 	ids := []int{3, 0, 7, 1}
 	classes := []issueClass{classCanIssue, classCanIssue, classCanIssue, classCanIssue}
 	for p := config.SchedPolicy(0); int(p) < config.NumSchedPolicies; p++ {
-		b := policyBlock(ids, classes, 2)
-		if got := PolicyFor(p).Pick(b); got != 2 {
-			t.Errorf("%v: Pick = %d, want sticky 2", p, got)
+		if got := policyBlock(p, ids, classes, 2).pick(); got != 2 {
+			t.Errorf("%v: pick = %d, want sticky 2", p, got)
 		}
 	}
 }
@@ -50,9 +34,8 @@ func TestPolicyNoneReady(t *testing.T) {
 	ids := []int{0, 1, 2}
 	classes := []issueClass{classScbdWait, classExited, classFetchWait}
 	for p := config.SchedPolicy(0); int(p) < config.NumSchedPolicies; p++ {
-		b := policyBlock(ids, classes, 0)
-		if got := PolicyFor(p).Pick(b); got != -1 {
-			t.Errorf("%v: Pick = %d, want -1 with no ready warp", p, got)
+		if got := policyBlock(p, ids, classes, 0).pick(); got != -1 {
+			t.Errorf("%v: pick = %d, want -1 with no ready warp", p, got)
 		}
 	}
 }
@@ -61,9 +44,8 @@ func TestPolicyNoneReady(t *testing.T) {
 // circular order starting just after lastIssued.
 func TestLRRScanOrder(t *testing.T) {
 	classes := []issueClass{classCanIssue, classScbdWait, classScbdWait, classCanIssue}
-	b := policyBlock([]int{0, 1, 2, 3}, classes, 1)
-	if got := PolicyFor(config.SchedLRR).Pick(b); got != 3 {
-		t.Errorf("LRR Pick = %d, want 3 (first ready after slot 1)", got)
+	if got := policyBlock(config.SchedLRR, []int{0, 1, 2, 3}, classes, 1).pick(); got != 3 {
+		t.Errorf("LRR pick = %d, want 3 (first ready after slot 1)", got)
 	}
 }
 
@@ -71,9 +53,8 @@ func TestLRRScanOrder(t *testing.T) {
 // (admission order = age), not the nearest slot.
 func TestGTOOldestFallback(t *testing.T) {
 	classes := []issueClass{classCanIssue, classCanIssue, classScbdWait, classCanIssue}
-	b := policyBlock([]int{5, 2, 0, 9}, classes, 2)
-	if got := PolicyFor(config.SchedGTO).Pick(b); got != 1 {
-		t.Errorf("GTO Pick = %d, want 1 (warp ID 2, the oldest ready)", got)
+	if got := policyBlock(config.SchedGTO, []int{5, 2, 0, 9}, classes, 2).pick(); got != 1 {
+		t.Errorf("GTO pick = %d, want 1 (warp ID 2, the oldest ready)", got)
 	}
 }
 
@@ -88,24 +69,21 @@ func TestWaSPPhaseOrder(t *testing.T) {
 		return s
 	}
 	ids := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	wasp := PolicyFor(config.SchedWaSP)
 
 	// Slots 0-1 are phase group 0; a ready warp there beats later groups.
 	classes := stalled(8)
 	classes[1] = classCanIssue
 	classes[4] = classCanIssue
 	classes[6] = classCanIssue
-	b := policyBlock(ids, classes, 5)
-	if got := wasp.Pick(b); got != 1 {
-		t.Errorf("WaSP Pick = %d, want 1 (phase group 0 wins)", got)
+	if got := policyBlock(config.SchedWaSP, ids, classes, 5).pick(); got != 1 {
+		t.Errorf("WaSP pick = %d, want 1 (phase group 0 wins)", got)
 	}
 
 	// Same group: round-robin distance from lastIssued decides.
 	classes = stalled(8)
 	classes[6] = classCanIssue
 	classes[7] = classCanIssue
-	b = policyBlock(ids, classes, 5)
-	if got := wasp.Pick(b); got != 6 {
-		t.Errorf("WaSP Pick = %d, want 6 (nearer in round-robin order)", got)
+	if got := policyBlock(config.SchedWaSP, ids, classes, 5).pick(); got != 6 {
+		t.Errorf("WaSP pick = %d, want 6 (nearer in round-robin order)", got)
 	}
 }

@@ -92,11 +92,8 @@ type SM struct {
 	rt     *rtcore.Core
 	blocks []*Block
 
-	// cops is the program's pre-decoded operation stream, the only
-	// instruction format the blocks execute. ffLen enables basic-block
-	// fast-forward: per-PC simple-run lengths, nil when cfg.Compiled is
-	// off.
-	cops  []isa.COp
+	// ffLen enables basic-block fast-forward: per-PC simple-run
+	// lengths, nil when cfg.Compiled is off.
 	ffLen []int32
 
 	// mem is the SM's private copy-on-write view of the kernel's
@@ -143,9 +140,8 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 		s.rt = rtcore.NewCore(kernel.BVH, kernel.RayGen, kernel.Hits,
 			int64(cfg.RTBaseLatency), int64(cfg.RTStepLatency))
 	}
-	cp := kernel.Program.Compiled()
-	s.cops = cp.Ops
 	if cfg.Compiled {
+		cp := kernel.Program.Compiled()
 		if cfg.SI.Enabled && cfg.SI.Yield {
 			s.ffLen = cp.FFLen
 		} else {

@@ -84,11 +84,17 @@ echo "== fast-forward gate =="
 # escapes the program. The single definition of the ALU/compare/move
 # semantics both regimes share is checked against the independent
 # per-op reference; the alloc pin covers both regimes' steady-state
-# loops; the compile-pass tests pin the lowering and its
-# one-compile-per-program cache.
+# loops; the compile-pass tests pin the run-length and basic-block
+# analysis and its one-compile-per-program cache.
 gate -race -count=1 -run 'TestCompiled|TestGolden|TestFallOffEndDiagnostic' ./internal/gpu ./internal/experiments
 gate -race -count=1 -run 'FuzzRun' ./internal/gpu
 gate -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestOpsMatchReference|TestReferenceCoversSimpleOps|TestAddressImmediatesZeroExtend' ./internal/isa ./internal/sm
+# Fast-forward excuses a block for its warp's simple run because the
+# warp scheduler is sticky: every policy keeps the last-issued warp
+# while it can issue. Each test is gated by name so a rename fails.
+for t in TestPolicyStickiness TestPolicyNoneReady TestLRRScanOrder TestGTOOldestFallback TestWaSPPhaseOrder; do
+    gate -race -count=1 -run "^$t\$" ./internal/sm
+done
 # The float semantics are binary32 on every GOARCH: the widened multiply
 # equals the binary32 one bit for bit (subnormal band and NaN payloads
 # included), and FFMA rounds its product before the add. arm64 would
