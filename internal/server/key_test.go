@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -16,9 +17,13 @@ import (
 	"subwarpsim/internal/workload"
 )
 
-var updateKeys = flag.Bool("update-keys", false, "rewrite testdata/key_corpus.json from Key()")
+var updateKeys = flag.Bool("update-keys", false,
+	"rewrite testdata/key_corpus.json from Key() and testdata/submit_key_corpus.json from SubmitKernel")
 
-const keyCorpusPath = "testdata/key_corpus.json"
+const (
+	keyCorpusPath       = "testdata/key_corpus.json"
+	submitKeyCorpusPath = "testdata/submit_key_corpus.json"
+)
 
 // keyCorpusSpecs crosses every catalogued workload with the knob
 // settings the paper sweeps: baseline, Both with N>=0.5, DWS, the GTO
@@ -249,6 +254,90 @@ func TestKeyMatchesFreshBuild(t *testing.T) {
 			t.Errorf("Key(%+v) = %s, %v after the reset; want its fresh key", filler, got, err)
 		}
 	})
+}
+
+// submitKeyCorpusSpecs crosses every sample submission with the
+// shapes a /v1/submit body can take: defaults, Both, a larger launch, a
+// budget request inside the server's maximum and one above it (which
+// clamps to the maximum). Assembly is left empty; the entry's Source
+// names the file that supplies it.
+func submitKeyCorpusSpecs(t *testing.T) []submitKeyEntry {
+	t.Helper()
+	sources, err := filepath.Glob("../../examples/submissions/*.asm")
+	if err != nil || len(sources) < 2 {
+		t.Fatalf("want at least two sample submissions, got %v (%v)", sources, err)
+	}
+	variants := []SubmitSpec{
+		{},
+		{SI: true, Yield: true},
+		{Warps: 16},
+		{MaxCycles: 1_000_000, MaxInstrs: 4_000_000, MemFootprintBytes: 1 << 20},
+		{MaxCycles: 50_000_000, MaxInstrs: 200_000_000, MemFootprintBytes: 128 << 20},
+	}
+	var entries []submitKeyEntry
+	for _, src := range sources {
+		for _, v := range variants {
+			v.Name = filepath.Base(src)
+			entries = append(entries, submitKeyEntry{Source: filepath.Base(src), Spec: v})
+		}
+	}
+	return entries
+}
+
+// submitKeyEntry is one pinned submission content address.
+type submitKeyEntry struct {
+	Source string     `json:"source"`
+	Spec   SubmitSpec `json:"spec"`
+	Key    string     `json:"key"`
+}
+
+// TestSubmitKeysMatchPins: the key the daemon answers a sample
+// submission under is the pinned one, for every shape in the corpus.
+func TestSubmitKeysMatchPins(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	daemonKey := func(e submitKeyEntry) string {
+		src, err := os.ReadFile(filepath.Join("../../examples/submissions", e.Source))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := e.Spec
+		sp.Assembly = string(src)
+		res, err := s.SubmitKernel(context.Background(), sp)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", e.Source, e.Spec, err)
+		}
+		return res.Key
+	}
+	if *updateKeys {
+		corpus := submitKeyCorpusSpecs(t)
+		for i := range corpus {
+			corpus[i].Key = daemonKey(corpus[i])
+		}
+		raw, err := json.MarshalIndent(corpus, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(submitKeyCorpusPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(submitKeyCorpusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus []submitKeyEntry
+	if err := json.Unmarshal(raw, &corpus); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(submitKeyCorpusSpecs(t)); len(corpus) != want {
+		t.Fatalf("corpus has %d keys, want %d", len(corpus), want)
+	}
+	for _, e := range corpus {
+		if got := daemonKey(e); got != e.Key {
+			t.Errorf("%s %+v: key %s; pinned %s (rerun with -update-keys only when keys are meant to change)",
+				e.Source, e.Spec, got, e.Key)
+		}
+	}
 }
 
 // TestCacheHitBuildsNoKernel: once a spec's result is cached, Submit
