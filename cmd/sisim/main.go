@@ -9,15 +9,18 @@
 //	sisim -app MW -si -latency 900 -maxsubwarps 4
 //	sisim -microbench 4 -si -trace out.json -trace-warps 0-7
 //	sisim -app BFV1 -si -timeline occupancy.csv -stalls -hist
+//	sisim -microbench 4 -si -chart 100    # the paper's Fig. 10 subwarp-state chart
+//	sisim -app Ctrl -disasm -v            # program listing, scene and shader divergence
 //	sisim -submit kernel.asm -max-cycles 100000   # untrusted assembly
 //
 // Workloads come in four kinds: -app (the paper's raytracing traces,
 // see -listapps), -microbench (the divergence-scaling microbenchmark),
 // -workload (registered synthetic families — the list in the flag's
 // usage text is enumerated from the registry, so new families show up
-// automatically), and -submit (untrusted assembly put through the same
-// admission checks and gas budgets the daemon's /v1/submit applies, so
-// a kernel can be vetted locally before it is ever sent to a service).
+// automatically), and -submit (untrusted assembly built by the daemon's
+// own server.SubmitSpec.Build: the same shape checks, admission, gas
+// budgets and cache key /v1/submit applies, so a kernel can be vetted
+// locally before it is ever sent to a service).
 package main
 
 import (
@@ -51,11 +54,13 @@ func main() {
 		"synthetic workload family: "+strings.Join(subwarpsim.WorkloadNames(), ", "))
 	submitPath := flag.String("submit", "",
 		"validate and run untrusted assembly from this file under the daemon's admission checks and gas budgets")
-	submitWarps := flag.Int("warps", 8, "warps to launch for -submit")
-	maxCycles := flag.Int64("max-cycles", 2_000_000, "-submit gas budget: simulated cycles per SM (0 = unlimited)")
-	maxInstrs := flag.Int64("max-instrs", 8_000_000, "-submit gas budget: retired instructions per SM (0 = unlimited)")
-	memFootprint := flag.Int64("mem-footprint", 8<<20,
-		"-submit declared memory footprint in bytes: static bound on memory-operand immediates and the memory gas budget")
+	submitWarps := flag.Int("warps", 8, "warps to launch for -submit, 1..1024")
+	maxCycles := flag.Int64("max-cycles", 0,
+		"-submit gas budget: simulated cycles per SM (0 = the daemon's default; clamped to its maximum)")
+	maxInstrs := flag.Int64("max-instrs", 0,
+		"-submit gas budget: retired instructions per SM (0 = the daemon's default; clamped to its maximum)")
+	memFootprint := flag.Int64("mem-footprint", 0,
+		"-submit declared memory footprint in bytes: static bound on memory-operand immediates and the memory gas budget (0 = the daemon's default; clamped to its maximum)")
 	policyFlag := flag.String("policy", "", "warp scheduler policy: lrr (default), gto, wasp")
 	si := flag.Bool("si", false, "enable Subwarp Interleaving")
 	dws := flag.Bool("dws", false, "model Dynamic Warp Subdivision instead of SI")
@@ -67,7 +72,9 @@ func main() {
 	order := flag.String("order", "taken", "divergent path order: taken, fallthrough, largest, random")
 	jobs := flag.Int("j", 0, "concurrent SM simulation goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	listApps := flag.Bool("listapps", false, "list application traces and exit")
-	verbose := flag.Bool("v", false, "print the full counter set")
+	verbose := flag.Bool("v", false, "print the full counter set, and for raytracing kernels the scene and primary-ray shader divergence")
+	disasm := flag.Bool("disasm", false, "print the program's disassembly")
+	chart := flag.Int("chart", 0, "print the subwarp-state chart of the -trace-warps list (default: the first 8 warps) this many columns wide")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace_event JSON timeline to this file")
 	traceWarps := flag.String("trace-warps", "", "restrict the trace to these global warp IDs, e.g. 0-7 or 0,4,12")
 	timeline := flag.String("timeline", "", "write per-window occupancy/IPC/TST time series CSV to this file")
@@ -128,12 +135,29 @@ func main() {
 		fail("%v", err)
 	}
 	var kernel *subwarpsim.Kernel
+	var key simcache.Key
 	if *submitPath != "" {
-		kernel, err = buildSubmission(*submitPath, *submitWarps, subwarpsim.Budget{
-			MaxCycles:   *maxCycles,
-			MaxInstrs:   *maxInstrs,
-			MaxMemBytes: *memFootprint,
-		})
+		// A /v1/submit body has no architecture numbers: a submission runs
+		// at Table I's, so sisim refuses to key or run it at others.
+		if def := subwarpsim.DefaultConfig(); cfg.L1MissLatency != def.L1MissLatency ||
+			cfg.WarpSlotsPerBlock != def.WarpSlotsPerBlock || *maxSubwarps != 0 {
+			fail("-latency, -warpslots and -maxsubwarps are not /v1/submit fields; -submit runs at the Table I values")
+		}
+		src, rerr := os.ReadFile(*submitPath)
+		if rerr != nil {
+			fail("%v", rerr)
+		}
+		sp := server.SubmitSpec{
+			Name: filepath.Base(*submitPath), Assembly: string(src), Warps: *submitWarps,
+			MaxCycles: *maxCycles, MaxInstrs: *maxInstrs, MemFootprintBytes: *memFootprint,
+			SI: *si, DWS: *dws, Yield: *yield, Trigger: *trigger, Order: *order, Policy: *policyFlag,
+		}
+		// The zero maximum is the daemon's built-in one.
+		cfg, kernel, key, err = sp.Build(subwarpsim.Budget{})
+		var ae *admission.Error
+		if errors.As(err, &ae) {
+			fail("admission reject (reason %s, pc %d): %s", ae.Reason, ae.PC, ae.Detail)
+		}
 	} else {
 		kernel, err = spec.BuildKernel()
 	}
@@ -144,14 +168,14 @@ func main() {
 	// Attach the observability layer only when a trace product was
 	// requested: a nil Config.Trace keeps the hot path untouched.
 	var rec *subwarpsim.TraceRecorder
-	if *tracePath != "" || *timeline != "" || *hist {
+	var traced []int // the -trace-warps list; nil means every warp
+	if *tracePath != "" || *timeline != "" || *hist || *chart > 0 {
 		rec = subwarpsim.NewTraceRecorder()
 		if *traceWarps != "" {
-			ids, perr := parseWarpList(*traceWarps)
-			if perr != nil {
-				fail("bad -trace-warps %q: %v", *traceWarps, perr)
+			if traced, err = parseWarpList(*traceWarps, kernel.NumWarps); err != nil {
+				fail("bad -trace-warps %q: %v", *traceWarps, err)
 			}
-			rec.FilterWarps(ids)
+			rec.FilterWarps(traced)
 		}
 		if *timeline != "" {
 			rec.Series = subwarpsim.NewTimeSeries(int64(*timelineWindow))
@@ -170,16 +194,15 @@ func main() {
 	// Content-addressed result reuse. Tracing bypasses the cache: a
 	// replayed Entry has counters but no event stream.
 	var cache simcache.Cache
-	var key simcache.Key
 	cached := false
 	if *cacheDir != "" && rec == nil {
 		d := simcache.NewDisk(*cacheDir)
 		d.Faults = injector
 		cache = d
-		if *submitPath != "" {
-			key = simcache.KeyOf(cfg, kernel, server.SubmitWorkloadID)
-		} else if key, err = spec.Key(); err != nil {
-			fail("%v", err)
+		if *submitPath == "" {
+			if key, err = spec.Key(); err != nil {
+				fail("%v", err)
+			}
 		}
 	}
 
@@ -263,7 +286,9 @@ func main() {
 
 	c := res.Counters
 	d := res.Derived()
-	fmt.Printf("kernel    %s\n", kernel.Program.Name)
+	prog := kernel.Program
+	fmt.Printf("kernel    %s (%d instrs, %.1f KB encoded, %d regs/thread, %d warps)\n",
+		prog.Name, prog.Len(), float64(prog.StaticFootprintBytes(8))/1024, prog.RegsPerThread, kernel.NumWarps)
 	if kernel.Budget.Enabled() {
 		fmt.Printf("budget    %d cycles, %d instrs, %d mem bytes (per SM) — run stayed within it\n",
 			kernel.Budget.MaxCycles, kernel.Budget.MaxInstrs, kernel.Budget.MaxMemBytes)
@@ -293,11 +318,18 @@ func main() {
 	}
 	if *verbose {
 		fmt.Printf("\ncounters  %+v\n", c)
+		if kernel.BVH != nil {
+			fmt.Printf("scene     %s\n", kernel.BVH.Stats())
+			printDivergence(kernel)
+		}
 	}
 	if *stalls {
 		fmt.Printf("\n%s", subwarpsim.StallAttribution(c))
 	}
 	if rec != nil {
+		if *chart > 0 {
+			fmt.Printf("\n%s", rec.ASCIITimeline(subwarpsim.TimelineOptions{Width: *chart, Warps: traced}))
+		}
 		if *hist {
 			for _, h := range rec.Histograms() {
 				fmt.Printf("\n%s", h)
@@ -321,42 +353,9 @@ func main() {
 				rec.Series.Len(), rec.Series.Window, *timeline)
 		}
 	}
-}
-
-// buildSubmission reads, admission-checks, and packages an untrusted
-// assembly file exactly as the daemon's /v1/submit does: the same
-// validator, the same budget semantics (the declared footprint bounds
-// memory-operand immediates statically and the stored words
-// dynamically), so a kernel accepted here is accepted by the service.
-func buildSubmission(path string, warps int, budget subwarpsim.Budget) (*subwarpsim.Kernel, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	if *disasm {
+		fmt.Printf("\n%s", prog.Disassemble())
 	}
-	if warps < 1 {
-		return nil, fmt.Errorf("-warps must be at least 1")
-	}
-	lim := admission.DefaultLimits()
-	lim.MemFootprintBytes = budget.MaxMemBytes
-	prog, err := admission.ValidateSource(filepath.Base(path), string(src), lim)
-	if err != nil {
-		var ae *admission.Error
-		if errors.As(err, &ae) {
-			return nil, fmt.Errorf("admission reject (reason %s, pc %d): %s", ae.Reason, ae.PC, ae.Detail)
-		}
-		return nil, err
-	}
-	perCTA := 2
-	if warps < perCTA {
-		perCTA = warps
-	}
-	return &subwarpsim.Kernel{
-		Program:     prog,
-		NumWarps:    warps,
-		WarpsPerCTA: perCTA,
-		Memory:      subwarpsim.NewMemory(),
-		Budget:      &budget,
-	}, nil
 }
 
 // writeFileWith streams fn's output into a freshly created file.
@@ -373,9 +372,11 @@ func writeFileWith(path string, fn func(w io.Writer) error) error {
 }
 
 // parseWarpList parses "0-7", "0,4,12" or mixes like "0-3,16,24-25"
-// into a sorted list of global warp IDs.
-func parseWarpList(s string) ([]int, error) {
-	var ids []int
+// into the sorted list of the distinct global warp IDs it names, each
+// of which must be below numWarps. A range is checked before it is
+// expanded.
+func parseWarpList(s string, numWarps int) ([]int, error) {
+	named := make([]bool, numWarps)
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -392,7 +393,16 @@ func parseWarpList(s string) ([]int, error) {
 				return nil, fmt.Errorf("bad range %q", part)
 			}
 		}
+		if to >= numWarps {
+			return nil, fmt.Errorf("warp %d is past the kernel's %d warps", to, numWarps)
+		}
 		for id := from; id <= to; id++ {
+			named[id] = true
+		}
+	}
+	var ids []int
+	for id, ok := range named {
+		if ok {
 			ids = append(ids, id)
 		}
 	}
@@ -400,6 +410,33 @@ func parseWarpList(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty warp list")
 	}
 	return ids, nil
+}
+
+// printDivergence traces the first warps' 32 primary rays each and
+// prints how many distinct shaders a warp dispatches: the subwarp
+// count SI can exploit (Fig. 5's splintering).
+func printDivergence(kernel *subwarpsim.Kernel) {
+	const warps = 8
+	hist := make(map[int]int)
+	for w := 0; w < warps && w < kernel.NumWarps; w++ {
+		shaders := make(map[int]bool)
+		for lane := 0; lane < 32; lane++ {
+			ray := kernel.RayGen(uint32(w*32 + lane))
+			hit := kernel.BVH.Traverse(ray, 1e-4, subwarpsim.InfinityT)
+			mat := subwarpsim.MissMaterial
+			if hit.Ok {
+				mat = hit.Material
+			}
+			shaders[mat] = true
+		}
+		hist[len(shaders)]++
+	}
+	fmt.Printf("shaders   primary-ray shader counts per warp (first %d warps):\n", warps)
+	for ways := 1; ways <= 32; ways++ {
+		if n := hist[ways]; n > 0 {
+			fmt.Printf("          %2d-way: %d warps\n", ways, n)
+		}
+	}
 }
 
 // cleanups are finalizers fail() must run before exiting — resources

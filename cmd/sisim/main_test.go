@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,6 +76,12 @@ func TestCLIErrorPaths(t *testing.T) {
 		"negative latency":       {[]string{"-microbench", "4", "-si", "-latency", "-5"}, "negative knob values are invalid"},
 		"submit, si and dws":     {[]string{"-submit", "../../examples/submissions/saxpy.asm", "-si", "-dws"}, "pick one"},
 		"submit, negative slots": {[]string{"-submit", "../../examples/submissions/saxpy.asm", "-warpslots", "-2"}, "negative knob"},
+		// -submit takes /v1/submit's semantics: the daemon's launch bound
+		// and message, and no architecture numbers a body cannot carry.
+		"submit, too many warps": {[]string{"-submit", "../../examples/submissions/saxpy.asm", "-warps", "2000"}, "warps 2000 outside [1, 1024]"},
+		"submit, latency":        {[]string{"-submit", "../../examples/submissions/saxpy.asm", "-latency", "300"}, "not /v1/submit fields"},
+		// A warp list is checked against the kernel before it is expanded.
+		"trace warps past the kernel": {[]string{"-microbench", "4", "-trace", "/dev/null", "-trace-warps", "0-2000000000"}, "past the kernel's 8 warps"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			stdout, stderr, code := runCLI(t, bin, tc.args...)
@@ -197,8 +204,9 @@ func TestCLICacheRoundTrip(t *testing.T) {
 // JobSpec.Key of the same knobs, the key sisimd answers under, and a
 // zero -latency or -warpslots means the Table I default, as a zero
 // latency_cycles or warp_slots does. A -submit file is keyed as sisimd
-// keys the same source on /v1/submit at default budget and knobs,
-// whatever the file is called.
+// keys the same source on /v1/submit, whatever the file is called: a
+// zero budget flag means the default, one past the maximum clamps to
+// it, and the launch size is keyed.
 func TestCLIKeyMatchesDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI binary")
@@ -209,6 +217,7 @@ func TestCLIKeyMatchesDaemon(t *testing.T) {
 		args   []string
 		spec   server.JobSpec
 		submit string // when set, the source whose daemon submission gives the key
+		sub    server.SubmitSpec
 	}{
 		{args: []string{"-microbench", "4", "-si", "-yield", "-trigger", "any", "-latency", "900",
 			"-maxsubwarps", "4", "-policy", "gto", "-order", "largest"},
@@ -219,8 +228,13 @@ func TestCLIKeyMatchesDaemon(t *testing.T) {
 		{args: []string{"-microbench", "8", "-latency", "0", "-warpslots", "0"},
 			spec: server.JobSpec{Microbench: 8}},
 		{args: []string{"-submit", saxpy}, submit: saxpy},
+		{args: []string{"-submit", saxpy, "-max-cycles", "0"}, submit: saxpy},
+		{args: []string{"-submit", saxpy, "-max-cycles", "50000000"}, submit: saxpy,
+			sub: server.SubmitSpec{MaxCycles: 50_000_000}},
+		{args: []string{"-submit", saxpy, "-warps", "16"}, submit: saxpy,
+			sub: server.SubmitSpec{Warps: 16}},
 	} {
-		want := daemonKey(t, tc.spec, tc.submit)
+		want := daemonKey(t, tc.spec, tc.submit, tc.sub)
 		args := append(tc.args, "-cache-dir", t.TempDir())
 		var out string
 		for run := 0; run < 2; run++ {
@@ -237,8 +251,8 @@ func TestCLIKeyMatchesDaemon(t *testing.T) {
 }
 
 // daemonKey is the key sisimd answers under: spec's, or with submit set
-// that of an in-process submission of the file's source.
-func daemonKey(t *testing.T, spec server.JobSpec, submit string) string {
+// that of an in-process submission sub of the file's source.
+func daemonKey(t *testing.T, spec server.JobSpec, submit string, sub server.SubmitSpec) string {
 	t.Helper()
 	if submit == "" {
 		key, err := spec.Key()
@@ -253,11 +267,74 @@ func daemonKey(t *testing.T, spec server.JobSpec, submit string) string {
 	}
 	s := server.New(server.Options{Workers: 1})
 	defer s.Drain(context.Background())
-	res, err := s.SubmitKernel(context.Background(), server.SubmitSpec{Assembly: string(src)})
+	sub.Assembly = string(src)
+	res, err := s.SubmitKernel(context.Background(), sub)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Key
+}
+
+// TestCLIChartAndDisasm: -chart prints the subwarp-state chart and
+// -disasm the program listing, byte for byte as the retired traceview
+// command printed them (testdata holds its output).
+func TestCLIChartAndDisasm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI binary")
+	}
+	bin := buildCLI(t)
+	for _, tc := range []struct {
+		args   []string
+		pinned string
+	}{
+		{[]string{"-microbench", "4", "-si", "-chart", "100"}, "testdata/chart_microbench4_si_w100.txt"},
+		{[]string{"-microbench", "4", "-disasm"}, "testdata/disasm_microbench4.txt"},
+	} {
+		want, err := os.ReadFile(tc.pinned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := runCLI(t, bin, tc.args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
+		}
+		if !strings.HasSuffix(stdout, "\n\n"+string(want)) {
+			t.Errorf("%v: output does not end with %s:\n%s", tc.args, tc.pinned, stdout)
+		}
+	}
+}
+
+// TestParseWarpList: a warp list comes back sorted and without
+// duplicates, and an ID at or past the kernel's warp count is refused
+// before any range is expanded.
+func TestParseWarpList(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    []int
+		wantErr string
+	}{
+		{in: "0-7", want: []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{in: "0-3,2", want: []int{0, 1, 2, 3}},
+		{in: "12,4,0", want: []int{0, 4, 12}},
+		{in: " 5 , 3-4,,3", want: []int{3, 4, 5}},
+		{in: "15", want: []int{15}},
+		{in: "16", wantErr: "past the kernel's 16 warps"},
+		{in: "0-2000000000", wantErr: "past the kernel's 16 warps"},
+		{in: "x", wantErr: "bad warp ID"},
+		{in: "-1", wantErr: "bad warp ID"},
+		{in: "4-2", wantErr: "bad range"},
+		{in: ",", wantErr: "empty warp list"},
+	} {
+		got, err := parseWarpList(tc.in, 16)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("parseWarpList(%q) = %v, %v; want an error mentioning %q", tc.in, got, err, tc.wantErr)
+			}
+		case err != nil || !slices.Equal(got, tc.want):
+			t.Errorf("parseWarpList(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
 }
 
 // TestCLIBaselineStillRuns guards the ordinary no-flag success path,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"sort"
@@ -27,8 +26,9 @@ type Options struct {
 	// Peers are the worker daemons' base URLs (http://host:port).
 	Peers []string
 	// Local is the in-process server: the last rung of the routing
-	// ladder when every peer is down, the source of the canonical error
-	// for specs that do not hash, and the owner of everything the HTTP
+	// ladder when every peer is down, the keyer that places every
+	// request, the source of the canonical error for requests that do
+	// not hash, and the owner of everything the HTTP
 	// front needs that is not routing (tenancy, the batch limit, and the
 	// /metrics, /healthz, /debug/*, /v1/apps endpoints).
 	Local *server.Server
@@ -178,26 +178,14 @@ func (c *Coordinator) registerMetrics() {
 		"Batch shards scattered across the cluster.")
 }
 
-// jobHash returns the ring position of a job spec: the first 8 bytes
-// of its content key, which JobSpec.Key memoises per process. ok=false
-// means the spec is invalid; the caller routes it to the local server
-// for the canonical structured error.
-func jobHash(spec server.JobSpec) (h uint64, ok bool) {
-	key, err := spec.Key()
+// hash returns a request's ring position: the first 8 bytes of the
+// content key the local server computes for it, which is the key every
+// peer answers it under. ok=false means the request does not key (an
+// invalid job spec, an inadmissible submission); the caller lets the
+// local server answer it with the canonical structured error.
+func (c *Coordinator) hash(req server.Request) (h uint64, ok bool) {
+	key, err := c.opts.Local.Key(req)
 	return key.RouteHash(), err == nil
-}
-
-// submitHash positions an untrusted-kernel submission on the ring by
-// hashing its canonical re-marshal. Unlike jobHash this is not the
-// content key (computing it would mean assembling the program twice),
-// so equal programs submitted under different names or budgets may
-// route to different nodes — that only costs cache temperature, never
-// correctness.
-func submitHash(sp *server.SubmitSpec) uint64 {
-	payload, _ := json.Marshal(sp) // a flat struct of strings, ints and bools cannot fail
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
 }
 
 // candidates returns the usable peers for a hash in attempt order:
@@ -254,17 +242,12 @@ func (c *Coordinator) candidates(h uint64, prefer string) []*peer {
 }
 
 // Run implements server.Runner over the ring: hash the request to its
-// ring position and route it. A job spec that does not hash is invalid,
+// ring position and route it. A request that does not hash is invalid,
 // so the local server answers it with the canonical structured error
 // without a network hop.
 func (c *Coordinator) Run(ctx context.Context, req server.Request) (server.JobResult, error) {
-	switch {
-	case req.Kernel != nil:
-		return c.route(ctx, req, submitHash(req.Kernel), "")
-	case req.Job != nil:
-		if h, ok := jobHash(*req.Job); ok {
-			return c.route(ctx, req, h, "")
-		}
+	if h, ok := c.hash(req); ok {
+		return c.route(ctx, req, h, "")
 	}
 	return c.opts.Local.Run(ctx, req)
 }

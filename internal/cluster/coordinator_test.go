@@ -148,7 +148,7 @@ func homedSpecs(t testing.TB, c *testCluster, peer string, n int) []server.JobSp
 	var out []server.JobSpec
 	for lat := 100; lat < 5000 && len(out) < n; lat += 10 {
 		spec := server.JobSpec{Microbench: 4, SI: true, LatencyCycles: lat}
-		h, ok := jobHash(spec)
+		h, ok := c.co.hash(server.Request{Job: &spec})
 		if !ok {
 			t.Fatalf("spec %+v did not hash", spec)
 		}
@@ -356,7 +356,7 @@ func TestClusterHedgedRequest(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 
 	spec := server.JobSpec{Microbench: 4, SI: true}
-	h, ok := jobHash(spec)
+	h, ok := c.co.hash(server.Request{Job: &spec})
 	if !ok {
 		t.Fatal("spec did not hash")
 	}
@@ -938,6 +938,40 @@ func TestClusterNoPeersServesLocally(t *testing.T) {
 	for i, r := range results {
 		if r.Failed() {
 			t.Errorf("entry %d failed: %s", i, r.Error)
+		}
+	}
+}
+
+// TestClusterSubmissionPlacedByContent: a submission is placed by its
+// content key, so one program under two names reaches one peer, and
+// the second submission is that peer's cache hit.
+func TestClusterSubmissionPlacedByContent(t *testing.T) {
+	c := newTestCluster(t, 3, nil, nil, nil)
+	ctx := context.Background()
+	var keys []string
+	for i, name := range []string{"first-name", "second-name"} {
+		res, err := c.co.Run(ctx, server.Request{Kernel: &server.SubmitSpec{Name: name, Assembly: addAsm}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Cached != (i == 1) {
+			t.Errorf("%s: cached = %v, want %v", name, res.Cached, i == 1)
+		}
+		keys = append(keys, res.Key)
+	}
+	if keys[0] != keys[1] {
+		t.Errorf("one program keyed twice: %s, %s", keys[0], keys[1])
+	}
+	var served []int64
+	for _, w := range c.workers {
+		served = append(served, w.MetricsSnapshot().JobsTotal)
+	}
+	if n := c.local.MetricsSnapshot().JobsTotal; n != 0 {
+		t.Errorf("the coordinator's local server ran %d submissions, want none", n)
+	}
+	for _, n := range served {
+		if n != 0 && n != 2 {
+			t.Fatalf("submissions per peer %v, want both on one peer", served)
 		}
 	}
 }

@@ -38,8 +38,8 @@ func (c *Coordinator) scatter(ctx context.Context, specs []server.JobSpec) []ser
 	results := make([]server.JobResult, n)
 	hashes := make([]uint64, n)
 	routable := make([]bool, n)
-	for i, spec := range specs {
-		hashes[i], routable[i] = jobHash(spec)
+	for i := range specs {
+		hashes[i], routable[i] = c.hash(server.Request{Job: &specs[i]})
 	}
 	c.batches.Add(int64(n))
 

@@ -10,6 +10,7 @@ import (
 
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
+	"subwarpsim/internal/simcache"
 )
 
 // The request pipeline has one seam, Runner, and one HTTP front written
@@ -67,7 +68,23 @@ func (s *Server) Run(ctx context.Context, req Request) (JobResult, error) {
 	case req.Job != nil:
 		return s.Submit(ctx, *req.Job)
 	}
-	return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: "request carries no spec"}
+	return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: errNoSpec.Error()}
+}
+
+var errNoSpec = errors.New("request carries no spec")
+
+// Key returns the content address the node answers req under: a job's
+// Key, or a submission's Build against the node's budget maximum. The
+// cluster coordinator places every request by it.
+func (s *Server) Key(req Request) (simcache.Key, error) {
+	switch {
+	case req.Kernel != nil:
+		_, _, key, err := req.Kernel.Build(s.opts.MaxBudget)
+		return key, err
+	case req.Job != nil:
+		return req.Job.Key()
+	}
+	return simcache.Key{}, errNoSpec
 }
 
 // Error is the pipeline's one typed failure: the HTTP status it maps

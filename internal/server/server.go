@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"subwarpsim/internal/admission"
 	"subwarpsim/internal/config"
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/gpu"
@@ -80,16 +79,10 @@ type Options struct {
 	// unlisted tenants get weight 1.
 	TenantWeights map[string]int
 
-	// SubmitLimits bounds what /v1/submit kernels may declare; the
-	// zero value means admission.DefaultLimits. The footprint field is
-	// overridden per submission by its memory budget.
-	SubmitLimits admission.Limits
-	// DefaultBudget is the gas budget applied to submissions that do
-	// not request one; MaxBudget clamps what they may request. Zero
-	// fields take built-in defaults (withDefaults), so submissions are
-	// always fully metered.
-	DefaultBudget sm.Budget
-	MaxBudget     sm.Budget
+	// MaxBudget clamps the gas budget a /v1/submit kernel may request
+	// (omitted requests take the built-in default budget). Zero fields
+	// take built-in maximums, so submissions are always fully metered.
+	MaxBudget sm.Budget
 }
 
 func (o Options) withDefaults() Options {
@@ -113,24 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Obs == nil {
 		o.Obs = obs.New(MetricsNamespace, 256, 64, nil)
-	}
-	if o.MaxBudget.MaxCycles <= 0 {
-		o.MaxBudget.MaxCycles = 20_000_000
-	}
-	if o.MaxBudget.MaxInstrs <= 0 {
-		o.MaxBudget.MaxInstrs = 100_000_000
-	}
-	if o.MaxBudget.MaxMemBytes <= 0 {
-		o.MaxBudget.MaxMemBytes = 64 << 20
-	}
-	if o.DefaultBudget.MaxCycles <= 0 {
-		o.DefaultBudget.MaxCycles = 2_000_000
-	}
-	if o.DefaultBudget.MaxInstrs <= 0 {
-		o.DefaultBudget.MaxInstrs = 8_000_000
-	}
-	if o.DefaultBudget.MaxMemBytes <= 0 {
-		o.DefaultBudget.MaxMemBytes = 8 << 20
 	}
 	return o
 }

@@ -27,12 +27,20 @@ const SubmitWorkloadID = "submit"
 // spec cannot allocate an absurd launch before the gas meter engages.
 const maxSubmitWarps = 1024
 
+// defaultSubmitBudget is the gas budget of a submission that requests
+// none; maxSubmitBudget is what a request is clamped to where the
+// caller's maximum leaves a field unset.
+var (
+	defaultSubmitBudget = sm.Budget{MaxCycles: 2_000_000, MaxInstrs: 8_000_000, MaxMemBytes: 8 << 20}
+	maxSubmitBudget     = sm.Budget{MaxCycles: 20_000_000, MaxInstrs: 100_000_000, MaxMemBytes: 64 << 20}
+)
+
 // SubmitSpec is the wire form of one untrusted kernel submission:
 // raw assembly text for the production assembler, a launch shape, a
 // gas budget request, and the same policy knobs JobSpec exposes. All
 // budget fields are requests — the server clamps them to its
-// configured MaxBudget, and omitted fields take DefaultBudget, so a
-// submission always runs fully metered.
+// configured MaxBudget, and omitted fields take the default budget, so
+// a submission always runs fully metered.
 type SubmitSpec struct {
 	// Name labels the program in logs and error messages; it does not
 	// affect results or the cache key.
@@ -120,69 +128,45 @@ func (sp SubmitSpec) Config() (config.Config, error) {
 	return sp.knobs().config()
 }
 
-// submitBudget resolves the spec's budget request against the
-// server's policy: omitted fields take the default, every field is
-// clamped to the maximum. The result always has all three limits set,
-// so submissions are never unmetered.
-func (s *Server) submitBudget(sp SubmitSpec) sm.Budget {
-	b := s.opts.DefaultBudget
-	if sp.MaxCycles > 0 {
-		b.MaxCycles = sp.MaxCycles
+// budget resolves the spec's budget request: omitted fields take the
+// default, every field is clamped to maxBudget, and a field it leaves
+// unset means the built-in maximum. The result always has all three
+// limits set, so submissions are never unmetered.
+func (sp SubmitSpec) budget(maxBudget sm.Budget) sm.Budget {
+	resolve := func(req, def, limit, builtin int64) int64 {
+		if req <= 0 {
+			req = def
+		}
+		if limit <= 0 {
+			limit = builtin
+		}
+		return min(req, limit)
 	}
-	if sp.MaxInstrs > 0 {
-		b.MaxInstrs = sp.MaxInstrs
+	d, m := defaultSubmitBudget, maxSubmitBudget
+	return sm.Budget{
+		MaxCycles:   resolve(sp.MaxCycles, d.MaxCycles, maxBudget.MaxCycles, m.MaxCycles),
+		MaxInstrs:   resolve(sp.MaxInstrs, d.MaxInstrs, maxBudget.MaxInstrs, m.MaxInstrs),
+		MaxMemBytes: resolve(sp.MemFootprintBytes, d.MaxMemBytes, maxBudget.MaxMemBytes, m.MaxMemBytes),
 	}
-	if sp.MemFootprintBytes > 0 {
-		b.MaxMemBytes = sp.MemFootprintBytes
-	}
-	max := s.opts.MaxBudget
-	if b.MaxCycles > max.MaxCycles {
-		b.MaxCycles = max.MaxCycles
-	}
-	if b.MaxInstrs > max.MaxInstrs {
-		b.MaxInstrs = max.MaxInstrs
-	}
-	if b.MaxMemBytes > max.MaxMemBytes {
-		b.MaxMemBytes = max.MaxMemBytes
-	}
-	return b
 }
 
-// SubmitKernel runs one untrusted submission: static admission with
-// the production validator, budget resolution, then the same
-// cache/singleflight/queue path Submit uses. Rejects are structured:
-// admission failures map to 400 with the machine-readable reason,
-// budget kills surface later as 422 naming the exhausted resource.
-func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, error) {
-	tr := obs.TraceFrom(ctx)
-	admitStart := time.Now()
-	if err := s.preflight(ctx); err != nil {
-		return JobResult{}, err
-	}
+// Build is the one way a submission becomes a run, in sisimd, in the
+// coordinator's placement and in sisim -submit: it checks the launch
+// shape and knobs, resolves the budget request against maxBudget,
+// admits the assembly with the production validator (the budget's
+// memory field is the admitted footprint), and returns the config, the
+// kernel and its content key. A failed admission is an
+// *admission.Error.
+func (sp SubmitSpec) Build(maxBudget sm.Budget) (config.Config, *sm.Kernel, simcache.Key, error) {
 	cfg, err := sp.Config()
 	if err != nil {
-		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
+		return cfg, nil, simcache.Key{}, err
 	}
-	budget := s.submitBudget(sp)
-	lim := s.opts.SubmitLimits
-	lim.MemFootprintBytes = budget.MaxMemBytes
-	prog, err := admission.ValidateSource(sp.name(), sp.Assembly, lim)
+	budget := sp.budget(maxBudget)
+	prog, err := admission.ValidateSource(sp.name(), sp.Assembly,
+		admission.Limits{MemFootprintBytes: budget.MaxMemBytes})
 	if err != nil {
-		var aerr *admission.Error
-		if errors.As(err, &aerr) {
-			if c := s.admRejects[aerr.Reason]; c != nil {
-				c.Inc()
-			}
-			s.obs.Logger().Warn("submission rejected",
-				"trace_id", obs.TraceIDFrom(ctx), "tenant", TenantFrom(ctx),
-				"reason", aerr.Reason, "error", err)
-			return JobResult{}, &Error{
-				Status: http.StatusBadRequest,
-				Msg:    err.Error(),
-				Extra:  map[string]any{"reason": aerr.Reason, "pc": aerr.PC},
-			}
-		}
-		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
+		return cfg, nil, simcache.Key{}, err
 	}
 	warps, perCTA := sp.warps()
 	kernel := &sm.Kernel{
@@ -192,7 +176,37 @@ func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, er
 		Memory:      mem.NewMemory(),
 		Budget:      &budget,
 	}
-	key := simcache.KeyOf(cfg, kernel, SubmitWorkloadID)
+	return cfg, kernel, simcache.KeyOf(cfg, kernel, SubmitWorkloadID), nil
+}
+
+// SubmitKernel runs one untrusted submission: Build, then the same
+// cache/singleflight/queue path Submit uses. Rejects are structured:
+// admission failures map to 400 with the machine-readable reason,
+// budget kills surface later as 422 naming the exhausted resource.
+func (s *Server) SubmitKernel(ctx context.Context, sp SubmitSpec) (JobResult, error) {
+	tr := obs.TraceFrom(ctx)
+	admitStart := time.Now()
+	if err := s.preflight(ctx); err != nil {
+		return JobResult{}, err
+	}
+	cfg, kernel, key, err := sp.Build(s.opts.MaxBudget)
+	var aerr *admission.Error
+	switch {
+	case errors.As(err, &aerr):
+		if c := s.admRejects[aerr.Reason]; c != nil {
+			c.Inc()
+		}
+		s.obs.Logger().Warn("submission rejected",
+			"trace_id", obs.TraceIDFrom(ctx), "tenant", TenantFrom(ctx),
+			"reason", aerr.Reason, "error", err)
+		return JobResult{}, &Error{
+			Status: http.StatusBadRequest,
+			Msg:    err.Error(),
+			Extra:  map[string]any{"reason": aerr.Reason, "pc": aerr.PC},
+		}
+	case err != nil:
+		return JobResult{}, &Error{Status: http.StatusBadRequest, Msg: err.Error()}
+	}
 	return s.execute(ctx, tr, admitStart, key, SubmitWorkloadID, s.jobTimeout(sp.TimeoutMS),
 		func() (config.Config, *sm.Kernel, error) { return cfg, kernel, nil })
 }

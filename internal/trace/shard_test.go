@@ -40,12 +40,10 @@ func TestChildAbsorbReproducesSequentialStream(t *testing.T) {
 
 func TestChildInheritsFiltersAndAbsorbAppliesLimit(t *testing.T) {
 	parent := NewRecorder()
-	parent.SetKinds(KindIssue)
 	parent.FilterWarps([]int{0, 1, 2, 3, 4})
 	parent.SetLimit(3)
 
 	c0 := parent.Child()
-	c0.Emit(0, 0, 0, 0, 0, 0xF, KindStall, 0)  // filtered kind: dropped silently
 	c0.Emit(0, 0, 0, 99, 0, 0xF, KindIssue, 0) // filtered warp: dropped silently
 	emitN(c0, 0, 2)
 	c1 := parent.Child()
@@ -57,6 +55,11 @@ func TestChildInheritsFiltersAndAbsorbAppliesLimit(t *testing.T) {
 	}
 	if parent.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1 (the event over the cap)", parent.Dropped())
+	}
+	for _, ev := range parent.Events() {
+		if ev.Warp == 99 {
+			t.Fatal("a child stored a warp outside its parent's filter")
+		}
 	}
 }
 

@@ -40,8 +40,7 @@ type laneChange struct {
 // ASCIITimeline renders the recorded stream as a compressed per-warp
 // subwarp-state chart, generalizing the paper's Fig. 10: lanes with
 // identical state histories collapse into one row, and time is bucketed
-// into Width columns. It needs the stream recorded with at least the
-// subwarp state-transition kinds enabled (the NewRecorder default).
+// into Width columns.
 func (r *Recorder) ASCIITimeline(opt TimelineOptions) string {
 	if opt.Width <= 0 {
 		opt.Width = 100

@@ -7,9 +7,9 @@
 // The layer is zero-overhead when disabled: the pipeline holds a plain
 // *Recorder that is nil by default, and every emission site is gated on
 // a single nil check — no interface dispatch on the hot path. With a
-// recorder attached, individual event kinds can further be masked off
-// and the stream restricted to a set of global warp IDs, so tracing a
-// handful of warps through a large run stays cheap.
+// recorder attached, the stream can be restricted to a set of global
+// warp IDs, so tracing a handful of warps through a large run stays
+// cheap.
 package trace
 
 import (
@@ -84,9 +84,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// AllKinds is the bitmask enabling every event kind.
-const AllKinds = 1<<numKinds - 1
-
 // Event is one cycle-stamped pipeline event.
 type Event struct {
 	Cycle int64
@@ -120,7 +117,6 @@ const DefaultEventLimit = 4 << 20
 // series bit-identical regardless of how the SM goroutines interleaved
 // — and identical to a fully sequential run.
 type Recorder struct {
-	kinds uint32
 	warps map[int32]bool // nil = record every warp
 	limit int
 
@@ -130,7 +126,7 @@ type Recorder struct {
 	n       int // stored events, the sum of the chunk lengths
 	dropped int64
 
-	// Latency histograms, fed regardless of the kind/warp filters.
+	// Latency histograms, fed regardless of the warp filter.
 	LoadToUse stats.Histogram // scoreboard set -> demotion distance
 	StallDur  stats.Histogram // demotion -> first wakeup duration
 	Residency stats.Histogram // subwarp activation -> deactivation
@@ -165,19 +161,10 @@ func at[T any](s *[]T, i int32) *T {
 	return &(*s)[i]
 }
 
-// NewRecorder returns a recorder with every kind enabled, no warp
-// filter, and the default event limit.
+// NewRecorder returns a recorder with no warp filter and the default
+// event limit.
 func NewRecorder() *Recorder {
-	return &Recorder{kinds: AllKinds, limit: DefaultEventLimit}
-}
-
-// SetKinds restricts the stored stream to the given kinds. The
-// histograms keep observing every kind regardless.
-func (r *Recorder) SetKinds(kinds ...Kind) {
-	r.kinds = 0
-	for _, k := range kinds {
-		r.kinds |= 1 << k
-	}
+	return &Recorder{limit: DefaultEventLimit}
 }
 
 // FilterWarps restricts the stored stream to the given global warp IDs;
@@ -193,12 +180,12 @@ func (r *Recorder) FilterWarps(ids []int) {
 	}
 }
 
-// Child returns a fresh shard recorder inheriting r's kind mask, warp
-// filter, event limit, and time-series window. One run hands a child to
+// Child returns a fresh shard recorder inheriting r's warp filter,
+// event limit, and time-series window. One run hands a child to
 // each concurrently simulated SM; Absorb folds the shards back into r.
 func (r *Recorder) Child() *Recorder {
 	// The filter map is shared: nothing writes it once FilterWarps built it.
-	c := &Recorder{kinds: r.kinds, limit: r.limit, warps: r.warps}
+	c := &Recorder{limit: r.limit, warps: r.warps}
 	if r.Series != nil {
 		c.Series = stats.NewTimeSeries(r.Series.Window)
 	}
@@ -267,12 +254,9 @@ func (r *Recorder) Len() int { return r.n }
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
 // Emit records one event. Histogram pairing always observes the event;
-// storage honors the kind mask, warp filter, and limit.
+// storage honors the warp filter and limit.
 func (r *Recorder) Emit(cycle int64, sm, block int, warp int32, pc int32, mask bits.Mask, kind Kind, arg int32) {
 	r.observe(cycle, warp, pc, kind, arg)
-	if r.kinds&(1<<kind) == 0 {
-		return
-	}
 	if r.warps != nil && !r.warps[warp] {
 		return
 	}

@@ -29,22 +29,6 @@ func TestRecorderStoresEvents(t *testing.T) {
 	}
 }
 
-func TestRecorderKindFilter(t *testing.T) {
-	r := NewRecorder()
-	r.SetKinds(KindStall, KindWakeup)
-	emit(r, 1, 0, 0, bits.FullMask, KindIssue, 0)
-	emit(r, 2, 0, 0, bits.FullMask, KindStall, 0)
-	emit(r, 3, 0, 0, bits.FullMask, KindWakeup, 0)
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2 (issue filtered)", r.Len())
-	}
-	for _, ev := range r.Events() {
-		if ev.Kind == KindIssue {
-			t.Error("filtered kind stored")
-		}
-	}
-}
-
 func TestRecorderWarpFilter(t *testing.T) {
 	r := NewRecorder()
 	r.FilterWarps([]int{3})
@@ -97,8 +81,7 @@ func TestRecorderHistogramPairing(t *testing.T) {
 
 func TestRecorderHistogramsIgnoreFilters(t *testing.T) {
 	r := NewRecorder()
-	r.SetKinds(KindIssue)    // store nothing relevant
-	r.FilterWarps([]int{99}) // and no warps
+	r.FilterWarps([]int{99}) // store no warp's events
 	emit(r, 10, 0, 5, bits.FullMask, KindScbdSet, 2)
 	emit(r, 14, 0, 6, bits.FullMask, KindStall, 2)
 	if r.Len() != 0 {

@@ -266,6 +266,9 @@ go test -race -count=1 ./internal/cluster
 gate -count=1 -run '^TestRingBalance$' ./internal/cluster
 gate -race -count=1 -run 'TestClusterErrorParity' ./internal/cluster
 gate -race -count=1 -run 'TestRunnerConformance' ./internal/cluster
+# Placement is by content key for submissions too: one program under
+# two names reaches one peer and the second is that peer's cache hit.
+gate -race -count=1 -run '^TestClusterSubmissionPlacedByContent$' ./internal/cluster
 gate -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
 
 echo "== key path gate =="
@@ -284,6 +287,15 @@ echo "== key path gate =="
 gate -race -count=2 -run '^TestKeyMatchesFreshBuild$|^TestKeyMemoHitCacheMiss$' ./internal/server
 gate -count=1 -run '^TestCacheHitBuildsNoKernel$' ./internal/server
 gate -count=1 -run '^TestCLIKeyMatchesDaemon$|^TestCLIErrorPaths$' ./cmd/sisim
+# One submission builder: the daemon keys of every sample submission
+# under five body shapes match the pins made before SubmitSpec.Build
+# replaced the CLI's copy. sisim's -chart and -disasm print what the
+# retired traceview printed, byte for byte, and a -trace-warps list is
+# sorted, deduplicated and bounded by the kernel's warps.
+gate -count=1 -run '^TestSubmitKeysMatchPins$' ./internal/server
+for t in TestCLIChartAndDisasm TestParseWarpList; do
+    gate -count=1 -run "^$t\$" ./cmd/sisim
+done
 gate -count=1 -run '^TestExpositionFamiliesUnchanged$' ./internal/cluster
 
 echo "== isa table gate =="
