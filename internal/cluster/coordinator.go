@@ -28,9 +28,9 @@ type Options struct {
 	// Local is the in-process server: the last rung of the routing
 	// ladder when every peer is down, the keyer that places every
 	// request, the source of the canonical error for requests that do
-	// not hash, and the owner of everything the HTTP
-	// front needs that is not routing (tenancy, the batch limit, and the
-	// /metrics, /healthz, /debug/*, /v1/apps endpoints).
+	// not hash, and the owner of everything the HTTP front needs that is
+	// not routing (tenancy, the batch limit, and the /metrics, /healthz,
+	// /debug/*, /v1/apps endpoints).
 	Local *server.Server
 	// Obs is the observability plane. Share the Local server's Observer
 	// so /metrics and /debug/traces unify coordinator and local series;
