@@ -96,14 +96,15 @@ func RunWorkers(cfg config.Config, kernel *sm.Kernel, workers int) (Result, erro
 // every SM executes loads and stores against a private copy-on-write
 // view of the functional memory image (mem.View), and traces into a
 // private shard recorder (trace.Recorder.Child) when cfg.Trace is set.
-// After all SMs finish, views fold into Result.Memory, counters merge,
-// and trace shards absorb (handing their event chunks to cfg.Trace,
-// which consumes them) in ascending SM order, so counters, derived
-// metrics, the final memory image, and exported trace streams are
-// bit-identical for every worker count and goroutine interleaving. A
-// consequence of the sharded image is that warps on different SMs
-// never observe each other's stores mid-run — like CUDA kernels
-// without atomics, cross-SM communication within a launch is undefined.
+// After all SMs finish, the other views fold into SM 0's, which
+// becomes Result.Memory, counters merge, and trace shards absorb
+// (handing their event chunks to cfg.Trace, which consumes them) in
+// ascending SM order, so counters, derived metrics, the final memory
+// image, and exported trace streams are bit-identical for every worker
+// count and goroutine interleaving. A consequence of the sharded image
+// is that warps on different SMs never observe each other's stores
+// mid-run — like CUDA kernels without atomics, cross-SM communication
+// within a launch is undefined.
 //
 // The run is pure in its kernel: nothing reachable from kernel is
 // written, so one kernel serves every configuration it is compared
@@ -119,7 +120,6 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	res.Memory = kernel.Memory.NewView()
 
 	parent := cfg.Trace
 	shards := make([]*trace.Recorder, cfg.NumSMs)
@@ -136,6 +136,7 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 		}
 		sms[i] = s
 	}
+	res.Memory = sms[0].Memory()
 
 	perSMSeq := make([]int, cfg.NumSMs)
 	for w := 0; w < kernel.NumWarps; w++ {
@@ -195,7 +196,9 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 	// error, only state up to and including the first failing SM is
 	// kept — exactly what a sequential run would have produced.
 	for i, s := range sms {
-		res.Memory.Absorb(s.Memory())
+		if i > 0 {
+			res.Memory.Absorb(s.Memory())
+		}
 		if parent != nil {
 			parent.Absorb(shards[i])
 		}

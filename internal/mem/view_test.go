@@ -7,7 +7,7 @@ func TestViewIsolatesStoresUntilPublish(t *testing.T) {
 	base.Store(0x100, 7)
 	baseFP := base.Fingerprint()
 
-	v := base.NewView()
+	v := base.NewView(0)
 	if got := v.Load(0x100); got != 7 {
 		t.Fatalf("view Load(0x100) = %d, want base value 7", got)
 	}
@@ -22,7 +22,7 @@ func TestViewIsolatesStoresUntilPublish(t *testing.T) {
 
 	// Publishing is absorbing into another view of the same base: the
 	// sibling sees the stores only afterwards, the base never does.
-	out := base.NewView()
+	out := base.NewView(0)
 	if got := out.Load(0x100); got != 7 {
 		t.Fatalf("sibling Load(0x100) = %d before Absorb, want 7", got)
 	}
@@ -43,11 +43,11 @@ func TestViewPublishOrderResolvesConflicts(t *testing.T) {
 	// later-absorbed view must win conflicting words, matching what
 	// sequential simulation produced.
 	base := NewMemory()
-	v0 := base.NewView()
-	v1 := base.NewView()
+	v0 := base.NewView(0)
+	v1 := base.NewView(0)
 	v0.Store(0x40, 1)
 	v1.Store(0x40, 2)
-	out := base.NewView()
+	out := base.NewView(0)
 	out.Absorb(v0)
 	out.Absorb(v1)
 	if got := out.Load(0x40); got != 2 {
@@ -64,7 +64,7 @@ func TestViewFingerprintIsTheMergedImage(t *testing.T) {
 		base.Store(i*4, uint32(i))
 		want.Store(i*4, uint32(i))
 	}
-	v := base.NewView()
+	v := base.NewView(0)
 	if v.Fingerprint() != base.Fingerprint() {
 		t.Fatal("an empty view must hash to its base")
 	}
@@ -79,7 +79,7 @@ func TestViewFingerprintIsTheMergedImage(t *testing.T) {
 
 func TestViewLoadFallsThroughToDefault(t *testing.T) {
 	base := NewMemory()
-	v := base.NewView()
+	v := base.NewView(0)
 	if got, want := v.Load(0x1234), base.Load(0x1234); got != want {
 		t.Fatalf("view Load = %#x, want base default %#x", got, want)
 	}

@@ -27,7 +27,8 @@ type Budget struct {
 	// MaxMemBytes bounds the memory footprint: distinct words stored by
 	// the SM's view of the functional memory image, times 4 bytes.
 	// It doubles as the submitted kernel's declared footprint, which
-	// admission checks memory-operand immediates against statically.
+	// admission checks memory-operand immediates against statically,
+	// and as the page allowance of the SM's view (mem.Memory.NewView).
 	MaxMemBytes int64
 }
 

@@ -130,12 +130,14 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 		kernel: kernel,
 		l1i:    mem.NewCache("L1I", cfg.L1InstrBytes, 8, cfg.CacheLineBytes),
 		l1d:    mem.NewCache("L1D", cfg.L1DataBytes, 8, cfg.CacheLineBytes),
-		mem:    kernel.Memory.NewView(),
 		visits: 1,
 	}
+	var allowance int64 // page bytes the view may hold; unbudgeted runs have no limit
 	if kernel.Budget.Enabled() {
 		s.budget = kernel.Budget
+		allowance = kernel.Budget.MaxMemBytes
 	}
+	s.mem = kernel.Memory.NewView(allowance)
 	if kernel.BVH != nil && kernel.RayGen != nil {
 		s.rt = rtcore.NewCore(kernel.BVH, kernel.RayGen, kernel.Hits,
 			int64(cfg.RTBaseLatency), int64(cfg.RTStepLatency))

@@ -140,15 +140,19 @@ echo "== data path gate =="
 # never the new occupant; same-cycle writebacks apply by issue order,
 # then lane, so the later of two loads into one register wins. Pages and
 # views agree with a plain word map on loads, counts, fingerprints and
-# absorb conflicts; many views load one shared base at once (under the
-# race detector: loading never writes the base); and the content
-# addresses of every generator family are pinned, so a layout change
-# cannot orphan a disk cache.
+# absorb conflicts, bounded views spilling past their page allowance
+# included; many views load one shared base at once (under the race
+# detector: loading never writes the base); a budgeted submission that
+# stores one word per page retains at most its SMs' page allowances plus
+# a word map's cost per word; and the content addresses of every
+# generator family are pinned, so a layout change cannot orphan a disk
+# cache.
 for t in TestWritebackAfterSlotRecycled TestSameCycleWritebacksApplyInIssueOrder; do
     gate -count=1 -run "^$t\$" ./internal/sm
 done
-gate -count=1 -run '^TestPagedMemoryMatchesWordMap$' ./internal/mem
+gate -count=1 -run '^(TestPagedMemoryMatchesWordMap|TestBoundedViewSpillsForGood)$' ./internal/mem
 gate -race -count=2 -run '^TestViewsShareOneBaseConcurrently$' ./internal/mem
+gate -count=1 -run '^TestScatterStoresStayBounded$' ./internal/server
 gate -count=1 -run '^TestKeyOfUnchangedByLayout$' ./internal/simcache
 
 echo "== experiments plan gate =="
