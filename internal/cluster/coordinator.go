@@ -194,9 +194,10 @@ func (c *Coordinator) hash(req server.Request) (h uint64, ok bool) {
 // applied to the first pick — a peer already loaded past
 // ceil(LoadFactor*(total+1)/alive) yields the primary slot to the next
 // candidate (hot keys spill to ring successors instead of pinning one
-// node). Peers with open breakers are excluded entirely.
-func (c *Coordinator) candidates(h uint64, prefer string) []*peer {
-	var cands []*peer
+// node). Peers with open breakers are excluded entirely. busy is the
+// key's ring home when the rule demoted it and no peer was preferred:
+// route asks it for a cached answer before the request spills.
+func (c *Coordinator) candidates(h uint64, prefer string) (cands []*peer, busy *peer) {
 	if prefer != "" {
 		if p := c.peers[prefer]; p != nil && p.br.State() != simcache.BreakerOpen {
 			cands = append(cands, p)
@@ -211,34 +212,35 @@ func (c *Coordinator) candidates(h uint64, prefer string) []*peer {
 		}
 	}
 	if len(cands) < 2 {
-		return cands
+		return cands, nil
 	}
+	home := cands[0]
 	// Bounded load: demote overloaded primaries.
 	var total int64
 	for _, p := range c.peers {
 		total += p.inflight.Load()
 	}
 	bound := int64(math.Ceil(c.opts.LoadFactor * float64(total+1) / float64(len(cands))))
+	first := -1
 	for i, p := range cands {
 		if p.inflight.Load()+1 <= bound {
-			if i > 0 {
-				reordered := make([]*peer, 0, len(cands))
-				reordered = append(reordered, p)
-				for j, q := range cands {
-					if j != i {
-						reordered = append(reordered, q)
-					}
-				}
-				return reordered
-			}
-			return cands
+			first = i
+			break
 		}
 	}
-	// Everyone is past the bound: least-loaded first.
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].inflight.Load() < cands[j].inflight.Load()
-	})
-	return cands
+	switch {
+	case first > 0:
+		cands = append(append([]*peer{cands[first]}, cands[:first]...), cands[first+1:]...)
+	case first < 0:
+		// Everyone is past the bound: least-loaded first.
+		sort.SliceStable(cands, func(i, j int) bool {
+			return cands[i].inflight.Load() < cands[j].inflight.Load()
+		})
+	}
+	if prefer == "" && cands[0] != home {
+		busy = home
+	}
+	return cands, busy
 }
 
 // Run implements server.Runner over the ring: hash the request to its
@@ -252,24 +254,30 @@ func (c *Coordinator) Run(ctx context.Context, req server.Request) (server.JobRe
 	return c.opts.Local.Run(ctx, req)
 }
 
-// route runs one request around the ring: try candidates in order,
-// feeding breakers and rerouting on peer failure, spilling past 429s,
-// optionally hedging the first attempt, and degrading to the local
-// server when no peer can answer. The error is an answer too: a
-// deterministic failure from the first peer that gave one, or the last
-// 429 when every reachable peer is saturated.
+// route runs one request around the ring: ask a busy home for a cached
+// answer first, then try candidates in order, feeding breakers and
+// rerouting on peer failure, spilling past 429s and only-if-cached
+// declines, optionally hedging the first attempt, and degrading to the
+// local server when no peer can answer. The error is an answer too: a
+// deterministic failure from the first peer that gave one, the last
+// 429 when every reachable peer is saturated, or the last decline when
+// the request itself is only-if-cached and no peer holds its result.
 func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, prefer string) (server.JobResult, error) {
-	cands := c.candidates(h, prefer)
+	cands, busy := c.candidates(h, prefer)
 	tr := obs.TraceFrom(ctx)
 
 	var mu sync.Mutex
 	attempted := make(map[string]bool, len(cands))
-	var last429 *server.Error
+	var last429, declined *server.Error
 
-	// try performs one peer attempt. done=true means res/err are final
-	// (success, or a deterministic error every node would repeat);
-	// done=false means move on (peer dead, probing denied, or 429).
-	try := func(p *peer) (res server.JobResult, err error, done bool) {
+	// try performs one peer attempt under actx, ctx or an only-if-cached
+	// child of it. done=true means res/err are final (success, or a
+	// deterministic error every node would repeat); done=false means
+	// move on (peer dead, probing denied, 429, or a decline). A declined
+	// busy-home probe leaves the peer unattempted, so the sweep can still
+	// run the request there; a decline of the client's own only-if-cached
+	// request is final for that peer.
+	try := func(actx context.Context, p *peer) (res server.JobResult, err error, done bool) {
 		// Breaker admission: closed always passes, half-open grants one
 		// probe, open denies (open peers were already filtered, but the
 		// state may have moved since).
@@ -281,14 +289,28 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 		mu.Unlock()
 		p.inflight.Add(1)
 		start := time.Now()
-		res, err = p.Run(ctx, req)
+		res, err = p.Run(actx, req)
 		p.inflight.Add(-1)
-		tr.AddSpan("peer "+p.name+" POST "+req.Path(), start, time.Now())
+		span := "peer " + p.name + " POST " + req.Path()
+		if server.OnlyIfCached(actx) {
+			span += " only-if-cached"
+		}
+		tr.AddSpan(span, start, time.Now())
 		// answer is the peer's own verdict, when it produced one; an err
 		// without it means the peer was never usefully reached.
 		var answer *server.Error
 		errors.As(err, &answer)
 		switch {
+		case server.IsNotCached(err):
+			// Not a failure: like a 429, an answer from a live peer,
+			// which just holds no result for the key.
+			p.br.Succeeded()
+			p.reqs[outcomeDeclined].Inc()
+			mu.Lock()
+			declined = answer
+			attempted[p.name] = server.OnlyIfCached(ctx)
+			mu.Unlock()
+			return res, nil, false
 		case err != nil && (answer == nil || retryableStatus(answer.Status)):
 			p.br.Failed()
 			p.reqs[outcomeRerouted].Inc()
@@ -310,6 +332,15 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 		return res, err, true
 	}
 
+	// A home demoted for load may still hold the result: a hit is cheap
+	// there and a spill would simulate it again on a successor, so ask
+	// it first, and spill only what it declines.
+	if busy != nil && !server.OnlyIfCached(ctx) {
+		if res, err, done := try(server.WithOnlyIfCached(ctx), busy); done {
+			return res, err
+		}
+	}
+
 	// Hedged first attempt: fire the primary, and if it has not
 	// answered within HedgeAfter, race the second candidate. Sound
 	// because both would return bit-identical results; the first usable
@@ -324,7 +355,7 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 		ch := make(chan outcome, 2)
 		launch := func(p *peer) {
 			go func() {
-				res, err, done := try(p)
+				res, err, done := try(ctx, p)
 				ch <- outcome{res, err, done}
 			}()
 		}
@@ -361,13 +392,13 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 		if ctx.Err() != nil {
 			break
 		}
-		if res, err, done := try(p); done {
+		if res, err, done := try(ctx, p); done {
 			return res, err
 		}
 	}
 
 	mu.Lock()
-	throttled := last429
+	throttled, notCached := last429, declined
 	mu.Unlock()
 	if throttled != nil {
 		// Every reachable peer is saturated: answer with the last 429,
@@ -375,6 +406,12 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 		// queue_wait_p95_ms, retry_after_sec), so clients back off
 		// identically against either topology.
 		return server.JobResult{}, throttled
+	}
+	if notCached != nil && server.OnlyIfCached(ctx) {
+		// The client asked only-if-cached and no reachable peer holds
+		// the result: their decline is the answer, not a reason to
+		// simulate locally.
+		return server.JobResult{}, notCached
 	}
 
 	// Every peer is dead: single-node fallback, the ladder's last rung.

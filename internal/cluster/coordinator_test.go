@@ -234,6 +234,80 @@ func TestClusterCacheAffinity(t *testing.T) {
 	}
 }
 
+// TestClusterHitsStayHomeUnderLoad: bounded load moves only the work a
+// busy ring home cannot answer from its cache. With the home held past
+// the bound (its in-flight count raised by hand, no clock involved), a
+// key it holds is still its cache hit; a key it lacks is declined by
+// the home and simulated once on the successor; and declines, however
+// many, are answers that neither trip the home's breaker nor count as
+// reroutes.
+func TestClusterHitsStayHomeUnderLoad(t *testing.T) {
+	const tripAfter = 2
+	c := newTestCluster(t, 3, func(int) server.Options { return server.Options{Workers: 1} },
+		nil, func(o *Options) { o.TripAfter = tripAfter })
+	homeName := peerName(c.workerTS[0].URL)
+	home := c.co.peers[homeName]
+	byName := make(map[string]*server.Server, len(c.workers))
+	for i, ts := range c.workerTS {
+		byName[peerName(ts.URL)] = c.workers[i]
+	}
+	specs := homedSpecs(t, c, homeName, 3+tripAfter)
+	cached, fresh := specs[0], specs[1:]
+	if _, code, _ := postVia(t, c.front.URL, cached, nil); code != http.StatusOK {
+		t.Fatalf("warm-up POST = %d", code)
+	}
+
+	// Past the bound: with 10 requests in flight on the home alone, the
+	// bound over three peers is ceil(1.25*11/3) = 5.
+	home.inflight.Add(10)
+	defer home.inflight.Add(-10)
+	// The demoted home's first replacement is its ring successor.
+	successor := func(spec server.JobSpec) *server.Server {
+		h, _ := c.co.hash(server.Request{Job: &spec})
+		return byName[c.co.ring.Preference(h)[1]]
+	}
+	done := func(s *server.Server) int64 { return s.MetricsSnapshot().JobsDone }
+
+	succ := successor(cached)
+	okBefore, succDone := home.reqs[outcomeOK].Value(), done(succ)
+	res, code, _ := postVia(t, c.front.URL, cached, nil)
+	if code != http.StatusOK || !res.Cached {
+		t.Errorf("cached key under load: status %d, cached %v; want the home's hit", code, res.Cached)
+	}
+	if got := home.reqs[outcomeOK].Value() - okBefore; got != 1 {
+		t.Errorf("home answered %d requests ok, want 1", got)
+	}
+	if done(succ) != succDone {
+		t.Error("the successor simulated a key its busy home had cached")
+	}
+
+	homeNode := byName[homeName]
+	for i, spec := range fresh {
+		succ := successor(spec)
+		homeDone, homeLen := done(homeNode), homeNode.MetricsSnapshot().CacheEntries
+		succDone, declined := done(succ), home.reqs[outcomeDeclined].Value()
+		res, code, _ := postVia(t, c.front.URL, spec, nil)
+		if code != http.StatusOK || res.Cached {
+			t.Fatalf("fresh key %d under load: status %d, cached %v; want a simulation", i, code, res.Cached)
+		}
+		if got := done(succ) - succDone; got != 1 {
+			t.Errorf("fresh key %d: successor simulated %d times, want 1", i, got)
+		}
+		if done(homeNode) != homeDone || homeNode.MetricsSnapshot().CacheEntries != homeLen {
+			t.Errorf("fresh key %d: the busy home simulated or cached it", i)
+		}
+		if got := home.reqs[outcomeDeclined].Value() - declined; got != 1 {
+			t.Errorf("fresh key %d: home declined %d times, want 1", i, got)
+		}
+	}
+	if st := home.br.State(); st != simcache.BreakerClosed {
+		t.Errorf("after %d declines (TripAfter %d) the home's breaker is %s, want closed", len(fresh), tripAfter, st)
+	}
+	if n := c.co.reroutes.Value(); n != 0 {
+		t.Errorf("reroutes = %d, want 0: a decline is not a failure", n)
+	}
+}
+
 // TestClusterRerouteOnDeadPeer: a peer answering 502 trips its breaker
 // and its keys reroute to ring successors; every request still
 // succeeds with real results.
@@ -652,11 +726,19 @@ const addAsm = `
     EXIT
 `
 
-// postRaw posts body to base+path and returns status, headers and the
-// decoded JSON object.
-func postRaw(t testing.TB, base, path string, body []byte) (int, http.Header, map[string]any) {
+// postRaw posts body with the given extra headers to base+path and
+// returns status, headers and the decoded JSON object.
+func postRaw(t testing.TB, base, path string, body []byte, hdr map[string]string) (int, http.Header, map[string]any) {
 	t.Helper()
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +795,7 @@ func TestClusterErrorParity(t *testing.T) {
 			faults: faults.SiteServerExec + "=panic(n=1)",
 			prime: func(t *testing.T, _ *faults.Injector, _ *server.Server, url string) func() {
 				// The first run panics and quarantines the key.
-				if code, _, body := postRaw(t, url, "/v1/jobs", job(server.JobSpec{Microbench: 2})); code != http.StatusInternalServerError {
+				if code, _, body := postRaw(t, url, "/v1/jobs", job(server.JobSpec{Microbench: 2}), nil); code != http.StatusInternalServerError {
 					t.Fatalf("priming panic = %d %v, want 500", code, body)
 				}
 				return nil
@@ -779,8 +861,8 @@ func TestClusterErrorParity(t *testing.T) {
 				}
 			}
 
-			wantCode, wantHdr, want := postRaw(t, node, tc.path, tc.body)
-			gotCode, gotHdr, got := postRaw(t, c.front.URL, tc.path, tc.body)
+			wantCode, wantHdr, want := postRaw(t, node, tc.path, tc.body, nil)
+			gotCode, gotHdr, got := postRaw(t, c.front.URL, tc.path, tc.body, nil)
 			if wantCode != tc.status {
 				t.Fatalf("single node = %d %v, want %d", wantCode, want, tc.status)
 			}
@@ -806,7 +888,7 @@ func TestClusterErrorParity(t *testing.T) {
 			}
 
 			entry := func(base string) map[string]any {
-				code, _, m := postRaw(t, base, "/v1/batch", []byte(`{"jobs":[`+string(tc.body)+`]}`))
+				code, _, m := postRaw(t, base, "/v1/batch", []byte(`{"jobs":[`+string(tc.body)+`]}`), nil)
 				results, _ := m["results"].([]any)
 				if code != http.StatusOK || len(results) != 1 {
 					t.Fatalf("batch via %s = %d %v", base, code, m)
@@ -873,14 +955,20 @@ func TestRunnerConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref struct{ job, kernel server.JobResult }
+	freshJob := server.JobSpec{Microbench: 4, SI: true, LatencyCycles: 777}
+	freshKernel := server.SubmitSpec{Name: "fresh", Assembly: addAsm, MaxCycles: 5000}
+	var ref struct {
+		job, kernel server.JobResult
+		notCached   [2]server.Error
+	}
 	for i, impl := range []struct {
 		name string
 		run  server.Runner
+		sim  *server.Server // the node that would simulate the request
 	}{
-		{"server", node},
-		{"peer", &peer{name: peerName(workerTS.URL), url: workerTS.URL, client: http.DefaultClient}},
-		{"coordinator", co},
+		{"server", node, node},
+		{"peer", &peer{name: peerName(workerTS.URL), url: workerTS.URL, client: http.DefaultClient}, worker},
+		{"coordinator", co, local},
 	} {
 		ctx := context.Background()
 		jobRes, err := impl.run.Run(ctx, server.Request{Job: &jobSpec})
@@ -904,6 +992,41 @@ func TestRunnerConformance(t *testing.T) {
 			t.Errorf("%s: results differ from the node's own", impl.name)
 		}
 
+		// only-if-cached: a key already run is answered from the cache,
+		// a fresh one is refused with one error everywhere and simulates
+		// nothing.
+		cctx := server.WithOnlyIfCached(ctx)
+		for _, seen := range []struct {
+			req  server.Request
+			want server.JobResult
+		}{
+			{server.Request{Job: &jobSpec}, jobRes},
+			{server.Request{Kernel: &server.SubmitSpec{Name: "add", Assembly: addAsm}}, kernelRes},
+		} {
+			res, err := impl.run.Run(cctx, seen.req)
+			if err != nil || !res.Cached || res.Key != seen.want.Key || res.Counters != seen.want.Counters {
+				t.Errorf("%s: only-if-cached %s of a key already run = %+v, %v; want its cached result",
+					impl.name, seen.req.Path(), res, err)
+			}
+		}
+		before := impl.sim.MetricsSnapshot().JobsDone
+		for j, req := range []server.Request{{Job: &freshJob}, {Kernel: &freshKernel}} {
+			_, err := impl.run.Run(cctx, req)
+			var e *server.Error
+			if !errors.As(err, &e) || e.Status != http.StatusGatewayTimeout || e.Extra["not_cached"] != true {
+				t.Errorf("%s: only-if-cached %s of a fresh key = %v, want 504 not_cached", impl.name, req.Path(), err)
+				continue
+			}
+			if i == 0 {
+				ref.notCached[j] = *e
+			} else if !reflect.DeepEqual(*e, ref.notCached[j]) {
+				t.Errorf("%s: only-if-cached %s refusal %+v, the node's %+v", impl.name, req.Path(), *e, ref.notCached[j])
+			}
+		}
+		if after := impl.sim.MetricsSnapshot().JobsDone; after != before {
+			t.Errorf("%s: only-if-cached misses simulated %d jobs, want none", impl.name, after-before)
+		}
+
 		_, err = impl.run.Run(ctx, server.Request{Kernel: &server.SubmitSpec{Assembly: spinAsm, MaxCycles: 3000}})
 		var e *server.Error
 		if !errors.As(err, &e) {
@@ -916,6 +1039,71 @@ func TestRunnerConformance(t *testing.T) {
 	}
 	if co.fallbacks.Value() == 0 {
 		t.Error("coordinator never reached its local rung; the dead-peer ladder was not exercised")
+	}
+
+	// The same contract over HTTP: the Cache-Control header on both
+	// submission endpoints of a single node.
+	for _, tc := range []struct {
+		path       string
+		seen, miss any
+	}{
+		{"/v1/jobs", jobSpec, freshJob},
+		{"/v1/submit", server.SubmitSpec{Name: "add", Assembly: addAsm}, freshKernel},
+	} {
+		hdr := map[string]string{"Cache-Control": "max-age=0, only-if-cached"}
+		seen, _ := json.Marshal(tc.seen)
+		if code, _, body := postRaw(t, workerTS.URL, tc.path, seen, hdr); code != http.StatusOK || body["cached"] != true {
+			t.Errorf("%s only-if-cached of a key already run = %d %v, want a cached 200", tc.path, code, body)
+		}
+		miss, _ := json.Marshal(tc.miss)
+		before := worker.MetricsSnapshot()
+		if code, _, body := postRaw(t, workerTS.URL, tc.path, miss, hdr); code != http.StatusGatewayTimeout || body["not_cached"] != true {
+			t.Errorf("%s only-if-cached of a fresh key = %d %v, want 504 not_cached", tc.path, code, body)
+		}
+		if after := worker.MetricsSnapshot(); after.JobsDone != before.JobsDone || after.JobsTotal != before.JobsTotal {
+			t.Errorf("%s only-if-cached miss counted or simulated a job", tc.path)
+		}
+	}
+
+	// Through a coordinator whose peers are all alive, a client's own
+	// only-if-cached request that no peer can answer gets the peers'
+	// refusal, not a local simulation. Concurrent requests with an
+	// immediate hedge let two declines of one request race.
+	c := newTestCluster(t, 3, nil, nil, func(o *Options) { o.HedgeAfter = time.Nanosecond })
+	miss, _ := json.Marshal(freshJob)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodPost, c.front.URL+"/v1/jobs", bytes.NewReader(miss))
+			req.Header.Set("Cache-Control", "only-if-cached")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var body map[string]any
+			json.NewDecoder(resp.Body).Decode(&body)
+			if resp.StatusCode != http.StatusGatewayTimeout || body["not_cached"] != true {
+				t.Errorf("coordinator only-if-cached of a fresh key = %d %v, want 504 not_cached", resp.StatusCode, body)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := c.co.fallbacks.Value(); n != 0 {
+		t.Errorf("coordinator counted %d local fallbacks for a declined only-if-cached request", n)
+	}
+	if n := c.local.MetricsSnapshot().JobsTotal; n != 0 {
+		t.Errorf("coordinator's local node took %d jobs, want none", n)
+	}
+	var declined int64
+	for _, p := range c.co.peers {
+		declined += p.reqs[outcomeDeclined].Value()
+	}
+	if declined == 0 {
+		t.Error("no peer declined the only-if-cached request")
 	}
 }
 

@@ -23,9 +23,10 @@ const (
 	outcomeOK        = "ok"        // usable response relayed (200 or a deterministic 4xx/500)
 	outcomeRerouted  = "rerouted"  // transport error or 502/503/504; breaker fed, next peer tried
 	outcomeThrottled = "throttled" // peer said 429; alive but saturated, next peer tried
+	outcomeDeclined  = "declined"  // only-if-cached miss (504 not_cached); an answer, next peer tried
 )
 
-var outcomes = []string{outcomeOK, outcomeRerouted, outcomeThrottled}
+var outcomes = []string{outcomeOK, outcomeRerouted, outcomeThrottled, outcomeDeclined}
 
 // peer is one worker daemon as the coordinator sees it: base URL,
 // in-flight count (the bounded-load signal), its circuit breaker (the
@@ -51,13 +52,14 @@ func peerName(raw string) string {
 }
 
 // Run implements server.Runner across one network hop: marshal the
-// spec, POST it to the endpoint that serves it with the tenant and
-// trace identities riding ctx forwarded as headers, and decode the
-// answer — a 200 into the JobResult, any other status into the
-// *server.Error the worker's front encoded. This is the only place a
-// response body is parsed back. Any other error means the peer never
-// produced a usable response (transport failure, unreadable or
-// undecodable body): the caller feeds the breaker and reroutes.
+// spec, POST it to the endpoint that serves it with the tenant, the
+// trace identity and the only-if-cached directive riding ctx forwarded
+// as headers, and decode the answer — a 200 into the JobResult, any
+// other status into the *server.Error the worker's front encoded. This
+// is the only place a response body is parsed back. Any other error
+// means the peer never produced a usable response (transport failure,
+// unreadable or undecodable body): the caller feeds the breaker and
+// reroutes.
 func (p *peer) Run(ctx context.Context, req server.Request) (server.JobResult, error) {
 	var res server.JobResult
 	payload, err := json.Marshal(req.Spec())
@@ -72,6 +74,9 @@ func (p *peer) Run(ctx context.Context, req server.Request) (server.JobResult, e
 	hreq.Header.Set("X-Tenant", server.TenantFrom(ctx))
 	if id := obs.TraceIDFrom(ctx); id != "" {
 		hreq.Header.Set("X-Trace-ID", id)
+	}
+	if server.OnlyIfCached(ctx) {
+		hreq.Header.Set("Cache-Control", "only-if-cached")
 	}
 	resp, err := p.client.Do(hreq)
 	if err != nil {
@@ -94,7 +99,9 @@ func (p *peer) Run(ctx context.Context, req server.Request) (server.JobResult, e
 // retryableStatus reports peer responses that mean "this node cannot
 // serve right now" rather than "this job is bad": they feed the
 // breaker and reroute. Deterministic failures (4xx, plain 500) would
-// fail identically on every node, so they are relayed, not retried.
+// fail identically on every node, so they are relayed, not retried. A
+// not_cached 504 is neither: the caller tells it apart first
+// (server.IsNotCached).
 func retryableStatus(code int) bool {
 	switch code {
 	case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
@@ -158,6 +160,56 @@ func DecodeError(status int, body []byte) *Error {
 	return e
 }
 
+// onlyIfCachedKey marks a context whose request may be answered only
+// from the result cache.
+type onlyIfCachedKey struct{}
+
+// WithOnlyIfCached returns ctx carrying the only-if-cached directive
+// (RFC 9111 section 5.2.1.7): a Runner answers a cache hit as usual and
+// refuses a miss with a not_cached 504 instead of simulating. The front
+// sets it from a request's Cache-Control header, and the coordinator's
+// peer client forwards it as that header.
+func WithOnlyIfCached(ctx context.Context) context.Context {
+	return context.WithValue(ctx, onlyIfCachedKey{}, true)
+}
+
+// OnlyIfCached reports whether ctx carries the only-if-cached directive.
+func OnlyIfCached(ctx context.Context) bool {
+	return ctx.Value(onlyIfCachedKey{}) != nil
+}
+
+// onlyIfCachedHeader reports whether a request's Cache-Control header
+// holds the only-if-cached directive.
+func onlyIfCachedHeader(h http.Header) bool {
+	for _, v := range h.Values("Cache-Control") {
+		for _, d := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(d), "only-if-cached") {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// notCachedError is the answer to an only-if-cached request whose
+// result is not in the cache: the 504 RFC 9111 prescribes, marked
+// "not_cached" so that it reads as a refusal to simulate and not as a
+// job that timed out.
+func notCachedError(key simcache.Key) *Error {
+	return &Error{
+		Status: http.StatusGatewayTimeout,
+		Msg:    "result not cached and the request is only-if-cached",
+		Extra:  map[string]any{"not_cached": true, "key": key.String()},
+	}
+}
+
+// IsNotCached reports whether err is the not_cached 504, directly
+// or decoded from a peer's response.
+func IsNotCached(err error) bool {
+	var e *Error
+	return errors.As(err, &e) && e.Status == http.StatusGatewayTimeout && e.Extra["not_cached"] == true
+}
+
 // ErrorResult builds the per-entry error form of a JobResult,
 // preserving the Error's status and structured fields.
 func ErrorResult(workloadID string, err error) JobResult {
@@ -238,14 +290,18 @@ func NewHandler(s *Server, label string, run Runner,
 // traceMiddleware gives every request a trace and a tenant: adopt the
 // client's X-Trace-ID (or mint one), echo it on the response, thread it
 // through the context next to the canonical tenant (which bounds both
-// per-tenant state and label values), and retain the finished trace
-// for /debug/traces.
+// per-tenant state and label values) and a Cache-Control:
+// only-if-cached directive, and retain the finished trace for
+// /debug/traces.
 func (s *Server) traceMiddleware(label string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTrace(obs.SanitizeID(r.Header.Get("X-Trace-ID")))
 		w.Header().Set("X-Trace-ID", tr.ID)
 		ctx := obs.WithTrace(r.Context(), tr)
 		ctx = withTenant(ctx, s.tenantNames.canon(sanitizeTenant(r.Header.Get("X-Tenant"))))
+		if onlyIfCachedHeader(r.Header) {
+			ctx = WithOnlyIfCached(ctx)
+		}
 		end := tr.StartSpan(label + " " + r.Method + " " + r.URL.Path)
 		next.ServeHTTP(w, r.WithContext(ctx))
 		end()
@@ -282,7 +338,14 @@ func (f *front) handleRun(w http.ResponseWriter, r *http.Request, what string, r
 		res, err = f.run.Run(ctx, req)
 	}
 	if err != nil {
-		f.s.obs.Logger().Warn("request failed",
+		// A declined only-if-cached request is an answer: a busy ring
+		// home declines every miss the coordinator spills, so a warning
+		// each would flood the log.
+		level, msg := slog.LevelWarn, "request failed"
+		if IsNotCached(err) {
+			level, msg = slog.LevelDebug, "request declined, not cached"
+		}
+		f.s.obs.Logger().Log(ctx, level, msg,
 			"trace_id", obs.TraceIDFrom(ctx), "tenant", TenantFrom(ctx), "path", req.Path(),
 			"status", errStatus(err), "error", err)
 		writeError(w, err)

@@ -152,6 +152,48 @@ func (c *logCapture) all() []string {
 	return append([]string(nil), c.lines...)
 }
 
+// TestNotCachedLogsAtDebug: a declined only-if-cached request is an
+// answer, logged at debug level; a malformed request still warns.
+func TestNotCachedLogsAtDebug(t *testing.T) {
+	capture := newLogCapture()
+	s := newTestServer(t, Options{Workers: 1, Obs: obs.New(MetricsNamespace, 64, 16, slog.New(capture.h))})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(body string, hdr string) int {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
+		if hdr != "" {
+			req.Header.Set("Cache-Control", hdr)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"microbench":4}`, "only-if-cached"); code != http.StatusGatewayTimeout {
+		t.Fatalf("only-if-cached miss = %d, want 504", code)
+	}
+	if code := post(`{`, ""); code != http.StatusBadRequest {
+		t.Fatalf("malformed body = %d, want 400", code)
+	}
+	var declined, warned int
+	for _, line := range capture.all() {
+		switch {
+		case strings.Contains(line, "level=DEBUG") && strings.Contains(line, "not cached"):
+			declined++
+		case strings.Contains(line, "level=WARN") && strings.Contains(line, "request failed"):
+			if strings.Contains(line, "status=504") {
+				t.Errorf("a declined request warned: %s", line)
+			}
+			warned++
+		}
+	}
+	if declined != 1 || warned != 1 {
+		t.Errorf("%d debug declines and %d warnings, want 1 and 1:\n%s", declined, warned, strings.Join(capture.all(), ""))
+	}
+}
+
 // TestTraceIDPropagationEndToEnd follows one client-supplied trace ID
 // through the whole plane: echoed on the response and in the body,
 // present in a structured log line, attached to the exported span

@@ -468,9 +468,10 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobResult, error) {
 
 // execute is the submission tail shared by Submit (catalogued
 // workloads) and SubmitKernel (untrusted assembly): quarantine check,
-// cache lookup, then on a miss prepare (the config and kernel to run),
-// singleflight coalescing, fair-queue enqueue with tenant quotas, and
-// the wait and error mapping.
+// cache lookup (an only-if-cached request's miss ends there with a
+// not_cached 504), then on a miss prepare (the config and kernel to
+// run), singleflight coalescing, fair-queue enqueue with tenant quotas,
+// and the wait and error mapping.
 func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Time,
 	key simcache.Key, workloadID string, timeout time.Duration,
 	prepare func() (config.Config, *sm.Kernel, error)) (JobResult, error) {
@@ -485,7 +486,6 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 			Extra:  map[string]any{"quarantined": true, "key": key.String()},
 		}
 	}
-	s.jobsTotal.Inc()
 	admitEnd := time.Now()
 	tr.AddSpan("admit", admitStart, admitEnd)
 	s.obs.ObserveStage("admit", admitEnd.Sub(admitStart).Microseconds())
@@ -493,6 +493,11 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 	cacheEnd := stageTimer(s, tr, "cache")
 	e, hit := s.cache.Get(key)
 	cacheEnd()
+	if !hit && OnlyIfCached(ctx) {
+		// Refused before it counts as a job, joins a flight or queues.
+		return JobResult{}, notCachedError(key)
+	}
+	s.jobsTotal.Inc()
 	if hit {
 		res := resultFrom(key, workloadID, e, true, false)
 		res.TraceID = obs.TraceIDFrom(ctx)

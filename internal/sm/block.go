@@ -55,7 +55,10 @@ type Block struct {
 	pending []warpSpec
 	l0i     *mem.Cache
 	events  eventQueue
-	rng     *rand.Rand
+	// rng drives config.OrderRandom, the only policy that draws; it is
+	// built on the first draw (random), from a seed fixed by the block's
+	// place, so runs under every other order never pay for a source.
+	rng *rand.Rand
 
 	// roster holds each warp the block materialized at its Warp.rid, an
 	// index never reused within a run: a load that lands after its warp
@@ -132,7 +135,6 @@ func newBlock(id int, cfg config.Config, owner *SM) *Block {
 		cfg:      cfg,
 		sm:       owner,
 		l0i:      mem.NewCache("L0I", cfg.L0InstrBytes, 4, cfg.CacheLineBytes),
-		rng:      rand.New(rand.NewSource(int64(owner.id*1000 + id + 1))),
 		statuses: make([]issueClass, 0, cfg.WarpSlotsPerBlock),
 		dirty:    make([]bool, 0, cfg.WarpSlotsPerBlock),
 		rec:      cfg.Trace,
@@ -140,6 +142,14 @@ func newBlock(id int, cfg config.Config, owner *SM) *Block {
 		ffLen:    owner.ffLen,
 		wakeMin:  math.MaxInt64,
 	}
+}
+
+// random returns the block's RNG, seeding it on first use.
+func (b *Block) random() *rand.Rand {
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(int64(b.sm.id*1000 + b.id + 1)))
+	}
+	return b.rng
 }
 
 // markDirty flags a warp slot for re-classification on the next step.

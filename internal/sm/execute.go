@@ -471,7 +471,7 @@ func (b *Block) electWinner(groups []subgroup, isBRA bool) int {
 		}
 		return win
 	case config.OrderRandom:
-		return b.rng.Intn(len(groups))
+		return b.random().Intn(len(groups))
 	default: // OrderTakenFirst
 		return 0
 	}

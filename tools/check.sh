@@ -273,6 +273,10 @@ gate -race -count=1 -run 'TestRunnerConformance' ./internal/cluster
 # Placement is by content key for submissions too: one program under
 # two names reaches one peer and the second is that peer's cache hit.
 gate -race -count=1 -run '^TestClusterSubmissionPlacedByContent$' ./internal/cluster
+# Bounded load spills only what a busy ring home cannot answer from its
+# cache: a home held past the bound still serves its hits, declines its
+# misses with a not_cached 504, and a decline never feeds its breaker.
+gate -race -count=1 -run '^TestClusterHitsStayHomeUnderLoad$' ./internal/cluster
 gate -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
 
 echo "== key path gate =="
