@@ -164,10 +164,10 @@ func homedSpecs(t testing.TB, c *testCluster, peer string, n int) []server.JobSp
 
 // TestClusterCacheAffinity is the tentpole property: content-hash
 // routing concentrates each key on one worker, so the cluster's
-// aggregate memory-LRU capacity serves a working set no single node
-// can hold. 18 distinct keys against 3 workers with 8-entry caches:
-// the second pass hits every time, while the same sweep against one
-// 8-entry node thrashes to zero hits.
+// aggregate memory capacity serves a working set no single node can
+// hold. 18 distinct keys against 3 workers with 8-entry caches: the
+// second pass hits every time, while the same sweep against one
+// 8-entry node hits at most the 8 keys it holds.
 func TestClusterCacheAffinity(t *testing.T) {
 	const keys = 18
 	cacheCap := func(int) server.Options {
@@ -176,8 +176,8 @@ func TestClusterCacheAffinity(t *testing.T) {
 	c := newTestCluster(t, 3, cacheCap, nil, nil)
 	// Pick 6 keys homed on each worker: the point is that each node's
 	// 8-entry cache holds ITS shard of the working set. (A random 18-key
-	// sample can put >8 keys on one worker, which would thrash that
-	// node's LRU and muddy the property under test.)
+	// sample can put >8 keys on one worker, which would overflow that
+	// node's cache and muddy the property under test.)
 	var specs []server.JobSpec
 	for _, ts := range c.workerTS {
 		specs = append(specs, homedSpecs(t, c, peerName(ts.URL), keys/3)...)
@@ -210,8 +210,8 @@ func TestClusterCacheAffinity(t *testing.T) {
 	}
 
 	// Single-node baseline: same sweep, same per-node cache capacity.
-	// Sequentially scanning 18 keys through an 8-entry LRU evicts every
-	// key before its second use.
+	// Sequentially scanning 18 keys through an 8-entry cache keeps at
+	// most 8 of them for their second use.
 	single := server.New(server.Options{Workers: 1, Cache: simcache.NewMemory(8)})
 	ts := httptest.NewServer(single.Handler())
 	defer ts.Close()
@@ -230,7 +230,7 @@ func TestClusterCacheAffinity(t *testing.T) {
 		}
 	}
 	if singleHits >= hits {
-		t.Errorf("single-node second pass got %d hits, cluster %d — affinity should beat one node's LRU", singleHits, hits)
+		t.Errorf("single-node second pass got %d hits, cluster %d — affinity should beat one node's cache", singleHits, hits)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package cluster turns N independent sisimd daemons into one
 // cache-affine service: a coordinator consistent-hashes each job's
 // simcache content key onto a ring of workers, so a key's results
-// concentrate on few nodes and every node's memory-LRU tier stays hot
-// for the keys it owns. The determinism contract (DESIGN §3) is what
+// concentrate on few nodes and every node's memory tier stays hot for
+// the keys it owns. The determinism contract (DESIGN §3) is what
 // makes the scheme sound: a simulation result is a pure function of
 // its content key, so ANY node's answer for a key is EVERY node's
 // answer — routing affects only latency and cache temperature, never

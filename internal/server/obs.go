@@ -78,7 +78,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.cache.Stats().Hits) })
 	r.CounterFunc(ns+"_cache_misses_total", "Result-cache misses.",
 		func() float64 { return float64(s.cache.Stats().Misses) })
-	r.CounterFunc(ns+"_cache_evictions_total", "Result-cache LRU evictions.",
+	r.CounterFunc(ns+"_cache_evictions_total", "Result-cache evictions.",
 		func() float64 { return float64(s.cache.Stats().Evictions) })
 	r.CounterFunc(ns+"_cache_corrupt_evictions_total", "Cache entries rejected by checksum and discarded.",
 		func() float64 { return float64(s.cache.Stats().Corrupt) })

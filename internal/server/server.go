@@ -48,8 +48,8 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps requested timeouts; 0 means 10 minutes.
 	MaxTimeout time.Duration
-	// Cache stores results by content address; nil means an in-memory
-	// LRU of 4096 entries.
+	// Cache stores results by content address; nil means
+	// simcache.NewMemory(4096).
 	Cache simcache.Cache
 	// MaxBatch bounds jobs per batch request; 0 means 256.
 	MaxBatch int

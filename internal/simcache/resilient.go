@@ -30,8 +30,8 @@ type ResilientOptions struct {
 	// Cooldown is how long the breaker stays open before allowing a
 	// half-open probe. 0 means 5s.
 	Cooldown time.Duration
-	// MemoryEntries bounds the in-memory LRU that fronts the disk and
-	// carries the cache through degraded mode. 0 means 4096.
+	// MemoryEntries bounds the in-memory cache (NewMemory) that fronts
+	// the disk and carries the cache through degraded mode. 0 means 4096.
 	MemoryEntries int
 	// Seed drives the deterministic jitter sequence. 0 means 1.
 	Seed uint64
@@ -78,8 +78,8 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 	return o
 }
 
-// Resilient hardens a Disk backend for serving: an in-memory LRU
-// fronts every operation, transient disk errors are retried with
+// Resilient hardens a Disk backend for serving: an in-memory cache
+// (NewMemory) fronts every operation, transient disk errors are retried with
 // exponential backoff and full jitter under a per-operation budget,
 // and a circuit breaker trips after consecutive failures so a dead
 // disk degrades the cache to memory-only instead of taxing every

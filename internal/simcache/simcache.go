@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"subwarpsim/internal/config"
@@ -184,42 +185,67 @@ type Cache interface {
 	Stats() Stats
 }
 
-// memory is a bounded in-memory LRU cache.
+// memory is a bounded in-memory cache under W-TinyLFU (Einziger,
+// Friedman and Manes, ACM TOS 2017). A new entry enters a small
+// recency window; the window's oldest entry moves on into the LRU main
+// region while it has room, and afterwards only by displacing the main
+// region's oldest entry, which it must beat on estimated frequency. A
+// result asked for once, or a scan of them, passes through the window
+// without pushing out a result that is asked for often.
 type memory struct {
-	mu      sync.Mutex
-	max     int
-	order   *list.List // front = most recently used; values are *memEntry
-	entries map[Key]*list.Element
-	stats   Stats
+	mu        sync.Mutex
+	max       int
+	windowMax int        // ⌈1 % of max⌉, at least 1
+	window    *list.List // front = most recently used; values are *memEntry
+	main      *list.List // same, holding max-windowMax entries at most
+	entries   map[Key]*list.Element
+	freq      sketch
+	stats     Stats
 }
 
 type memEntry struct {
-	key Key
-	val Entry
+	key    Key
+	val    Entry
+	inMain bool
 }
 
-// NewMemory returns an in-memory LRU cache bounded to maxEntries
-// (minimum 1).
+// NewMemory returns an in-memory W-TinyLFU cache bounded to maxEntries
+// (minimum 1). A Put is always resident until a later Put displaces
+// it, and a one-entry cache is a one-entry LRU.
 func NewMemory(maxEntries int) Cache {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
 	return &memory{
-		max:     maxEntries,
-		order:   list.New(),
-		entries: make(map[Key]*list.Element),
+		max:       maxEntries,
+		windowMax: (maxEntries + 99) / 100,
+		window:    list.New(),
+		main:      list.New(),
+		entries:   make(map[Key]*list.Element),
+		freq:      newSketch(maxEntries),
 	}
 }
 
+func (m *memory) region(el *list.Element) *list.List {
+	if el.Value.(*memEntry).inMain {
+		return m.main
+	}
+	return m.window
+}
+
+// Get counts demand for k whether or not it is resident: a miss, a
+// busy ring home's declined probe included, is a request the cache
+// could have answered.
 func (m *memory) Get(k Key) (Entry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.freq.add(k)
 	el, ok := m.entries[k]
 	if !ok {
 		m.stats.Misses++
 		return Entry{}, false
 	}
-	m.order.MoveToFront(el)
+	m.region(el).MoveToFront(el)
 	m.stats.Hits++
 	return el.Value.(*memEntry).val, true
 }
@@ -229,26 +255,97 @@ func (m *memory) Put(k Key, e Entry) {
 	defer m.mu.Unlock()
 	if el, ok := m.entries[k]; ok {
 		el.Value.(*memEntry).val = e
-		m.order.MoveToFront(el)
+		m.region(el).MoveToFront(el)
 		return
 	}
-	m.entries[k] = m.order.PushFront(&memEntry{key: k, val: e})
-	for m.order.Len() > m.max {
-		oldest := m.order.Back()
-		m.order.Remove(oldest)
-		delete(m.entries, oldest.Value.(*memEntry).key)
-		m.stats.Evictions++
+	m.entries[k] = m.window.PushFront(&memEntry{key: k, val: e})
+	if m.window.Len() <= m.windowMax {
+		return
 	}
+	cand := m.window.Remove(m.window.Back()).(*memEntry)
+	cand.inMain = true
+	if m.main.Len() < m.max-m.windowMax {
+		m.entries[cand.key] = m.main.PushFront(cand)
+		return
+	}
+	m.stats.Evictions++
+	victim := m.main.Back()
+	if victim == nil || m.freq.estimate(cand.key) <= m.freq.estimate(victim.Value.(*memEntry).key) {
+		delete(m.entries, cand.key)
+		return
+	}
+	delete(m.entries, m.main.Remove(victim).(*memEntry).key)
+	m.entries[cand.key] = m.main.PushFront(cand)
 }
 
 func (m *memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.order.Len()
+	return m.window.Len() + m.main.Len()
 }
 
 func (m *memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
+}
+
+// maxSketchWidth caps a sketch row at 64 Ki counters (256 KiB for the
+// four rows), so a huge capacity costs no more at start-up than a
+// moderate one.
+const maxSketchWidth = 1 << 16
+
+// sketch is a count-min estimate of how often each key was asked for:
+// four rows of saturating byte counters, row i indexed by the key's
+// i-th 8-byte word. SHA-256 output is uniform, so the words need no
+// further hashing; read big-endian, a row index comes from a word's
+// low bytes, which within one ring arc (Key.RouteHash) stay uniform.
+// Every counter halves after 10×capacity additions, so the estimate
+// follows popularity as it shifts.
+type sketch struct {
+	rows      [4][]byte
+	mask      uint64
+	additions int
+	reset     int
+}
+
+func newSketch(capacity int) sketch {
+	width := 16
+	for width < 8*capacity && width < maxSketchWidth {
+		width <<= 1
+	}
+	cells := make([]byte, 4*width)
+	s := sketch{mask: uint64(width - 1), reset: 10 * min(capacity, math.MaxInt/10)}
+	for i := range s.rows {
+		s.rows[i] = cells[i*width : (i+1)*width]
+	}
+	return s
+}
+
+func (s *sketch) index(k Key, row int) uint64 {
+	return binary.BigEndian.Uint64(k[8*row:]) & s.mask
+}
+
+func (s *sketch) add(k Key) {
+	for i, row := range &s.rows {
+		if c := &row[s.index(k, i)]; *c < 255 {
+			*c++
+		}
+	}
+	if s.additions++; s.additions >= s.reset {
+		s.additions = 0
+		for _, row := range &s.rows {
+			for j := range row {
+				row[j] >>= 1
+			}
+		}
+	}
+}
+
+func (s *sketch) estimate(k Key) byte {
+	est := byte(255)
+	for i, row := range &s.rows {
+		est = min(est, row[s.index(k, i)])
+	}
+	return est
 }

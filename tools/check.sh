@@ -243,6 +243,14 @@ for seed in 1 7; do
 done
 SISIM_CHAOS_SEED=1 go test -race -count=1 ./internal/faults
 unset SISIM_CHAOS_SEED
+# The memory tier's admission policy, by name under the race detector:
+# one-hit scans must not push out hot results, a seeded Zipf(1.0)
+# replay must beat a reference LRU, the Cache contract must hold at
+# every capacity 1-33, a hit must not allocate, and a huge capacity
+# must not allocate a huge sketch.
+gate -race -count=1 \
+    -run '^TestAdmission(ScanResistance|ZipfBeatsLRU|Properties|HitAllocatesNothing|HugeCapacityIsSmall)$' \
+    ./internal/simcache
 # The stranded-waiter regression: a twin that joins a flight whose
 # leader is then refused by the full queue must get the leader's 429,
 # never hang. It is a race by nature, so it runs five times over.
