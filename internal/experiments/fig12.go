@@ -89,7 +89,7 @@ func fig12b(p *plan) func() *Report {
 		var totSum, divSum float64
 		for i, name := range workload.AppNames() {
 			base, si := runs[i].base.Counters, runs[i].with.Counters
-			tot := stats.Reduction(base.ExposedLoadStalls, si.ExposedLoadStalls)
+			tot := stats.Reduction(base.IdleLoadCycles, si.IdleLoadCycles)
 			div := stats.Reduction(base.ExposedLoadStallsDivergent, si.ExposedLoadStallsDivergent)
 			values[name+"/total"] = tot
 			values[name+"/divergent"] = div

@@ -81,9 +81,6 @@ func TestDerived(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := res.Derived()
-	if d.Cycles != res.Counters.Cycles {
-		t.Error("Derived cycles mismatch")
-	}
 	if d.IPC <= 0 {
 		t.Error("IPC should be positive")
 	}

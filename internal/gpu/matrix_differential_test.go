@@ -144,9 +144,7 @@ func TestPropertyGeneratorInvariants(t *testing.T) {
 					}
 					res, fp := runWith(t, w, cfg, 0)
 					c := res.Counters
-					sum := c.IdleLoadCycles + c.IdleFetchCycles + c.IdleSwitchCycles +
-						c.IdleBarrierCycles + c.IdleNoWarpCycles
-					if sum != c.IdleCycles {
+					if sum := idleBucketSum(c); sum != c.IdleCycles {
 						t.Errorf("%s/%s: idle buckets sum to %d, IdleCycles = %d",
 							pol, mode, sum, c.IdleCycles)
 					}

@@ -7,6 +7,7 @@ import (
 	"subwarpsim/internal/config"
 	"subwarpsim/internal/isa"
 	"subwarpsim/internal/sm"
+	"subwarpsim/internal/stats"
 	"subwarpsim/internal/workload"
 )
 
@@ -52,6 +53,15 @@ func propRun(t *testing.T, cfg config.Config, prog *isa.Program, shape byte, wor
 		t.Fatal(err)
 	}
 	return res
+}
+
+// idleBucketSum adds up the five exclusive stall-attribution buckets.
+func idleBucketSum(c stats.Counters) int64 {
+	var sum int64
+	for _, b := range stats.IdleBuckets {
+		sum += b.Of(c)
+	}
+	return sum
 }
 
 // siConfigs are the policy points the properties quantify over.
@@ -129,14 +139,12 @@ func TestPropertyIdleBucketsConserveIdleCycles(t *testing.T) {
 		}
 		for name, cfg := range configs {
 			c := propRun(t, cfg, prog, data[0], 1).Counters
-			sum := c.IdleLoadCycles + c.IdleFetchCycles + c.IdleSwitchCycles +
-				c.IdleBarrierCycles + c.IdleNoWarpCycles
-			if sum != c.IdleCycles {
+			if sum := idleBucketSum(c); sum != c.IdleCycles {
 				t.Errorf("seed %d, %s: idle buckets sum to %d, IdleCycles = %d (load %d fetch %d switch %d barrier %d nowarp %d)",
 					seed, name, sum, c.IdleCycles, c.IdleLoadCycles, c.IdleFetchCycles,
 					c.IdleSwitchCycles, c.IdleBarrierCycles, c.IdleNoWarpCycles)
 			}
-			if c.IssueCycles+c.IdleCycles == 0 {
+			if c.IssuedInstrs+c.IdleCycles == 0 {
 				t.Errorf("seed %d, %s: empty run", seed, name)
 			}
 		}

@@ -23,7 +23,7 @@ const MetricsNamespace = "sisimd"
 // completed simulations. Per-workload series use the bounded
 // WorkloadID label set ("app/<name>" / "micro/<n>").
 type siMetrics struct {
-	idle    map[string]*obs.Counter // stall-attribution bucket -> cycles
+	idle    []*obs.Counter // cycles per stats.IdleBuckets entry, in its order
 	stalls  *obs.Counter
 	wakeups *obs.Counter
 	selects *obs.Counter
@@ -32,10 +32,6 @@ type siMetrics struct {
 	tstOver *obs.Counter
 	tstPeak *obs.Gauge
 }
-
-// idleBuckets are the paper's idle-cycle attribution categories; their
-// per-run sum equals IdleCycles (Counters invariant).
-var idleBuckets = []string{"load", "fetch", "switch", "barrier", "nowarp"}
 
 // registerMetrics registers the service counters, wires the server's
 // gauges and caches into the registry as read-at-scrape callbacks, and
@@ -139,11 +135,11 @@ func (s *Server) registerMetrics() {
 
 	// SI mechanism roll-ups. Pre-registered so the full label set is
 	// visible before the first simulation completes.
-	s.si.idle = make(map[string]*obs.Counter, len(idleBuckets))
-	for _, b := range idleBuckets {
-		s.si.idle[b] = r.Counter(ns+"_si_idle_cycles_total",
+	s.si.idle = make([]*obs.Counter, len(stats.IdleBuckets))
+	for i, b := range stats.IdleBuckets {
+		s.si.idle[i] = r.Counter(ns+"_si_idle_cycles_total",
 			"Idle block-cycles attributed to one stall cause (the paper's stall-attribution buckets).",
-			"bucket", b)
+			"bucket", b.Label)
 	}
 	s.si.stalls = r.Counter(ns+"_si_subwarp_stalls_total",
 		"Subwarp ACTIVE -> STALLED transitions.")
@@ -166,11 +162,9 @@ func (s *Server) registerMetrics() {
 // siRollup folds one completed simulation's counters into the
 // service-level SI metrics, globally and per workload.
 func (s *Server) siRollup(workload string, c stats.Counters) {
-	s.si.idle["load"].Add(c.IdleLoadCycles)
-	s.si.idle["fetch"].Add(c.IdleFetchCycles)
-	s.si.idle["switch"].Add(c.IdleSwitchCycles)
-	s.si.idle["barrier"].Add(c.IdleBarrierCycles)
-	s.si.idle["nowarp"].Add(c.IdleNoWarpCycles)
+	for i, b := range stats.IdleBuckets {
+		s.si.idle[i].Add(b.Of(c))
+	}
 	s.si.stalls.Add(c.SubwarpStalls)
 	s.si.wakeups.Add(c.SubwarpWakeups)
 	s.si.selects.Add(c.SubwarpSelects)

@@ -1,6 +1,8 @@
 package simcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -233,6 +235,45 @@ func TestDiskPersistsAcrossInstances(t *testing.T) {
 	c2 := NewDisk(dir)
 	if got, ok := c2.Get(keyN(5)); !ok || got.Counters.Cycles != 777 {
 		t.Errorf("entry must survive across cache instances: %+v, %v", got, ok)
+	}
+}
+
+// TestDiskDecodesEntriesWithRemovedCounters: an entry written before
+// Counters lost the six fields that restated others (ExposedLoadStalls,
+// IssueCycles, ExposedFetchStalls, BarrierStallCycles, L1IAccesses,
+// LinesFetched) still decodes, and every counter it keeps reads as
+// written.
+func TestDiskDecodesEntriesWithRemovedCounters(t *testing.T) {
+	payload := `{"policy":"SI Both,N>=0.5","blocks":4,"counters":{` +
+		`"Cycles":5000,"IssuedInstrs":3000,"IssueCycles":3000,"IdleCycles":2000,"ActiveThreads":64000,` +
+		`"ExposedLoadStalls":1200,"ExposedLoadStallsDivergent":700,"FetchStallCycles":450,` +
+		`"ExposedFetchStalls":300,"BarrierStallCycles":500,` +
+		`"IdleLoadCycles":1200,"IdleFetchCycles":300,"IdleSwitchCycles":250,"IdleBarrierCycles":150,"IdleNoWarpCycles":100,` +
+		`"DivergentBranches":40,"Reconvergences":38,"MaxLiveSubwarps":4,` +
+		`"SubwarpStalls":90,"SubwarpWakeups":88,"SubwarpSelects":85,"SubwarpYields":7,"SelectBusy":510,"TSTOverflow":2,` +
+		`"L1DAccesses":640,"L1DMisses":600,"L0IAccesses":310,"L0IMisses":12,"L1IAccesses":12,"L1IMisses":9,"LinesFetched":640,` +
+		`"RTTraces":64,"RTTraversalSteps":1900}}`
+	sum := sha256.Sum256([]byte(payload))
+	dir := t.TempDir()
+	raw := diskMagic + " " + hex.EncodeToString(sum[:]) + "\n" + payload
+	if err := os.WriteFile(filepath.Join(dir, keyN(6).String()+".json"), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := NewDisk(dir).Get(keyN(6))
+	if !ok {
+		t.Fatal("an entry in the previous format must still decode")
+	}
+	want := Entry{Policy: "SI Both,N>=0.5", Blocks: 4, Counters: stats.Counters{
+		Cycles: 5000, IssuedInstrs: 3000, IdleCycles: 2000, ActiveThreads: 64000,
+		ExposedLoadStallsDivergent: 700, FetchStallCycles: 450,
+		IdleLoadCycles: 1200, IdleFetchCycles: 300, IdleSwitchCycles: 250, IdleBarrierCycles: 150, IdleNoWarpCycles: 100,
+		DivergentBranches: 40, Reconvergences: 38, MaxLiveSubwarps: 4,
+		SubwarpStalls: 90, SubwarpWakeups: 88, SubwarpSelects: 85, SubwarpYields: 7, SelectBusy: 510, TSTOverflow: 2,
+		L1DAccesses: 640, L1DMisses: 600, L0IAccesses: 310, L0IMisses: 12, L1IMisses: 9,
+		RTTraces: 64, RTTraversalSteps: 1900,
+	}}
+	if got != want {
+		t.Errorf("decoded entry\n  got  %+v\n  want %+v", got, want)
 	}
 }
 

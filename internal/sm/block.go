@@ -244,9 +244,7 @@ func (b *Block) step(now int64) (issued bool, next int64) {
 	}
 
 	issued = b.issue(now)
-	if issued {
-		b.counters.IssueCycles++
-	} else {
+	if !issued {
 		b.addIdle(b.classify(), 1)
 	}
 
@@ -382,7 +380,6 @@ func (b *Block) status(w *Warp, now int64) issueClass {
 		addr := line * uint64(b.cfg.CacheLineBytes)
 		b.counters.L0IAccesses++
 		readyAt, hit := b.l0i.Access(addr, now, func(at int64) int64 {
-			b.counters.L1IAccesses++
 			r, l1iHit := b.sm.l1i.Access(addr, at, func(at2 int64) int64 {
 				return at2 + int64(b.cfg.L1IMissPenalty)
 			})
@@ -638,28 +635,20 @@ func (b *Block) classify() idleSummary {
 	return s
 }
 
-// addIdle charges n idle cycles with the given classification. The
-// Exposed*/BarrierStallCycles counters keep the paper's Fig. 3 metric;
-// the Idle*Cycles buckets are the finer, mutually exclusive
-// attribution (load > fetch > switch > barrier > no-warp) that
-// stats.StallAttribution reports — they always sum to IdleCycles.
+// addIdle charges n idle cycles with the given classification to
+// exactly one of the mutually exclusive Idle*Cycles buckets (load >
+// fetch > switch > barrier > no-warp) that stats.StallAttribution
+// reports, so they always sum to IdleCycles. IdleLoadCycles is the
+// paper's Fig. 3 metric.
 func (b *Block) addIdle(s idleSummary, n int64) {
 	b.counters.IdleCycles += n
 	b.counters.FetchStallCycles += s.fetchWaiters * n
 	switch {
 	case s.loadStall:
-		b.counters.ExposedLoadStalls += n
+		b.counters.IdleLoadCycles += n
 		if s.loadStallDiv {
 			b.counters.ExposedLoadStallsDivergent += n
 		}
-	case s.fetchWaiters > 0:
-		b.counters.ExposedFetchStalls += n
-	default:
-		b.counters.BarrierStallCycles += n
-	}
-	switch {
-	case s.loadStall:
-		b.counters.IdleLoadCycles += n
 	case s.fetchWaiters > 0:
 		b.counters.IdleFetchCycles += n
 	case s.selecting:

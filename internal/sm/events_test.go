@@ -198,8 +198,8 @@ func TestWritebackAfterSlotRecycled(t *testing.T) {
 		t.Fatal("no writeback was in flight for a recycled slot; the reproducer no longer reproduces")
 	}
 
-	want := stats.Counters{Cycles: 320, IssuedInstrs: 320, IssueCycles: 320, ActiveThreads: 10240,
-		L1DAccesses: 64, L1DMisses: 64, L0IAccesses: 64, L0IMisses: 1, L1IAccesses: 1, L1IMisses: 1, LinesFetched: 64}
+	want := stats.Counters{Cycles: 320, IssuedInstrs: 320, ActiveThreads: 10240,
+		L1DAccesses: 64, L1DMisses: 64, L0IAccesses: 64, L0IMisses: 1, L1IMisses: 1}
 	if got := s.merge(); got != want {
 		t.Errorf("counters\n got  %+v\n want %+v", got, want)
 	}

@@ -273,7 +273,6 @@ func (b *Block) executeLoad(w *Warp, op *isa.Instr, now int64) {
 // cycle its data is ready.
 func (b *Block) probeLine(line uint64, now int64) int64 {
 	b.counters.L1DAccesses++
-	b.counters.LinesFetched++
 	r, hit := b.sm.l1d.Access(line, now, func(at int64) int64 {
 		return at + int64(b.cfg.L1MissLatency)
 	})

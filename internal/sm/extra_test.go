@@ -58,8 +58,8 @@ func TestCoalescingSameLine(t *testing.T) {
 		cfg := testConfig()
 		cfg.CacheLineBytes = tc.lineBytes
 		c, s := run(t, cfg, b.Exit().MustBuild(), 1)
-		if c.LinesFetched != tc.lines {
-			t.Errorf("lane stride %d, %dB lines: LinesFetched = %d, want %d", 1<<tc.shift, tc.lineBytes, c.LinesFetched, tc.lines)
+		if c.L1DAccesses != tc.lines {
+			t.Errorf("lane stride %d, %dB lines: L1DAccesses = %d, want %d", 1<<tc.shift, tc.lineBytes, c.L1DAccesses, tc.lines)
 		}
 		for lane := uint64(0); lane < 32; lane++ {
 			addr := 0x20000 + lane<<tc.shift

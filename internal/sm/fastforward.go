@@ -107,7 +107,7 @@ func (b *Block) ffRun() int64 {
 
 // ffCommit retires n cycles of the last-issued warp's simple run in
 // one call, with exactly the counters cycle-by-cycle execution would
-// have accrued: n issue cycles, n instructions, n×|active| threads.
+// have accrued: n instructions, one a cycle, and n×|active| threads.
 // Each op goes through the same Warp.applySimple a stepped issue uses
 // and, with a recorder attached, emits the issue event — the only event
 // a simple op emits — at its own cycle: the block's counters.Cycles
@@ -121,7 +121,6 @@ func (b *Block) ffCommit(n int64) {
 	w := b.warps[b.lastIssued]
 	mask := w.active
 	pc := w.activePC
-	b.counters.IssueCycles += n
 	b.counters.IssuedInstrs += n
 	b.counters.ActiveThreads += n * int64(mask.Count())
 	cycle := b.counters.Cycles
@@ -175,7 +174,6 @@ func (b *Block) stepExcused(now int64) bool {
 	if run {
 		w := b.warps[pick]
 		pc = w.activePC + 1
-		b.counters.IssueCycles++
 		b.counters.IssuedInstrs++
 		b.counters.ActiveThreads += int64(w.active.Count())
 	} else {

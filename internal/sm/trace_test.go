@@ -10,8 +10,11 @@ import (
 
 // idleBucketSum adds up the five exclusive stall-attribution buckets.
 func idleBucketSum(c stats.Counters) int64 {
-	return c.IdleLoadCycles + c.IdleFetchCycles + c.IdleSwitchCycles +
-		c.IdleBarrierCycles + c.IdleNoWarpCycles
+	var sum int64
+	for _, b := range stats.IdleBuckets {
+		sum += b.Of(c)
+	}
+	return sum
 }
 
 // TestTracingDoesNotPerturbSimulation is the zero-overhead contract:

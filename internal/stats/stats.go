@@ -14,30 +14,26 @@ import (
 // Counters is the set of raw event counts one simulation produces.
 // Per-processing-block counters are summed into SM- and GPU-level
 // totals via Merge; Cycles is maxed, since blocks run concurrently.
+// Each field is one fact: none is another field or a sum of others.
 type Counters struct {
 	// Cycles is the simulated execution time. On Merge the maximum is
 	// kept: the kernel finishes when its slowest component finishes.
 	Cycles int64
 
-	// Issue statistics.
+	// Issue statistics. A block issues at most once a cycle, so its
+	// block-cycles are IssuedInstrs + IdleCycles.
 	IssuedInstrs  int64 // instructions issued to the datapath
-	IssueCycles   int64 // cycles in which the block issued an instruction
 	IdleCycles    int64 // cycles with no warp able to issue
 	ActiveThreads int64 // sum over issued instructions of participating threads
 
-	// Exposed stall characterisation (the paper's Fig. 3 metric):
-	// cycles when no warp in the block can issue and at least one live
-	// warp waits on an outstanding load/texture scoreboard.
-	ExposedLoadStalls          int64
-	ExposedLoadStallsDivergent int64 // subset attributed to divergent code blocks
-	FetchStallCycles           int64 // cycles the issue-selected warp waited on instruction fetch
-	ExposedFetchStalls         int64 // idle cycles attributable to instruction fetch misses
-	BarrierStallCycles         int64 // idle cycles where all warps sat at BSYNC/blocked
+	// Stall detail beside the idle buckets below.
+	ExposedLoadStallsDivergent int64 // the part of IdleLoadCycles in divergent code blocks
+	FetchStallCycles           int64 // warp-cycles of fetch wait: per idle cycle, the warps waiting on a fetch
 
 	// Idle-cycle attribution: every idle cycle lands in exactly one of
-	// these five buckets (priority load > fetch > switch > barrier >
-	// no-warp), so their sum equals IdleCycles. StallAttribution renders
-	// the decomposition as a paper-style (Fig. 3) table.
+	// the five buckets IdleBuckets lists (priority load > fetch > switch
+	// > barrier > no-warp), so their sum equals IdleCycles. The load
+	// bucket is the paper's Fig. 3 metric, the exposed load-to-use stall.
 	IdleLoadCycles    int64 // a live warp waits on a load/texture scoreboard
 	IdleFetchCycles   int64 // an instruction-fetch miss is in flight, no load stall
 	IdleSwitchCycles  int64 // only subwarp switch latency / pending select in flight
@@ -57,38 +53,47 @@ type Counters struct {
 	SelectBusy     int64 // cycles spent paying the subwarp switch latency
 	TSTOverflow    int64 // stall demotions rejected because the TST was full
 
-	// Memory system.
-	L1DAccesses  int64
-	L1DMisses    int64
-	L0IAccesses  int64
-	L0IMisses    int64
-	L1IAccesses  int64
-	L1IMisses    int64
-	LinesFetched int64 // coalesced data line requests issued
+	// Memory system. An L0I miss is an L1I access, and an L1D access is
+	// one coalesced data line request.
+	L1DAccesses int64
+	L1DMisses   int64
+	L0IAccesses int64
+	L0IMisses   int64
+	L1IMisses   int64
 
 	// RT core.
 	RTTraces         int64 // TraceRay operations issued
 	RTTraversalSteps int64 // total BVH node visits performed by the RT core
 }
 
+// IdleBucket is one exclusive idle-cycle attribution bucket.
+type IdleBucket struct {
+	Label string               // sisimd's metric label value
+	Name  string               // StallAttribution's row name
+	Of    func(Counters) int64 // the bucket's counter
+}
+
+// IdleBuckets lists the idle-cycle attribution buckets in
+// classification priority order; for every run their values sum to
+// IdleCycles.
+var IdleBuckets = []IdleBucket{
+	{"load", "load-to-use stall", func(c Counters) int64 { return c.IdleLoadCycles }},
+	{"fetch", "instruction fetch", func(c Counters) int64 { return c.IdleFetchCycles }},
+	{"switch", "subwarp switch", func(c Counters) int64 { return c.IdleSwitchCycles }},
+	{"barrier", "barrier wait", func(c Counters) int64 { return c.IdleBarrierCycles }},
+	{"nowarp", "no warp", func(c Counters) int64 { return c.IdleNoWarpCycles }},
+}
+
 // Merge folds o into c: counts add, Cycles and MaxLiveSubwarps take the
 // maximum.
 func (c *Counters) Merge(o Counters) {
-	if o.Cycles > c.Cycles {
-		c.Cycles = o.Cycles
-	}
-	if o.MaxLiveSubwarps > c.MaxLiveSubwarps {
-		c.MaxLiveSubwarps = o.MaxLiveSubwarps
-	}
+	c.Cycles = max(c.Cycles, o.Cycles)
+	c.MaxLiveSubwarps = max(c.MaxLiveSubwarps, o.MaxLiveSubwarps)
 	c.IssuedInstrs += o.IssuedInstrs
-	c.IssueCycles += o.IssueCycles
 	c.IdleCycles += o.IdleCycles
 	c.ActiveThreads += o.ActiveThreads
-	c.ExposedLoadStalls += o.ExposedLoadStalls
 	c.ExposedLoadStallsDivergent += o.ExposedLoadStallsDivergent
 	c.FetchStallCycles += o.FetchStallCycles
-	c.ExposedFetchStalls += o.ExposedFetchStalls
-	c.BarrierStallCycles += o.BarrierStallCycles
 	c.IdleLoadCycles += o.IdleLoadCycles
 	c.IdleFetchCycles += o.IdleFetchCycles
 	c.IdleSwitchCycles += o.IdleSwitchCycles
@@ -106,16 +111,13 @@ func (c *Counters) Merge(o Counters) {
 	c.L1DMisses += o.L1DMisses
 	c.L0IAccesses += o.L0IAccesses
 	c.L0IMisses += o.L0IMisses
-	c.L1IAccesses += o.L1IAccesses
 	c.L1IMisses += o.L1IMisses
-	c.LinesFetched += o.LinesFetched
 	c.RTTraces += o.RTTraces
 	c.RTTraversalSteps += o.RTTraversalSteps
 }
 
 // Derived holds the normalized metrics the paper's figures report.
 type Derived struct {
-	Cycles             int64
 	IPC                float64 // issued instructions per block-cycle
 	ExposedStallFrac   float64 // exposed load-to-use stalls / kernel time (Fig. 3)
 	DivergentStallFrac float64 // divergent exposed stalls / kernel time (Fig. 3)
@@ -131,13 +133,13 @@ type Derived struct {
 // over; it converts summed per-block cycle counts into fractions of the
 // (max) kernel time.
 func (c Counters) Derive(blocks int) Derived {
-	d := Derived{Cycles: c.Cycles}
+	var d Derived
 	if c.Cycles > 0 && blocks > 0 {
 		denom := float64(c.Cycles) * float64(blocks)
 		d.IPC = float64(c.IssuedInstrs) / denom
-		d.ExposedStallFrac = float64(c.ExposedLoadStalls) / denom
+		d.ExposedStallFrac = float64(c.IdleLoadCycles) / denom
 		d.DivergentStallFrac = float64(c.ExposedLoadStallsDivergent) / denom
-		d.FetchStallFrac = float64(c.ExposedFetchStalls) / denom
+		d.FetchStallFrac = float64(c.IdleFetchCycles) / denom
 	}
 	if c.IssuedInstrs > 0 {
 		d.SIMTEfficiency = float64(c.ActiveThreads) / float64(c.IssuedInstrs) / 32
@@ -192,7 +194,7 @@ func MeanSpeedup(speedups []float64) float64 {
 // all block-cycles (issue + idle).
 func StallAttribution(c Counters) *Table {
 	idle := c.IdleCycles
-	total := c.IssueCycles + c.IdleCycles
+	total := c.IssuedInstrs + c.IdleCycles
 	frac := func(n, d int64) string {
 		if d == 0 {
 			return "0.0%"
@@ -200,17 +202,9 @@ func StallAttribution(c Counters) *Table {
 		return Percent(float64(n) / float64(d))
 	}
 	tbl := NewTable("Idle-cycle attribution", "bucket", "cycles", "% idle", "% time")
-	for _, row := range []struct {
-		name string
-		v    int64
-	}{
-		{"load-to-use stall", c.IdleLoadCycles},
-		{"instruction fetch", c.IdleFetchCycles},
-		{"subwarp switch", c.IdleSwitchCycles},
-		{"barrier wait", c.IdleBarrierCycles},
-		{"no warp", c.IdleNoWarpCycles},
-	} {
-		tbl.AddRow(row.name, fmt.Sprintf("%d", row.v), frac(row.v, idle), frac(row.v, total))
+	for _, b := range IdleBuckets {
+		v := b.Of(c)
+		tbl.AddRow(b.Name, fmt.Sprintf("%d", v), frac(v, idle), frac(v, total))
 	}
 	tbl.AddRow("total idle", fmt.Sprintf("%d", idle), frac(idle, idle), frac(idle, total))
 	return tbl

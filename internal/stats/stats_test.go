@@ -2,20 +2,50 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestMergeAddsCounts(t *testing.T) {
-	a := Counters{Cycles: 100, IssuedInstrs: 10, ExposedLoadStalls: 5, L1DMisses: 2}
-	b := Counters{Cycles: 80, IssuedInstrs: 7, ExposedLoadStalls: 3, L1DMisses: 1}
+	a := Counters{Cycles: 100, IssuedInstrs: 10, IdleLoadCycles: 5, L1DMisses: 2}
+	b := Counters{Cycles: 80, IssuedInstrs: 7, IdleLoadCycles: 3, L1DMisses: 1}
 	a.Merge(b)
 	if a.Cycles != 100 {
 		t.Errorf("Cycles = %d, want max 100", a.Cycles)
 	}
-	if a.IssuedInstrs != 17 || a.ExposedLoadStalls != 8 || a.L1DMisses != 3 {
+	if a.IssuedInstrs != 17 || a.IdleLoadCycles != 8 || a.L1DMisses != 3 {
 		t.Errorf("sums wrong: %+v", a)
+	}
+}
+
+// TestMergeFoldsEveryField sets one field at a time on both sides of a
+// Merge and checks that exactly that field is folded: summed, or maxed
+// for Cycles and MaxLiveSubwarps. A Counters field added without a
+// Merge line fails here.
+func TestMergeFoldsEveryField(t *testing.T) {
+	maxed := map[string]bool{"Cycles": true, "MaxLiveSubwarps": true}
+	typ := reflect.TypeOf(Counters{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			t.Fatalf("Counters.%s is %s; every counter is an int64", f.Name, f.Type)
+		}
+		var a, b Counters
+		reflect.ValueOf(&a).Elem().Field(i).SetInt(3)
+		reflect.ValueOf(&b).Elem().Field(i).SetInt(5)
+		a.Merge(b)
+		want := int64(8)
+		if maxed[f.Name] {
+			want = 5
+		}
+		var expect Counters
+		reflect.ValueOf(&expect).Elem().Field(i).SetInt(want)
+		if a != expect {
+			t.Errorf("Merge folds %s wrong: got %+v, want %s = %d and every other field 0",
+				f.Name, a, f.Name, want)
+		}
 	}
 }
 
@@ -41,7 +71,8 @@ func TestDerive(t *testing.T) {
 		Cycles:                     1000,
 		IssuedInstrs:               2000,
 		ActiveThreads:              2000 * 16,
-		ExposedLoadStalls:          400,
+		IdleLoadCycles:             400,
+		IdleFetchCycles:            200,
 		ExposedLoadStallsDivergent: 100,
 		L1DAccesses:                100,
 		L1DMisses:                  25,
@@ -57,6 +88,9 @@ func TestDerive(t *testing.T) {
 	}
 	if got, want := d.DivergentStallFrac, 0.025; math.Abs(got-want) > 1e-9 {
 		t.Errorf("DivergentStallFrac = %v, want %v", got, want)
+	}
+	if got, want := d.FetchStallFrac, 0.05; math.Abs(got-want) > 1e-9 {
+		t.Errorf("FetchStallFrac = %v, want %v", got, want)
 	}
 	if got, want := d.SIMTEfficiency, 0.5; math.Abs(got-want) > 1e-9 {
 		t.Errorf("SIMTEfficiency = %v, want %v", got, want)
@@ -153,7 +187,10 @@ func TestMergeIdleBuckets(t *testing.T) {
 	a := Counters{IdleCycles: 10, IdleLoadCycles: 4, IdleFetchCycles: 3, IdleSwitchCycles: 1, IdleBarrierCycles: 1, IdleNoWarpCycles: 1}
 	b := Counters{IdleCycles: 6, IdleLoadCycles: 2, IdleFetchCycles: 1, IdleSwitchCycles: 1, IdleBarrierCycles: 1, IdleNoWarpCycles: 1}
 	a.Merge(b)
-	sum := a.IdleLoadCycles + a.IdleFetchCycles + a.IdleSwitchCycles + a.IdleBarrierCycles + a.IdleNoWarpCycles
+	var sum int64
+	for _, bk := range IdleBuckets {
+		sum += bk.Of(a)
+	}
 	if sum != a.IdleCycles {
 		t.Errorf("bucket sum %d != IdleCycles %d after merge", sum, a.IdleCycles)
 	}
@@ -161,12 +198,13 @@ func TestMergeIdleBuckets(t *testing.T) {
 
 func TestStallAttributionSums(t *testing.T) {
 	c := Counters{
-		Cycles: 1000, IdleCycles: 600,
+		Cycles: 1000, IssuedInstrs: 400, IdleCycles: 600,
 		IdleLoadCycles: 300, IdleFetchCycles: 150, IdleSwitchCycles: 100,
 		IdleBarrierCycles: 40, IdleNoWarpCycles: 10,
 	}
 	s := StallAttribution(c).String()
-	for _, want := range []string{"load-to-use stall", "instruction fetch", "subwarp switch", "barrier wait", "no warp", "total idle", "100.0%"} {
+	// "% time" divides by block-cycles, issued + idle: load is 300/1000.
+	for _, want := range []string{"load-to-use stall", "instruction fetch", "subwarp switch", "barrier wait", "no warp", "total idle", "100.0%", "30.0%"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("attribution missing %q:\n%s", want, s)
 		}

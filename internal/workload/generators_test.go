@@ -96,7 +96,7 @@ func TestGEMMDivergenceFree(t *testing.T) {
 	if r.Counters.DivergentBranches != 0 {
 		t.Errorf("GEMM diverged %d times, want 0", r.Counters.DivergentBranches)
 	}
-	if r.Counters.ExposedLoadStalls == 0 {
+	if r.Counters.IdleLoadCycles == 0 {
 		t.Error("GEMM exposed no load stalls; tile loads are not stressing the memory path")
 	}
 }

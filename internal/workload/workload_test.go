@@ -75,7 +75,7 @@ func TestMicrobenchRunsAndDiverges(t *testing.T) {
 	if d.ExposedStallFrac < 0.5 {
 		t.Errorf("ExposedStallFrac = %.2f, want stall-dominated", d.ExposedStallFrac)
 	}
-	if res.Counters.ExposedLoadStallsDivergent*2 < res.Counters.ExposedLoadStalls {
+	if res.Counters.ExposedLoadStallsDivergent*2 < res.Counters.IdleLoadCycles {
 		t.Error("microbenchmark stalls should be mostly divergent")
 	}
 }
@@ -201,7 +201,7 @@ func TestMegakernelRunsAndDiverges(t *testing.T) {
 	if c.RTTraces == 0 {
 		t.Error("megakernel should trace rays")
 	}
-	if c.ExposedLoadStalls == 0 || c.ExposedLoadStallsDivergent == 0 {
+	if c.IdleLoadCycles == 0 || c.ExposedLoadStallsDivergent == 0 {
 		t.Error("megakernel should expose both total and divergent stalls")
 	}
 	if c.Reconvergences == 0 {

@@ -155,6 +155,19 @@ gate -race -count=2 -run '^TestViewsShareOneBaseConcurrently$' ./internal/mem
 gate -count=1 -run '^TestScatterStoresStayBounded$' ./internal/server
 gate -count=1 -run '^TestKeyOfUnchangedByLayout$' ./internal/simcache
 
+echo "== counters gate =="
+# Each counter says one fact, and Merge folds every one of them: a
+# Counters field added without a Merge line fails the first gate. A
+# straight line issues one instruction a cycle, and a load's consumer
+# issues exactly L1MissLatency cycles after it, exact at three
+# latencies. A cache entry written with the counters that restated
+# others still decodes. Each gated by name so a rename fails.
+gate -count=1 -run '^TestMergeFoldsEveryField$' ./internal/stats
+for t in TestStraightLineIssuesEveryCycle TestLoadToUseStallTiming; do
+    gate -count=1 -run "^$t\$" ./internal/sm
+done
+gate -count=1 -run '^TestDiskDecodesEntriesWithRemovedCounters$' ./internal/simcache
+
 echo "== experiments plan gate =="
 # One plan runs the report: each distinct (kernel, config) the
 # experiments declare is simulated once, over one kernel per profile.
