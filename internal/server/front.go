@@ -113,9 +113,7 @@ func errStatus(err error) int {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // writeError turns an error into its HTTP response: status, the
@@ -355,19 +353,13 @@ func (f *front) handleRun(w http.ResponseWriter, r *http.Request, what string, r
 		"trace_id", obs.TraceIDFrom(ctx), "tenant", TenantFrom(ctx), "path", req.Path(),
 		"key", res.Key, "workload", res.Workload, "cached", res.Cached, "coalesced", res.Coalesced)
 	respondEnd := stageTimer(f.s, obs.TraceFrom(ctx), "respond")
-	writeJSON(w, http.StatusOK, res)
+	writeResults(w, "", "", res)
 	respondEnd()
 }
 
 // batchRequest is the /v1/batch payload.
 type batchRequest struct {
 	Jobs []JobSpec `json:"jobs"`
-}
-
-// batchResponse preserves request order; failed items carry Error and
-// empty result fields.
-type batchResponse struct {
-	Results []JobResult `json:"results"`
 }
 
 // handleBatch is the /v1/batch prologue — decode, the batch fault
@@ -379,7 +371,7 @@ func (f *front) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: f.batch(r.Context(), req.Jobs)})
+	writeResults(w, `{"results":[`, "]}", f.batch(r.Context(), req.Jobs)...)
 }
 
 func (f *front) admitBatch(w http.ResponseWriter, r *http.Request, req *batchRequest) error {

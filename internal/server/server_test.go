@@ -30,6 +30,11 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	return s
 }
 
+// batchResponse is the /v1/batch body writeResults writes.
+type batchResponse struct {
+	Results []JobResult `json:"results"`
+}
+
 func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) (JobResult, int) {
 	t.Helper()
 	body, err := json.Marshal(spec)

@@ -190,43 +190,81 @@ func divergentIfElse(lat bool) *isa.Program {
 	return b.Exit().MustBuild()
 }
 
+// TestBaselineSerializesDivergentStalls: the baseline runs the two
+// paths one after the other, and each exposes its full miss latency L.
+// S2R, SHL, ISETP, BSSY and the divergent BRA issue at cycles 0-4; the
+// taken path (lanes 0-15, taken first) issues IADDI at 5 and LDG at 6,
+// its IADD at 6+L (TestLoadToUseStallTiming's rule), BRA at 7+L and an
+// unsuccessful BSYNC at 8+L, where the baseline's divergence unit
+// switches to the READY fall-through path for free. That path issues
+// IADDI at 9+L, LDG at 10+L, IADD at 10+2L, BRA at 11+2L, and a BSYNC
+// at 12+2L that reconverges; EXIT issues at 13+2L, so the run takes
+// 2L+14 cycles. Each path idles L-1 cycles on its load with two live
+// subwarps, so every one of the 2L-2 load-stall cycles is divergent.
 func TestBaselineSerializesDivergentStalls(t *testing.T) {
-	cfg := testConfig()
-	c, _ := run(t, cfg, divergentIfElse(true), 1)
-	// Two serialized load-to-use stalls: ~2x miss latency.
-	min := int64(2 * cfg.L1MissLatency)
-	if c.Cycles < min || c.Cycles > min+100 {
-		t.Errorf("baseline Cycles = %d, want ≈ %d (serialized subwarps)", c.Cycles, min)
-	}
-	if c.DivergentBranches != 1 {
-		t.Errorf("DivergentBranches = %d, want 1", c.DivergentBranches)
-	}
-	if c.Reconvergences != 1 {
-		t.Errorf("Reconvergences = %d, want 1", c.Reconvergences)
-	}
-	// Both stalls happen while the warp is diverged.
-	if c.ExposedLoadStallsDivergent < min-100 {
-		t.Errorf("divergent stalls = %d, want ≈ %d", c.ExposedLoadStallsDivergent, min)
+	for _, lat := range []int{300, 600, 900} {
+		cfg := testConfig()
+		cfg.L1MissLatency = lat
+		c, _ := run(t, cfg, divergentIfElse(true), 1)
+		L := int64(lat)
+		if c.Cycles != 2*L+14 {
+			t.Errorf("latency %d: baseline Cycles = %d, want 2L+14 = %d", lat, c.Cycles, 2*L+14)
+		}
+		if c.IdleLoadCycles != 2*L-2 || c.ExposedLoadStallsDivergent != 2*L-2 {
+			t.Errorf("latency %d: load stalls = %d, divergent %d; want both 2L-2 = %d",
+				lat, c.IdleLoadCycles, c.ExposedLoadStallsDivergent, 2*L-2)
+		}
+		if c.DivergentBranches != 1 {
+			t.Errorf("latency %d: DivergentBranches = %d, want 1", lat, c.DivergentBranches)
+		}
+		if c.Reconvergences != 1 {
+			t.Errorf("latency %d: Reconvergences = %d, want 1", lat, c.Reconvergences)
+		}
 	}
 }
 
+// TestSubwarpInterleavingOverlapsStalls: under SI (all-stalled trigger,
+// no yield) the two paths' loads overlap and the run takes one miss
+// latency plus two switches. A select started at cycle t activates its
+// subwarp at the start of cycle t+S' with S' = max(S, 1): selects
+// complete at the start of a step, before the trigger that starts one
+// runs, so a zero-latency select still costs one cycle (the rule for
+// S = 0), while SelectBusy adds S per select.
+//   - Cycles 0-4 as in the baseline; the taken path issues IADDI at 5
+//     and LDG at 6 (data due 6+L). At 7 its IADD finds the scoreboard
+//     busy and the READY fall-through path is there, so it stalls and
+//     select 1 starts.
+//   - The fall-through path issues IADDI at 7+S', LDG at 8+S' (data due
+//     8+S'+L), and waits at 9+S' without demoting: its partner is
+//     STALLED, not READY.
+//   - At 6+L the taken path wakes; the waiting path now has a READY
+//     partner, stalls, and select 2 starts. The taken path issues IADD
+//     at 6+L+S', BRA at 7+L+S', and BSYNC at 8+L+S', the cycle the
+//     fall-through data lands, so that path is READY and select 3
+//     starts.
+//   - The fall-through path issues IADD at 8+L+2S', BRA at 9+L+2S' and
+//     a BSYNC that reconverges at 10+L+2S'; EXIT issues at 11+L+2S'.
+//
+// So Cycles = L+12+2S' (L+14, L+24, L+34 at S = 0, 6, 11), with three
+// selects, SelectBusy = 3S and two subwarp-stalls.
 func TestSubwarpInterleavingOverlapsStalls(t *testing.T) {
-	// The headline mechanism (Fig. 2): with SI, the two subwarps' loads
-	// overlap in time and the warp finishes in ~1x the miss latency.
-	cfg := testConfig().WithSI(false, config.TriggerAllStalled)
-	c, _ := run(t, cfg, divergentIfElse(true), 1)
-	max := int64(cfg.L1MissLatency) + 150
-	if c.Cycles > max {
-		t.Errorf("SI Cycles = %d, want < %d (overlapped subwarps)", c.Cycles, max)
-	}
-	if c.SubwarpStalls == 0 {
-		t.Error("no subwarp-stall transitions recorded")
-	}
-	if c.SubwarpSelects == 0 {
-		t.Error("no subwarp-select transitions recorded")
-	}
-	if c.SubwarpWakeups == 0 {
-		t.Error("no subwarp-wakeup transitions recorded")
+	for _, lat := range []int{300, 600, 900} {
+		for _, sw := range []int{0, 6, 11} {
+			cfg := testConfig().WithSI(false, config.TriggerAllStalled)
+			cfg.L1MissLatency, cfg.SI.SwitchLatency = lat, sw
+			c, _ := run(t, cfg, divergentIfElse(true), 1)
+			L, S := int64(lat), int64(sw)
+			if want := L + 12 + 2*max(S, 1); c.Cycles != want {
+				t.Errorf("L=%d S=%d: SI Cycles = %d, want L+12+2*max(S,1) = %d", lat, sw, c.Cycles, want)
+			}
+			if c.SubwarpSelects != 3 || c.SelectBusy != 3*S || c.SubwarpStalls != 2 {
+				t.Errorf("L=%d S=%d: selects %d, SelectBusy %d, stalls %d; want 3, %d, 2",
+					lat, sw, c.SubwarpSelects, c.SelectBusy, c.SubwarpStalls, 3*S)
+			}
+			if c.SubwarpWakeups == 0 {
+				t.Errorf("L=%d S=%d: no subwarp-wakeup transitions recorded", lat, sw)
+			}
+		}
 	}
 }
 

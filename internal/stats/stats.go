@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Counters is the set of raw event counts one simulation produces.
@@ -84,36 +85,64 @@ var IdleBuckets = []IdleBucket{
 	{"nowarp", "no warp", func(c Counters) int64 { return c.IdleNoWarpCycles }},
 }
 
+// CounterField is one Counters field: its Go and JSON name, how Merge
+// folds it, and where it lies in the struct.
+type CounterField struct {
+	Name string
+	Max  bool    // Merge keeps the maximum; other counters add
+	off  uintptr // unsafe.Offsetof the field
+}
+
+// Of returns c's field f. An offset, not an accessor closure, keeps c
+// on its caller's stack: an argument of an indirect call escapes.
+func (f CounterField) Of(c *Counters) *int64 {
+	return (*int64)(unsafe.Add(unsafe.Pointer(c), f.off))
+}
+
+// CounterFields lists every Counters field once, in declaration order.
+// Merge and server.JobResult's JSON encoder both loop over it, so a
+// field added to Counters needs one row here and nothing else.
+var CounterFields = []CounterField{
+	{"Cycles", true, unsafe.Offsetof(Counters{}.Cycles)},
+	{"IssuedInstrs", false, unsafe.Offsetof(Counters{}.IssuedInstrs)},
+	{"IdleCycles", false, unsafe.Offsetof(Counters{}.IdleCycles)},
+	{"ActiveThreads", false, unsafe.Offsetof(Counters{}.ActiveThreads)},
+	{"ExposedLoadStallsDivergent", false, unsafe.Offsetof(Counters{}.ExposedLoadStallsDivergent)},
+	{"FetchStallCycles", false, unsafe.Offsetof(Counters{}.FetchStallCycles)},
+	{"IdleLoadCycles", false, unsafe.Offsetof(Counters{}.IdleLoadCycles)},
+	{"IdleFetchCycles", false, unsafe.Offsetof(Counters{}.IdleFetchCycles)},
+	{"IdleSwitchCycles", false, unsafe.Offsetof(Counters{}.IdleSwitchCycles)},
+	{"IdleBarrierCycles", false, unsafe.Offsetof(Counters{}.IdleBarrierCycles)},
+	{"IdleNoWarpCycles", false, unsafe.Offsetof(Counters{}.IdleNoWarpCycles)},
+	{"DivergentBranches", false, unsafe.Offsetof(Counters{}.DivergentBranches)},
+	{"Reconvergences", false, unsafe.Offsetof(Counters{}.Reconvergences)},
+	{"MaxLiveSubwarps", true, unsafe.Offsetof(Counters{}.MaxLiveSubwarps)},
+	{"SubwarpStalls", false, unsafe.Offsetof(Counters{}.SubwarpStalls)},
+	{"SubwarpWakeups", false, unsafe.Offsetof(Counters{}.SubwarpWakeups)},
+	{"SubwarpSelects", false, unsafe.Offsetof(Counters{}.SubwarpSelects)},
+	{"SubwarpYields", false, unsafe.Offsetof(Counters{}.SubwarpYields)},
+	{"SelectBusy", false, unsafe.Offsetof(Counters{}.SelectBusy)},
+	{"TSTOverflow", false, unsafe.Offsetof(Counters{}.TSTOverflow)},
+	{"L1DAccesses", false, unsafe.Offsetof(Counters{}.L1DAccesses)},
+	{"L1DMisses", false, unsafe.Offsetof(Counters{}.L1DMisses)},
+	{"L0IAccesses", false, unsafe.Offsetof(Counters{}.L0IAccesses)},
+	{"L0IMisses", false, unsafe.Offsetof(Counters{}.L0IMisses)},
+	{"L1IMisses", false, unsafe.Offsetof(Counters{}.L1IMisses)},
+	{"RTTraces", false, unsafe.Offsetof(Counters{}.RTTraces)},
+	{"RTTraversalSteps", false, unsafe.Offsetof(Counters{}.RTTraversalSteps)},
+}
+
 // Merge folds o into c: counts add, Cycles and MaxLiveSubwarps take the
 // maximum.
 func (c *Counters) Merge(o Counters) {
-	c.Cycles = max(c.Cycles, o.Cycles)
-	c.MaxLiveSubwarps = max(c.MaxLiveSubwarps, o.MaxLiveSubwarps)
-	c.IssuedInstrs += o.IssuedInstrs
-	c.IdleCycles += o.IdleCycles
-	c.ActiveThreads += o.ActiveThreads
-	c.ExposedLoadStallsDivergent += o.ExposedLoadStallsDivergent
-	c.FetchStallCycles += o.FetchStallCycles
-	c.IdleLoadCycles += o.IdleLoadCycles
-	c.IdleFetchCycles += o.IdleFetchCycles
-	c.IdleSwitchCycles += o.IdleSwitchCycles
-	c.IdleBarrierCycles += o.IdleBarrierCycles
-	c.IdleNoWarpCycles += o.IdleNoWarpCycles
-	c.DivergentBranches += o.DivergentBranches
-	c.Reconvergences += o.Reconvergences
-	c.SubwarpStalls += o.SubwarpStalls
-	c.SubwarpWakeups += o.SubwarpWakeups
-	c.SubwarpSelects += o.SubwarpSelects
-	c.SubwarpYields += o.SubwarpYields
-	c.SelectBusy += o.SelectBusy
-	c.TSTOverflow += o.TSTOverflow
-	c.L1DAccesses += o.L1DAccesses
-	c.L1DMisses += o.L1DMisses
-	c.L0IAccesses += o.L0IAccesses
-	c.L0IMisses += o.L0IMisses
-	c.L1IMisses += o.L1IMisses
-	c.RTTraces += o.RTTraces
-	c.RTTraversalSteps += o.RTTraversalSteps
+	for _, f := range CounterFields {
+		p, v := f.Of(c), *f.Of(&o)
+		if f.Max {
+			*p = max(*p, v)
+		} else {
+			*p += v
+		}
+	}
 }
 
 // Derived holds the normalized metrics the paper's figures report.

@@ -49,6 +49,27 @@ func TestMergeFoldsEveryField(t *testing.T) {
 	}
 }
 
+// TestCounterFieldsListEveryField reflects over Counters: CounterFields
+// has one row per field, in declaration order, named by the Go field
+// name, whose accessor returns that field and no other.
+func TestCounterFieldsListEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Counters{})
+	if len(CounterFields) != typ.NumField() {
+		t.Fatalf("CounterFields has %d rows, Counters has %d fields", len(CounterFields), typ.NumField())
+	}
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i, row := range CounterFields {
+		f := typ.Field(i)
+		if row.Name != f.Name {
+			t.Errorf("CounterFields[%d] is %q, want %q (declaration order)", i, row.Name, f.Name)
+		}
+		if got, want := row.Of(&c), v.Field(i).Addr().Interface().(*int64); got != want {
+			t.Errorf("CounterFields[%d] (%s) accessor returns another field", i, row.Name)
+		}
+	}
+}
+
 func TestMergeTakesMaxCycles(t *testing.T) {
 	a := Counters{Cycles: 50}
 	a.Merge(Counters{Cycles: 200})

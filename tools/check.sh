@@ -157,16 +157,34 @@ gate -count=1 -run '^TestKeyOfUnchangedByLayout$' ./internal/simcache
 
 echo "== counters gate =="
 # Each counter says one fact, and Merge folds every one of them: a
-# Counters field added without a Merge line fails the first gate. A
-# straight line issues one instruction a cycle, and a load's consumer
-# issues exactly L1MissLatency cycles after it, exact at three
-# latencies. A cache entry written with the counters that restated
-# others still decodes. Each gated by name so a rename fails.
+# Counters field added without its stats.CounterFields row fails the
+# first two gates, the second also when a row is out of declaration
+# order or names another field. A straight line issues one instruction
+# a cycle, and a load's consumer issues exactly L1MissLatency cycles
+# after it, exact at three latencies. The Fig. 9 kernel takes exactly
+# 2L+14 cycles in the baseline and L+12+2*max(S,1) under SI, with three
+# selects, at three latencies and three switch latencies. A cache entry
+# written with the counters that restated others still decodes. Each
+# gated by name so a rename fails.
 gate -count=1 -run '^TestMergeFoldsEveryField$' ./internal/stats
-for t in TestStraightLineIssuesEveryCycle TestLoadToUseStallTiming; do
+gate -count=1 -run '^TestCounterFieldsListEveryField$' ./internal/stats
+for t in TestStraightLineIssuesEveryCycle TestLoadToUseStallTiming \
+    TestBaselineSerializesDivergentStalls TestSubwarpInterleavingOverlapsStalls; do
     gate -count=1 -run "^$t\$" ./internal/sm
 done
 gate -count=1 -run '^TestDiskDecodesEntriesWithRemovedCounters$' ./internal/simcache
+
+echo "== response encoding gate =="
+# A result is written by one hand-appended encoder, JobResult.AppendJSON.
+# Each gated by name: its bytes equal encoding/json's compact output for
+# real results of every key-corpus stratum, both sample submissions,
+# the front's error entries and a batch body; FuzzJobResultJSON's seed
+# corpus holds the float and string edges (-0, subnormals, 1e-7, 1e21,
+# <>&, U+2028, invalid UTF-8); and the coordinator's decode and
+# re-encode of a worker's result is the identity, byte for byte against
+# a lone node, simulated and cached (under the race detector).
+gate -count=1 -run '^(TestJobResultJSONMatchesMarshal|FuzzJobResultJSON)$' ./internal/server
+gate -race -count=1 -run '^TestClusterResponseBytesMatchNode$' ./internal/cluster
 
 echo "== experiments plan gate =="
 # One plan runs the report: each distinct (kernel, config) the
@@ -358,10 +376,10 @@ echo "ok (${total}% >= ${floor}%)"
 
 echo "== benchmark smoke =="
 # One iteration of every benchmark (figure regeneration, throughput,
-# the zero-alloc hot-loop microbenchmarks, the recorded run and the
-# trace exporter) proves the whole bench harness still runs; timing is
-# not asserted here.
-go test -run '^$' -bench . -benchmem -benchtime 1x . ./internal/sm ./internal/gpu ./internal/trace
+# the zero-alloc hot-loop microbenchmarks, the recorded run, the
+# trace exporter and a cache hit through the HTTP front) proves the
+# whole bench harness still runs; timing is not asserted here.
+go test -run '^$' -bench . -benchmem -benchtime 1x . ./internal/sm ./internal/gpu ./internal/trace ./internal/server
 
 if [ "${CHECK_BENCH:-0}" = 1 ]; then
     echo "== repository benchmark =="
