@@ -1,9 +1,9 @@
 package isa
 
 // The compile pass analyzes a Program once for the simulator: the
-// per-PC fast-forward run lengths and a basic-block map (admission's
-// CFG walk). The SM executes Program.Code itself; the pass is pure
-// analysis and never changes architectural semantics.
+// per-PC fast-forward run lengths and dead writes, and a basic-block
+// map (admission's CFG walk). The SM executes Program.Code itself; the
+// pass is pure analysis and never changes architectural semantics.
 
 // BasicBlock is a maximal straight-line region [Start, End). Leaders
 // are the program entry, branch/reconvergence targets, and the
@@ -34,6 +34,12 @@ type Compiled struct {
 	// valid for configurations where YIELD is architecturally inert
 	// (SI disabled, or SI without the yield hint).
 	FFLenYieldInert []int32
+	// DeadAt[pc], for a simple op at pc that writes a GPR, is the PC q
+	// of the next straight-line simple op (YIELD counted as simple) that
+	// writes the same register, when no op in (pc, q] reads it: a run
+	// that retires q overwrites pc's write unread. It is -1 otherwise.
+	// Every op of a run has the same lanes, and no simple op is guarded.
+	DeadAt []int32
 }
 
 // ffSimple reports whether an instruction is fast-forward-simple: its
@@ -54,6 +60,7 @@ func compile(p *Program) *Compiled {
 		BlockOf:         make([]int32, n),
 		FFLen:           make([]int32, n),
 		FFLenYieldInert: make([]int32, n),
+		DeadAt:          make([]int32, n),
 	}
 
 	// Run lengths, computed backwards so each PC extends its successor.
@@ -69,6 +76,31 @@ func compile(p *Program) *Compiled {
 	}
 	runs(c.FFLen, false)
 	runs(c.FFLenYieldInert, true)
+
+	// Dead writes, backwards: next[r] is the next write of r with no
+	// read of r up to it (0, never past pc, when there is none), and
+	// stop the next op that is not simple.
+	var next [NumRegs]int32
+	stop := int32(n)
+	for pc := n - 1; pc >= 0; pc-- {
+		in := p.Code[pc]
+		c.DeadAt[pc] = -1
+		if !ffSimple(in, true) {
+			stop = int32(pc)
+			continue
+		}
+		if in.Op.WritesReg() {
+			if q := next[in.Dst]; q > int32(pc) && q < stop {
+				c.DeadAt[pc] = q
+			}
+			next[in.Dst] = int32(pc)
+		}
+		for _, f := range opTable[in.Op].fields {
+			if f.kind == kR && f.slot != sDst {
+				next[*in.reg(f.slot)] = 0
+			}
+		}
+	}
 
 	// Basic blocks: leaders are the entry, statically known targets
 	// (BRA, and BSSY reconvergence points), and fall-throughs after

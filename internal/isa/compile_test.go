@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -84,6 +85,77 @@ func TestCompileFastForwardRuns(t *testing.T) {
 	}
 	if c.FFLenYieldInert[9] != 1 {
 		t.Errorf("FFLenYieldInert[9] = %d, want 1 (inert YIELD, then BSYNC)", c.FFLenYieldInert[9])
+	}
+	// No write here is overwritten unread before the straight line ends:
+	// R2's IADDI at 1 is rewritten at 5, past the BRA.
+	for pc, q := range c.DeadAt {
+		if q != -1 {
+			t.Errorf("DeadAt[%d] = %d, want -1", pc, q)
+		}
+	}
+
+	// DeadAt names the op that overwrites a GPR write unread, within the
+	// straight line of simple ops (YIELD counted as simple).
+	for _, tc := range []struct {
+		name, src string
+		dead      []int32
+	}{
+		{"overwritten unread", `
+			FMUL R11, R9, R9
+			MOV R10, R9
+			FMUL R11, R9, R9
+			FMUL R11, R9, R9
+			EXIT`, []int32{2, -1, 3, -1, -1}},
+		{"read in between", `
+			FMUL R11, R9, R9
+			IADD R2, R11, R9
+			FMUL R11, R9, R9
+			EXIT`, []int32{-1, -1, -1, -1}},
+		{"overwrite reads its destination", `
+			FMUL R11, R9, R9
+			FMUL R11, R11, R9
+			FFMA R11, R9, R9, R11
+			EXIT`, []int32{-1, -1, -1, -1}},
+		{"different destination", `
+			FMUL R11, R9, R9
+			FMUL R12, R9, R9
+			EXIT`, []int32{-1, -1, -1}},
+		{"overwrite past an LDG", `
+			FMUL R11, R9, R9
+			LDG R3, [R4+0] &wr=sb0
+			FMUL R11, R9, R9
+			EXIT`, []int32{-1, -1, -1, -1}},
+		{"overwrite past a &req op", `
+			LDG R3, [R4+0] &wr=sb0
+			FMUL R11, R9, R9
+			IADD R5, R6, R7 &req=sb0
+			FMUL R11, R9, R9
+			EXIT`, []int32{-1, -1, -1, -1, -1}},
+		{"ISETP and BSSY are never entries", `
+			ISETP.LT P0, R1, R2
+			BSSY B0, join
+			ISETP.LT P0, R1, R2
+			S2R R11, SR0
+			ISETP.LT P1, R11, R2
+			S2R R11, SR0
+			BSSY B0, join
+			S2R R11, SR0
+		join:
+			BSYNC B0
+			EXIT`, []int32{-1, -1, -1, -1, -1, 7, -1, -1, -1, -1}},
+		{"a YIELD in between", `
+			FMUL R11, R9, R9
+			YIELD
+			FMUL R11, R9, R9
+			EXIT`, []int32{2, -1, -1, -1}},
+	} {
+		p, err := Assemble(tc.name, ".regs 16\n"+tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := p.Compiled().DeadAt; !slices.Equal(got, tc.dead) {
+			t.Errorf("%s: DeadAt = %v, want %v", tc.name, got, tc.dead)
+		}
 	}
 }
 

@@ -109,17 +109,18 @@ func (c *Cache) Access(addr uint64, now int64, fill func(now int64) int64) (int6
 	return readyAt, false
 }
 
-// Contains reports whether the line holding addr is resident (fill may
-// still be in flight). It does not touch LRU state.
-func (c *Cache) Contains(addr uint64) bool {
+// ReadyAt reports whether the line holding addr is resident and, if
+// so, the cycle its fill completes (past for a filled line). It does
+// not touch LRU state.
+func (c *Cache) ReadyAt(addr uint64) (readyAt int64, ok bool) {
 	tag := addr / uint64(c.lineBytes)
 	set := int(tag % uint64(c.sets))
 	for i := set * c.ways; i < (set+1)*c.ways; i++ {
 		if c.lines[i].valid && c.lines[i].tag == tag {
-			return true
+			return c.lines[i].readyAt, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // String describes the geometry, e.g. "L0I 16KB 4w/128B (32 sets)".

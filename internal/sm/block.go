@@ -71,10 +71,11 @@ type Block struct {
 	done       bool
 
 	// Shared with (and owned by) the SM: code is the program's
-	// instructions, read only through fetch, and ffLen the per-PC
-	// fast-forward run lengths (nil when cfg.Compiled is off).
-	code  []isa.Instr
-	ffLen []int32
+	// instructions, read only through fetch, ffLen the per-PC
+	// fast-forward run lengths (nil when cfg.Compiled is off) and deadAt
+	// the writes a run overwrites unread.
+	code          []isa.Instr
+	ffLen, deadAt []int32
 
 	// The block's own time (fastforward.go), all as of its last step.
 	// due is the next cycle whose step can change something; until then
@@ -140,6 +141,7 @@ func newBlock(id int, cfg config.Config, owner *SM) *Block {
 		rec:      cfg.Trace,
 		code:     owner.prog.Code,
 		ffLen:    owner.ffLen,
+		deadAt:   owner.deadAt,
 		wakeMin:  math.MaxInt64,
 	}
 }
@@ -375,8 +377,7 @@ func (b *Block) status(w *Warp, now int64) issueClass {
 		w.fetchedLine = w.fetchingLine
 		w.fetchingLine = math.MaxUint64
 	}
-	line := uint64(w.activePC*b.cfg.InstrBytes) / uint64(b.cfg.CacheLineBytes)
-	if line != w.fetchedLine {
+	if line := b.lineOf(w.activePC); line != w.fetchedLine {
 		addr := line * uint64(b.cfg.CacheLineBytes)
 		b.counters.L0IAccesses++
 		readyAt, hit := b.l0i.Access(addr, now, func(at int64) int64 {

@@ -27,24 +27,29 @@ import (
 //     the span as one gap.
 //   - In a run, only with the run-length table installed (cfg.Compiled):
 //     the step issued and the warp sits in a fast-forward-simple run
-//     (isa.Compiled.FFLen) on its fetched icache line that ends before
-//     the block's own next event. Every step of the run would re-pick
-//     the warp (greedy stickiness over frozen statuses), touch only its
-//     registers, predicates or barrier masks, repeat the same failed
-//     demotes, and start no select. ffCommit retires the run when it
-//     ends — or, on an early exit, the prefix that fits — with the
-//     counters, issue events and time-series samples cycle-by-cycle
-//     issue would have produced.
+//     (isa.Compiled.FFLen) that ends before the block's own next event,
+//     over icache lines that are its fetched line or resident in the
+//     block's L0I and filled by the cycle the run reaches them. Every
+//     step of the run would re-pick the warp (greedy stickiness over
+//     frozen statuses), touch only its registers, predicates or barrier
+//     masks, take an L0I hit that emits nothing where it crosses a line,
+//     repeat the same failed demotes, and start no select. ffCommit
+//     retires the run when it ends — or, on an early exit, the prefix
+//     that fits — with the counters, L0I accesses, issue events and
+//     time-series samples cycle-by-cycle issue would have produced. The
+//     L0I is the block's own, and an excused block makes no other
+//     access to it, so its LRU order is lock-step's.
 //
-// An excused block touches none of l1d, l1i, the memory view or the RT
-// core, so those see the same accesses in the same order as lock-step
-// stepping. The visited cycles are lock-step's too: after visiting c,
-// c+1 is visited when some block issued at c (stepped or inside a run)
-// or has an event by then, otherwise the earliest event is next; the
-// cycles jumped over while every block is excused and one is in a run
-// are counted as visited (SM.visits), which is what a sleeper's overflow
-// debt is measured in. Config.Check steps every excused block anyway and
-// panics unless the step came back as predicted (stepExcused).
+// An excused block touches none of l1d, l1i (a crossing's L0I hit never
+// reaches it), the memory view or the RT core, so those see the same
+// accesses in the same order as lock-step stepping. The visited cycles
+// are lock-step's too: after visiting c, c+1 is visited when some block
+// issued at c (stepped or inside a run) or has an event by then,
+// otherwise the earliest event is next; the cycles jumped over while
+// every block is excused and one is in a run are counted as visited
+// (SM.visits), which is what a sleeper's overflow debt is measured in.
+// Config.Check steps every excused block anyway and panics unless the
+// step came back as predicted (stepExcused).
 
 // plan decides, at the end of the step at now, when the block is next
 // due and whether it is excused until then.
@@ -58,7 +63,7 @@ func (b *Block) plan(now int64, issued bool) {
 		if b.ffLen == nil {
 			return
 		}
-		if run := min(b.ffRun(), b.event-now-1); run > 0 && !b.selectWaits() {
+		if run := b.ffRun(now, b.event-now-1); run > 0 && !b.selectWaits() {
 			b.runLen, b.due = run, now+1+run
 		}
 	case b.event > now && !(b.moved && b.selectWaits()):
@@ -72,14 +77,17 @@ func (b *Block) selectWaits() bool {
 	return b.cfg.SI.Enabled && b.selectCandidate() >= 0
 }
 
-// ffRun returns how many consecutive cycles the block's last-issued
-// warp can retire without any observable scheduling event: the length
-// of the fast-forward-simple run at its PC, capped to the instructions
-// remaining on its already-fetched icache line (crossing a line
-// boundary requires the per-cycle fetch probe). Returns 0 when the
-// warp is not simply advancing (exited, switched, diverted, or its
-// next instruction needs a fetch or is not simple).
-func (b *Block) ffRun() int64 {
+// ffRun returns how many consecutive cycles from now+1, at most limit,
+// the block's last-issued warp can retire without any observable
+// scheduling event: the length of the fast-forward-simple run at its
+// PC, cut where it would cross into an icache line that is not the
+// warp's fetched line and is not resident in the L0I, filled by the
+// cycle the run's first op on it issues. Such a crossing is a hit of
+// the per-cycle fetch probe (status) that emits nothing, and ffCommit
+// replays it. Returns 0 when the warp is not simply advancing (exited,
+// switched, diverted, or its next instruction is not simple or not
+// fetched by then).
+func (b *Block) ffRun(now, limit int64) int64 {
 	w := b.warps[b.lastIssued]
 	if w.exited || w.pendingSelect || w.active.Empty() || w.fetchingLine != math.MaxUint64 {
 		return 0
@@ -88,48 +96,64 @@ func (b *Block) ffRun() int64 {
 	if pc >= len(b.ffLen) {
 		return 0 // ran off the end: the next stepped fetch reports it
 	}
-	run := int64(b.ffLen[pc])
-	if run == 0 {
-		return 0
-	}
-	ib := uint64(b.cfg.InstrBytes)
-	lb := uint64(b.cfg.CacheLineBytes)
-	line := uint64(pc) * ib / lb
-	if line != w.fetchedLine {
-		return 0
-	}
-	lastPC := int64(((line+1)*lb - 1) / ib)
-	if left := lastPC - int64(pc) + 1; run > left {
-		run = left
+	run := min(int64(b.ffLen[pc]), limit)
+	for k := int64(0); k < run; {
+		line := b.lineOf(pc + int(k))
+		if line != w.fetchedLine {
+			if ready, ok := b.l0i.ReadyAt(line * uint64(b.cfg.CacheLineBytes)); !ok || ready > now+1+k {
+				return k
+			}
+		}
+		k = int64(int(line+1)*b.cfg.InstrsPerLine() - pc) // the next line's first op
 	}
 	return run
+}
+
+// lineOf is the icache line holding the instruction at pc.
+func (b *Block) lineOf(pc int) uint64 {
+	return uint64(pc*b.cfg.InstrBytes) / uint64(b.cfg.CacheLineBytes)
 }
 
 // ffCommit retires n cycles of the last-issued warp's simple run in
 // one call, with exactly the counters cycle-by-cycle execution would
 // have accrued: n instructions, one a cycle, and n×|active| threads.
-// Each op goes through the same Warp.applySimple a stepped issue uses
-// and, with a recorder attached, emits the issue event — the only event
-// a simple op emits — at its own cycle: the block's counters.Cycles
-// onward. The per-op PC writes are batched into one setActivePCs at the
-// end: nothing reads the PC inside the run except a time series, which
-// gets one sample per cycle taken after that op's PC advance, as a step
-// takes it (the live-subwarp count reads the active subwarp's PC).
-// The warp stays dirty from its issue at the run's base cycle, so the
-// step that follows re-classifies it as usual.
+// Each op goes through the same Warp.applySimple a stepped issue uses,
+// unless a later op of these n overwrites its register unread
+// (isa.Compiled.DeadAt), and, with a recorder attached, emits the issue
+// event — the only event a simple op emits — at its own cycle: the
+// block's counters.Cycles onward. An op on a new line first replays the
+// fetch probe's L0I hit at that cycle (ffRun admitted only resident,
+// filled lines, so the fill never runs). The per-op PC writes are
+// batched into one setActivePCs at the end: nothing reads the PC inside
+// the run except a time series, which gets one sample per cycle taken
+// after that op's PC advance, as a step takes it (the live-subwarp count
+// reads the active subwarp's PC). The warp stays dirty from its issue at
+// the run's base cycle, so the step that follows re-classifies it as
+// usual.
 func (b *Block) ffCommit(n int64) {
 	w := b.warps[b.lastIssued]
 	mask := w.active
 	pc := w.activePC
 	b.counters.IssuedInstrs += n
 	b.counters.ActiveThreads += n * int64(mask.Count())
-	cycle := b.counters.Cycles
+	cycle, next := b.counters.Cycles, pc // next: the first op of a line not yet probed
 	for end := pc + int(n); pc < end; pc, cycle = pc+1, cycle+1 {
+		if pc == next {
+			line := b.lineOf(pc)
+			if line != w.fetchedLine {
+				b.counters.L0IAccesses++
+				b.l0i.Access(line*uint64(b.cfg.CacheLineBytes), cycle, noFill)
+				w.fetchedLine = line
+			}
+			next = int(line+1) * b.cfg.InstrsPerLine()
+		}
 		op := b.fetch(pc)
 		if b.rec != nil {
 			b.emit(cycle, w, pc, mask, trace.KindIssue, int(op.Op))
 		}
-		w.applySimple(mask, op)
+		if q := int(b.deadAt[pc]); q < 0 || q >= end {
+			w.applySimple(mask, op)
+		}
 		if b.rec.Sampling() {
 			w.setActivePCs(pc + 1)
 			occ, subs, fill := b.sampleState()
@@ -139,6 +163,9 @@ func (b *Block) ffCommit(n int64) {
 	w.setActivePCs(pc)
 	w.divKnown = false
 }
+
+// noFill is the fill of a run's line crossing, which ffRun made a hit.
+func noFill(int64) int64 { panic("sm: a fast-forward run crossed into a line its L0I does not hold") }
 
 // catchUp accounts the cycles before upTo that the block has not been
 // stepped at, visited of which the SM visited: the retired part of its
@@ -166,7 +193,8 @@ func (b *Block) catchUp(upTo, visited int64) {
 // it is excused from and panics unless the step came back as plan
 // predicted — quiet: no issue, nothing moved, the counters grown by
 // catchUp's closed form; in a run: the same warp issued the next simple
-// op and nothing else moved — with the same due cycle and next event.
+// op, with one L0I access if the op starts a line, and nothing else
+// moved — with the same due cycle and next event.
 func (b *Block) stepExcused(now int64) bool {
 	b.catchUp(now, 0) // cycles the SM did not visit; none when in a run
 	due, event, have := b.due, b.event, b.counters
@@ -174,6 +202,9 @@ func (b *Block) stepExcused(now int64) bool {
 	if run {
 		w := b.warps[pick]
 		pc = w.activePC + 1
+		if b.lineOf(w.activePC) != w.fetchedLine {
+			b.counters.L0IAccesses++ // the run's line crossing, a hit
+		}
 		b.counters.IssuedInstrs++
 		b.counters.ActiveThreads += int64(w.active.Count())
 	} else {

@@ -93,8 +93,9 @@ type SM struct {
 	blocks []*Block
 
 	// ffLen enables basic-block fast-forward: per-PC simple-run
-	// lengths, nil when cfg.Compiled is off.
-	ffLen []int32
+	// lengths, nil when cfg.Compiled is off. deadAt is the program's
+	// isa.Compiled.DeadAt, which ffCommit skips writes by.
+	ffLen, deadAt []int32
 
 	// mem is the SM's private copy-on-write view of the kernel's
 	// functional memory image; it is what makes SMs safe to simulate
@@ -144,6 +145,7 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 	}
 	if cfg.Compiled {
 		cp := kernel.Program.Compiled()
+		s.deadAt = cp.DeadAt
 		if cfg.SI.Enabled && cfg.SI.Yield {
 			s.ffLen = cp.FFLen
 		} else {

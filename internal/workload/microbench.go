@@ -25,9 +25,10 @@ type MicrobenchParams struct {
 	// iteration (the gen_ld_to_use_stalls reduction length).
 	AccessesPerSubwarp int
 	// CaseInstrs pads each switch case to this many instructions,
-	// setting the instruction footprint: 32 cases of 96 instructions at
-	// 8 B each exceed a 16 KB L0, reproducing the paper's fetch-stall
-	// taper at 32-way divergence, while 16 cases (12 KB) still fit.
+	// setting the instruction footprint: 32 cases of the default 84
+	// instructions at 8 B each (21 KB) exceed a 16 KB L0, reproducing
+	// the paper's fetch-stall taper at 32-way divergence, while 16 cases
+	// (10.5 KB) still fit.
 	CaseInstrs int
 	// NumWarps is the total warps launched (the paper's study isolates
 	// one warp per processing block).

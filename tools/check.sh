@@ -84,8 +84,8 @@ echo "== fast-forward gate =="
 # escapes the program. The single definition of the ALU/compare/move
 # semantics both regimes share is checked against the independent
 # per-op reference; the alloc pin covers both regimes' steady-state
-# loops; the compile-pass tests pin the run-length and basic-block
-# analysis and its one-compile-per-program cache.
+# loops; the compile-pass tests pin the run-length, dead-write and
+# basic-block analysis and its one-compile-per-program cache.
 gate -race -count=1 -run 'TestCompiled|TestGolden|TestFallOffEndDiagnostic' ./internal/gpu ./internal/experiments
 gate -race -count=1 -run 'FuzzRun' ./internal/gpu
 gate -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestOpsMatchReference|TestReferenceCoversSimpleOps|TestAddressImmediatesZeroExtend' ./internal/isa ./internal/sm
@@ -126,10 +126,13 @@ done
 # unrecorded run's loop iterations, counters and memory; and every exit
 # — budget kills at each phase of a run and beside a sleeping block, the
 # store-footprint kill among them, a late deadlock, a cancellation
-# inside a run, the cycle limit — settling to lock-step's counters.
+# inside a run, the cycle limit — settling to lock-step's counters; and
+# a run crossing into the next icache line only when the block's L0I
+# holds it filled by the cycle the run reaches it, with lock-step's
+# counters and stores.
 gate -race -count=1 -run '^TestExcusedStepsAreNoOps$' -timeout 30m ./internal/gpu
 gate -race -count=1 -run '^TestBudgetKillBitIdentical$' ./internal/gpu
-for t in TestRecordedRunIsTheServedRun TestKillSettlesSleepersAndRuns TestDeadlockSettlesSleepers TestCancelAndCycleLimitInsideARun; do
+for t in TestRecordedRunIsTheServedRun TestKillSettlesSleepersAndRuns TestDeadlockSettlesSleepers TestCancelAndCycleLimitInsideARun TestRunCrossesResidentLines; do
     gate -race -count=1 -run "^$t\$" ./internal/sm
 done
 
