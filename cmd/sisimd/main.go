@@ -10,12 +10,12 @@
 // per-tenant rate limits, quotas, and weighted-fair scheduling keyed
 // by the X-Tenant request header.
 //
-// With -peers (or -coordinator) the daemon fronts a cluster instead:
-// submissions are consistent-hashed by content key across the listed
-// worker daemons so each key's results stay hot in one node's memory
-// cache, with per-peer circuit breakers, batch scatter-gather with
-// work stealing, and local single-node fallback when every peer is
-// down. See README "Running a cluster".
+// With -peers the daemon fronts a cluster instead: every submission,
+// and every entry of a batch, is consistent-hashed by content key
+// across the listed worker daemons so each key's results stay hot in
+// one node's memory cache, with bounded load, per-peer circuit
+// breakers, and local single-node fallback when every peer is down.
+// See README "Running a cluster".
 package main
 
 import (
@@ -110,11 +110,10 @@ func main() {
 	submitMaxCycles := flag.Int64("submit-max-cycles", 0, "hard cap on a submission's cycle budget (0 = built-in 20M)")
 	submitMaxInstrs := flag.Int64("submit-max-instrs", 0, "hard cap on a submission's instruction budget (0 = built-in 100M)")
 	submitMaxMem := flag.Int64("submit-max-mem", 0, "hard cap on a submission's memory footprint in bytes (0 = built-in 64MiB)")
-	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator over -peers instead of simulating locally")
-	peersFlag := flag.String("peers", "", "comma-separated worker base URLs (http://host:port); implies -coordinator")
+	peersFlag := flag.String("peers", "", "comma-separated worker base URLs (http://host:port); run as a cluster coordinator over them")
 	advertise := flag.String("advertise", "", "coordinator's advertised name in GET /cluster and logs (default \"coordinator\")")
 	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a routed request to the next ring node if the home peer hasn't answered within this duration (0 = off)")
-	peerWindow := flag.Int("peer-window", 4, "per-peer in-flight window for batch scatter-gather")
+	peerWindow := flag.Int("peer-window", 4, "per-peer share of one batch's in-flight entries")
 	ringVNodes := flag.Int("ring-vnodes", 64, "virtual nodes per peer on the consistent-hash ring")
 	ringLoad := flag.Float64("ring-load-factor", 1.25, "bounded-load factor: a peer loaded past ceil(factor*(inflight+1)/alive) yields hot keys to ring successors")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
@@ -200,9 +199,6 @@ func main() {
 		if p = strings.TrimSpace(p); p != "" {
 			peers = append(peers, p)
 		}
-	}
-	if *coordinator && len(peers) == 0 {
-		fail(fmt.Errorf("-coordinator requires -peers"))
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -540,8 +540,7 @@ func TestDaemonCluster(t *testing.T) {
 
 	w1base, w1 := startDaemonCmd(t, bin, "-workers", "1")
 	w2base, _ := startDaemonCmd(t, bin, "-workers", "1")
-	cobase, _ := startDaemonCmd(t, bin, "-coordinator",
-		"-peers", w1base+","+w2base, "-breaker-trip", "1", "-workers", "1")
+	cobase, _ := startDaemonCmd(t, bin, "-peers", w1base+","+w2base, "-breaker-trip", "1", "-workers", "1")
 
 	post := func(spec string) (map[string]any, int) {
 		t.Helper()

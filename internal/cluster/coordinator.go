@@ -43,8 +43,8 @@ type Options struct {
 	// key's first choice while its in-flight count exceeds
 	// ceil(LoadFactor * (total+1) / alive). 0 means 1.25.
 	LoadFactor float64
-	// Window is the per-peer in-flight window for batch scatter-gather
-	// (concurrent shards per peer). 0 means 4.
+	// Window is each peer's share of one batch's in-flight entries: a
+	// batch runs at most Window × len(Peers) entries at once. 0 means 4.
 	Window int
 	// HedgeAfter, when positive, fires a duplicate of a routed request
 	// to the next ring node if the first answers no sooner. Safe because
@@ -84,10 +84,8 @@ type Coordinator struct {
 	obs   *obs.Observer
 
 	hedges    *obs.Counter
-	steals    *obs.Counter
 	reroutes  *obs.Counter
 	fallbacks *obs.Counter
-	batches   *obs.Counter
 }
 
 // The ring is built from the same seam the node implements: one hop
@@ -168,14 +166,10 @@ func (c *Coordinator) registerMetrics() {
 	}
 	c.hedges = r.Counter(ns+"_cluster_hedges_total",
 		"Duplicate requests fired to a second peer after HedgeAfter.")
-	c.steals = r.Counter(ns+"_cluster_steals_total",
-		"Batch shards migrated from a lagging peer's queue to an idle peer.")
 	c.reroutes = r.Counter(ns+"_cluster_reroutes_total",
 		"Requests moved to the next ring node after a peer failure.")
 	c.fallbacks = r.Counter(ns+"_cluster_local_fallback_total",
 		"Requests served by the local node because every peer was unavailable.")
-	c.batches = r.Counter(ns+"_cluster_batch_jobs_total",
-		"Batch shards scattered across the cluster.")
 }
 
 // hash returns a request's ring position: the first 8 bytes of the
@@ -188,25 +182,16 @@ func (c *Coordinator) hash(req server.Request) (h uint64, ok bool) {
 	return key.RouteHash(), err == nil
 }
 
-// candidates returns the usable peers for a hash in attempt order:
-// the optional prefer peer first (a batch runner sends its own shards
-// to itself), then ring-preference order, with the bounded-load rule
-// applied to the first pick — a peer already loaded past
-// ceil(LoadFactor*(total+1)/alive) yields the primary slot to the next
-// candidate (hot keys spill to ring successors instead of pinning one
-// node). Peers with open breakers are excluded entirely. busy is the
-// key's ring home when the rule demoted it and no peer was preferred:
-// route asks it for a cached answer before the request spills.
-func (c *Coordinator) candidates(h uint64, prefer string) (cands []*peer, busy *peer) {
-	if prefer != "" {
-		if p := c.peers[prefer]; p != nil && p.br.State() != simcache.BreakerOpen {
-			cands = append(cands, p)
-		}
-	}
+// candidates returns the usable peers for a hash in ring-preference
+// order, with the bounded-load rule applied to the first pick — a peer
+// already loaded past ceil(LoadFactor*(total+1)/alive) yields the
+// primary slot to the next candidate (hot keys spill to ring
+// successors instead of pinning one node). Peers with open breakers
+// are excluded entirely. busy is the key's ring home when the rule
+// demoted it: route asks it for a cached answer before the request
+// spills.
+func (c *Coordinator) candidates(h uint64) (cands []*peer, busy *peer) {
 	for _, name := range c.ring.Preference(h) {
-		if name == prefer {
-			continue
-		}
 		if p := c.peers[name]; p != nil && p.br.State() != simcache.BreakerOpen {
 			cands = append(cands, p)
 		}
@@ -237,7 +222,7 @@ func (c *Coordinator) candidates(h uint64, prefer string) (cands []*peer, busy *
 			return cands[i].inflight.Load() < cands[j].inflight.Load()
 		})
 	}
-	if prefer == "" && cands[0] != home {
+	if cands[0] != home {
 		busy = home
 	}
 	return cands, busy
@@ -249,7 +234,7 @@ func (c *Coordinator) candidates(h uint64, prefer string) (cands []*peer, busy *
 // without a network hop.
 func (c *Coordinator) Run(ctx context.Context, req server.Request) (server.JobResult, error) {
 	if h, ok := c.hash(req); ok {
-		return c.route(ctx, req, h, "")
+		return c.route(ctx, req, h)
 	}
 	return c.opts.Local.Run(ctx, req)
 }
@@ -262,8 +247,8 @@ func (c *Coordinator) Run(ctx context.Context, req server.Request) (server.JobRe
 // deterministic failure from the first peer that gave one, the last
 // 429 when every reachable peer is saturated, or the last decline when
 // the request itself is only-if-cached and no peer holds its result.
-func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, prefer string) (server.JobResult, error) {
-	cands, busy := c.candidates(h, prefer)
+func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64) (server.JobResult, error) {
+	cands, busy := c.candidates(h)
 	tr := obs.TraceFrom(ctx)
 
 	var mu sync.Mutex
@@ -273,10 +258,12 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 	// try performs one peer attempt under actx, ctx or an only-if-cached
 	// child of it. done=true means res/err are final (success, or a
 	// deterministic error every node would repeat); done=false means
-	// move on (peer dead, probing denied, 429, or a decline). A declined
-	// busy-home probe leaves the peer unattempted, so the sweep can still
-	// run the request there; a decline of the client's own only-if-cached
-	// request is final for that peer.
+	// move on (peer dead, probing denied, 429, a decline, or the request
+	// itself abandoned). A declined busy-home probe leaves the peer
+	// unattempted, so the sweep can still run the request there; a
+	// decline of the client's own only-if-cached request is final for
+	// that peer. An attempt cut short because ctx is done is no verdict
+	// on the peer: it feeds neither its breaker nor the reroute count.
 	try := func(actx context.Context, p *peer) (res server.JobResult, err error, done bool) {
 		// Breaker admission: closed always passes, half-open grants one
 		// probe, open denies (open peers were already filtered, but the
@@ -301,6 +288,9 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 		var answer *server.Error
 		errors.As(err, &answer)
 		switch {
+		case err != nil && answer == nil && ctx.Err() != nil:
+			p.br.Abandoned()
+			return res, nil, false
 		case server.IsNotCached(err):
 			// Not a failure: like a 429, an answer from a live peer,
 			// which just holds no result for the key.
@@ -397,6 +387,10 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 		}
 	}
 
+	if ctx.Err() != nil {
+		// The client gave up: no peer failed, so nothing falls back.
+		return server.JobResult{}, server.Abandoned(ctx)
+	}
 	mu.Lock()
 	throttled, notCached := last429, declined
 	mu.Unlock()
@@ -421,14 +415,15 @@ func (c *Coordinator) route(ctx context.Context, req server.Request, h uint64, p
 }
 
 // Handler returns the coordinator's HTTP API: the single node's front
-// (server.NewHandler) mounted over the coordinator — the submission
-// endpoints route across the ring, batches scatter — plus GET /cluster
+// (server.NewHandler) mounted over the coordinator — every /v1/jobs
+// and /v1/submit request and every /v1/batch entry is routed by Run,
+// at most Window entries of a batch per peer at once — plus GET /cluster
 // for ring and peer state. Everything else (metrics, health, debug,
 // catalogue) is the local node's, whose Observer the coordinator
 // shares, so /debug/traces/{id} shows the routing and per-peer hop
 // spans on the timeline clients correlate peer-side.
 func (c *Coordinator) Handler() http.Handler {
-	return server.NewHandler(c.opts.Local, "coordinator", c, c.scatter,
+	return server.NewHandler(c.opts.Local, "coordinator", c, c.opts.Window*len(c.peers),
 		func(mux *http.ServeMux) { mux.HandleFunc("GET /cluster", c.handleCluster) })
 }
 

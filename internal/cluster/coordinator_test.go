@@ -237,10 +237,10 @@ func TestClusterCacheAffinity(t *testing.T) {
 // TestClusterHitsStayHomeUnderLoad: bounded load moves only the work a
 // busy ring home cannot answer from its cache. With the home held past
 // the bound (its in-flight count raised by hand, no clock involved), a
-// key it holds is still its cache hit; a key it lacks is declined by
-// the home and simulated once on the successor; and declines, however
-// many, are answers that neither trip the home's breaker nor count as
-// reroutes.
+// key it holds is still its cache hit, asked alone or as a batch entry;
+// a key it lacks is declined by the home and simulated once on the
+// successor; and declines, however many, are answers that neither trip
+// the home's breaker nor count as reroutes.
 func TestClusterHitsStayHomeUnderLoad(t *testing.T) {
 	const tripAfter = 2
 	c := newTestCluster(t, 3, func(int) server.Options { return server.Options{Workers: 1} },
@@ -280,6 +280,18 @@ func TestClusterHitsStayHomeUnderLoad(t *testing.T) {
 	if done(succ) != succDone {
 		t.Error("the successor simulated a key its busy home had cached")
 	}
+	// A batch entry is placed by the same rule.
+	okBefore = home.reqs[outcomeOK].Value()
+	results, code := postBatch(t, c.front.URL, []server.JobSpec{cached})
+	if code != http.StatusOK || len(results) != 1 || !results[0].Cached {
+		t.Errorf("cached key as a batch entry under load: status %d, results %+v; want the home's hit", code, results)
+	}
+	if got := home.reqs[outcomeOK].Value() - okBefore; got != 1 {
+		t.Errorf("home answered %d batch entries ok, want 1", got)
+	}
+	if done(succ) != succDone {
+		t.Error("the successor simulated a batch entry its busy home had cached")
+	}
 
 	homeNode := byName[homeName]
 	for i, spec := range fresh {
@@ -305,6 +317,51 @@ func TestClusterHitsStayHomeUnderLoad(t *testing.T) {
 	}
 	if n := c.co.reroutes.Value(); n != 0 {
 		t.Errorf("reroutes = %d, want 0: a decline is not a failure", n)
+	}
+}
+
+// TestClusterCancelIsNotPeerFailure: a request whose own deadline
+// passes while a healthy peer works on it is abandoned by the client,
+// not failed by the peer. Three such requests against one peer with
+// TripAfter 3 leave its breaker closed, count no reroute and no local
+// fallback, and each answers the node's structured 408.
+func TestClusterCancelIsNotPeerFailure(t *testing.T) {
+	release := make(chan struct{})
+	waiting := func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		})
+	}
+	c := newTestCluster(t, 1, nil, waiting, func(o *Options) { o.TripAfter = 3 })
+	t.Cleanup(func() { close(release) })
+	p := c.co.peers[peerName(c.workerTS[0].URL)]
+
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		_, err := c.co.Run(ctx, server.Request{Job: &server.JobSpec{Microbench: 4, SI: true}})
+		cancel()
+		var e *server.Error
+		if !errors.As(err, &e) || e.Status != http.StatusRequestTimeout {
+			t.Errorf("request %d: %v, want a 408", i, err)
+		}
+	}
+	if st := p.br.State(); st != simcache.BreakerClosed {
+		t.Errorf("peer breaker %s after three client deadlines, want closed", st)
+	}
+	if n := p.reqs[outcomeRerouted].Value(); n != 0 {
+		t.Errorf("rerouted = %d, want 0", n)
+	}
+	if n := c.co.reroutes.Value(); n != 0 {
+		t.Errorf("reroutes = %d, want 0", n)
+	}
+	if n := c.co.fallbacks.Value(); n != 0 {
+		t.Errorf("fallbacks = %d, want 0", n)
+	}
+	if n := c.local.MetricsSnapshot().JobsTotal; n != 0 {
+		t.Errorf("the local node took %d jobs, want none", n)
 	}
 }
 
@@ -456,38 +513,57 @@ func TestClusterHedgedRequest(t *testing.T) {
 	}
 }
 
-// TestClusterBatchWorkStealing: a lagging peer's queued shards migrate
-// to the idle peer instead of waiting behind it.
-func TestClusterBatchWorkStealing(t *testing.T) {
-	var slowMS atomic.Int64
-	slowMS.Store(150)
+// TestClusterBatchSpillsFromLaggingPeer: a batch entry is placed like
+// a single request, so a lagging peer's backlog moves to the idle peer
+// through the bounded-load rule: 8 entries homed on a peer that answers
+// 150 ms late and 2 on a fast one, all in flight at once, leave the
+// fast peer simulating more than its own two. Each key is still
+// simulated exactly once: the busy home declines what it does not
+// hold, and the two keys it already holds stay its hits.
+func TestClusterBatchSpillsFromLaggingPeer(t *testing.T) {
 	laggy := func(i int, h http.Handler) http.Handler {
 		if i != 0 {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(time.Duration(slowMS.Load()) * time.Millisecond)
+			time.Sleep(150 * time.Millisecond)
 			h.ServeHTTP(w, r)
 		})
 	}
-	c := newTestCluster(t, 2, nil, laggy, func(o *Options) { o.Window = 1 })
+	// Window 5 over two peers lets all 10 entries in flight at once,
+	// past the bound of ceil(1.25*(inflight+1)/2) on the lagging home.
+	c := newTestCluster(t, 2, nil, laggy, func(o *Options) { o.Window = 5 })
 
-	// Force the imbalance the steal path exists for: 8 shards homed on
-	// the laggy peer, 2 on the fast one. The fast runner drains its own
-	// two and must then steal from the laggy backlog.
 	specs := append(homedSpecs(t, c, peerName(c.workerTS[0].URL), 8),
 		homedSpecs(t, c, peerName(c.workerTS[1].URL), 2)...)
+	// The lagging home's last two keys, the ones most likely to spill,
+	// are in its cache before the batch.
+	warm := []int{6, 7}
+	for _, i := range warm {
+		if _, code, _ := postVia(t, c.front.URL, specs[i], nil); code != http.StatusOK {
+			t.Fatalf("warm-up POST = %d", code)
+		}
+	}
 	results, code := postBatch(t, c.front.URL, specs)
-	if code != http.StatusOK {
-		t.Fatalf("batch = %d", code)
+	if code != http.StatusOK || len(results) != len(specs) {
+		t.Fatalf("batch = %d with %d results", code, len(results))
 	}
 	for i, r := range results {
 		if r.Failed() {
 			t.Errorf("entry %d failed: %s", i, r.Error)
 		}
 	}
-	if c.co.steals.Value() == 0 {
-		t.Error("no work stealing despite a lagging peer and Window=1")
+	for _, i := range warm {
+		if !results[i].Cached {
+			t.Errorf("entry %d, held by its lagging home, was simulated again", i)
+		}
+	}
+	slow, fast := c.workers[0].MetricsSnapshot().JobsDone, c.workers[1].MetricsSnapshot().JobsDone
+	if fast <= 2 {
+		t.Errorf("the fast peer simulated %d entries, want more than its own 2", fast)
+	}
+	if slow+fast != int64(len(specs)) {
+		t.Errorf("workers simulated %d + %d jobs for %d keys, want exactly one each", slow, fast, len(specs))
 	}
 }
 
@@ -693,7 +769,6 @@ func TestClusterEndpointAndMetrics(t *testing.T) {
 		server.MetricsNamespace + "_peer_requests_total{",
 		server.MetricsNamespace + "_peer_breaker_state{",
 		server.MetricsNamespace + "_ring_ownership{",
-		server.MetricsNamespace + "_cluster_steals_total",
 		server.MetricsNamespace + "_cluster_local_fallback_total",
 	} {
 		if !strings.Contains(string(text), series) {

@@ -12,8 +12,9 @@
 // (simcache.Breaker): each peer gets a circuit breaker, a dead peer is
 // routed around (the next node in ring order answers, bit-identically),
 // and with every peer dead the coordinator degrades to local
-// single-node serving. Large batches scatter-gather with per-peer
-// in-flight windows and work stealing (scatter.go).
+// single-node serving. A batch is its requests: each entry is routed
+// exactly as a single request is, with Window entries in flight per
+// peer.
 package cluster
 
 import (

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"subwarpsim/internal/faults"
 	"subwarpsim/internal/obs"
@@ -201,6 +202,12 @@ func notCachedError(key simcache.Key) *Error {
 	}
 }
 
+// Abandoned is the 408 a request gets when its own context ends before
+// it has an answer: the client gave up, so no node is at fault.
+func Abandoned(ctx context.Context) *Error {
+	return &Error{Status: http.StatusRequestTimeout, Msg: fmt.Sprintf("request abandoned: %v", ctx.Err())}
+}
+
 // IsNotCached reports whether err is the not_cached 504, directly
 // or decoded from a peer's response.
 func IsNotCached(err error) bool {
@@ -222,14 +229,14 @@ func ErrorResult(workloadID string, err error) JobResult {
 	return res
 }
 
-// front is the HTTP API over one Runner and one batch scheduler. s
-// supplies everything that is the node's own whichever topology is
-// being served: observability, tenancy, limits, and the endpoints that
-// are never routed.
+// front is the HTTP API over one Runner. s supplies everything that is
+// the node's own whichever topology is being served: observability,
+// tenancy, limits, and the endpoints that are never routed. window
+// bounds one batch's entries in flight (0 = unbounded).
 type front struct {
-	s     *Server
-	run   Runner
-	batch func(context.Context, []JobSpec) []JobResult
+	s      *Server
+	run    Runner
+	window int
 }
 
 // Handler returns the service's HTTP API:
@@ -254,17 +261,18 @@ type front struct {
 // quotas, and weighted-fair dequeue. Request bodies are bounded by
 // MaxBodyBytes (413 beyond it).
 func (s *Server) Handler() http.Handler {
-	return NewHandler(s, "request", s, s.fanOut, nil)
+	return NewHandler(s, "request", s, 0, nil)
 }
 
 // NewHandler mounts the API documented on Server.Handler over any
-// Runner and batch scheduler: a node passes itself and plain fan-out,
-// the cluster coordinator passes itself and its scatter-gather. label
-// names the root span of every request trace; mount, when non-nil,
-// adds the caller's own routes inside the same middleware.
-func NewHandler(s *Server, label string, run Runner,
-	batch func(context.Context, []JobSpec) []JobResult, mount func(*http.ServeMux)) http.Handler {
-	f := &front{s: s, run: run, batch: batch}
+// Runner: a node passes itself, the cluster coordinator passes itself.
+// A batch is its requests: each entry goes through run exactly as a
+// POST /v1/jobs body does, at most window of them at once (0 means
+// all at once). label names the root span of every request trace;
+// mount, when non-nil, adds the caller's own routes inside the same
+// middleware.
+func NewHandler(s *Server, label string, run Runner, window int, mount func(*http.ServeMux)) http.Handler {
+	f := &front{s: s, run: run, window: window}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -363,15 +371,69 @@ type batchRequest struct {
 }
 
 // handleBatch is the /v1/batch prologue — decode, the batch fault
-// site, the empty and limit checks — over whichever scheduler the
-// topology brings. Results[i] always answers Jobs[i].
+// site, the empty and limit checks — over the front's fan-out.
+// Results[i] always answers Jobs[i].
 func (f *front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := f.admitBatch(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeResults(w, `{"results":[`, "]}", f.batch(r.Context(), req.Jobs)...)
+	writeResults(w, `{"results":[`, "]}", fanOut(r.Context(), f.run, req.Jobs, f.window)...)
+}
+
+// fanOut runs a batch through run, each entry concurrently, so on a
+// node identical specs coalesce onto one simulation and distinct ones
+// use the worker pool. Results land at the entry's own index, each
+// goroutine carries its own recover guard and every failure becomes an
+// ErrorResult, so one failed — or panicking — entry can neither drop
+// nor reorder its siblings. With window > 0 at most window entries are
+// in flight at once, and an entry still waiting for a slot when ctx is
+// done is stamped with a structured 408 instead of starting.
+func fanOut(ctx context.Context, run Runner, specs []JobSpec, window int) []JobResult {
+	results := make([]JobResult, len(specs))
+	var slots chan struct{}
+	if window > 0 {
+		slots = make(chan struct{}, window)
+	}
+	var wg sync.WaitGroup
+	for i := range specs {
+		if slots != nil {
+			select {
+			case slots <- struct{}{}:
+			case <-ctx.Done():
+			}
+			if err := ctx.Err(); err != nil {
+				results[i] = ErrorResult(specs[i].WorkloadID(), &Error{
+					Status: http.StatusRequestTimeout,
+					Msg:    "batch abandoned: " + err.Error(),
+				})
+				continue
+			}
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() {
+				if slots != nil {
+					<-slots
+				}
+				if p := recover(); p != nil {
+					results[i] = ErrorResult(specs[i].WorkloadID(), &Error{
+						Status: http.StatusInternalServerError,
+						Msg:    fmt.Sprintf("batch entry panicked: %v", p),
+					})
+				}
+			}()
+			res, err := run.Run(ctx, Request{Job: &specs[i]})
+			if err != nil {
+				res = ErrorResult(specs[i].WorkloadID(), err)
+			}
+			results[i] = res
+		}(i)
+	}
+	wg.Wait()
+	return results
 }
 
 func (f *front) admitBatch(w http.ResponseWriter, r *http.Request, req *batchRequest) error {

@@ -567,8 +567,7 @@ func (s *Server) execute(ctx context.Context, tr *obs.Trace, admitStart time.Tim
 	case <-fl.done:
 	case <-ctx.Done():
 		s.dropWaiter(fl)
-		return JobResult{}, &Error{Status: http.StatusRequestTimeout,
-			Msg: fmt.Sprintf("request abandoned: %v", ctx.Err())}
+		return JobResult{}, Abandoned(ctx)
 	}
 	if fl.err != nil {
 		var refusal *Error
@@ -833,36 +832,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, workload.Apps())
-}
-
-// fanOut is the node's batch scheduler: every item goes through Submit
-// concurrently, so identical specs coalesce onto one simulation and
-// distinct ones use the worker pool. Results land at the entry's own
-// index, and each goroutine carries its own recover guard, so one
-// failed — or panicking — sub-job can neither drop nor reorder sibling
-// results.
-func (s *Server) fanOut(ctx context.Context, specs []JobSpec) []JobResult {
-	results := make([]JobResult, len(specs))
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec JobSpec) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					results[i] = ErrorResult(spec.WorkloadID(), &Error{
-						Status: http.StatusInternalServerError,
-						Msg:    fmt.Sprintf("batch entry panicked: %v", p),
-					})
-				}
-			}()
-			res, err := s.Submit(ctx, spec)
-			if err != nil {
-				res = ErrorResult(spec.WorkloadID(), err)
-			}
-			results[i] = res
-		}(i, spec)
-	}
-	wg.Wait()
-	return results
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,6 +292,49 @@ func TestBatchMixedValidity(t *testing.T) {
 	}
 	if br.Results[1].Error == "" {
 		t.Error("invalid item must carry an error")
+	}
+}
+
+// runnerFunc adapts a function to Runner.
+type runnerFunc func(context.Context, Request) (JobResult, error)
+
+func (f runnerFunc) Run(ctx context.Context, req Request) (JobResult, error) { return f(ctx, req) }
+
+// TestBatchWindowStampsAbandoned: with a window of one, the first entry
+// holds the only slot until the batch's context is cancelled; every
+// entry that never started comes back in place as a structured 408, and
+// none is left empty.
+func TestBatchWindowStampsAbandoned(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	var calls atomic.Int64
+	run := runnerFunc(func(ctx context.Context, req Request) (JobResult, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+		}
+		<-ctx.Done()
+		return JobResult{}, Abandoned(ctx)
+	})
+	specs := []JobSpec{{Microbench: 1}, {Microbench: 2}, {Microbench: 4}, {Microbench: 8}}
+	done := make(chan []JobResult)
+	go func() { done <- fanOut(ctx, run, specs, 1) }()
+	<-started
+	cancel()
+	results := <-done
+
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d entries started, want 1 (the window holds one)", n)
+	}
+	if len(results) != len(specs) {
+		t.Fatalf("%d results for %d entries", len(results), len(specs))
+	}
+	for i, r := range results {
+		if r.Workload != specs[i].WorkloadID() || r.ErrorStatus != http.StatusRequestTimeout {
+			t.Errorf("entry %d = %+v, want a 408 for %s", i, r, specs[i].WorkloadID())
+		}
+		if i > 0 && !strings.HasPrefix(r.Error, "batch abandoned: ") {
+			t.Errorf("entry %d error %q, want batch abandoned", i, r.Error)
+		}
 	}
 }
 

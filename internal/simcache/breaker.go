@@ -180,6 +180,17 @@ func (b *Breaker) Failed() {
 	}
 }
 
+// Abandoned records an operation that ended without a verdict because
+// its caller gave up: nothing is counted against the backend, and a
+// half-open probe's slot is freed for the next caller.
+func (b *Breaker) Abandoned() {
+	b.mu.Lock()
+	if b.state == BreakerHalfOpen {
+		b.probing = false
+	}
+	b.mu.Unlock()
+}
+
 // Counts returns the lifetime trip and recovery totals.
 func (b *Breaker) Counts() (trips, recoveries int64) {
 	b.mu.Lock()

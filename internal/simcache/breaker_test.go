@@ -64,6 +64,15 @@ func TestBreakerLadder(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("half-open breaker must allow only one probe")
 	}
+	// A probe abandoned by its caller is no verdict: still half-open,
+	// and the slot goes to the next caller.
+	b.Abandoned()
+	if got := b.State(); got != BreakerHalfOpen {
+		t.Fatalf("after an abandoned probe state = %v, want half-open", got)
+	}
+	if !b.Allow() {
+		t.Fatal("an abandoned probe must free the probe slot")
+	}
 
 	// Probe fails: back to open with a fresh cooldown.
 	b.Failed()

@@ -6,6 +6,19 @@ import (
 	"time"
 )
 
+// The backoff between retries of a failed disk operation. The first
+// retry's ceiling is retryBase and doubles per attempt up to retryCap;
+// sleeps draw uniformly from [0, ceiling) — "full jitter" — so
+// synchronized clients spread out, from a deterministic sequence seeded
+// by jitterSeed. One operation's sleeps never sum past retryBudget:
+// when it is spent, the operation fails without further attempts.
+const (
+	retryBase   = 2 * time.Millisecond
+	retryCap    = 50 * time.Millisecond
+	retryBudget = 200 * time.Millisecond
+	jitterSeed  = uint64(1)
+)
+
 // ResilientOptions tunes NewResilient. The zero value gives sane
 // serving defaults.
 type ResilientOptions struct {
@@ -13,17 +26,6 @@ type ResilientOptions struct {
 	// operation; 0 means 2 (three attempts total). Negative disables
 	// retrying.
 	Retries int
-	// RetryBase is the backoff ceiling for the first retry; it doubles
-	// per attempt up to RetryCap. Sleeps draw uniformly from
-	// [0, ceiling) — "full jitter" — so synchronized clients spread
-	// out. 0 means 2ms.
-	RetryBase time.Duration
-	// RetryCap bounds a single backoff sleep. 0 means 50ms.
-	RetryCap time.Duration
-	// RetryBudget caps the total backoff sleep one operation may
-	// accumulate; when spent, the operation fails without further
-	// attempts. 0 means 200ms.
-	RetryBudget time.Duration
 	// TripAfter is the consecutive-failure count that opens the
 	// breaker. 0 means 5.
 	TripAfter int
@@ -33,8 +35,6 @@ type ResilientOptions struct {
 	// MemoryEntries bounds the in-memory cache (NewMemory) that fronts
 	// the disk and carries the cache through degraded mode. 0 means 4096.
 	MemoryEntries int
-	// Seed drives the deterministic jitter sequence. 0 means 1.
-	Seed uint64
 
 	// Clock and Sleep substitute time.Now and time.Sleep in tests.
 	Clock func() time.Time
@@ -48,15 +48,6 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 	if o.Retries < 0 {
 		o.Retries = 0
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 2 * time.Millisecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = 50 * time.Millisecond
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 200 * time.Millisecond
-	}
 	if o.TripAfter <= 0 {
 		o.TripAfter = 5
 	}
@@ -65,9 +56,6 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 	}
 	if o.MemoryEntries <= 0 {
 		o.MemoryEntries = 4096
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -175,7 +163,7 @@ func (r *Resilient) jitter() float64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(r.o.Seed >> (8 * i))
+		buf[i] = byte(jitterSeed >> (8 * i))
 		buf[8+i] = byte(n >> (8 * i))
 	}
 	h.Write(buf[:])
@@ -186,8 +174,7 @@ func (r *Resilient) jitter() float64 {
 // backoff and full jitter until the attempt count or the sleep budget
 // runs out, then reports the breaker outcome.
 func (r *Resilient) withRetry(op func() error) error {
-	budget := r.o.RetryBudget
-	ceiling := r.o.RetryBase
+	budget, ceiling := retryBudget, retryBase
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = op()
@@ -204,8 +191,8 @@ func (r *Resilient) withRetry(op func() error) error {
 		}
 		budget -= sleep
 		r.o.Sleep(sleep)
-		if ceiling *= 2; ceiling > r.o.RetryCap {
-			ceiling = r.o.RetryCap
+		if ceiling *= 2; ceiling > retryCap {
+			ceiling = retryCap
 		}
 		r.mu.Lock()
 		r.retries++

@@ -297,7 +297,11 @@ echo "== cluster gate =="
 # LRU, a peer killed mid-sweep reroutes with aggregate batch results
 # bit-identical to a single node's, saturated peers relay structured
 # 429 backpressure, and with every peer dead the coordinator degrades
-# to local serving. The parity table and the Runner conformance test
+# to local serving. A batch is its requests, gated by name: a lagging
+# peer's batch backlog spills to the idle peer by the bounded-load rule
+# with every key simulated once, an entry that never got a window slot
+# before the client left is a structured 408, and a client's own
+# deadline never feeds a healthy peer's breaker or falls back locally. The parity table and the Runner conformance test
 # are named so that renaming either fails the gate: every error class
 # must read the same through the coordinator as from a single node
 # (status, Retry-After, body, batch entry), and the node, the peer
@@ -316,9 +320,13 @@ gate -race -count=1 -run 'TestRunnerConformance' ./internal/cluster
 # two names reaches one peer and the second is that peer's cache hit.
 gate -race -count=1 -run '^TestClusterSubmissionPlacedByContent$' ./internal/cluster
 # Bounded load spills only what a busy ring home cannot answer from its
-# cache: a home held past the bound still serves its hits, declines its
-# misses with a not_cached 504, and a decline never feeds its breaker.
+# cache: a home held past the bound still serves its hits, to single
+# requests and batch entries alike, declines its misses with a
+# not_cached 504, and a decline never feeds its breaker.
 gate -race -count=1 -run '^TestClusterHitsStayHomeUnderLoad$' ./internal/cluster
+gate -race -count=1 -run '^TestClusterBatchSpillsFromLaggingPeer$' ./internal/cluster
+gate -race -count=1 -run '^TestClusterCancelIsNotPeerFailure$' ./internal/cluster
+gate -race -count=1 -run '^TestBatchWindowStampsAbandoned$' ./internal/server
 gate -count=1 -run 'TestDaemonCluster' ./cmd/sisimd
 
 echo "== key path gate =="
