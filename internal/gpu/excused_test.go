@@ -89,12 +89,16 @@ func TestExcusedStepsAreNoOps(t *testing.T) {
 			t.Run(w.name+"/"+cname, func(t *testing.T) {
 				t.Parallel()
 				for _, pol := range schedPolicies() {
+					var served Result // compiled, checked
 					for _, compiled := range []bool{true, false} {
 						cfg.SchedPolicy, cfg.Compiled = pol, compiled
 						cfg.Check = true
 						want, wantFP := runWith(t, w, cfg, 1)
 						if want.Counters.TSTOverflow > 0 {
 							overflowed.Store(true)
+						}
+						if compiled {
+							served = want
 						}
 						cfg.Check = false
 						for _, workers := range []int{1, 4} {
@@ -107,6 +111,10 @@ func TestExcusedStepsAreNoOps(t *testing.T) {
 								t.Errorf("%v compiled=%v workers=%d: memory images differ: unchecked %#x, checked %#x",
 									pol, compiled, workers, gotFP, wantFP)
 							}
+							if got.Engine != want.Engine {
+								t.Errorf("%v compiled=%v workers=%d: engine blocks differ:\n  unchecked %s\n  checked   %s",
+									pol, compiled, workers, got.Engine, want.Engine)
+							}
 						}
 					}
 					cfg.Compiled = true
@@ -114,7 +122,10 @@ func TestExcusedStepsAreNoOps(t *testing.T) {
 						rec := trace.NewRecorder()
 						rec.Series = stats.NewTimeSeries(64)
 						cfg.Check, cfg.Trace = check, rec
-						runWith(t, w, cfg, 1)
+						if res, _ := runWith(t, w, cfg, 1); res.Engine != served.Engine {
+							t.Errorf("%v check=%v: a recorder moved the engine block:\n  recorded %s\n  served   %s",
+								pol, check, res.Engine, served.Engine)
+						}
 						cfg.Trace = nil
 						return rec
 					}

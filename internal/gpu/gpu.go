@@ -49,6 +49,9 @@ type Result struct {
 	Config config.Config
 	// Counters merged across all SMs and processing blocks.
 	Counters stats.Counters
+	// Engine is the run loop's own work, summed like Counters: a
+	// measure of the simulator, in no golden, response or cache key.
+	Engine sm.Engine
 	// Blocks is the total processing block count, the normalization
 	// denominator for per-cycle fractions.
 	Blocks int
@@ -208,6 +211,7 @@ func RunContext(ctx context.Context, cfg config.Config, kernel *sm.Kernel, worke
 			return res, fmt.Errorf("gpu: SM %d: %w", i, errs[i])
 		}
 		res.Counters.Merge(counters[i])
+		res.Engine.Add(s.Engine())
 	}
 	return res, nil
 }

@@ -88,6 +88,10 @@ type Block struct {
 	due, event, runLen  int64
 	overflow, visitMark int64
 	moved               bool
+	// runEnd is why the run plan last started ends, and eng the
+	// block's share of the run's Engine counts.
+	runEnd RunEnd
+	eng    Engine
 
 	// wakeMin is the earliest pending select completion or fetch fill,
 	// folded in where one is scheduled and re-derived by a warp scan

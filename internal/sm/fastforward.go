@@ -51,6 +51,62 @@ import (
 // Config.Check steps every excused block anyway and panics unless the
 // step came back as predicted (stepExcused).
 
+// Engine is the run loop's own work over one run, summed over blocks.
+// Like the counters it is a pure function of (kernel, config): the same
+// for every worker count, with Config.Check on or off, and with or
+// without a recorder. It measures the simulator, not the modelled GPU,
+// so it is in no golden, digest or cache key.
+type Engine struct {
+	// Steps counts the steps the run loop took at cycles a block was
+	// due; Config.Check's extra steps of excused cycles are not steps.
+	Steps int64
+	// Quiet counts the block-cycles catchUp accounted as idle in closed
+	// form (excused quiet, or not visited), and InRuns the block-cycles
+	// retired inside fast-forward runs, of which there were Runs.
+	Quiet, InRuns, Runs int64
+	// Ends counts, for every issued step of the compiled regime, why
+	// the run it started ended, after zero or more cycles.
+	Ends [numRunEnds]int64
+}
+
+// RunEnd is why a fast-forward run ended.
+type RunEnd uint8
+
+const (
+	// EndTable: the run-length table ended it, or the warp stopped
+	// simply advancing (exited, switched, diverted).
+	EndTable RunEnd = iota
+	// EndLine: the next op lies on an icache line that is not the
+	// warp's fetched line and is not resident and filled in time.
+	EndLine
+	// EndEvent: the block's own next event came first.
+	EndEvent
+	// EndSelect: the next step would start a subwarp-select.
+	EndSelect
+	// EndBudget: the run loop stopped first, at a budget kill, the
+	// cycle limit or a cancellation.
+	EndBudget
+	numRunEnds
+)
+
+// Add folds o into e.
+func (e *Engine) Add(o Engine) {
+	e.Steps += o.Steps
+	e.Quiet += o.Quiet
+	e.InRuns += o.InRuns
+	e.Runs += o.Runs
+	for i, n := range o.Ends {
+		e.Ends[i] += n
+	}
+}
+
+// String renders the block on one line, each count named.
+func (e Engine) String() string {
+	return fmt.Sprintf("steps=%d quiet=%d in-runs=%d runs=%d ends: table=%d line=%d event=%d select=%d budget=%d",
+		e.Steps, e.Quiet, e.InRuns, e.Runs,
+		e.Ends[EndTable], e.Ends[EndLine], e.Ends[EndEvent], e.Ends[EndSelect], e.Ends[EndBudget])
+}
+
 // plan decides, at the end of the step at now, when the block is next
 // due and whether it is excused until then.
 func (b *Block) plan(now int64, issued bool) {
@@ -63,7 +119,14 @@ func (b *Block) plan(now int64, issued bool) {
 		if b.ffLen == nil {
 			return
 		}
-		if run := b.ffRun(now, b.event-now-1); run > 0 && !b.selectWaits() {
+		run, end := b.ffRun(now, b.event-now-1)
+		if run > 0 && b.selectWaits() {
+			run, end = 0, EndSelect
+		}
+		b.eng.Ends[end]++
+		b.runEnd = end
+		if run > 0 {
+			b.eng.Runs++
 			b.runLen, b.due = run, now+1+run
 		}
 	case b.event > now && !(b.moved && b.selectWaits()):
@@ -79,34 +142,37 @@ func (b *Block) selectWaits() bool {
 
 // ffRun returns how many consecutive cycles from now+1, at most limit,
 // the block's last-issued warp can retire without any observable
-// scheduling event: the length of the fast-forward-simple run at its
-// PC, cut where it would cross into an icache line that is not the
-// warp's fetched line and is not resident in the L0I, filled by the
-// cycle the run's first op on it issues. Such a crossing is a hit of
-// the per-cycle fetch probe (status) that emits nothing, and ffCommit
-// replays it. Returns 0 when the warp is not simply advancing (exited,
-// switched, diverted, or its next instruction is not simple or not
-// fetched by then).
-func (b *Block) ffRun(now, limit int64) int64 {
+// scheduling event, and why the run ends there: the length of the
+// fast-forward-simple run at its PC, cut where it would cross into an
+// icache line that is not the warp's fetched line and is not resident
+// in the L0I, filled by the cycle the run's first op on it issues. Such
+// a crossing is a hit of the per-cycle fetch probe (status) that emits
+// nothing, and ffCommit replays it. Returns 0 when the warp is not
+// simply advancing (exited, switched, diverted, or its next instruction
+// is not simple or not fetched by then).
+func (b *Block) ffRun(now, limit int64) (int64, RunEnd) {
 	w := b.warps[b.lastIssued]
 	if w.exited || w.pendingSelect || w.active.Empty() || w.fetchingLine != math.MaxUint64 {
-		return 0
+		return 0, EndTable
 	}
 	pc := w.activePC
 	if pc >= len(b.ffLen) {
-		return 0 // ran off the end: the next stepped fetch reports it
+		return 0, EndTable // ran off the end: the next stepped fetch reports it
 	}
-	run := min(int64(b.ffLen[pc]), limit)
+	run, end := int64(b.ffLen[pc]), EndTable
+	if limit < run {
+		run, end = limit, EndEvent
+	}
 	for k := int64(0); k < run; {
 		line := b.lineOf(pc + int(k))
 		if line != w.fetchedLine {
 			if ready, ok := b.l0i.ReadyAt(line * uint64(b.cfg.CacheLineBytes)); !ok || ready > now+1+k {
-				return k
+				return k, EndLine
 			}
 		}
 		k = int64(int(line+1)*b.cfg.InstrsPerLine() - pc) // the next line's first op
 	}
-	return run
+	return run, end
 }
 
 // lineOf is the icache line holding the instruction at pc.
@@ -178,8 +244,10 @@ func (b *Block) catchUp(upTo, visited int64) {
 	}
 	b.counters.TSTOverflow += b.overflow * visited
 	if b.runLen > 0 {
+		b.eng.InRuns += gap
 		b.ffCommit(gap)
 	} else {
+		b.eng.Quiet += gap
 		b.addIdle(b.classify(), gap)
 		if b.rec.Sampling() {
 			occ, subs, fill := b.sampleState()
@@ -194,7 +262,8 @@ func (b *Block) catchUp(upTo, visited int64) {
 // predicted — quiet: no issue, nothing moved, the counters grown by
 // catchUp's closed form; in a run: the same warp issued the next simple
 // op, with one L0I access if the op starts a line, and nothing else
-// moved — with the same due cycle and next event.
+// moved — with the same due cycle and next event. The engine counts
+// the cycle as excused, not as a step.
 func (b *Block) stepExcused(now int64) bool {
 	b.catchUp(now, 0) // cycles the SM did not visit; none when in a run
 	due, event, have := b.due, b.event, b.counters
@@ -215,7 +284,14 @@ func (b *Block) stepExcused(now int64) bool {
 	want := b.counters
 	b.counters = have
 
+	eng, end := b.eng, b.runEnd
 	issued, _ := b.step(now)
+	b.eng, b.runEnd = eng, end
+	if run {
+		b.eng.InRuns++
+	} else {
+		b.eng.Quiet++
+	}
 	ok := b.counters == want && b.due == due && b.event == event && issued == run
 	if run {
 		ok = ok && b.lastIssued == pick && b.warps[pick].activePC == pc

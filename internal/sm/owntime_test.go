@@ -107,11 +107,23 @@ func rolesSM(t *testing.T, prog *isa.Program, compiled, check bool, budget *Budg
 	return s
 }
 
-// exit is how a run ended: its error, and what it left behind.
+// exit is how a run ended: its error, and what it left behind,
+// engine counts included.
 type exit struct {
 	err      string
 	counters stats.Counters
 	memory   uint64
+	engine   Engine
+}
+
+// stepped drops what the stepped regime (Compiled off) cannot share
+// with the fast-forward lock-step reference: its engine counts, since
+// it plans no runs.
+func stepped(e exit, compiled bool, ref exit) exit {
+	if !compiled {
+		e.engine = ref.engine
+	}
+	return e
 }
 
 // exitState is where the blocks stood, in their own time, when the
@@ -135,7 +147,7 @@ func driveToExit(s *SM, maxCycles int64) (exit, exitState) {
 			}
 		}
 		if done, err := s.advance(maxCycles); done {
-			e := exit{counters: s.merge(), memory: s.mem.Fingerprint()}
+			e := exit{counters: s.merge(), memory: s.mem.Fingerprint(), engine: s.Engine()}
 			if err != nil {
 				e.err = err.Error()
 			}
@@ -161,6 +173,7 @@ func TestKillSettlesSleepersAndRuns(t *testing.T) {
 	} {
 		t.Run(tc.resource, func(t *testing.T) {
 			var seen exitState
+			budgetEnds := false
 			for i := int64(0); i < 14; i++ {
 				b := tc.budget(i)
 				want, _ := driveToExit(rolesSM(t, prog, true, true, &b), math.MaxInt64-1)
@@ -168,9 +181,10 @@ func TestKillSettlesSleepersAndRuns(t *testing.T) {
 				if _, err := rolesSM(t, prog, true, true, &b).Run(math.MaxInt64 - 1); !errors.As(err, &be) || be.Resource != tc.resource {
 					t.Fatalf("%+v: want a %s kill, got %v", b, tc.resource, err)
 				}
+				budgetEnds = budgetEnds || want.engine.Ends[EndBudget] > 0
 				for _, compiled := range []bool{true, false} {
 					got, st := driveToExit(rolesSM(t, prog, compiled, false, &b), math.MaxInt64-1)
-					if got != want {
+					if got = stepped(got, compiled, want); got != want {
 						t.Errorf("%+v compiled=%v: exit differs from lock-step's:\n  own time  %+v\n  lock-step %+v", b, compiled, got, want)
 					}
 					seen.midRun = seen.midRun || st.midRun
@@ -179,6 +193,9 @@ func TestKillSettlesSleepersAndRuns(t *testing.T) {
 			}
 			if !seen.midRun || !seen.asleep {
 				t.Errorf("no kill landed inside a run (%v) or beside a sleeping block (%v): nothing was settled", seen.midRun, seen.asleep)
+			}
+			if !budgetEnds {
+				t.Error("no run was counted as ended by the budget")
 			}
 		})
 	}
@@ -197,7 +214,7 @@ func TestDeadlockSettlesSleepers(t *testing.T) {
 	}
 	for _, compiled := range []bool{true, false} {
 		got, st := driveToExit(rolesSM(t, prog, compiled, false, nil), 1<<30)
-		if got != want {
+		if got = stepped(got, compiled, want); got != want {
 			t.Errorf("compiled=%v: exit differs from lock-step's:\n  own time  %+v\n  lock-step %+v", compiled, got, want)
 		}
 		if !st.asleep {
@@ -252,7 +269,7 @@ func TestCancelAndCycleLimitInsideARun(t *testing.T) {
 				limit, want.err, want.counters, at, got)
 		}
 		for _, compiled := range []bool{true, false} {
-			if limited, _ := driveToExit(rolesSM(t, prog, compiled, false, nil), limit); limited != want {
+			if limited, _ := driveToExit(rolesSM(t, prog, compiled, false, nil), limit); stepped(limited, compiled, want) != want {
 				t.Errorf("compiled=%v: a %d-cycle limit's exit differs from lock-step's:\n  own time  %+v\n  lock-step %+v",
 					compiled, limit, limited, want)
 			}

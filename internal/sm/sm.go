@@ -261,6 +261,7 @@ func (s *SM) advance(maxCycles int64) (done bool, err error) {
 		allDone = false
 		switch {
 		case blk.due <= now:
+			blk.eng.Steps++
 			blk.catchUp(now, s.visits-1-blk.visitMark)
 			if issued, _ := blk.step(now); issued {
 				issuing++
@@ -315,13 +316,27 @@ func (s *SM) advance(maxCycles int64) (done bool, err error) {
 // settle brings every block's counters up to cycle upTo (exclusive) on
 // the way out of the run, before of whose cycles the SM visited:
 // sleeping blocks owe their idle cycles, blocks in a run commit the
-// retired prefix.
+// retired prefix, and a run cut short ends for the budget.
 func (s *SM) settle(upTo, before int64) {
 	for _, blk := range s.blocks {
-		if !blk.done {
-			blk.catchUp(upTo, before-blk.visitMark)
+		if blk.done {
+			continue
 		}
+		if blk.runLen > 0 && upTo < blk.due {
+			blk.eng.Ends[blk.runEnd]--
+			blk.eng.Ends[EndBudget]++
+		}
+		blk.catchUp(upTo, before-blk.visitMark)
 	}
+}
+
+// Engine returns the run loop's work so far, summed over the blocks.
+func (s *SM) Engine() Engine {
+	var total Engine
+	for _, blk := range s.blocks {
+		total.Add(blk.eng)
+	}
+	return total
 }
 
 func (s *SM) merge() stats.Counters {

@@ -166,14 +166,25 @@ echo "== counters gate =="
 # a cycle, and a load's consumer issues exactly L1MissLatency cycles
 # after it, exact at three latencies. The Fig. 9 kernel takes exactly
 # 2L+14 cycles in the baseline and L+12+2*max(S,1) under SI, with three
-# selects, at three latencies and three switch latencies. A cache entry
-# written with the counters that restated others still decodes. Each
-# gated by name so a rename fails.
+# selects, at three latencies and three switch latencies. Instruction
+# fetch: a straight line pays each icache line once, n+2 + lines*P
+# cycles, and its twin split into groups by line hops (a BRA over a NOP
+# gap to the next line) takes its closed form with one warp and with two
+# warps on one block, at six penalty pairs, under every policy, both
+# worker counts, Check on and off. The run loop's own work (gpu.Result's
+# Engine block) equals testdata/engine_counts.txt exactly, and is the
+# same for workers 1 and 4, Check on and off, with and without a
+# recorder. A cache entry written with the counters that restated others
+# still decodes. Each gated by name so a rename fails.
 gate -count=1 -run '^TestMergeFoldsEveryField$' ./internal/stats
 gate -count=1 -run '^TestCounterFieldsListEveryField$' ./internal/stats
 for t in TestStraightLineIssuesEveryCycle TestLoadToUseStallTiming \
     TestBaselineSerializesDivergentStalls TestSubwarpInterleavingOverlapsStalls; do
     gate -count=1 -run "^$t\$" ./internal/sm
+done
+for t in TestStraightLineIcacheLaw TestLineHopIcacheLaw \
+    TestEngineCountsMatchPin TestEngineCountsAreARunProperty; do
+    gate -count=1 -run "^$t\$" ./internal/gpu
 done
 gate -count=1 -run '^TestDiskDecodesEntriesWithRemovedCounters$' ./internal/simcache
 
