@@ -16,6 +16,10 @@ import (
 // this is a hang, and a short budget keeps exec rates useful.
 const fuzzMaxCycles = 500_000
 
+// fuzzInstrsPerLine is the icache line, in instructions, of every
+// configuration FuzzRun runs.
+var fuzzInstrsPerLine = config.Default().InstrsPerLine()
+
 // fuzzProgram maps fuzz bytes onto a small always-valid, always-
 // terminating kernel program. Byte by byte it picks from a menu of ALU
 // ops, scoreboarded loads/textures with consumers, private-slot
@@ -23,7 +27,10 @@ const fuzzMaxCycles = 500_000
 // bounded lane-divergent loops, BRX jump-table dispatches whose
 // lanes scatter over 2 or 4 reconverging case bodies, and BFS-style
 // data-dependent loops whose trip count comes from memory (including a
-// frontier-empty pre-test that skips the walk entirely). Register,
+// frontier-empty pre-test that skips the walk entirely). An ALU
+// selector byte (cases 0-2) with its top bit set first emits a line
+// hop, the megakernel's lineBreak: a BRA over a NOP gap to the next
+// icache line's first op, which fast-forward runs follow. Register,
 // predicate, barrier, and scoreboard indices are reduced into valid
 // ranges by construction, so any input yields a program Build accepts;
 // interesting inputs differ in control structure, not validity. Every
@@ -65,6 +72,15 @@ func fuzzProgram(data []byte) (*isa.Program, error) {
 	sb := 0
 	for op := 0; op < 64 && pos < len(data); op++ {
 		c := next()
+		if c >= 0x80 && c%12 <= 2 {
+			hop := fmt.Sprintf("hop%d", labels)
+			labels++
+			b.Bra(hop)
+			for b.PC()%fuzzInstrsPerLine != 0 {
+				b.Nop()
+			}
+			b.Label(hop)
+		}
 		switch c % 12 {
 		case 0:
 			b.Iadd(reg(next()), reg(next()), reg(next()))

@@ -86,16 +86,80 @@ func TestCompileFastForwardRuns(t *testing.T) {
 	if c.FFLenYieldInert[9] != 1 {
 		t.Errorf("FFLenYieldInert[9] = %d, want 1 (inert YIELD, then BSYNC)", c.FFLenYieldInert[9])
 	}
-	// No write here is overwritten unread before the straight line ends:
-	// R2's IADDI at 1 is rewritten at 5, past the BRA.
+	// No write here is overwritten unread before its run ends: R2's
+	// IADDI at 1 is rewritten at 5, past the predicated BRA.
 	for pc, q := range c.DeadAt {
 		if q != -1 {
 			t.Errorf("DeadAt[%d] = %d, want -1", pc, q)
 		}
 	}
 
-	// DeadAt names the op that overwrites a GPR write unread, within the
-	// straight line of simple ops (YIELD counted as simple).
+	// A run is a path along Next: a forward unconditional BRA is a
+	// member and hands the run to its target; every other branch ends it.
+	for _, tc := range []struct {
+		name, src          string
+		next, ffLen, inert []int32
+	}{
+		{"a forward BRA joins runs", `
+			IADD R1, R2, R3
+			BRA skip
+			IADD R4, R4, R4
+		skip:
+			IADD R5, R5, R5
+			EXIT`, []int32{1, 3, 3, 4, 5}, []int32{3, 2, 2, 1, 0}, nil},
+		{"a BRA to pc+1 joins runs", `
+			IADD R1, R2, R3
+			@P7 BRA next
+		next:
+			IADD R5, R5, R5
+			EXIT`, []int32{1, 2, 3, 4}, []int32{3, 2, 1, 0}, nil},
+		{"a backward BRA ends a run", `
+		top:
+			IADD R1, R2, R3
+			BRA top
+			EXIT`, []int32{1, 2, 3}, []int32{1, 0, 0}, nil},
+		{"a BRA to itself ends a run", `
+			IADD R1, R2, R3
+		self:
+			BRA self
+			EXIT`, []int32{1, 2, 3}, []int32{1, 0, 0}, nil},
+		{"a predicated BRA ends a run", `
+			IADD R1, R2, R3
+			@P0 BRA out
+			IADD R4, R4, R4
+		out:
+			EXIT`, []int32{1, 2, 3, 4}, []int32{1, 0, 1, 0}, nil},
+		{"a never-taken BRA ends a run", `
+			IADD R1, R2, R3
+			@!P7 BRA out
+			IADD R4, R4, R4
+		out:
+			EXIT`, []int32{1, 2, 3, 4}, []int32{1, 0, 1, 0}, nil},
+		{"a YIELD next to a branch", `
+			IADD R1, R2, R3
+			YIELD
+			BRA skip
+			NOP
+		skip:
+			IADD R5, R5, R5
+			EXIT`, []int32{1, 2, 4, 4, 5, 6}, []int32{1, 0, 2, 2, 1, 0}, []int32{4, 3, 2, 2, 1, 0}},
+	} {
+		p, err := Assemble(tc.name, ".regs 16\n"+tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c := p.Compiled()
+		if tc.inert == nil {
+			tc.inert = tc.ffLen
+		}
+		if !slices.Equal(c.Next, tc.next) || !slices.Equal(c.FFLen, tc.ffLen) || !slices.Equal(c.FFLenYieldInert, tc.inert) {
+			t.Errorf("%s: Next = %v, FFLen = %v, FFLenYieldInert = %v; want %v, %v, %v",
+				tc.name, c.Next, c.FFLen, c.FFLenYieldInert, tc.next, tc.ffLen, tc.inert)
+		}
+	}
+
+	// DeadAt is the distance along the run's path to the op that
+	// overwrites a GPR write unread (YIELD counted as simple).
 	for _, tc := range []struct {
 		name, src string
 		dead      []int32
@@ -105,7 +169,7 @@ func TestCompileFastForwardRuns(t *testing.T) {
 			MOV R10, R9
 			FMUL R11, R9, R9
 			FMUL R11, R9, R9
-			EXIT`, []int32{2, -1, 3, -1, -1}},
+			EXIT`, []int32{2, -1, 1, -1, -1}},
 		{"read in between", `
 			FMUL R11, R9, R9
 			IADD R2, R11, R9
@@ -142,12 +206,26 @@ func TestCompileFastForwardRuns(t *testing.T) {
 			S2R R11, SR0
 		join:
 			BSYNC B0
-			EXIT`, []int32{-1, -1, -1, -1, -1, 7, -1, -1, -1, -1}},
+			EXIT`, []int32{-1, -1, -1, -1, -1, 2, -1, -1, -1, -1}},
 		{"a YIELD in between", `
 			FMUL R11, R9, R9
 			YIELD
 			FMUL R11, R9, R9
 			EXIT`, []int32{2, -1, -1, -1}},
+		{"overwrite past a branch on the path", `
+			FMUL R11, R9, R9
+			BRA skip
+			IADD R2, R11, R9
+		skip:
+			FMUL R11, R9, R9
+			EXIT`, []int32{2, -1, -1, -1, -1}},
+		{"overwrite after the branch but off the path", `
+			FMUL R11, R9, R9
+			BRA skip
+			FMUL R11, R9, R9
+		skip:
+			IADD R2, R11, R9
+			EXIT`, []int32{-1, -1, -1, -1, -1}},
 	} {
 		p, err := Assemble(tc.name, ".regs 16\n"+tc.src)
 		if err != nil {

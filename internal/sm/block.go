@@ -72,10 +72,10 @@ type Block struct {
 
 	// Shared with (and owned by) the SM: code is the program's
 	// instructions, read only through fetch, ffLen the per-PC
-	// fast-forward run lengths (nil when cfg.Compiled is off) and deadAt
-	// the writes a run overwrites unread.
-	code          []isa.Instr
-	ffLen, deadAt []int32
+	// fast-forward run lengths (nil when cfg.Compiled is off), next the
+	// path a run follows and deadAt the writes a run overwrites unread.
+	code                []isa.Instr
+	ffLen, next, deadAt []int32
 
 	// The block's own time (fastforward.go), all as of its last step.
 	// due is the next cycle whose step can change something; until then
@@ -145,6 +145,7 @@ func newBlock(id int, cfg config.Config, owner *SM) *Block {
 		rec:      cfg.Trace,
 		code:     owner.prog.Code,
 		ffLen:    owner.ffLen,
+		next:     owner.next,
 		deadAt:   owner.deadAt,
 		wakeMin:  math.MaxInt64,
 	}

@@ -27,30 +27,62 @@ func crossing() *isa.Program {
 	return b.Exit().MustBuild()
 }
 
+// hopping is crossing's ops with a line hop: six IADDI/IMULI pairs on
+// line 0 end in a BRA at PC 14 over a NOP gap (line 1, never on the
+// path) to PC 32 on line 2, where the other thirteen pairs follow.
+func hopping() *isa.Program {
+	b := isa.NewBuilder("hopping")
+	b.S2R(0, isa.SRLaneID)
+	b.Shl(0, 0, 2)
+	for i := 0; i < 19; i++ {
+		if i == 6 {
+			b.Bra("line2")
+			for b.PC() < 32 {
+				b.Nop()
+			}
+			b.Label("line2")
+		}
+		b.Iaddi(1, 1, 1)
+		b.Imuli(2, 1, 3)
+	}
+	b.Stg(0, 0, 2)
+	b.Stg(0, 256, 1)
+	return b.Exit().MustBuild()
+}
+
 // TestRunCrossesResidentLines: after the S2R issues at cycle 0, plan
 // excuses the block for a run from PC 1 that continues into line 1 only
 // when line 1 is resident in the L0I and filled by cycle 16, when PC 16
 // issues, and into line 2 on the same terms; otherwise the run ends at
-// the line end. Each way, the run's counters, L0I accesses included,
-// and its stores equal lock-step's (Config.Check).
+// the line end. A run of hopping follows the BRA at PC 14 into line 2
+// only when line 2 is resident and filled by cycle 15, when PC 32
+// issues, and then ends at line 3, which is absent; otherwise it ends
+// after the BRA. Each way, the run's
+// counters, L0I accesses included, and its stores equal lock-step's
+// (Config.Check).
 func TestRunCrossesResidentLines(t *testing.T) {
 	const absent = -1
 	for _, tc := range []struct {
 		name           string
+		prog           func() *isa.Program
 		ready1, ready2 int64 // fill cycle of lines 1 and 2 in the L0I
 		run            int64
 	}{
-		{"next line absent", absent, absent, 15},
-		{"next line in flight when reached", 17, 0, 15},
-		{"next line filled when reached", 16, absent, 31},
-		{"two lines resident", 16, 0, 39},
+		{"next line absent", crossing, absent, absent, 15},
+		{"next line in flight when reached", crossing, 17, 0, 15},
+		{"next line filled when reached", crossing, 16, absent, 31},
+		{"two lines resident", crossing, 16, 0, 39},
+		{"branch into an absent line", hopping, 0, absent, 14},
+		{"branch into a line in flight when reached", hopping, absent, 16, 14},
+		{"branch into a line filled when reached", hopping, absent, 15, 30},
+		{"branch into a resident line", hopping, absent, 0, 30},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got [2]stats.Counters
 			for i, check := range []bool{false, true} {
 				cfg := config.Default()
 				cfg.NumSMs, cfg.BlocksPerSM, cfg.Compiled, cfg.Check = 1, 1, true, check
-				k := &Kernel{Program: crossing(), NumWarps: 1, WarpsPerCTA: 1, Memory: mem.NewMemory()}
+				k := &Kernel{Program: tc.prog(), NumWarps: 1, WarpsPerCTA: 1, Memory: mem.NewMemory()}
 				s, err := NewSM(0, cfg, k)
 				if err != nil {
 					t.Fatal(err)

@@ -80,7 +80,8 @@ func (b *Block) execute(w *Warp, now int64) {
 }
 
 // applySimple applies one fast-forward-simple operation (isa.Compiled's
-// FFLen classification) to the lanes in mask: it writes only those
+// FFLen classification) other than a forward unconditional BRA, whose
+// only effect is the PC, to the lanes in mask: it writes only those
 // lanes' registers and predicates or the warp's convergence-barrier
 // masks, and leaves PCs to the caller — a single issue advances them by
 // one, ffCommit once per window. This switch is the only definition of

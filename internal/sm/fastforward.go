@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"subwarpsim/internal/isa"
 	"subwarpsim/internal/trace"
 )
 
@@ -29,11 +30,14 @@ import (
 //     the step issued and the warp sits in a fast-forward-simple run
 //     (isa.Compiled.FFLen) that ends before the block's own next event,
 //     over icache lines that are its fetched line or resident in the
-//     block's L0I and filled by the cycle the run reaches them. Every
+//     block's L0I and filled by the cycle the run reaches them. A run is
+//     a path, not a PC range: it follows isa.Compiled.Next, which hands
+//     it through forward unconditional branches to their targets. Every
 //     step of the run would re-pick the warp (greedy stickiness over
 //     frozen statuses), touch only its registers, predicates or barrier
-//     masks, take an L0I hit that emits nothing where it crosses a line,
-//     repeat the same failed demotes, and start no select. ffCommit
+//     masks, or only its PC for such a branch, take an L0I hit that
+//     emits nothing where it crosses a line, repeat the same failed
+//     demotes, and start no select. ffCommit
 //     retires the run when it ends — or, on an early exit, the prefix
 //     that fits — with the counters, L0I accesses, issue events and
 //     time-series samples cycle-by-cycle issue would have produced. The
@@ -140,14 +144,15 @@ func (b *Block) selectWaits() bool {
 	return b.cfg.SI.Enabled && b.selectCandidate() >= 0
 }
 
-// ffRun returns how many consecutive cycles from now+1, at most limit,
-// the block's last-issued warp can retire without any observable
-// scheduling event, and why the run ends there: the length of the
-// fast-forward-simple run at its PC, cut where it would cross into an
-// icache line that is not the warp's fetched line and is not resident
-// in the L0I, filled by the cycle the run's first op on it issues. Such
-// a crossing is a hit of the per-cycle fetch probe (status) that emits
-// nothing, and ffCommit replays it. Returns 0 when the warp is not
+// ffRun returns how many cycles from now+1, at most limit, the block's
+// last-issued warp can retire without any observable scheduling event,
+// and why the run ends there: the length of the fast-forward-simple run
+// at its PC, walked along isa.Compiled.Next and cut where it would
+// cross into an icache line that is not the line fetched so far along
+// the walk and is not resident in the L0I, filled by the cycle the
+// run's first op on it issues. Such a crossing, after the previous op
+// on the path or a branch into the line, is a hit of the per-cycle
+// fetch probe (status) that emits nothing, and ffCommit replays it. Returns 0 when the warp is not
 // simply advancing (exited, switched, diverted, or its next instruction
 // is not simple or not fetched by then).
 func (b *Block) ffRun(now, limit int64) (int64, RunEnd) {
@@ -163,14 +168,14 @@ func (b *Block) ffRun(now, limit int64) (int64, RunEnd) {
 	if limit < run {
 		run, end = limit, EndEvent
 	}
-	for k := int64(0); k < run; {
-		line := b.lineOf(pc + int(k))
-		if line != w.fetchedLine {
+	fetched := w.fetchedLine
+	for k := int64(0); k < run; k, pc = k+1, int(b.next[pc]) {
+		if line := b.lineOf(pc); line != fetched {
 			if ready, ok := b.l0i.ReadyAt(line * uint64(b.cfg.CacheLineBytes)); !ok || ready > now+1+k {
 				return k, EndLine
 			}
+			fetched = line
 		}
-		k = int64(int(line+1)*b.cfg.InstrsPerLine() - pc) // the next line's first op
 	}
 	return run, end
 }
@@ -182,18 +187,21 @@ func (b *Block) lineOf(pc int) uint64 {
 
 // ffCommit retires n cycles of the last-issued warp's simple run in
 // one call, with exactly the counters cycle-by-cycle execution would
-// have accrued: n instructions, one a cycle, and n×|active| threads.
-// Each op goes through the same Warp.applySimple a stepped issue uses,
-// unless a later op of these n overwrites its register unread
-// (isa.Compiled.DeadAt), and, with a recorder attached, emits the issue
+// have accrued: n instructions, one a cycle, and n×|active| threads,
+// the ops on the path from the warp's PC along isa.Compiled.Next. Each
+// op goes through the same Warp.applySimple a stepped issue uses, unless
+// a later op of these n overwrites its register unread (DeadAt, a
+// distance along the path) or it is a forward unconditional BRA, whose
+// only effect is the PC; with a recorder attached, each emits the issue
 // event — the only event a simple op emits — at its own cycle: the
-// block's counters.Cycles onward. An op on a new line first replays the
-// fetch probe's L0I hit at that cycle (ffRun admitted only resident,
-// filled lines, so the fill never runs). The per-op PC writes are
-// batched into one setActivePCs at the end: nothing reads the PC inside
-// the run except a time series, which gets one sample per cycle taken
-// after that op's PC advance, as a step takes it (the live-subwarp count
-// reads the active subwarp's PC). The warp stays dirty from its issue at
+// block's counters.Cycles onward. An op on a line other than the warp's
+// fetched one first replays the fetch probe's L0I hit at that cycle
+// (ffRun admitted only resident, filled lines, so the fill never runs).
+// The per-op PC writes are batched into one setActivePCs at the end:
+// nothing reads the PC inside the run except a time series, which gets
+// one sample per cycle taken after that op's PC moves to its successor,
+// as a step takes it (the live-subwarp count reads the active subwarp's
+// PC). The warp stays dirty from its issue at
 // the run's base cycle, so the step that follows re-classifies it as
 // usual.
 func (b *Block) ffCommit(n int64) {
@@ -202,26 +210,23 @@ func (b *Block) ffCommit(n int64) {
 	pc := w.activePC
 	b.counters.IssuedInstrs += n
 	b.counters.ActiveThreads += n * int64(mask.Count())
-	cycle, next := b.counters.Cycles, pc // next: the first op of a line not yet probed
-	for end := pc + int(n); pc < end; pc, cycle = pc+1, cycle+1 {
-		if pc == next {
-			line := b.lineOf(pc)
-			if line != w.fetchedLine {
-				b.counters.L0IAccesses++
-				b.l0i.Access(line*uint64(b.cfg.CacheLineBytes), cycle, noFill)
-				w.fetchedLine = line
-			}
-			next = int(line+1) * b.cfg.InstrsPerLine()
+	cycle := b.counters.Cycles
+	for i := int64(0); i < n; i, cycle = i+1, cycle+1 {
+		if line := b.lineOf(pc); line != w.fetchedLine {
+			b.counters.L0IAccesses++
+			b.l0i.Access(line*uint64(b.cfg.CacheLineBytes), cycle, noFill)
+			w.fetchedLine = line
 		}
 		op := b.fetch(pc)
 		if b.rec != nil {
 			b.emit(cycle, w, pc, mask, trace.KindIssue, int(op.Op))
 		}
-		if q := int(b.deadAt[pc]); q < 0 || q >= end {
+		if d := int64(b.deadAt[pc]); op.Op != isa.BRA && (d < 0 || i+d >= n) {
 			w.applySimple(mask, op)
 		}
+		pc = int(b.next[pc])
 		if b.rec.Sampling() {
-			w.setActivePCs(pc + 1)
+			w.setActivePCs(pc)
 			occ, subs, fill := b.sampleState()
 			b.rec.Sample(cycle, occ, subs, fill, true)
 		}
@@ -261,8 +266,9 @@ func (b *Block) catchUp(upTo, visited int64) {
 // it is excused from and panics unless the step came back as plan
 // predicted — quiet: no issue, nothing moved, the counters grown by
 // catchUp's closed form; in a run: the same warp issued the next simple
-// op, with one L0I access if the op starts a line, and nothing else
-// moved — with the same due cycle and next event. The engine counts
+// op and moved to its successor along the path, with one L0I access if
+// the op is off the warp's fetched line, and nothing else moved — with
+// the same due cycle and next event. The engine counts
 // the cycle as excused, not as a step.
 func (b *Block) stepExcused(now int64) bool {
 	b.catchUp(now, 0) // cycles the SM did not visit; none when in a run
@@ -270,7 +276,7 @@ func (b *Block) stepExcused(now int64) bool {
 	run, pick, pc := b.runLen > 0, b.lastIssued, 0
 	if run {
 		w := b.warps[pick]
-		pc = w.activePC + 1
+		pc = int(b.next[w.activePC])
 		if b.lineOf(w.activePC) != w.fetchedLine {
 			b.counters.L0IAccesses++ // the run's line crossing, a hit
 		}

@@ -93,9 +93,10 @@ type SM struct {
 	blocks []*Block
 
 	// ffLen enables basic-block fast-forward: per-PC simple-run
-	// lengths, nil when cfg.Compiled is off. deadAt is the program's
-	// isa.Compiled.DeadAt, which ffCommit skips writes by.
-	ffLen, deadAt []int32
+	// lengths, nil when cfg.Compiled is off. next and deadAt are the
+	// program's isa.Compiled.Next, the path a run follows, and DeadAt,
+	// which ffCommit skips writes by.
+	ffLen, next, deadAt []int32
 
 	// mem is the SM's private copy-on-write view of the kernel's
 	// functional memory image; it is what makes SMs safe to simulate
@@ -145,7 +146,7 @@ func NewSM(id int, cfg config.Config, kernel *Kernel) (*SM, error) {
 	}
 	if cfg.Compiled {
 		cp := kernel.Program.Compiled()
-		s.deadAt = cp.DeadAt
+		s.next, s.deadAt = cp.Next, cp.DeadAt
 		if cfg.SI.Enabled && cfg.SI.Yield {
 			s.ffLen = cp.FFLen
 		} else {

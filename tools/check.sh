@@ -84,11 +84,25 @@ echo "== fast-forward gate =="
 # escapes the program. The single definition of the ALU/compare/move
 # semantics both regimes share is checked against the independent
 # per-op reference; the alloc pin covers both regimes' steady-state
-# loops; the compile-pass tests pin the run-length, dead-write and
-# basic-block analysis and its one-compile-per-program cache.
+# loops; the compile-pass tests pin the successor, run-length,
+# dead-write and basic-block analysis and its one-compile-per-program
+# cache. A run is a path: it follows forward unconditional branches
+# (isa.Compiled.Next), and the compile-pass table of branch shapes, the
+# dead write elided past a branch on the path and not off it, and the
+# FuzzRun seed whose line hops share blocks between two warps are each
+# gated by name so a rename fails.
 gate -race -count=1 -run 'TestCompiled|TestGolden|TestFallOffEndDiagnostic' ./internal/gpu ./internal/experiments
 gate -race -count=1 -run 'FuzzRun' ./internal/gpu
+# A subtest pattern that matches no seed still runs FuzzRun, so the
+# seed's own PASS line is required.
+out=$(go test -race -count=1 -v -run '^FuzzRun$/^line-hops-shared-blocks$' ./internal/gpu 2>&1) || { echo "$out"; exit 1; }
+if ! echo "$out" | grep -q -- '--- PASS: FuzzRun/line-hops-shared-blocks'; then
+    echo "$out"
+    echo "FuzzRun seed line-hops-shared-blocks did not run" >&2
+    exit 1
+fi
 gate -race -count=1 -run 'TestCompile|TestCompiledSteadyStateZeroAlloc|TestOpsMatchReference|TestReferenceCoversSimpleOps|TestAddressImmediatesZeroExtend' ./internal/isa ./internal/sm
+gate -race -count=1 -run '^TestCompileFastForwardRuns$' ./internal/isa
 # Fast-forward excuses a block for its warp's simple run because the
 # warp scheduler is sticky: every policy keeps the last-issued warp
 # while it can issue. Each test is gated by name so a rename fails.
@@ -128,8 +142,8 @@ done
 # store-footprint kill among them, a late deadlock, a cancellation
 # inside a run, the cycle limit — settling to lock-step's counters; and
 # a run crossing into the next icache line only when the block's L0I
-# holds it filled by the cycle the run reaches it, with lock-step's
-# counters and stores.
+# holds it filled by the cycle the run reaches it, through a line hop
+# too, with lock-step's counters and stores.
 gate -race -count=1 -run '^TestExcusedStepsAreNoOps$' -timeout 30m ./internal/gpu
 gate -race -count=1 -run '^TestBudgetKillBitIdentical$' ./internal/gpu
 for t in TestRecordedRunIsTheServedRun TestKillSettlesSleepersAndRuns TestDeadlockSettlesSleepers TestCancelAndCycleLimitInsideARun TestRunCrossesResidentLines; do
