@@ -38,7 +38,7 @@ type Compiled struct {
 	// events and changes no state any other warp can observe. YIELD ends
 	// a run because under SI.Enabled && SI.Yield it may switch the
 	// active subwarp. FFLen[Next[pc]] is FFLen[pc]-1 wherever FFLen[pc]
-	// is positive.
+	// is positive and Next[pc] lies in the program.
 	FFLen []int32
 	// FFLenYieldInert is FFLen computed with YIELD counted as simple,
 	// valid for configurations where YIELD is architecturally inert

@@ -57,9 +57,8 @@ func hopping() *isa.Program {
 // the line end. A run of hopping follows the BRA at PC 14 into line 2
 // only when line 2 is resident and filled by cycle 15, when PC 32
 // issues, and then ends at line 3, which is absent; otherwise it ends
-// after the BRA. Each way, the run's
-// counters, L0I accesses included, and its stores equal lock-step's
-// (Config.Check).
+// after the BRA. Each way, the run's counters, L0I accesses included,
+// and its stores equal lock-step's (Config.Check).
 func TestRunCrossesResidentLines(t *testing.T) {
 	const absent = -1
 	for _, tc := range []struct {

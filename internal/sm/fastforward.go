@@ -37,12 +37,12 @@ import (
 //     frozen statuses), touch only its registers, predicates or barrier
 //     masks, or only its PC for such a branch, take an L0I hit that
 //     emits nothing where it crosses a line, repeat the same failed
-//     demotes, and start no select. ffCommit
-//     retires the run when it ends — or, on an early exit, the prefix
-//     that fits — with the counters, L0I accesses, issue events and
-//     time-series samples cycle-by-cycle issue would have produced. The
-//     L0I is the block's own, and an excused block makes no other
-//     access to it, so its LRU order is lock-step's.
+//     demotes, and start no select. ffCommit retires the run when it
+//     ends — or, on an early exit, the prefix that fits — with the
+//     counters, L0I accesses, issue events and time-series samples
+//     cycle-by-cycle issue would have produced. The L0I is the block's
+//     own, and an excused block makes no other access to it, so its LRU
+//     order is lock-step's.
 //
 // An excused block touches none of l1d, l1i (a crossing's L0I hit never
 // reaches it), the memory view or the RT core, so those see the same
@@ -152,9 +152,10 @@ func (b *Block) selectWaits() bool {
 // the walk and is not resident in the L0I, filled by the cycle the
 // run's first op on it issues. Such a crossing, after the previous op
 // on the path or a branch into the line, is a hit of the per-cycle
-// fetch probe (status) that emits nothing, and ffCommit replays it. Returns 0 when the warp is not
-// simply advancing (exited, switched, diverted, or its next instruction
-// is not simple or not fetched by then).
+// fetch probe (status) that emits nothing, and ffCommit replays it.
+// Returns 0 when the warp is not simply advancing (exited, switched,
+// diverted, or its next instruction is not simple or not fetched by
+// then).
 func (b *Block) ffRun(now, limit int64) (int64, RunEnd) {
 	w := b.warps[b.lastIssued]
 	if w.exited || w.pendingSelect || w.active.Empty() || w.fetchingLine != math.MaxUint64 {
@@ -268,8 +269,8 @@ func (b *Block) catchUp(upTo, visited int64) {
 // catchUp's closed form; in a run: the same warp issued the next simple
 // op and moved to its successor along the path, with one L0I access if
 // the op is off the warp's fetched line, and nothing else moved — with
-// the same due cycle and next event. The engine counts
-// the cycle as excused, not as a step.
+// the same due cycle and next event. The engine counts the cycle as
+// excused, not as a step.
 func (b *Block) stepExcused(now int64) bool {
 	b.catchUp(now, 0) // cycles the SM did not visit; none when in a run
 	due, event, have := b.due, b.event, b.counters
